@@ -10,7 +10,6 @@ trailing newline.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .equiv import (
     Cardinality,
@@ -20,7 +19,7 @@ from .equiv import (
     NotEquivalent,
     Unknown,
 )
-from .fileformat import parse_diagram, serialize_diagram
+from .fileformat import INTEGER, parse_diagram, parse_fraction, serialize_diagram
 from .intertwine import DiagonalMap, LadderRung, UnitChangeCertificate
 from .supernat import SupernaturalNumber
 
@@ -36,7 +35,7 @@ def _need(doc, key):
 
 
 def _int(value, what: str) -> int:
-    if not isinstance(value, str) or not value.lstrip("-").isdigit():
+    if not isinstance(value, str) or not INTEGER.fullmatch(value):
         raise ValueError(f"{what} must be a decimal string, got {value!r}")
     return int(value)
 
@@ -188,7 +187,7 @@ def equivalence_certificate_from_doc(doc: dict) -> EquivalenceCertificate:
     )
 
     def diagonals(values):
-        return tuple(tuple(Fraction(v) for v in d) for d in values)
+        return tuple(tuple(parse_fraction(v) for v in d) for d in values)
 
     return EquivalenceCertificate(
         parse_diagram(_need(doc, "left")),

@@ -30,7 +30,7 @@ from .equiv import (
     limit_cardinality,
 )
 from .errors import BratteliError, ParseError
-from .fileformat import parse_diagram, serialize_diagram
+from .fileformat import INTEGER, parse_diagram, serialize_diagram
 from .intertwine import certificate_failures, unit_change
 from .states import depth_image_vertices
 from .supernat import SupernaturalNumber
@@ -49,11 +49,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
+def _integer(text):
+    if not INTEGER.fullmatch(text):
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
+
+
+def _positive_int(text):
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
@@ -63,7 +66,7 @@ def _int_list(text, flag):
     out = []
     for piece in text.split(","):
         piece = piece.strip()
-        if not piece.lstrip("-").isdigit():
+        if not INTEGER.fullmatch(piece):
             raise _UsageError(f"{flag} wants comma-separated integers, got {piece!r}")
         out.append(int(piece))
     if not out:
@@ -71,9 +74,26 @@ def _int_list(text, flag):
     return out
 
 
+def _read(path):
+    """The file's text; bytes that are not UTF-8 raise a ParseError at the
+    line and column of the first bad one."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        head = data[: e.start].decode("utf-8")
+        err = ParseError(
+            f"byte 0x{data[e.start]:02x} is not UTF-8",
+            head.count("\n") + 1,
+            len(head) - head.rfind("\n"),
+        )
+        err.path = path
+        raise err from None
+
+
 def _load(path):
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read(path)
     try:
         return parse_diagram(text)
     except ParseError as e:
@@ -223,13 +243,12 @@ def _recheck_not_equivalent(doc):
 
 
 def _cmd_verify(args):
-    with open(args.file, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            err = ParseError(str(e), e.lineno, e.colno)
-            err.path = args.file
-            raise err
+    try:
+        doc = json.loads(_read(args.file))
+    except json.JSONDecodeError as e:
+        err = ParseError(str(e), e.lineno, e.colno)
+        err.path = args.file
+        raise err
     kind = doc.get("kind") if isinstance(doc, dict) else None
     try:
         if kind == "unit-change":
@@ -319,7 +338,7 @@ def _build_parser():
     p = sub.add_parser("arch-check", help="sample the archimedean property")
     p.add_argument("file")
     p.add_argument("--samples", type=_positive_int, default=100)
-    p.add_argument("--seed", required=True, type=int)
+    p.add_argument("--seed", required=True, type=_integer)
     p.set_defaults(func=_cmd_arch_check)
 
     p = sub.add_parser("verify", help="recheck a certificate document")

@@ -138,39 +138,38 @@ class BratteliSequence:
 
     # -- self-similar unrolling ------------------------------------------
 
+    def _unrolled(self, kind: str, t: int, first, step):
+        # memoized ("kind", t) for a level t >= length, built upward one
+        # level at a time from the deepest level already known, so deep
+        # levels take a loop rather than a recursion per level
+        s = t
+        while s > self.length and (kind, s) not in self._cache:
+            s -= 1
+        value = self._memo((kind, s), first)
+        for u in range(s + 1, t + 1):
+            value = step(value, self._block_position(u - 1))
+            self._cache[(kind, u)] = value
+        return value
+
     def _class_counts(self, t: int) -> tuple:
         # how many level-t nodes carry each block class; t >= length
-        def build():
-            L = self.length
-            if t == L:
-                return (self.ranks[-1],)
-            counts = self._class_counts(t - 1)
-            b = self._block_position(t - 1)
+        def step(counts, b):
             a = self.maps[b - 1]
-            if b + 1 < L:
+            if b + 1 < self.length:
                 return tuple(counts[a.parent[j]] for j in range(a.target_rank))
             kids = self._kids(b)
             return (sum(counts[c] * len(kids[c]) for c in range(len(counts))),)
 
-        return self._memo(("counts", t), build)
+        return self._unrolled("counts", t, lambda: (self.ranks[-1],), step)
 
     def _sub_classes(self, t: int) -> tuple:
         # block class of every level-t node, in node order; t >= length
-        def build():
-            L = self.length
-            if t == L:
-                return (0,) * self.ranks[-1]
-            classes = self._sub_classes(t - 1)
-            b = self._block_position(t - 1)
+        def step(classes, b):
             kids = self._kids(b)
-            restart = b + 1 == L
-            out = []
-            for c in classes:
-                for c2 in kids[c]:
-                    out.append(0 if restart else c2)
-            return tuple(out)
+            restart = b + 1 == self.length
+            return tuple(0 if restart else c2 for c in classes for c2 in kids[c])
 
-        return self._memo(("classes", t), build)
+        return self._unrolled("classes", t, lambda: (0,) * self.ranks[-1], step)
 
     # -- levels, maps, units ---------------------------------------------
 

@@ -18,13 +18,34 @@ newline), and parsing it back returns an equal sequence.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 
 from .diagram import BratteliSequence
 from .errors import BratteliError, ParseError
 from .simplicial import NonMixingMap
 
+# The numerals of diagrams, certificates and command-line options: ASCII
+# digits only, since str.isdigit, int() and \d also take "²" or "٣"
+_DIGITS = "[0-9]+"
+_NATURAL = re.compile(_DIGITS)
+INTEGER = re.compile(f"-?{_DIGITS}")
+_FRACTION = re.compile(f"(-?{_DIGITS})(?:/({_DIGITS}))?")
 _TOKEN = re.compile(r"\S+")
-_CELL = re.compile(r"(\d+)\*(\d+)")
+_CELL = re.compile(f"({_DIGITS})\\*({_DIGITS})")
+
+
+def parse_fraction(text) -> Fraction:
+    """Read "p" or "p/q" with q >= 1, as str(Fraction) writes them.
+
+    Raises ValueError on anything else, where Fraction(text) would also
+    take floats, exponents and surrounding blanks, and "1/0" would raise
+    ZeroDivisionError.
+    """
+    m = _FRACTION.fullmatch(text) if isinstance(text, str) else None
+    q = int(m.group(2) or 1) if m else 0
+    if q < 1:
+        raise ValueError(f"expected a fraction 'p/q' with q >= 1, got {text!r}")
+    return Fraction(int(m.group(1)), q)
 
 
 def _logical_lines(text: str):
@@ -41,7 +62,7 @@ def _tokens(body: str):
 
 
 def _int(tok: str, lineno: int, col: int, what: str, minimum: int = 1) -> int:
-    if not tok.isdigit():
+    if not _NATURAL.fullmatch(tok):
         raise ParseError(f"expected {what}, got {tok!r}", lineno, col)
     value = int(tok)
     if value < minimum:

@@ -1,11 +1,13 @@
 """States on simplicial groups, kept exact with Fraction arithmetic.
 
 A state on (Z^r, u) is a positive functional normalized at the unit; it
-is the tuple of its values on the standard basis.  Dualizing a unital
-non-mixing map gives an integer matrix carrying states backwards, and
-pushing the extreme points of deeper and deeper levels back to a fixed
-level traces out the nested images whose intersection is the trace
-simplex of the limit.
+is the tuple of its values on the standard basis.  A unital map
+carries states backwards by (dual s)(x) = s(alpha x), and pulling the
+extreme points of deeper and deeper levels back to a fixed level traces
+out the nested images whose intersection is the trace simplex of the
+limit.  Every coordinate of a non-mixing map reads one parent, so an
+extreme state pulls back to the extreme state of its ancestor and no
+matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 
 from .diagram import BratteliSequence
 from .errors import NotNormalized, NotOrderUnit, NotPositive, RankMismatch
-from .simplicial import NonMixingMap, is_order_unit
+from .simplicial import is_order_unit
 
 
 def _check_unit(u, what: str = "unit") -> tuple:
@@ -59,109 +61,6 @@ class StateVector:
         return sum((v * xi for v, xi in zip(self.values, x)), Fraction(0))
 
 
-@dataclass(frozen=True)
-class DualMapMatrix:
-    """Dual of a unital positive map: carries target states to source states.
-
-    rows[i][j] is the coefficient with which the value at target
-    coordinate j feeds source coordinate i.  Unitality of the underlying
-    map makes every column weigh the source unit to the corresponding
-    target unit entry, which is exactly what keeps states normalized.
-    """
-
-    rows: tuple
-    source_unit: tuple
-    target_unit: tuple
-
-    def __post_init__(self):
-        source_unit = _check_unit(self.source_unit, "source unit")
-        target_unit = _check_unit(self.target_unit, "target unit")
-        rows = tuple(tuple(row) for row in self.rows)
-        if len(rows) != len(source_unit):
-            raise RankMismatch(
-                f"{len(rows)} rows against source rank {len(source_unit)}"
-            )
-        for row in rows:
-            if len(row) != len(target_unit):
-                raise RankMismatch(
-                    f"row of length {len(row)} against target rank {len(target_unit)}"
-                )
-            for v in row:
-                if not isinstance(v, int) or v < 0:
-                    raise NotPositive(f"matrix entry {v!r} must be a nonnegative int")
-        for j in range(len(target_unit)):
-            got = sum(source_unit[i] * rows[i][j] for i in range(len(rows)))
-            if got != target_unit[j]:
-                raise NotNormalized(
-                    f"column {j} weighs the source unit to {got}, "
-                    f"target unit has {target_unit[j]}"
-                )
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "source_unit", source_unit)
-        object.__setattr__(self, "target_unit", target_unit)
-
-    @property
-    def source_rank(self) -> int:
-        return len(self.source_unit)
-
-    @property
-    def target_rank(self) -> int:
-        return len(self.target_unit)
-
-    def apply(self, state: StateVector) -> StateVector:
-        if state.unit != self.target_unit:
-            raise NotNormalized(
-                f"state is normalized against {state.unit}, dual expects {self.target_unit}"
-            )
-        values = tuple(
-            sum((Fraction(c) * v for c, v in zip(row, state.values)), Fraction(0))
-            for row in self.rows
-        )
-        return StateVector(values, self.source_unit)
-
-    def apply_values(self, values) -> tuple:
-        values = tuple(Fraction(v) for v in values)
-        if len(values) != self.target_rank:
-            raise RankMismatch(
-                f"{len(values)} values against target rank {self.target_rank}"
-            )
-        return tuple(
-            sum((Fraction(c) * v for c, v in zip(row, values)), Fraction(0))
-            for row in self.rows
-        )
-
-    def __matmul__(self, other: "DualMapMatrix") -> "DualMapMatrix":
-        # self dualizes f: A -> B, other dualizes g: B -> C; the product
-        # dualizes g . f and carries C states all the way back to A
-        if self.target_unit != other.source_unit:
-            raise RankMismatch("duals do not meet at a common middle unit")
-        rows = tuple(
-            tuple(
-                sum(self.rows[i][m] * other.rows[m][j] for m in range(self.target_rank))
-                for j in range(other.target_rank)
-            )
-            for i in range(self.source_rank)
-        )
-        return DualMapMatrix(rows, self.source_unit, other.target_unit)
-
-
-def dual_map(alpha: NonMixingMap, u, v) -> DualMapMatrix:
-    """Dualize a non-mixing map that carries unit u to unit v."""
-    u = _check_unit(u, "source unit")
-    v = _check_unit(v, "target unit")
-    if alpha.push_unit(u) != v:
-        raise NotNormalized(f"map carries {u} to {alpha.push_unit(u)}, not {v}")
-    rows = []
-    for i in range(alpha.source_rank):
-        rows.append(
-            tuple(
-                alpha.mult[j] if alpha.parent[j] == i else 0
-                for j in range(alpha.target_rank)
-            )
-        )
-    return DualMapMatrix(tuple(rows), u, v)
-
-
 def simplex_vertices(rank: int, u) -> tuple:
     """Extreme states of (Z^rank, u): coordinate evaluations over u_i."""
     u = _check_unit(u)
@@ -179,17 +78,15 @@ def simplex_vertices(rank: int, u) -> tuple:
 def depth_image_vertices(seq: BratteliSequence, level: int, depth: int) -> tuple:
     """Extreme states of level `depth`, pulled back to `level`.
 
-    Returns the value tuples; their convex hull is the stage-`depth`
-    approximation of the limit trace simplex, drawn inside the state
-    simplex of the chosen level.
+    Returns the value tuples, one per level-`depth` coordinate in order;
+    their convex hull is the stage-`depth` approximation of the limit
+    trace simplex, drawn inside the state simplex of the chosen level.
+    Coordinate j reads the single ancestor i = parent(j) at `level`, and
+    its unit entry is v_j = mult_j * u_i, so the extreme state e_j / v_j
+    pulls back to exactly the vertex e_i / u_i.
     """
-    u = seq.unit_at(level)
-    v = seq.unit_at(depth)
-    dual = dual_map(seq.map_between(level, depth), u, v)
-    out = []
-    for vertex in simplex_vertices(seq.rank_at(depth), v):
-        out.append(dual.apply(vertex).values)
-    return tuple(out)
+    vertices = simplex_vertices(seq.rank_at(level), seq.unit_at(level))
+    return tuple(vertices[i].values for i in seq.map_between(level, depth).parent)
 
 
 def restate_unit(state: StateVector, new_unit) -> StateVector:
@@ -204,103 +101,22 @@ def restate_unit(state: StateVector, new_unit) -> StateVector:
 
 
 def verify_state_invariance(seq: BratteliSequence, n, depth: int) -> bool:
-    """Check that tensoring by Q_n only rescales the dual maps.
+    """Check that tensoring by Q_n only rescales the level maps.
 
-    Both towers are dualized level by level; the tensored dual must be
-    the original one multiplied by n_{i+1}/n_i, exactly.  Since a state
-    on the tensored level i is n_i times a state on the original level
-    i, this is what makes the two limit simplices literally equal.
+    Each tensored map must have the original parents and the original
+    multiplicities times n_{i+1}/n_i, exactly.  Since a state on the
+    tensored level i is n_i times a state on the original level i, this
+    is what makes the two limit simplices literally equal.
     """
     from .tensor import tensor_qn
 
     scaled = tensor_qn(seq, n, depth)
     ns = n.associated_sequence(depth)
     for i in range(1, depth):
-        d_plain = dual_map(seq.map_at(i), seq.unit_at(i), seq.unit_at(i + 1))
-        d_scaled = dual_map(scaled.map_at(i), scaled.unit_at(i), scaled.unit_at(i + 1))
-        ratio = Fraction(ns[i], ns[i - 1])
-        for row_s, row_p in zip(d_scaled.rows, d_plain.rows):
-            for a, b in zip(row_s, row_p):
-                if Fraction(a) != ratio * b:
-                    return False
-    return True
-
-
-def in_convex_hull(point, vertices) -> bool:
-    """Exact membership of a point in the convex hull of finitely many points.
-
-    Solves the phase-1 linear program for weights lambda >= 0 with
-    sum(lambda) = 1 and sum(lambda_k * v_k) = point, entirely over
-    Fraction, using Bland's rule so it always terminates.
-    """
-    point = tuple(Fraction(v) for v in point)
-    vertices = [tuple(Fraction(v) for v in vx) for vx in vertices]
-    for vx in vertices:
-        if len(vx) != len(point):
-            raise RankMismatch(
-                f"vertex of length {len(vx)} against point of length {len(point)}"
-            )
-    rows = [[vx[d] for vx in vertices] for d in range(len(point))]
-    rows.append([Fraction(1)] * len(vertices))
-    rhs = list(point) + [Fraction(1)]
-    return _feasible(rows, rhs)
-
-
-def _feasible(rows, rhs) -> bool:
-    # does rows . x == rhs admit x >= 0?  Phase-1 simplex, Bland's rule.
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    table = []
-    for i in range(m):
-        row = list(rows[i])
-        b = rhs[i]
-        if b < 0:
-            row = [-v for v in row]
-            b = -b
-        art = [Fraction(0)] * m
-        art[i] = Fraction(1)
-        table.append(row + art + [b])
-    basis = [n + i for i in range(m)]
-    # reduced costs for minimizing the sum of the artificial variables
-    cost = [Fraction(0)] * (n + m + 1)
-    for i in range(m):
-        for j in range(n + m + 1):
-            cost[j] -= table[i][j]
-    for i in range(m):
-        cost[n + i] += 1
-
-    while True:
-        enter = -1
-        for j in range(n + m):
-            if cost[j] < 0:
-                enter = j
-                break
-        if enter < 0:
-            break
-        leave = -1
-        best = None
-        for i in range(m):
-            if table[i][enter] > 0:
-                ratio = table[i][-1] / table[i][enter]
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
-                    leave = i
-        if leave < 0:
-            # the phase-1 objective is bounded below by zero, so an
-            # unbounded column cannot happen; guard anyway
+        plain = seq.map_at(i)
+        tensored = scaled.map_at(i)
+        if (tensored.source_rank, tensored.parent) != (plain.source_rank, plain.parent):
             return False
-        piv = table[leave][enter]
-        table[leave] = [v / piv for v in table[leave]]
-        for i in range(m):
-            if i != leave and table[i][enter] != 0:
-                f = table[i][enter]
-                table[i] = [a - f * b for a, b in zip(table[i], table[leave])]
-        if cost[enter] != 0:
-            f = cost[enter]
-            cost = [a - f * b for a, b in zip(cost, table[leave])]
-        basis[leave] = enter
-
-    value = sum(table[i][-1] for i in range(m) if basis[i] >= n)
-    return value == 0
+        if any(a * ns[i - 1] != b * ns[i] for a, b in zip(tensored.mult, plain.mult)):
+            return False
+    return True

@@ -301,6 +301,52 @@ class TestVerify:
         assert capsys.readouterr().err.startswith(f"parse error: {path}: line ")
 
 
+class TestHostileInput:
+    """Bad bytes and numerals end in a documented exit code and one
+    diagnostic line, never in a traceback."""
+
+    def check(self, argv, code, capsys):
+        assert run(argv) == code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        return captured.err
+
+    def test_superscript_size(self, doc, capsys):
+        path = doc("s.brat", "bratteli v1\nsizes: 1 \u00b2\nunit: 1\n")
+        err = self.check(["validate", path], 65, capsys)
+        assert err.startswith(f"parse error: {path}: line 2, column 10:")
+
+    def test_non_ascii_digit_in_map_cell(self, doc, capsys):
+        text = "bratteli v1\nsizes: 1 1\nunit: 1\nmap 1: \u0661*1\n"
+        path = doc("c.brat", text)
+        err = self.check(["validate", path], 65, capsys)
+        assert err.startswith(f"parse error: {path}: line 4, column 8:")
+
+    def test_non_utf8_diagram(self, tmp_path, capsys):
+        path = tmp_path / "b.brat"
+        path.write_bytes(b"bratteli v1\nsizes: 1\nunit: \xff\n")
+        err = self.check(["validate", str(path)], 65, capsys)
+        assert err.startswith(f"parse error: {path}: line 3, column 7:")
+
+    def test_non_utf8_certificate(self, tmp_path, capsys):
+        path = tmp_path / "b.json"
+        path.write_bytes(b'{"kind": "equivalence",\n "verdict": "\xe9"}\n')
+        err = self.check(["verify", str(path)], 65, capsys)
+        assert err.startswith(f"parse error: {path}: line 2, column 14:")
+
+    @pytest.mark.parametrize("diagonal", ["1/0", "0.5", " 1/2"])
+    def test_diagonal_not_a_fraction(self, diagonal, doc, tmp_path, capsys):
+        left = doc("a.brat", DYADIC)
+        right = doc("b.brat", TRIADIC)
+        assert run(["equiv", left, right, "--depth", "2"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        payload["left_diagonals"][0][0] = diagonal
+        cert = tmp_path / "tampered.json"
+        cert.write_text(json.dumps(payload), encoding="utf-8")
+        err = self.check(["verify", str(cert)], 1, capsys)
+        assert err.startswith("error:") and repr(diagonal) in err
+
+
 class TestUsage:
     def test_no_arguments(self, capsys):
         assert run([]) == 64

@@ -86,6 +86,15 @@ class TestTails:
         # every level-3 node restarts the block, so level 4 splits in twos
         assert seq.map_at(3).parent == (0, 0, 1, 1, 2, 2)
 
+    def test_deep_self_similar_level(self):
+        # unrolling a tail takes a loop per level, not a recursion
+        assert full_tree(2, 3).rank_at(5000) == 2**4999
+        m1 = NonMixingMap(1, (0, 0), (1, 1))
+        m2 = NonMixingMap(2, (0, 0, 1), (1, 1, 1))
+        seq = BratteliSequence((1, 2, 3), (m1, m2), (1,), periodic_tail=1)
+        assert seq.map_at(9).source_rank == seq.rank_at(9) == 3**4
+        assert [seq.rank_at(t) for t in range(3, 8)] == [3, 6, 9, 18, 27]
+
     def test_cyclic_preferred_when_both_fit(self):
         seq = scalar_chain(2, levels=2)
         assert seq.tail_kind == "cyclic"

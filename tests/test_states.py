@@ -5,7 +5,6 @@ import pytest
 
 from bratteli import (
     BratteliSequence,
-    DualMapMatrix,
     INF,
     NonMixingMap,
     NotNormalized,
@@ -14,8 +13,6 @@ from bratteli import (
     StateVector,
     SupernaturalNumber,
     depth_image_vertices,
-    dual_map,
-    in_convex_hull,
     restate_unit,
     simplex_vertices,
     verify_state_invariance,
@@ -51,6 +48,43 @@ def random_supernat(rng):
     return SupernaturalNumber(fac)
 
 
+def pulled_back_vertices(seq, level, depth):
+    """Oracle for depth_image_vertices from the defining identity
+    (dual s)(x) = s(alpha x), with alpha the composite level -> depth.
+
+    Pushes the unit and each basis vector e_i one level at a time; the
+    pull-back of the extreme state e_j / v_j then takes the value
+    (alpha e_i)_j / v_j on e_i.
+    """
+
+    def push(x, lo, hi):
+        for t in range(lo, hi):
+            x = seq.map_at(t).apply(x)
+        return x
+
+    rank = seq.rank_at(level)
+    v = push(push(seq.base_unit, 1, level), level, depth)
+    images = [
+        push(tuple(int(k == i) for k in range(rank)), level, depth)
+        for i in range(rank)
+    ]
+    return tuple(
+        tuple(Fraction(image[j], v[j]) for image in images) for j in range(len(v))
+    )
+
+
+def pull_back(state, alpha, unit):
+    """The state x -> state(alpha x) on the source of alpha, normalized
+    against `unit`, the unit alpha carries to state.unit."""
+    basis = [tuple(int(k == i) for k in range(len(unit))) for i in range(len(unit))]
+    return StateVector(tuple(state.evaluate(alpha.apply(e)) for e in basis), unit)
+
+
+def one_step(alpha, unit):
+    """Two-level sequence presenting alpha from `unit`."""
+    return BratteliSequence((alpha.source_rank, alpha.target_rank), (alpha,), unit)
+
+
 class TestStateVector:
     def test_normalization_checked(self):
         StateVector((Fraction(1, 3), Fraction(1, 3)), (1, 2))
@@ -68,69 +102,68 @@ class TestStateVector:
 
 
 class TestDualMap:
+    """Pulling extreme states back along the dual of a map."""
+
     def test_oracle(self):
         alpha = NonMixingMap.from_matrix(((2, 0), (3, 0), (0, 1)))
-        u = (1, 1)
-        v = alpha.push_unit(u)
-        assert v == (2, 3, 1)
-        dual = dual_map(alpha, u, v)
-        assert dual.rows == ((2, 3, 0), (0, 0, 1))
-        s = StateVector((Fraction(1, 2), Fraction(0), Fraction(0)), v)
-        assert dual.apply(s).values == (1, 0)
+        assert alpha.push_unit((1, 1)) == (2, 3, 1)
+        got = depth_image_vertices(one_step(alpha, (1, 1)), 1, 2)
+        assert got == ((1, 0), (1, 0), (0, 1))
 
     def test_identity_dual(self):
         u = (2, 5)
-        dual = dual_map(NonMixingMap.identity(2), u, u)
-        assert dual.rows == ((1, 0), (0, 1))
-        s = random_state(random.Random(61), u)
-        assert dual.apply(s) == s
+        seq = one_step(NonMixingMap.identity(2), u)
+        assert depth_image_vertices(seq, 1, 2) == tuple(
+            v.values for v in simplex_vertices(2, u)
+        )
 
     def test_scalar_dual(self):
-        alpha = NonMixingMap.scalar(1, 4)
-        dual = dual_map(alpha, (1,), (4,))
-        s = StateVector((Fraction(1, 4),), (4,))
-        assert dual.apply(s).values == (1,)
-
-    def test_unit_mismatch_rejected(self):
-        alpha = NonMixingMap.scalar(1, 4)
-        with pytest.raises(NotNormalized):
-            dual_map(alpha, (1,), (5,))
-
-    def test_matrix_validation(self):
-        with pytest.raises(NotPositive):
-            DualMapMatrix(((-1,),), (1,), (1,))
-        with pytest.raises(NotNormalized):
-            DualMapMatrix(((3,),), (1,), (2,))
-        dual = DualMapMatrix(((2,),), (1,), (2,))
-        with pytest.raises(NotNormalized):
-            dual.apply(StateVector((Fraction(1, 3),), (3,)))
+        seq = one_step(NonMixingMap.scalar(1, 4), (1,))
+        assert depth_image_vertices(seq, 1, 2) == ((1,),)
 
     def test_transport_identity(self):
-        # the dual is defined by (dual s)(x) == s(alpha x)
+        # each pulled-back vertex s' satisfies s'(x) == s(alpha x)
         rng = random.Random(62)
         for _ in range(500):
             src = rng.randint(1, 4)
             alpha = random_map(rng, src, rng.randint(1, 4))
             u = random_unit(rng, src)
             v = alpha.push_unit(u)
-            dual = dual_map(alpha, u, v)
-            s = random_state(rng, v)
+            got = depth_image_vertices(one_step(alpha, u), 1, 2)
             x = tuple(rng.randint(-6, 6) for _ in range(src))
-            assert dual.apply(s).evaluate(x) == s.evaluate(alpha.apply(x))
+            for s, values in zip(simplex_vertices(len(v), v), got):
+                assert StateVector(values, u).evaluate(x) == s.evaluate(alpha.apply(x))
 
     def test_functoriality(self):
+        # pulling back in two steps through a middle level is one step
         rng = random.Random(63)
-        for _ in range(500):
-            ra = rng.randint(1, 3)
-            rb = rng.randint(1, 3)
-            f = random_map(rng, ra, rb)
-            g = random_map(rng, rb, rng.randint(1, 3))
-            u = random_unit(rng, ra)
-            w = f.push_unit(u)
-            v = g.push_unit(w)
-            left = dual_map(g.compose(f), u, v)
-            right = dual_map(f, u, w) @ dual_map(g, w, v)
-            assert left == right
+        for _ in range(200):
+            seq = random_sequence(rng)
+            top = max_usable_level(seq)
+            level = rng.randint(1, top)
+            mid = rng.randint(level, top)
+            depth = rng.randint(mid, top)
+            u = seq.unit_at(level)
+            alpha = seq.map_between(level, mid)
+            w = seq.unit_at(mid)
+            two_steps = tuple(
+                pull_back(StateVector(values, w), alpha, u).values
+                for values in depth_image_vertices(seq, mid, depth)
+            )
+            assert two_steps == depth_image_vertices(seq, level, depth)
+
+    def test_matches_pushforward_oracle(self):
+        rng = random.Random(68)
+        for k in range(300):
+            seq = random_sequence(rng, tail=("none", "cyclic", "sub")[k % 3])
+            top = max_usable_level(seq)
+            level = rng.randint(1, top)
+            depth = rng.randint(level, top)
+            want = pulled_back_vertices(seq, level, depth)
+            assert depth_image_vertices(seq, level, depth) == want
+            u = seq.unit_at(level)
+            for values in want:
+                StateVector(values, u)
 
 
 class TestSimplex:
@@ -178,17 +211,17 @@ class TestSimplex:
             assert set(depth_image_vertices(seq, level, depth)) == want
 
     def test_nested_images(self):
+        # the vertices of each stage are vertices of every shallower one
         rng = random.Random(65)
         for _ in range(25):
             seq = random_sequence(rng, max_rank=4)
             top = max_usable_level(seq)
             level = rng.randint(1, top)
             stages = [
-                depth_image_vertices(seq, level, d) for d in range(level, top + 1)
+                set(depth_image_vertices(seq, level, d)) for d in range(level, top + 1)
             ]
             for shallow, deep in zip(stages, stages[1:]):
-                for vertex in deep:
-                    assert in_convex_hull(vertex, shallow)
+                assert deep <= shallow
 
 
 class TestRestate:
@@ -213,33 +246,24 @@ class TestRestate:
             restate_unit(s, (1, 1))
 
 
-class TestConvexHull:
-    def test_triangle(self):
-        tri = ((0, 0), (1, 0), (0, 1))
-        assert in_convex_hull((Fraction(1, 3), Fraction(1, 3)), tri)
-        assert in_convex_hull((0, 0), tri)
-        assert in_convex_hull((Fraction(1, 2), Fraction(1, 2)), tri)
-        assert not in_convex_hull((Fraction(2, 3), Fraction(2, 3)), tri)
-        assert not in_convex_hull((-Fraction(1, 10), Fraction(0)), tri)
-
-    def test_single_point(self):
-        assert in_convex_hull((2, 3), ((2, 3),))
-        assert not in_convex_hull((2, 4), ((2, 3),))
-
-    def test_segment(self):
-        seg = ((0, 0, 0), (2, 4, 6))
-        assert in_convex_hull((1, 2, 3), seg)
-        assert not in_convex_hull((1, 2, 4), seg)
-
-    def test_dimension_checked(self):
-        with pytest.raises(RankMismatch):
-            in_convex_hull((1, 2), ((1, 2, 3),))
-
-
 class TestStateInvariance:
     def test_chain_against_triadic(self):
         n = SupernaturalNumber.parse("3^inf")
         assert verify_state_invariance(scalar_chain(2), n, 5)
+
+    def test_wrong_rescaling_detected(self, monkeypatch):
+        import bratteli.tensor as tensor
+
+        real = tensor.tensor_qn
+        chain = scalar_chain(2)
+        five = SupernaturalNumber.parse("5^inf")
+        three = SupernaturalNumber.parse("3^inf")
+        monkeypatch.setattr(tensor, "tensor_qn", lambda seq, n, d: real(seq, five, d))
+        assert not verify_state_invariance(chain, three, 4)
+        monkeypatch.setattr(
+            tensor, "tensor_qn", lambda seq, n, d: real(two_path(2, 2), n, d)
+        )
+        assert not verify_state_invariance(chain, three, 4)
 
     def test_random_sequences(self):
         rng = random.Random(67)
