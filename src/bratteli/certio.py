@@ -19,6 +19,7 @@ from .equiv import (
     NotEquivalent,
     Unknown,
 )
+from .errors import TooLarge
 from .fileformat import INTEGER, parse_diagram, parse_fraction, serialize_diagram
 from .intertwine import DiagonalMap, LadderRung, UnitChangeCertificate
 from .supernat import SupernaturalNumber
@@ -46,6 +47,16 @@ def _ints(values, what: str) -> tuple:
     return tuple(_int(v, what) for v in values)
 
 
+def _decimal(value: int, what: str) -> str:
+    # str() refuses ints longer than sys.get_int_max_str_digits() digits
+    try:
+        return str(value)
+    except ValueError:
+        raise TooLarge(
+            f"{what} is too long to write in decimal ({value.bit_length()} bits)"
+        ) from None
+
+
 def _supernatural(value, what: str):
     if value is None:
         return None
@@ -65,8 +76,10 @@ def unit_change_to_doc(cert: UnitChangeCertificate) -> dict:
             {
                 "level": str(r.level),
                 "direction": r.direction,
-                "scalar": str(r.scalar),
-                "diag": [str(v) for v in r.diag.entries],
+                "scalar": _decimal(r.scalar, f"rung {r.level} scalar"),
+                "diag": [
+                    _decimal(v, f"rung {r.level} diagonal") for v in r.diag.entries
+                ],
             }
             for r in cert.rungs
         ],

@@ -27,7 +27,7 @@ from .equiv import (
     canonicalize_q,
     equivalence_certificate_failures,
     equivalent_q,
-    limit_cardinality,
+    not_equivalent_failures,
 )
 from .errors import BratteliError, ParseError
 from .fileformat import INTEGER, parse_diagram, serialize_diagram
@@ -52,7 +52,12 @@ class _Parser(argparse.ArgumentParser):
 def _integer(text):
     if not INTEGER.fullmatch(text):
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # past int()'s limit of sys.get_int_max_str_digits()
+        raise argparse.ArgumentTypeError(
+            f"an integer of {len(text)} digits is too long"
+        ) from None
 
 
 def _positive_int(text):
@@ -65,12 +70,10 @@ def _positive_int(text):
 def _int_list(text, flag):
     out = []
     for piece in text.split(","):
-        piece = piece.strip()
-        if not INTEGER.fullmatch(piece):
-            raise _UsageError(f"{flag} wants comma-separated integers, got {piece!r}")
-        out.append(int(piece))
-    if not out:
-        raise _UsageError(f"{flag} wants at least one integer")
+        try:
+            out.append(_integer(piece.strip()))
+        except argparse.ArgumentTypeError as e:
+            raise _UsageError(f"{flag} wants comma-separated integers: {e}") from None
     return out
 
 
@@ -219,29 +222,6 @@ def _cmd_arch_check(args):
     return 0
 
 
-def _recheck_not_equivalent(doc):
-    verdict, left, right = certio.not_equivalent_from_doc(doc)
-    sysA, _ = canonicalize_q(left)
-    sysB, _ = canonicalize_q(right)
-    cardA = limit_cardinality(sysA)
-    cardB = limit_cardinality(sysB)
-    failures = []
-    if cardA != verdict.left_cardinality:
-        failures.append(f"left cardinality recomputes to {cardA}")
-    if cardB != verdict.right_cardinality:
-        failures.append(f"right cardinality recomputes to {cardB}")
-    kinds = (cardA.kind, cardB.kind)
-    if verdict.reason == "cardinality":
-        if not (kinds == ("finite", "finite") and cardA.count != cardB.count):
-            failures.append("cardinality witness does not hold")
-    elif verdict.reason == "finiteness":
-        if kinds not in (("finite", "infinite"), ("infinite", "finite")):
-            failures.append("finiteness witness does not hold")
-    else:
-        failures.append(f"unsupported reason {verdict.reason!r}")
-    return failures
-
-
 def _cmd_verify(args):
     try:
         doc = json.loads(_read(args.file))
@@ -263,7 +243,9 @@ def _cmd_verify(args):
                     certio.equivalence_certificate_from_doc(doc)
                 )
             elif verdict == "not-equivalent":
-                failures = _recheck_not_equivalent(doc)
+                failures = not_equivalent_failures(
+                    *certio.not_equivalent_from_doc(doc)
+                )
             else:
                 print(f"error: unsupported verdict {verdict!r}", file=sys.stderr)
                 return 1

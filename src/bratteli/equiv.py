@@ -194,21 +194,10 @@ class Intertwining:
     closure: str
 
 
-class _OutOfBudget(Exception):
-    pass
-
-
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, n):
-        self.left = n
-
-    def spend(self):
-        self.left -= 1
-        if self.left < 0:
-            raise _OutOfBudget
-        return True
+# Largest level, in coordinates, the zigzag may build on: a pair whose
+# zigzag needs more comes back None (an Unknown verdict) instead of
+# allocating without bound.
+_SIZE_CAP = 50_000
 
 
 def _inverse_lists(f, n_targets):
@@ -218,147 +207,32 @@ def _inverse_lists(f, n_targets):
     return [tuple(v) for v in inv]
 
 
-def _assignments(allowed, n_targets, budget):
-    """Surjective choice functions, in balanced-first order.
+def _deal(proj, fibers):
+    """Deal the coordinates over each node onto the node's fiber.
 
-    allowed[i] is the ascending tuple of permitted targets for slot i;
-    yields every assignment hitting all of range(n_targets).  At every
-    call site the distinct allowed sets are fibers of a surjection,
-    hence pairwise disjoint, and surjectivity splits into independent
-    coverage problems: the slots sharing a fiber must cover it alone.
-    Counting slots against uncovered targets per fiber then prunes
-    every dead prefix exactly.  If a caller ever passes overlapping
-    sets, a slower generic search takes over.
-
-    Order: each slot prefers the allowed target it has used least so
-    far, ties broken by smaller index, so the first assignment out is
-    the round-robin one.  Balanced fibers matter: a target grabbing
-    many slots here forces a correspondingly coarse level on the other
-    side of the zigzag later, so the balanced assignment is the one
-    most likely to extend, and trying it first keeps the search from
-    drowning in front-loaded dead ends.
+    proj[x] is the node coordinate x lies over and fibers[a] the
+    ascending points node a must cover.  The i-th coordinate over a, in
+    index order, goes to fibers[a][i mod |fibers[a]|].  That is onto
+    exactly when every node has at least |fibers[a]| coordinates over
+    it; otherwise returns None.
     """
-    n = len(allowed)
-    if n_targets < 1 or n_targets > n:
-        return
-    groups = {}
-    block_of = []
-    for opts in allowed:
-        block_of.append(groups.setdefault(opts, len(groups)))
-    keys = list(groups)
-    seen = set()
-    total = 0
-    for opts in keys:
-        total += len(opts)
-        seen.update(opts)
-    if len(seen) < n_targets:
-        return
-    if total != len(seen):
-        yield from _assignments_generic(allowed, n_targets, budget)
-        return
-
-    remaining = [0] * len(keys)
-    for b in block_of:
-        remaining[b] += 1
-    uncovered = [len(k) for k in keys]
-    if any(uncovered[b] > remaining[b] for b in range(len(keys))):
-        return
-    assign = [-1] * n
-    cover = [0] * n_targets
-
-    def options(i):
-        b = block_of[i]
-        if uncovered[b] == remaining[b]:
-            pool = tuple(a for a in allowed[i] if not cover[a])
-        else:
-            pool = allowed[i]
-        return sorted(pool, key=lambda a: (cover[a], a))
-
-    iters = [iter(options(0))]
-    while iters:
-        i = len(iters) - 1
-        b = block_of[i]
-        if assign[i] >= 0:
-            old = assign[i]
-            cover[old] -= 1
-            if cover[old] == 0:
-                uncovered[b] += 1
-            remaining[b] += 1
-            assign[i] = -1
-        a = next(iters[-1], None)
-        if a is None:
-            iters.pop()
-            continue
-        budget.spend()
-        assign[i] = a
-        remaining[b] -= 1
-        if cover[a] == 0:
-            uncovered[b] -= 1
-        cover[a] += 1
-        if i + 1 == n:
-            yield tuple(assign)
-        else:
-            iters.append(iter(options(i + 1)))
+    dealt = [0] * len(fibers)
+    out = []
+    for a in proj:
+        fiber = fibers[a]
+        out.append(fiber[dealt[a] % len(fiber)])
+        dealt[a] += 1
+    if any(n < len(fiber) for n, fiber in zip(dealt, fibers)):
+        return None
+    return tuple(out)
 
 
-def _assignments_generic(allowed, n_targets, budget):
-    # same contract and order as _assignments without the disjointness
-    # assumption; prunes only on slot counts and on targets running out
-    # of slots
-    n = len(allowed)
-    last_place = {}
-    for i, opts in enumerate(allowed):
-        for a in opts:
-            last_place[a] = i
-    need_by = [[] for _ in range(n)]
-    for a, i in last_place.items():
-        need_by[i].append(a)
-
-    assign = [-1] * n
-    cover = [0] * n_targets
-    state = {"uncovered": n_targets}
-
-    def options(i):
-        if state["uncovered"] > n - i:
-            return ()
-        forced = [a for a in need_by[i] if not cover[a]]
-        if len(forced) > 1:
-            return ()
-        if len(forced) == 1:
-            return (forced[0],)
-        return sorted(allowed[i], key=lambda a: (cover[a], a))
-
-    iters = [iter(options(0))]
-    while iters:
-        i = len(iters) - 1
-        if assign[i] >= 0:
-            old = assign[i]
-            cover[old] -= 1
-            if cover[old] == 0:
-                state["uncovered"] += 1
-            assign[i] = -1
-        a = next(iters[-1], None)
-        if a is None:
-            iters.pop()
-            continue
-        budget.spend()
-        assign[i] = a
-        if cover[a] == 0:
-            state["uncovered"] -= 1
-        cover[a] += 1
-        if i + 1 == n:
-            if state["uncovered"] == 0:
-                yield tuple(assign)
-        else:
-            iters.append(iter(options(i + 1)))
-
-
-def _candidate_levels(sys, level_cap, size_cap):
+def _candidate_levels(sys, level_cap):
     out = []
     for t in range(1, level_cap + 1):
         if not sys.has_level(t):
             break
-        if sys.size_at(t) <= size_cap:
+        if sys.size_at(t) <= _SIZE_CAP:
             out.append(t)
     return out
 
@@ -375,149 +249,68 @@ def _level_cap(sys, depth):
     return sys.length + 8 * (depth + 2) * period
 
 
-def _search(sysA, sysB, depth, mode, stableA, stableB, node_budget, size_cap):
-    # Slots are filled in the order k_1, l_1, f_1, k_2, g_1, l_2, f_2,
-    # k_3, g_2, ...; levels are enumerated ascending and map slots in
-    # the balanced-first order of _assignments, so the first hit is the
-    # least certificate under that documented ordering.
-    budget = _Budget(node_budget)
-    if mode == "finite":
-        candA = [
-            t
-            for t in _candidate_levels(sysA, stableA + depth + 2, size_cap)
-            if t >= stableA
-        ]
-        candB = [
-            t
-            for t in _candidate_levels(sysB, stableB + depth + 2, size_cap)
-            if t >= stableB
-        ]
-    else:
-        candA = _candidate_levels(sysA, _level_cap(sysA, depth), size_cap)
-        candB = _candidate_levels(sysB, _level_cap(sysB, depth), size_cap)
-
-    kA, lB, fs, gs = [], [], [], []
-    found = None
-
-    def closed(t):
-        if mode == "finite":
-            nA = sysA.size_at(kA[-1])
-            nB = sysB.size_at(lB[-1])
-            return (
-                kA[-1] >= stableA
-                and lB[-1] >= stableB
-                and nA == nB
-                and len(set(fs[-1])) == nA
-            )
-        return t >= depth
-
-    def place_k(t):
-        lo = kA[-1] if kA else 0
-        for ka in candA:
-            if ka <= lo:
+def _perfect_zigzag(sysA, sysB, depth):
+    # Levels come in the order k_1, l_1, k_2, l_2, ...  Each is the first
+    # candidate above its side's last level where every node of that
+    # last level has as many descendants as the newest map has points
+    # over it; the next map deals those descendants onto the points.
+    # Before k_1 a single point stands for the right side, so k_1 is the
+    # first candidate and f_1 deals level l_1 round-robin onto level k_1.
+    sides = [
+        (sysX, _candidate_levels(sysX, _level_cap(sysX, depth)), [])
+        for sysX in (sysA, sysB)
+    ]
+    fibers = [(0,)]
+    maps = []
+    for step in range(2 * max(depth, 1)):
+        sysX, candidates, levels = sides[step % 2]
+        prev = levels[-1] if levels else 0
+        for t in candidates:
+            if t <= prev:
                 continue
-            budget.spend()
-            kA.append(ka)
-            ok = place_l(t) if t == 1 else place_g(t)
-            kA.pop()
-            if ok:
-                return True
-        return False
-
-    def place_g(t):
-        # g_{t-1}: left coords at kA[-1] -> right coords at lB[-1]
-        proj = sysA.proj(kA[-2], kA[-1])
-        f_inv = _inverse_lists(fs[-1], sysA.size_at(kA[-2]))
-        allowed = [f_inv[proj[x]] for x in range(sysA.size_at(kA[-1]))]
-        for g in _assignments(allowed, sysB.size_at(lB[-1]), budget):
-            gs.append(g)
-            ok = place_l(t)
-            gs.pop()
-            if ok:
-                return True
-        return False
-
-    def place_l(t):
-        lo = lB[-1] if lB else 0
-        for lb in candB:
-            if lb <= lo:
-                continue
-            budget.spend()
-            lB.append(lb)
-            ok = place_f(t)
-            lB.pop()
-            if ok:
-                return True
-        return False
-
-    def place_f(t):
-        nonlocal found
-        nA = sysA.size_at(kA[-1])
-        nB = sysB.size_at(lB[-1])
-        if t == 1:
-            allowed = [tuple(range(nA))] * nB
+            proj = sysX.proj(prev, t) if prev else (0,) * sysX.size_at(t)
+            m = _deal(proj, fibers)
+            if m is not None:
+                break
         else:
-            g_inv = _inverse_lists(gs[-1], nB)
-            proj = sysB.proj(lB[-2], lB[-1])
-            allowed = [g_inv[proj[y]] for y in range(nB)]
-        for f in _assignments(allowed, nA, budget):
-            fs.append(f)
-            if closed(t):
-                found = Intertwining(
-                    tuple(kA),
-                    tuple(lB),
-                    tuple(fs),
-                    tuple(gs),
-                    "stable-bijection" if mode == "finite" else "perfect",
-                )
-                fs.pop()
-                return True
-            if t < depth and place_k(t + 1):
-                fs.pop()
-                return True
-            fs.pop()
-        return False
-
-    try:
-        place_k(1)
-    except _OutOfBudget:
-        return None
-    return found
+            return None
+        levels.append(t)
+        maps.append(m)
+        fibers = _inverse_lists(m, sum(len(fiber) for fiber in fibers))
+    left, right = (tuple(levels) for _, _, levels in sides)
+    return Intertwining(left, right, tuple(maps[1::2]), tuple(maps[2::2]), "perfect")
 
 
-def find_intertwining(
-    sysA: IndexSystem,
-    sysB: IndexSystem,
-    depth: int = 5,
-    node_budget: int = 250_000,
-    size_cap: int = 50_000,
-):
-    """Search for a zigzag of surjections between two systems.
+def find_intertwining(sysA: IndexSystem, sysB: IndexSystem, depth: int = 5):
+    """Build a zigzag of surjections between two systems.
 
     Both systems are pruned first; the returned maps use the pruned
-    coordinates.  Two finite limits of equal size close with a
-    bijection at stabilized levels; otherwise the search tries to
-    complete `depth` triangles.  Deterministic: levels are tried
-    ascending and map slots in the balanced-first order documented at
-    _assignments, and a fixed node budget bounds the work.  Returns
-    None if nothing is found within budget.
+    coordinates.  Two finite limits of equal size n close with the
+    identity between the two stable levels.  Otherwise the zigzag gets
+    `depth` forward maps, built one level at a time with no search:
+    each new level is the first one deep enough for its nodes to cover
+    the fibers of the last map, and its coordinates are dealt
+    round-robin onto those fibers.  For two perfect limits such a level always
+    exists.  Returns None if the finite sizes differ, or if a level
+    the zigzag needs has more than 50 000 coordinates or lies past
+    the level window.
     """
     prunedA, _ = surjectivize(sysA)
     prunedB, _ = surjectivize(sysB)
     cardA = limit_cardinality(sysA)
     cardB = limit_cardinality(sysB)
     if cardA.kind == "finite" and cardB.kind == "finite":
-        if cardA.count != cardB.count:
+        n = cardA.count
+        if n != cardB.count or n > _SIZE_CAP:
             return None
-        mode = "finite"
-        stableA = _stable_level(prunedA, cardA.count)
-        stableB = _stable_level(prunedB, cardB.count)
-    else:
-        mode = "perfect"
-        stableA = stableB = None
-    return _search(
-        prunedA, prunedB, depth, mode, stableA, stableB, node_budget, size_cap
-    )
+        return Intertwining(
+            (_stable_level(prunedA, n),),
+            (_stable_level(prunedB, n),),
+            (tuple(range(n)),),
+            (),
+            "stable-bijection",
+        )
+    return _perfect_zigzag(prunedA, prunedB, depth)
 
 
 @dataclass(frozen=True)
@@ -715,6 +508,34 @@ def equivalence_certificate_failures(cert: EquivalenceCertificate) -> list:
             failures.append("zigzag ends before both sides stabilize")
         elif len(set(last_f)) != len(last_f):
             failures.append("final map is not a bijection")
+    return failures
+
+
+def not_equivalent_failures(verdict: NotEquivalent, left, right) -> list:
+    """Recheck a NotEquivalent verdict against its two sequences; list failures.
+
+    Both cardinalities are recomputed, and the named witness must hold
+    for them: finite limits of different sizes for "cardinality", a
+    finite against an infinite limit for "finiteness".
+    """
+    sysA, _ = canonicalize_q(left)
+    sysB, _ = canonicalize_q(right)
+    cardA = limit_cardinality(sysA)
+    cardB = limit_cardinality(sysB)
+    failures = []
+    if cardA != verdict.left_cardinality:
+        failures.append(f"left cardinality recomputes to {cardA}")
+    if cardB != verdict.right_cardinality:
+        failures.append(f"right cardinality recomputes to {cardB}")
+    kinds = (cardA.kind, cardB.kind)
+    if verdict.reason == "cardinality":
+        if not (kinds == ("finite", "finite") and cardA.count != cardB.count):
+            failures.append("cardinality witness does not hold")
+    elif verdict.reason == "finiteness":
+        if kinds not in (("finite", "infinite"), ("infinite", "finite")):
+            failures.append("finiteness witness does not hold")
+    else:
+        failures.append(f"unsupported reason {verdict.reason!r}")
     return failures
 
 

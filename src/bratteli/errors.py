@@ -50,6 +50,10 @@ class NotInjective(BratteliError):
     """Strict mode rejected a presentation with non-injective maps."""
 
 
+class TooLarge(BratteliError):
+    """A number has more digits than int() and str() convert."""
+
+
 class ParseError(BratteliError):
     """Syntax or validation failure in a diagram document."""
 

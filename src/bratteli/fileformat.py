@@ -23,15 +23,13 @@ from fractions import Fraction
 from .diagram import BratteliSequence
 from .errors import BratteliError, ParseError
 from .simplicial import NonMixingMap
+from .supernat import DIGITS
 
-# The numerals of diagrams, certificates and command-line options: ASCII
-# digits only, since str.isdigit, int() and \d also take "²" or "٣"
-_DIGITS = "[0-9]+"
-_NATURAL = re.compile(_DIGITS)
-INTEGER = re.compile(f"-?{_DIGITS}")
-_FRACTION = re.compile(f"(-?{_DIGITS})(?:/({_DIGITS}))?")
+_NATURAL = re.compile(DIGITS)
+INTEGER = re.compile(f"-?{DIGITS}")
+_FRACTION = re.compile(f"(-?{DIGITS})(?:/({DIGITS}))?")
 _TOKEN = re.compile(r"\S+")
-_CELL = re.compile(f"({_DIGITS})\\*({_DIGITS})")
+_CELL = re.compile(f"({DIGITS})\\*({DIGITS})")
 
 
 def parse_fraction(text) -> Fraction:
@@ -61,10 +59,19 @@ def _tokens(body: str):
     return [(m.start() + 1, m.group()) for m in _TOKEN.finditer(body)]
 
 
+def _too_long(numeral: str, lineno: int, col: int) -> ParseError:
+    # int() refuses numerals longer than sys.get_int_max_str_digits()
+    # (4300 digits by default)
+    return ParseError(f"a numeral of {len(numeral)} digits is too long", lineno, col)
+
+
 def _int(tok: str, lineno: int, col: int, what: str, minimum: int = 1) -> int:
     if not _NATURAL.fullmatch(tok):
         raise ParseError(f"expected {what}, got {tok!r}", lineno, col)
-    value = int(tok)
+    try:
+        value = int(tok)
+    except ValueError:
+        raise _too_long(tok, lineno, col) from None
     if value < minimum:
         raise ParseError(f"{what} must be >= {minimum}, got {value}", lineno, col)
     return value
@@ -125,8 +132,10 @@ def parse_diagram(text: str) -> BratteliSequence:
             m = _CELL.fullmatch(tok)
             if not m:
                 raise ParseError(f"expected 'parent*mult', got {tok!r}", lineno, col)
-            p = int(m.group(1))
-            k = int(m.group(2))
+            try:
+                p, k = int(m.group(1)), int(m.group(2))
+            except ValueError:
+                raise _too_long(max(m.groups(), key=len), lineno, col) from None
             if not 1 <= p <= sizes[i - 1]:
                 raise ParseError(
                     f"parent {p} outside 1..{sizes[i - 1]}", lineno, col

@@ -8,8 +8,16 @@ subgroups and is what the tensoring code consumes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from math import isqrt
+
+# The numerals of diagrams, certificates, command-line options and
+# supernatural numbers: ASCII digits only, since str.isdigit, int() and
+# \d also take "²" or "٣".  This module imports nothing from the
+# package, so every reader can take the grammar from here.
+DIGITS = "[0-9]+"
+_NATURAL = re.compile(DIGITS)
 
 
 class _Infinity:
@@ -210,7 +218,7 @@ class SupernaturalNumber:
 
 def _parse_nat(text: str, token: str) -> int:
     text = text.strip()
-    if not text.isdigit():
+    if not _NATURAL.fullmatch(text):
         raise ValueError(f"bad supernatural token {token!r}")
     return int(text)
 

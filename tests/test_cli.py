@@ -6,10 +6,12 @@ error, 2 inconclusive, 64 usage, 65 malformed input.
 """
 
 import json
+import random
 
 import pytest
 
 from bratteli import (
+    BratteliSequence,
     SupernaturalNumber,
     canonicalize_q,
     injectivize,
@@ -20,7 +22,7 @@ from bratteli import (
     tensor_seq,
 )
 from bratteli.cli import run
-from genseq import scalar_chain, two_path
+from genseq import random_map, scalar_chain, two_path
 
 DYADIC = "bratteli v1\nsizes: 1 1\nunit: 1\nmap 1: 1*2\nrepeat: 1\n"
 TRIADIC = "bratteli v1\nsizes: 1 1\nunit: 1\nmap 1: 1*3\nrepeat: 1\n"
@@ -345,6 +347,45 @@ class TestHostileInput:
         cert.write_text(json.dumps(payload), encoding="utf-8")
         err = self.check(["verify", str(cert)], 1, capsys)
         assert err.startswith("error:") and repr(diagonal) in err
+
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("sizes: 1\nunit: " + "7" * 5000, "line 3, column 7"),
+            ("sizes: 1 1\nunit: 1\nmap 1: 1*" + "7" * 5000, "line 4, column 8"),
+        ],
+    )
+    def test_numeral_past_digit_limit(self, text, where, doc, capsys):
+        path = doc("n.brat", f"bratteli v1\n{text}\n")
+        err = self.check(["validate", path], 65, capsys)
+        assert err.startswith(f"parse error: {path}: {where}:")
+        assert "5000 digits" in err
+
+    @pytest.mark.parametrize(
+        "command, flag", [("telescope", "--keep"), ("arch-check", "--seed")]
+    )
+    def test_option_past_digit_limit(self, command, flag, doc, capsys):
+        argv = [command, doc("d.brat", DYADIC), flag, "1" + "0" * 5000]
+        err = self.check(argv, 64, capsys)
+        assert "5001 digits" in err
+
+    def test_non_ascii_supernatural_digit(self, doc, capsys):
+        argv = ["tensorq", doc("d.brat", DYADIC), "--n", "2^\u0661", "--depth", "2"]
+        err = self.check(argv, 64, capsys)
+        assert err.startswith("usage error: --n:")
+
+    def test_rung_scalar_past_digit_limit(self, doc, capsys):
+        # the paper strategy's scalars grow doubly exponentially: at depth
+        # 6 on this chain one has about 13 800 decimal digits
+        rng = random.Random(0)
+        maps = [random_map(rng, 8, 8, max_mult=3, onto=True) for _ in range(7)]
+        chain = BratteliSequence((8,) * 8, tuple(maps), (1,) * 8, 1)
+        path = doc("c.brat", serialize_diagram(chain))
+        argv = ["unit-change", path, "--unit", "1,2,3,4,5,1,2,3", "--depth", "6"]
+        argv += ["--strategy", "paper"]
+        err = self.check(argv, 1, capsys)
+        assert err.startswith("error: rung 6 scalar is too long")
 
 
 class TestUsage:

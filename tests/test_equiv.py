@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from bratteli import (
     find_intertwining,
     limit_cardinality,
     limit_is_perfect,
+    not_equivalent_failures,
     surjectivize,
     verify_equivalence_certificate,
 )
@@ -180,10 +182,57 @@ class TestFindIntertwining:
         assert tw.left_levels == (1, 2, 3, 5, 7)
         assert tw.right_levels == (1, 3, 5, 9, 13)
 
-    def test_budget_exhaustion_returns_none(self):
+    def test_size_cap_returns_none(self):
+        # at depth 6 the binary side would need a level past 50 000
+        # coordinates to cover the fibers the ternary side forces on it
         binary, _ = canonicalize_q(full_tree(2, 2))
         ternary, _ = canonicalize_q(full_tree(3, 2))
-        assert find_intertwining(binary, ternary, node_budget=10) is None
+        assert find_intertwining(ternary, binary, 6) is None
+
+    def test_size_cap_is_quick(self):
+        start = time.perf_counter()
+        verdict = equivalent_q(full_tree(3, 5), full_tree(2, 6), 6)
+        assert isinstance(verdict, Unknown)
+        assert time.perf_counter() - start < 10
+
+
+def _counts(f, n):
+    out = [0] * n
+    for a in f:
+        out[a] += 1
+    return out
+
+
+def assert_first_covering_levels(pruned_left, pruned_right, tw):
+    """Each zigzag level must be the first above its side's last one
+    where every node of that last level has at least as many
+    descendants, counted with proj, as the newest map has points over
+    it.  Levels come as k_1, l_1, k_2, l_2, ...; before k_1 a single
+    point stands for the right side."""
+    maps = [tw.f_maps[0]]
+    for g, f in zip(tw.g_maps, tw.f_maps[1:]):
+        maps += [g, f]
+    sides = ((pruned_left, tw.left_levels), (pruned_right, tw.right_levels))
+    fiber_sizes = [1]
+    for step in range(2 * len(tw.f_maps)):
+        sysX, levels = sides[step % 2]
+        prev = levels[step // 2 - 1] if step >= 2 else 0
+        chosen = levels[step // 2]
+
+        def covers(t):
+            if prev == 0:
+                counts = [sysX.size_at(t)]
+            else:
+                counts = _counts(sysX.proj(prev, t), sysX.size_at(prev))
+            return all(c >= n for c, n in zip(counts, fiber_sizes))
+
+        assert covers(chosen), (step, chosen)
+        assert not any(covers(t) for t in range(prev + 1, chosen)), (step, chosen)
+        if step == 0:
+            fiber_sizes = [sysX.size_at(chosen)]
+        else:
+            m = maps[step - 1]
+            fiber_sizes = _counts(m, max(m) + 1)
 
 
 class TestEquivalentQ:
@@ -260,6 +309,24 @@ class TestEquivalentQ:
                 assert fwd.reason == back.reason
                 assert fwd.left_cardinality == back.right_cardinality
 
+    def test_random_perfect_pairs_build_first_covering_zigzags(self):
+        # cyclic tails are always finite, so perfect limits come from
+        # substitution tails
+        rng = random.Random(76)
+        pool = []
+        while len(pool) < 40:
+            seq = random_sequence(rng, tail="sub")
+            sys, _ = canonicalize_q(seq)
+            if limit_is_perfect(sys):
+                pool.append((seq, surjectivize(sys)[0]))
+        for _ in range(200):
+            (a, pruned_a), (b, pruned_b) = rng.choice(pool), rng.choice(pool)
+            verdict = equivalent_q(a, b)
+            assert isinstance(verdict, Equivalent)
+            cert = verdict.certificate
+            assert equivalence_certificate_failures(cert) == []
+            assert_first_covering_levels(pruned_a, pruned_b, cert.intertwining)
+
     def test_trees_both_directions(self):
         fwd = equivalent_q(full_tree(2, 2), full_tree(3, 2))
         back = equivalent_q(full_tree(3, 2), full_tree(2, 2))
@@ -326,3 +393,26 @@ class TestCertificateTampering:
         bad = dataclasses.replace(cert, intertwining=bad_tw)
         failures = equivalence_certificate_failures(bad)
         assert any("increasing" in f for f in failures)
+
+
+class TestNotEquivalentFailures:
+    def _verdict(self):
+        left, right = scalar_chain(2), two_path(1, 2)
+        verdict = equivalent_q(left, right)
+        assert isinstance(verdict, NotEquivalent)
+        return verdict, left, right
+
+    def test_sound_witness(self):
+        assert not_equivalent_failures(*self._verdict()) == []
+
+    def test_wrong_witness(self):
+        verdict, left, right = self._verdict()
+        bad = dataclasses.replace(verdict, reason="finiteness")
+        failures = not_equivalent_failures(bad, left, right)
+        assert failures == ["finiteness witness does not hold"]
+
+    def test_wrong_cardinality(self):
+        verdict, left, right = self._verdict()
+        bad = dataclasses.replace(verdict, left_cardinality=Cardinality.finite(3))
+        failures = not_equivalent_failures(bad, left, right)
+        assert failures == ["left cardinality recomputes to 1"]

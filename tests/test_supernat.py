@@ -161,6 +161,11 @@ class TestText:
             with pytest.raises(ValueError):
                 SupernaturalNumber.parse(text)
 
+    def test_parse_rejects_non_ascii_digits(self):
+        for text in (" 2^\u0663 * 5 ", "\u0663", "2^\u00b2"):
+            with pytest.raises(ValueError):
+                SupernaturalNumber.parse(text)
+
     def test_finite_round_trip_to_int(self):
         n = SupernaturalNumber.from_natural(360)
         assert n.is_finite()
