@@ -47,14 +47,22 @@ def _ints(values, what: str) -> tuple:
     return tuple(_int(v, what) for v in values)
 
 
-def _decimal(value: int, what: str) -> str:
-    # str() refuses ints longer than sys.get_int_max_str_digits() digits
+def _decimal(value, what: str) -> str:
+    # str() refuses ints, and Fractions with a numerator or denominator,
+    # longer than sys.get_int_max_str_digits() digits
     try:
         return str(value)
     except ValueError:
+        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
         raise TooLarge(
-            f"{what} is too long to write in decimal ({value.bit_length()} bits)"
+            f"{what} is too long to write in decimal ({bits} bits)"
         ) from None
+
+
+def decimals(values, what: str) -> list:
+    """Ints or Fractions as decimal text; TooLarge names `what` when one
+    is too long to write."""
+    return [_decimal(v, what) for v in values]
 
 
 def _supernatural(value, what: str):
@@ -77,9 +85,7 @@ def unit_change_to_doc(cert: UnitChangeCertificate) -> dict:
                 "level": str(r.level),
                 "direction": r.direction,
                 "scalar": _decimal(r.scalar, f"rung {r.level} scalar"),
-                "diag": [
-                    _decimal(v, f"rung {r.level} diagonal") for v in r.diag.entries
-                ],
+                "diag": decimals(r.diag.entries, f"rung {r.level} diagonal"),
             }
             for r in cert.rungs
         ],
@@ -150,8 +156,12 @@ def verdict_to_doc(verdict, left=None, right=None) -> dict:
             "verdict": "equivalent",
             "left": serialize_diagram(cert.left),
             "right": serialize_diagram(cert.right),
-            "left_diagonals": [[str(v) for v in d] for d in cert.left_diagonals],
-            "right_diagonals": [[str(v) for v in d] for d in cert.right_diagonals],
+            "left_diagonals": [
+                decimals(d, "left diagonal entry") for d in cert.left_diagonals
+            ],
+            "right_diagonals": [
+                decimals(d, "right diagonal entry") for d in cert.right_diagonals
+            ],
             "left_cardinality": _cardinality_to_doc(cert.left_cardinality),
             "right_cardinality": _cardinality_to_doc(cert.right_cardinality),
             "intertwining": {

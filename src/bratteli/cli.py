@@ -159,11 +159,13 @@ def _cmd_unit_change(args):
 
 def _cmd_states(args):
     seq = _load(args.file)
+    lines = []
     for values in depth_image_vertices(seq, args.level, args.depth):
         if args.decimal:
-            print(" ".join(str(float(v)) for v in values))
+            lines.append(" ".join(str(float(v)) for v in values))
         else:
-            print(" ".join(str(v) for v in values))
+            lines.append(" ".join(certio.decimals(values, "state value")))
+    sys.stdout.write("".join(line + "\n" for line in lines))
     return 0
 
 
@@ -175,7 +177,7 @@ def _cmd_canon(args):
         "sizes": [str(v) for v in system.sizes],
         "parents": [[str(p + 1) for p in ps] for ps in system.parents],
         "repeat": None if system.periodic_tail is None else str(system.periodic_tail),
-        "diagonals": [[str(v) for v in d] for d in diagonals],
+        "diagonals": [certio.decimals(d, "diagonal entry") for d in diagonals],
     }
     sys.stdout.write(certio.dumps(doc))
     return 0

@@ -211,10 +211,15 @@ class BratteliSequence:
         self._require_level(hi)
         if lo > hi:
             raise LevelOutOfRange(f"need lo <= hi, got {lo} > {hi}")
-        acc = NonMixingMap.identity(self.rank_at(lo))
+        # every map_at(t) is already valid, so compose the parent and
+        # mult lists directly and validate only the finished composite
+        rank = self.rank_at(lo)
+        parent, mult = range(rank), (1,) * rank
         for t in range(lo, hi):
-            acc = self.map_at(t).compose(acc)
-        return acc
+            a = self.map_at(t)
+            mult = [k * mult[i] for i, k in zip(a.parent, a.mult)]
+            parent = [parent[i] for i in a.parent]
+        return NonMixingMap(rank, tuple(parent), tuple(mult))
 
     def unit_at(self, t: int) -> tuple:
         """Image of the base unit at level t."""
@@ -299,23 +304,28 @@ def keep_at(seq: BratteliSequence, t: int) -> tuple:
     depth.
     """
     seq._require_level(t)
-    L = seq.length
+    top = seq.periodic_tail or seq.length
+    if t < top:
+        return _keeps_below(seq, top, t)[0]
     if not seq.is_tailed:
-        if t == L:
-            return tuple(range(seq.ranks[-1]))
-        return tuple(sorted(set(seq.map_between(t, L).parent)))
-    p = seq.periodic_tail
-    if t >= p:
-        alive = seq._alive_positions()
-        b = seq._block_position(t)
-        if t >= L and seq.tail_kind == "substitution":
-            classes = seq._sub_classes(t)
-            return tuple(j for j, c in enumerate(classes) if (b, c) in alive)
-        return tuple(c for c in range(seq.rank_at(t)) if (b, c) in alive)
-    keep = set(keep_at(seq, p))
-    for s in range(p - 1, t - 1, -1):
-        keep = {seq.maps[s - 1].parent[j] for j in keep}
-    return tuple(sorted(keep))
+        return tuple(range(seq.ranks[-1]))
+    alive = seq._alive_positions()
+    b = seq._block_position(t)
+    if t >= seq.length and seq.tail_kind == "substitution":
+        classes = seq._sub_classes(t)
+        return tuple(j for j, c in enumerate(classes) if (b, c) in alive)
+    return tuple(c for c in range(seq.rank_at(t)) if (b, c) in alive)
+
+
+def _keeps_below(seq: BratteliSequence, top: int, lo: int) -> list:
+    # the kept coordinates of levels lo..top, walked down once from
+    # keep_at(top): a coordinate is kept when one of its children is
+    keep = keep_at(seq, top)
+    keeps = [keep]
+    for s in range(top - 1, lo - 1, -1):
+        keep = tuple(sorted({seq.maps[s - 1].parent[j] for j in keep}))
+        keeps.append(keep)
+    return keeps[::-1]
 
 
 def injectivize(seq: BratteliSequence):
@@ -327,7 +337,9 @@ def injectivize(seq: BratteliSequence):
     and unit.  A tail survives pruning with its start level unchanged.
     """
     L = seq.length
-    keeps = [keep_at(seq, t) for t in range(1, L + 1)]
+    top = seq.periodic_tail or L
+    keeps = _keeps_below(seq, top, 1)
+    keeps += [keep_at(seq, t) for t in range(top + 1, L + 1)]
     for t, kept in enumerate(keeps, start=1):
         if not kept:
             raise EmptyLevel(f"level {t} loses every coordinate")

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diagram import BratteliSequence, injectivize
-from .errors import NotNormalized
 from .simplicial import NonMixingMap
 
 
@@ -82,20 +81,14 @@ def canonicalize_q(seq: BratteliSequence):
     Conjugating level t by the diagonal with entries 1/u_t[i] makes
     every connecting map a pure parent map and every unit the all-ones
     vector.  Returns (IndexSystem, diagonals), where diagonals[t-1] is
-    that conjugating tuple of Fractions for each presented level.
+    that conjugating tuple of Fractions for each presented level.  The
+    units u_t are pushed up one level at a time from the base unit.
     """
-    diagonals = []
-    units = [seq.unit_at(t) for t in range(1, seq.length + 1)]
-    for u in units:
+    u = seq.base_unit
+    diagonals = [tuple(Fraction(1, v) for v in u)]
+    for a in seq.maps:
+        u = a.apply(u)
         diagonals.append(tuple(Fraction(1, v) for v in u))
-    for t in range(1, seq.length):
-        a = seq.maps[t - 1]
-        u, v = units[t - 1], units[t]
-        for j in range(a.target_rank):
-            if a.mult[j] * u[a.parent[j]] != v[j]:
-                raise NotNormalized(
-                    f"unit transport fails at level {t}, coordinate {j}"
-                )
     return IndexSystem.from_sequence(seq), tuple(diagonals)
 
 

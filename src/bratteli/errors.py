@@ -51,7 +51,8 @@ class NotInjective(BratteliError):
 
 
 class TooLarge(BratteliError):
-    """A number has more digits than int() and str() convert."""
+    """A number has more digits than int() and str() convert, or a factor
+    larger than trial division settles."""
 
 
 class ParseError(BratteliError):

@@ -218,9 +218,15 @@ def certificate_failures(cert: UnitChangeCertificate) -> list:
 
     n_cum = 1
     m_cum = 1
+    # u_t and w_t, the images of the two units at level t, pushed up one
+    # level per rung from the sequence's own maps
+    u_t, w_t = seq.base_unit, w1
     for idx, rung in enumerate(cert.rungs):
         t = idx + 1
         where = f"rung {t}"
+        if t > 1 and seq.has_level(t):
+            alpha = seq.map_at(t - 1)
+            u_t, w_t = alpha.apply(u_t), alpha.apply(w_t)
         if rung.level != t:
             failures.append(f"{where}: level {rung.level}, expected {t}")
             continue
@@ -240,8 +246,6 @@ def certificate_failures(cert: UnitChangeCertificate) -> list:
             n_cum *= rung.scalar
         else:
             m_cum *= rung.scalar
-        u_t = seq.unit_at(t)
-        w_t = seq.map_between(1, t).apply(w1)
         if rung.direction == "down":
             got = rung.diag.apply(tuple(n_cum * v for v in u_t))
             want = tuple(m_cum * v for v in w_t)

@@ -12,10 +12,12 @@ import re
 from dataclasses import dataclass
 from math import isqrt
 
+from .errors import TooLarge
+
 # The numerals of diagrams, certificates, command-line options and
 # supernatural numbers: ASCII digits only, since str.isdigit, int() and
 # \d also take "²" or "٣".  This module imports nothing from the
-# package, so every reader can take the grammar from here.
+# package but its errors, so every reader can take the grammar from here.
 DIGITS = "[0-9]+"
 _NATURAL = re.compile(DIGITS)
 
@@ -71,18 +73,51 @@ INF = _Infinity()
 Exponent = "int | _Infinity"
 
 
+# Trial division stops at this bound: a cofactor below its square with
+# no divisor up to the bound is prime, and anything larger is TooLarge
+# rather than a search of up to sqrt(n) steps.
+_TRIAL_BOUND = 1 << 20
+
+
+def _too_large(n: int) -> TooLarge:
+    return TooLarge(
+        f"a {n.bit_length()}-bit number has no divisor up to {_TRIAL_BOUND} "
+        "and is too large to call prime"
+    )
+
+
+def _split_power(n: int, d: int):
+    """(e, n // d**e) for the largest e with d**e dividing n.
+
+    Tries d^2, d^4, d^8, ... and then divides by them from the largest
+    down, so a huge n costs about 2 log2(e) big divisions, not e.
+    """
+    powers = [d]
+    while n % (powers[-1] * powers[-1]) == 0:
+        powers.append(powers[-1] * powers[-1])
+    e = 0
+    for k in range(len(powers) - 1, -1, -1):
+        if n % powers[k] == 0:
+            n //= powers[k]
+            e += 1 << k
+    return e, n
+
+
 def is_prime(p: int) -> bool:
+    """Primality by trial division; TooLarge when p has no divisor up to
+    the trial bound and is not below its square."""
     if p < 2:
         return False
     if p < 4:
         return True
     if p % 2 == 0:
         return False
-    d = 3
-    while d <= isqrt(p):
+    root = isqrt(p)
+    for d in range(3, min(root, _TRIAL_BOUND) + 1, 2):
         if p % d == 0:
             return False
-        d += 2
+    if root > _TRIAL_BOUND:
+        raise _too_large(p)
     return True
 
 
@@ -123,12 +158,13 @@ class SupernaturalNumber:
         fac = {}
         d = 2
         while d * d <= n:
-            while n % d == 0:
-                fac[d] = fac.get(d, 0) + 1
-                n //= d
+            if d > _TRIAL_BOUND:
+                raise _too_large(n)
+            if n % d == 0:
+                fac[d], n = _split_power(n, d)
             d += 1 if d == 2 else 2
         if n > 1:
-            fac[n] = fac.get(n, 0) + 1
+            fac[n] = 1
         return cls(fac)
 
     def exponent(self, p: int):

@@ -47,6 +47,15 @@ def random_map(rng, src, tgt, max_mult=4, onto=False):
     return NonMixingMap(src, tuple(parent), tuple(mult))
 
 
+def long_chain(rng, levels, rank=8, max_mult=2):
+    """Constant-rank chain of onto random maps, cyclic from level 1."""
+    maps = tuple(
+        random_map(rng, rank, rank, max_mult, onto=True) for _ in range(levels - 1)
+    )
+    unit = random_unit(rng, rank, hi=3)
+    return BratteliSequence((rank,) * levels, maps, unit, periodic_tail=1)
+
+
 def random_sequence(rng, max_levels=5, max_rank=4, max_mult=4, tail="maybe"):
     """A random well-formed sequence.
 

@@ -7,6 +7,7 @@ error, 2 inconclusive, 64 usage, 65 malformed input.
 
 import json
 import random
+import time
 
 import pytest
 
@@ -386,6 +387,44 @@ class TestHostileInput:
         argv += ["--strategy", "paper"]
         err = self.check(argv, 1, capsys)
         assert err.startswith("error: rung 6 scalar is too long")
+
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["canon", "{plain}"],
+            ["equiv", "{tailed}", "{tailed}"],
+            ["states", "{plain}", "--level", "3", "--depth", "3"],
+        ],
+    )
+    def test_fraction_past_digit_limit(self, command, doc, capsys):
+        # the unit at level 3 has about 8000 digits, so its inverse
+        # cannot be written in decimal
+        big = "7" * 4000
+        body = f"sizes: 1 1 1\nunit: 1\nmap 1: 1*{big}\nmap 2: 1*{big}\n"
+        paths = {
+            "plain": doc("p.brat", f"bratteli v1\n{body}"),
+            "tailed": doc("t.brat", f"bratteli v1\n{body}repeat: 2\n"),
+        }
+        argv = [arg.format(**paths) for arg in command]
+        err = self.check(argv, 1, capsys)
+        assert err.startswith("error:") and "too long to write in decimal" in err
+
+    def test_prime_past_trial_bound(self, doc, tmp_path, capsys):
+        # 2^61 - 1 is prime; proving it by trial division took minutes
+        start = time.perf_counter()
+        path = doc("d.brat", DYADIC)
+        argv = ["unit-change", path, "--unit", str(2**61 - 1), "--depth", "3"]
+        err = self.check(argv, 1, capsys)
+        assert err.startswith("error:") and "too large to call prime" in err
+        assert run(["unit-change", path, "--unit", "3", "--depth", "3"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        payload["partial_n"] = str(2**61 - 1)
+        cert = tmp_path / "c.json"
+        cert.write_text(json.dumps(payload), encoding="utf-8")
+        err = self.check(["verify", str(cert)], 1, capsys)
+        assert "too large to call prime" in err
+        assert time.perf_counter() - start < 10
 
 
 class TestUsage:

@@ -5,6 +5,7 @@ import pytest
 from bratteli import (
     BadRepeat,
     BratteliSequence,
+    EmptyLevel,
     LevelOutOfRange,
     LimitElement,
     NonAscending,
@@ -24,6 +25,7 @@ from genseq import (
     full_tree,
     max_usable_level,
     random_element,
+    random_map,
     random_sequence,
     scalar_chain,
     two_path,
@@ -278,6 +280,35 @@ class TestKeepAt:
         assert keep_at(seq, 1) == (0,)
         assert keep_at(seq, 2) == (0, 1)
         assert keep_at(seq, 3) == (0, 1)
+
+    def test_untailed_levels_see_the_last_level(self):
+        rng = random.Random(45)
+        for _ in range(100):
+            seq = random_sequence(rng, tail="none")
+            L = seq.length
+            for t in range(1, L + 1):
+                want = tuple(sorted(set(seq.map_between(t, L).parent)))
+                assert keep_at(seq, t) == want
+
+    def test_injectivize_keeps_what_keep_at_keeps(self):
+        rng = random.Random(46)
+        for i in range(150):
+            seq = random_sequence(rng, tail=("none", "cyclic", "sub")[i % 3])
+            try:
+                _, incl = injectivize(seq)
+            except EmptyLevel:
+                continue
+            assert incl == tuple(keep_at(seq, t) for t in range(1, seq.length + 1))
+
+    def test_injectivize_walks_down_once(self, count_calls):
+        # no composite down from the last level, per level or at all
+        rng = random.Random(47)
+        maps = tuple(random_map(rng, 8, 8) for _ in range(399))
+        seq = BratteliSequence((8,) * 400, maps, (1,) * 8)
+        between = count_calls(BratteliSequence, "map_between")
+        pruned, incl = injectivize(seq)
+        assert between[0] == 0
+        assert pruned.is_injective_presentation() and incl[-1] == tuple(range(8))
 
     def test_tailed_keeps_alive_coordinates(self):
         m = NonMixingMap(2, (0, 0), (1, 2))

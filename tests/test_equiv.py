@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from bratteli import (
+    BratteliSequence,
     Cardinality,
     Equivalent,
     IndexSystem,
@@ -22,7 +23,13 @@ from bratteli import (
     verify_equivalence_certificate,
 )
 
-from genseq import full_tree, random_sequence, scalar_chain, two_path
+from genseq import (
+    full_tree,
+    long_chain,
+    random_sequence,
+    scalar_chain,
+    two_path,
+)
 
 
 class TestCanonicalize:
@@ -53,6 +60,25 @@ class TestCanonicalize:
         assert sys.tail_kind == "substitution"
         assert sys.sigma_at(2) == (0, 0, 1, 1)
         assert sys.proj(1, 3) == (0, 0, 0, 0)
+
+    def test_diagonals_are_inverse_unit_images(self):
+        # every presented level, against unit_at's composite from level 1
+        rng = random.Random(41)
+        for i in range(300):
+            seq = random_sequence(rng, tail=("none", "cyclic", "sub")[i % 3])
+            _, diag = canonicalize_q(seq)
+            assert len(diag) == seq.length
+            for t in range(1, seq.length + 1):
+                assert diag[t - 1] == tuple(Fraction(1, v) for v in seq.unit_at(t))
+
+    def test_linear_in_the_levels(self, count_calls):
+        # rebuilding the level-1 composite for every level would take
+        # L * (L - 1) / 2 = 79 800 map_at calls here
+        L = 400
+        seq = long_chain(random.Random(42), L)
+        calls = count_calls(BratteliSequence, "map_at")
+        canonicalize_q(seq)
+        assert calls[0] <= 2 * L
 
 
 class TestSurjectivize:

@@ -20,6 +20,7 @@ from bratteli import (
 
 from genseq import (
     full_tree,
+    long_chain,
     max_usable_level,
     random_sequence,
     random_unit,
@@ -203,6 +204,17 @@ class TestUnitChange:
             assert certificate_failures(cert) == []
 
 
+class TestVerifierWork:
+    def test_linear_in_the_rungs(self, count_calls):
+        # recomputing both unit images from level 1 for every rung would
+        # take about L * L = 160 000 map_at calls here
+        L = 400
+        cert = unit_change(long_chain(random.Random(44), L), (3,) * 8, L)
+        calls = count_calls(BratteliSequence, "map_at")
+        assert certificate_failures(cert) == []
+        assert calls[0] <= 3 * L
+
+
 class TestMutationRejected:
     def test_wrong_scalar_names_the_rung(self):
         cert = unit_change(scalar_chain(2), (3,), 4)
@@ -224,6 +236,19 @@ class TestMutationRejected:
             cert, rungs=cert.rungs[:2] + (bad_rung,) + cert.rungs[3:]
         )
         assert not verify_certificate(bad)
+
+    @pytest.mark.parametrize("level", [20, 40])
+    def test_tampered_rung_of_a_long_ladder_is_named(self, level):
+        seq = long_chain(random.Random(43), 40)
+        cert = unit_change(seq, (1, 2, 3, 1, 2, 3, 1, 2), 40)
+        assert certificate_failures(cert) == []
+        rung = cert.rungs[level - 1]
+        entries = (2 * rung.diag.entries[0],) + rung.diag.entries[1:]
+        bad_rung = dataclasses.replace(rung, diag=DiagonalMap(entries))
+        rungs = cert.rungs[: level - 1] + (bad_rung,) + cert.rungs[level:]
+        failures = certificate_failures(dataclasses.replace(cert, rungs=rungs))
+        assert any(f.startswith(f"rung {level}: carries the unit") for f in failures)
+        assert all(f.startswith((f"rung {level}:", f"rung {level + 1}:")) for f in failures)
 
     def test_wrong_partial_caught(self):
         cert = unit_change(scalar_chain(2), (3,), 4)

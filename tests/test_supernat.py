@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from bratteli import INF, ONE, SupernaturalNumber, is_prime
+from bratteli import INF, ONE, SupernaturalNumber, TooLarge, is_prime
 
 
 def sn(*pairs):
@@ -25,6 +25,39 @@ class TestInfinity:
 def test_is_prime_small_values():
     primes = [p for p in range(30) if is_prime(p)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_is_prime_matches_a_sieve():
+    n = 20000
+    sieve = [True] * n
+    sieve[0] = sieve[1] = False
+    for p in range(2, n):
+        if sieve[p]:
+            sieve[p * p :: p] = [False] * len(range(p * p, n, p))
+    assert [p for p in range(n) if is_prime(p)] == [p for p in range(n) if sieve[p]]
+
+
+class TestTrialBound:
+    """Trial division stops at a fixed bound; a number it cannot settle
+    is TooLarge, not a search of sqrt(n) steps."""
+
+    def test_primes_past_the_bound_are_too_large(self):
+        with pytest.raises(TooLarge):
+            is_prime(2**61 - 1)
+        with pytest.raises(TooLarge):
+            SupernaturalNumber.from_natural(3 * (2**61 - 1))
+        with pytest.raises(TooLarge):
+            SupernaturalNumber.parse("2305843009213693951")
+
+    def test_cofactors_below_the_square_are_settled(self):
+        assert is_prime(2**31 - 1)
+        assert not is_prime(1000003 * 1000033)
+        got = SupernaturalNumber.from_natural(2**5 * 1000003 * 1000033)
+        assert got == sn((2, 5), (1000003, 1), (1000033, 1))
+
+    def test_huge_smooth_numbers_factor_quickly(self):
+        n = 2**40000 * 3**12345 * 5**3
+        assert SupernaturalNumber.from_natural(n) == sn((2, 40000), (3, 12345), (5, 3))
 
 
 class TestConstruction:
