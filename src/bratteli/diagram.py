@@ -27,8 +27,12 @@ from .errors import (
     NotInjective,
     NotOrderUnit,
     RankMismatch,
+    TooLarge,
 )
 from .simplicial import NonMixingMap, forall_n_leq, is_order_unit
+
+# the most coordinates an unrolled self-similar level may list
+_COORD_BUDGET = 2**20
 
 
 @dataclass(frozen=True)
@@ -164,6 +168,12 @@ class BratteliSequence:
 
     def _sub_classes(self, t: int) -> tuple:
         # block class of every level-t node, in node order; t >= length
+        rank = self.rank_at(t)
+        if rank > _COORD_BUDGET:
+            raise TooLarge(
+                f"level {t} has {rank} coordinates, more than {_COORD_BUDGET} to list"
+            )
+
         def step(classes, b):
             kids = self._kids(b)
             restart = b + 1 == self.length
@@ -411,7 +421,7 @@ class LimitElement:
         object.__setattr__(self, "vec", vec)
 
 
-def _pushed_pair(seq, a, b, strict):
+def _check_elements(seq, a, b, strict):
     if strict and not seq.is_injective_presentation():
         raise NotInjective("presentation has non-injective maps")
     for el in (a, b):
@@ -421,6 +431,9 @@ def _pushed_pair(seq, a, b, strict):
             raise RankMismatch(
                 f"element at level {el.level} has length {len(el.vec)}, expected {want}"
             )
+
+
+def _pushed_pair(seq, a, b):
     m = max(a.level, b.level)
     x = seq.map_between(a.level, m).apply(a.vec)
     y = seq.map_between(b.level, m).apply(b.vec)
@@ -437,13 +450,15 @@ def limit_eq(seq, a: LimitElement, b: LimitElement, strict: bool = False) -> boo
     approximation.  With strict=True a presentation with non-injective
     maps is rejected instead.
     """
-    x, y = _pushed_pair(seq, a, b, strict)
+    _check_elements(seq, a, b, strict)
+    x, y = _pushed_pair(seq, a, b)
     return x == y
 
 
 def limit_leq(seq, a: LimitElement, b: LimitElement, strict: bool = False) -> bool:
     """Whether a <= b in the limit order."""
-    x, y = _pushed_pair(seq, a, b, strict)
+    _check_elements(seq, a, b, strict)
+    x, y = _pushed_pair(seq, a, b)
     return all(xi <= yi for xi, yi in zip(x, y))
 
 
@@ -452,7 +467,12 @@ def forall_n_leq_limit(seq, a, b, strict: bool = False) -> bool:
 
     Pushing multiplies each surviving coordinate by a positive integer,
     which changes no sign, so the coordinatewise test at the common
-    level settles the question for all n at once.
+    level settles the question for all n at once.  A kept coordinate of
+    a.level has a kept descendant at every deeper level, so a positive
+    entry there already answers False, before anything is pushed.
     """
-    x, y = _pushed_pair(seq, a, b, strict)
+    _check_elements(seq, a, b, strict)
+    if any(a.vec[c] > 0 for c in keep_at(seq, a.level)):
+        return False
+    x, y = _pushed_pair(seq, a, b)
     return forall_n_leq(x, y)

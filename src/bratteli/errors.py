@@ -51,8 +51,9 @@ class NotInjective(BratteliError):
 
 
 class TooLarge(BratteliError):
-    """A number has more digits than int() and str() convert, or a factor
-    larger than trial division settles."""
+    """A number has more digits than int() and str() convert, a factor
+    larger than trial division settles, a ladder scalar too many bits,
+    or an unrolled level too many coordinates to list."""
 
 
 class ParseError(BratteliError):

@@ -18,9 +18,13 @@ from dataclasses import dataclass
 from math import lcm, prod
 
 from .diagram import BratteliSequence
-from .errors import NotOrderUnit, NotPositive, RankMismatch
+from .errors import NotOrderUnit, NotPositive, RankMismatch, TooLarge
 from .simplicial import NonMixingMap, is_order_unit
 from .supernat import INF, SupernaturalNumber
+
+# a rung scalar past this many bits stops the ladder: dividing it out
+# and factoring the partial products would take minutes
+_SCALAR_BITS = 2**20
 
 
 @dataclass(frozen=True)
@@ -58,7 +62,8 @@ def rescale_lemma(alpha: NonMixingMap, gamma: DiagonalMap, strategy: str = "mini
     the choice eta_j = n / l_{i_j} works for any n divisible by every
     l_{i_j}.  Strategy "minimal" takes n as the lcm of those entries;
     "paper" takes the product of all k_j and all l_{i_j}, which is the
-    same rescaling up to a redundant common factor.
+    same rescaling up to a redundant common factor.  A scalar of more
+    than 2**20 bits raises TooLarge.
     """
     if gamma.rank != alpha.source_rank:
         raise RankMismatch(
@@ -71,6 +76,8 @@ def rescale_lemma(alpha: NonMixingMap, gamma: DiagonalMap, strategy: str = "mini
         n = prod(alpha.mult) * prod(used)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
+    if n.bit_length() > _SCALAR_BITS:
+        raise TooLarge(f"rung scalar of {n.bit_length()} bits exceeds {_SCALAR_BITS} bits")
     eta = DiagonalMap(tuple(n // l for l in used))
     return n, eta
 

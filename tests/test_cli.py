@@ -376,18 +376,59 @@ class TestHostileInput:
         err = self.check(argv, 64, capsys)
         assert err.startswith("usage error: --n:")
 
-    def test_rung_scalar_past_digit_limit(self, doc, capsys):
-        # the paper strategy's scalars grow doubly exponentially: at depth
-        # 6 on this chain one has about 13 800 decimal digits
+    def paper_ladder(self, doc, depth):
         rng = random.Random(0)
         maps = [random_map(rng, 8, 8, max_mult=3, onto=True) for _ in range(7)]
         chain = BratteliSequence((8,) * 8, tuple(maps), (1,) * 8, 1)
         path = doc("c.brat", serialize_diagram(chain))
-        argv = ["unit-change", path, "--unit", "1,2,3,4,5,1,2,3", "--depth", "6"]
-        argv += ["--strategy", "paper"]
-        err = self.check(argv, 1, capsys)
+        argv = ["unit-change", path, "--unit", "1,2,3,4,5,1,2,3", "--depth", str(depth)]
+        return argv + ["--strategy", "paper"]
+
+    def test_rung_scalar_past_digit_limit(self, doc, capsys):
+        # the paper strategy's scalars grow doubly exponentially: at depth
+        # 6 on this chain one has about 13 800 decimal digits
+        err = self.check(self.paper_ladder(doc, 6), 1, capsys)
         assert err.startswith("error: rung 6 scalar is too long")
 
+    def test_rung_scalar_past_bit_bound(self, doc, capsys):
+        # rung 8's scalar has 2 250 984 bits; dividing it out and factoring
+        # the partial products would take about half a minute
+        start = time.perf_counter()
+        err = self.check(self.paper_ladder(doc, 8), 1, capsys)
+        assert err.startswith("error: rung scalar of 2250984 bits")
+        assert time.perf_counter() - start < 10
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["states", "{tree}", "--level", "1", "--depth", "40"],
+            ["tensorq", "{tree}", "--n", "2^inf*3", "--depth", "40"],
+        ],
+    )
+    def test_deep_self_similar_level(self, command, doc, capsys):
+        # level 40 of the binary tree has 2^39 coordinates; listing them
+        # stops at the first unrolled level past the coordinate budget
+        start = time.perf_counter()
+        path = doc("t.brat", TREE)
+        err = self.check([arg.format(tree=path) for arg in command], 1, capsys)
+        assert err.startswith("error: level 22 has 2097152 coordinates")
+        assert time.perf_counter() - start < 10
+
+    def test_deep_certificate_level(self, doc, tmp_path, capsys):
+        # the verifier reads a level's size, not its coordinates, so a
+        # certificate naming level 40 of a tree fails at once
+        start = time.perf_counter()
+        path = doc("t.brat", TREE)
+        assert run(["equiv", path, path, "--depth", "3"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        payload["intertwining"]["left_levels"][-1] = "40"
+        cert = tmp_path / "deep.json"
+        cert.write_text(json.dumps(payload), encoding="utf-8")
+        assert run(["verify", str(cert)]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert f"entries, expected {2**39}" in captured.out
+        assert time.perf_counter() - start < 10
 
     @pytest.mark.parametrize(
         "command",

@@ -10,8 +10,10 @@ from bratteli import (
     LimitElement,
     NonAscending,
     NonMixingMap,
+    NotInjective,
     NotOrderUnit,
     RankMismatch,
+    forall_n_leq,
     forall_n_leq_limit,
     injectivize,
     is_order_unit,
@@ -23,6 +25,7 @@ from bratteli import (
 
 from genseq import (
     full_tree,
+    long_chain,
     max_usable_level,
     random_element,
     random_map,
@@ -374,3 +377,60 @@ class TestLimitComparisons:
                     zero = LimitElement(x.level, (0,) * len(x.vec))
                     assert limit_leq(seq, x, zero)
         assert hits > 100
+
+
+def _pushed_oracle(seq, el, m):
+    # el pushed to level m one presented or unrolled map at a time
+    vec = el.vec
+    for t in range(el.level, m):
+        vec = seq.map_at(t).apply(vec)
+    return vec
+
+
+class TestForallNSigns:
+    def test_matches_pushed_oracle(self):
+        # the sign shortcut agrees with the coordinatewise test on the
+        # fully pushed pair, both verdicts common
+        rng = random.Random(48)
+        verdicts = {True: 0, False: 0}
+        for i in range(1500):
+            seq = random_sequence(rng, tail=("none", "cyclic", "sub")[i % 3])
+            top = seq.length + (4 if seq.is_tailed else 0)
+            for _ in range(4):
+                a = random_element(rng, seq, rng.randint(1, top), lo=-3, hi=1)
+                b = random_element(rng, seq, rng.randint(1, top), lo=-3, hi=3)
+                m = max(a.level, b.level)
+                x = _pushed_oracle(seq, a, m)
+                y = _pushed_oracle(seq, b, m)
+                kept = keep_at(seq, m)
+                want = forall_n_leq([x[j] for j in kept], [y[j] for j in kept])
+                assert forall_n_leq_limit(seq, a, b) == want
+                verdicts[want] += 1
+        assert min(verdicts.values()) > 1500
+
+    def test_positive_kept_entry_pushes_nothing(self, count_calls):
+        seq = long_chain(random.Random(49), 400)
+        a = LimitElement(3, (-1,) * 7 + (1,))
+        b = LimitElement(400, (5,) * 8)
+        assert keep_at(seq, 3)[-1] == 7
+        between = count_calls(BratteliSequence, "map_between")
+        assert not forall_n_leq_limit(seq, a, b)
+        assert not forall_n_leq_limit(seq, b, a)
+        assert between[0] == 0
+
+    def test_checks_come_before_the_signs(self):
+        # a has a positive kept entry, so the sign test alone would
+        # answer False; the element checks still win
+        m = NonMixingMap(2, (0, 0), (1, 2))
+        seq = BratteliSequence((2, 2), (m,), (1, 1), periodic_tail=1)
+        a = LimitElement(1, (1, 0))
+        assert not forall_n_leq_limit(seq, a, a)
+        with pytest.raises(NotInjective):
+            forall_n_leq_limit(seq, a, a, strict=True)
+        with pytest.raises(RankMismatch):
+            forall_n_leq_limit(seq, a, LimitElement(1, (0, 0, 0)))
+        with pytest.raises(RankMismatch):
+            forall_n_leq_limit(seq, LimitElement(2, (1, 0, 0)), a)
+        untailed = scalar_chain(2, levels=3, tailed=False)
+        with pytest.raises(LevelOutOfRange):
+            forall_n_leq_limit(untailed, LimitElement(1, (1,)), LimitElement(4, (0,)))
