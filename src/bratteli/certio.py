@@ -29,22 +29,29 @@ def dumps(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _need(doc, key):
+def _need(doc, key, kind=object):
     if not isinstance(doc, dict) or key not in doc:
         raise ValueError(f"certificate document lacks {key!r}")
-    return doc[key]
+    return _typed(doc[key], kind, key)
+
+
+def _typed(value, kind, what: str):
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _int(value, what: str) -> int:
     if not isinstance(value, str) or not INTEGER.fullmatch(value):
         raise ValueError(f"{what} must be a decimal string, got {value!r}")
-    return int(value)
+    try:
+        return int(value)
+    except ValueError:  # past int()'s limit of sys.get_int_max_str_digits()
+        raise ValueError(f"{what} of {len(value)} digits is too long") from None
 
 
 def _ints(values, what: str) -> tuple:
-    if not isinstance(values, list):
-        raise ValueError(f"{what} must be a list")
-    return tuple(_int(v, what) for v in values)
+    return tuple(_int(v, what) for v in _typed(values, list, what))
 
 
 def _decimal(value, what: str) -> str:
@@ -99,9 +106,12 @@ def unit_change_to_doc(cert: UnitChangeCertificate) -> dict:
 def unit_change_from_doc(doc: dict) -> UnitChangeCertificate:
     if _need(doc, "kind") != "unit-change":
         raise ValueError(f"not a unit-change document: kind {doc.get('kind')!r}")
-    seq = parse_diagram(_need(doc, "sequence"))
+    seq = parse_diagram(_need(doc, "sequence", str))
+    strategy = _need(doc, "strategy")
+    if strategy not in ("minimal", "paper"):
+        raise ValueError(f"strategy must be 'minimal' or 'paper', got {strategy!r}")
     rungs = []
-    for r in _need(doc, "rungs"):
+    for r in _need(doc, "rungs", list):
         rungs.append(
             LadderRung(
                 _int(_need(r, "level"), "rung level"),
@@ -113,7 +123,7 @@ def unit_change_from_doc(doc: dict) -> UnitChangeCertificate:
     return UnitChangeCertificate(
         seq,
         _ints(_need(doc, "alt_unit"), "unit entry"),
-        _need(doc, "strategy"),
+        strategy,
         tuple(rungs),
         _supernatural(_need(doc, "partial_n"), "partial_n"),
         _supernatural(_need(doc, "partial_m"), "partial_m"),
@@ -204,19 +214,20 @@ def equivalence_certificate_from_doc(doc: dict) -> EquivalenceCertificate:
     tw = Intertwining(
         _ints(_need(tw_doc, "left_levels"), "level"),
         _ints(_need(tw_doc, "right_levels"), "level"),
-        tuple(_coords_from_doc(f, "f entry") for f in _need(tw_doc, "f_maps")),
-        tuple(_coords_from_doc(g, "g entry") for g in _need(tw_doc, "g_maps")),
-        _need(tw_doc, "closure"),
+        tuple(_coords_from_doc(f, "f entry") for f in _need(tw_doc, "f_maps", list)),
+        tuple(_coords_from_doc(g, "g entry") for g in _need(tw_doc, "g_maps", list)),
+        _need(tw_doc, "closure", str),
     )
 
-    def diagonals(values):
-        return tuple(tuple(parse_fraction(v) for v in d) for d in values)
+    def diagonals(key):
+        rows = _need(doc, key, list)
+        return tuple(tuple(parse_fraction(v) for v in _typed(d, list, key)) for d in rows)
 
     return EquivalenceCertificate(
-        parse_diagram(_need(doc, "left")),
-        parse_diagram(_need(doc, "right")),
-        diagonals(_need(doc, "left_diagonals")),
-        diagonals(_need(doc, "right_diagonals")),
+        parse_diagram(_need(doc, "left", str)),
+        parse_diagram(_need(doc, "right", str)),
+        diagonals("left_diagonals"),
+        diagonals("right_diagonals"),
         _cardinality_from_doc(_need(doc, "left_cardinality")),
         _cardinality_from_doc(_need(doc, "right_cardinality")),
         tw,
@@ -232,4 +243,5 @@ def not_equivalent_from_doc(doc: dict):
         _cardinality_from_doc(_need(doc, "right_cardinality")),
         _need(doc, "reason"),
     )
-    return verdict, parse_diagram(_need(doc, "left")), parse_diagram(_need(doc, "right"))
+    left, right = (parse_diagram(_need(doc, key, str)) for key in ("left", "right"))
+    return verdict, left, right

@@ -316,7 +316,12 @@ def _build_parser():
     p = sub.add_parser("equiv", help="decide equivalence up to rational scaling")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--depth", type=_positive_int, default=5)
+    p.add_argument(
+        "--depth",
+        type=_positive_int,
+        default=5,
+        help="does not affect the verdict; only echoed in Unknown documents",
+    )
     p.set_defaults(func=_cmd_equiv)
 
     p = sub.add_parser("arch-check", help="sample the archimedean property")

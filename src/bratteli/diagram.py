@@ -281,30 +281,6 @@ class BratteliSequence:
 
         return self._memo(("alive",), build)
 
-    def _single_chain_positions(self) -> frozenset:
-        """Alive positions whose future is one infinite single-child chain.
-
-        Nonempty exactly when the space of infinite paths through the
-        alive part of the diagram has an isolated point.
-        """
-
-        def build():
-            alive = self._alive_positions()
-            sc = set(alive)
-            changed = True
-            while changed:
-                changed = False
-                for pos in list(sc):
-                    live = [
-                        ch for ch in self._children_positions(*pos) if ch in alive
-                    ]
-                    if len(live) != 1 or live[0] not in sc:
-                        sc.discard(pos)
-                        changed = True
-            return frozenset(sc)
-
-        return self._memo(("single",), build)
-
 
 def keep_at(seq: BratteliSequence, t: int) -> tuple:
     """The level-t coordinates the limit actually sees, ascending.

@@ -3,10 +3,18 @@
 Forgetting multiplicities (they dissolve into diagonal rescalings over
 the rationals) leaves only the shape of a sequence: level sizes and
 parent functions.  What remains of the limit is its space of infinite
-paths.  Cardinality separates inequivalent limits; two finite limits of
-the same size are equivalent; and two infinite limits without isolated
-paths are both Cantor sets, hence equivalent, with an explicit zigzag
-of surjections serving as the checkable certificate.
+paths, and with a tail that space is finite or a Cantor set:
+
+* a cyclic tail has constant rank, so the limit has at most that many
+  paths;
+* a substitution tail has rank 1 at its start p.  Once pruned, every
+  level-L node restarts the block below the one node at p, so the limit
+  is one path, or a Cantor set when level L keeps N >= 2 nodes.
+
+So path counts decide every tailed pair.  Two finite limits of one size
+are matched by a bijection between their stable levels, and two Cantor
+limits by the restart cut (see Intertwining), which the verifier checks
+in full from the tail starts alone.
 """
 
 from __future__ import annotations
@@ -59,9 +67,6 @@ class IndexSystem:
     @property
     def tail_kind(self):
         return self._seq.tail_kind
-
-    def has_level(self, t) -> bool:
-        return self._seq.has_level(t)
 
     def size_at(self, t: int) -> int:
         return self._seq.rank_at(t)
@@ -151,33 +156,37 @@ def limit_cardinality(sys: IndexSystem) -> Cardinality:
     return Cardinality.infinite()
 
 
-def limit_is_perfect(sys: IndexSystem):
-    """Whether the path space has no isolated point; None without a tail."""
-    if not sys.is_tailed:
-        return None
-    return not sys._seq._single_chain_positions()
-
-
 def _stable_level(pruned: IndexSystem, count: int) -> int:
     # first level where the pruned sizes reach their final value; from
     # there on every parent function is a bijection
-    for t in range(1, pruned.length + 1):
-        if pruned.size_at(t) == count:
-            return t
-    raise AssertionError("finite cardinality without a stable level")
+    return pruned.sizes.index(count) + 1
 
 
 @dataclass(frozen=True)
 class Intertwining:
-    """A zigzag of surjections between the pruned coordinate systems.
+    """How two pruned path spaces are matched, by closure kind.
 
-    f_maps[t] sends right-side coordinates at right_levels[t] to
-    left-side coordinates at left_levels[t]; g_maps[t] sends left-side
-    coordinates at left_levels[t+1] back to right-side coordinates at
-    right_levels[t].  Every triangle composes to the ancestor function
-    of its side.  closure says how the zigzag certifies the limits
-    match: "stable-bijection" ends in a bijection past both stable
-    levels, "perfect" relies on both limits being perfect.
+    "stable-bijection" (two finite limits of size n): left_levels and
+    right_levels each name one level at or past the level where its
+    side's pruned size reaches n, and f_maps holds one bijection from
+    the right level's coordinates onto the left level's.  From those
+    levels on every parent function is a bijection, so the one map
+    matches the two limits.
+
+    "restart-cut" (two infinite limits): left_levels and right_levels
+    name the two tail starts p, where each pruned side has one node,
+    its root, and there are no maps.  Below the root sit N >= 2 nodes
+    at level L, N the pruned size there, and each restarts the root.
+    So cutting one root copy at its next restart turns it into N root
+    copies, and a root can be cut into 1 + k(N - 1) copies for every
+    k >= 1.  Cutting both roots into s = 1 + lcm(N_A - 1, N_B - 1)
+    copies and matching them in order pairs roots with roots again;
+    repeating the rule refines both sides without end and defines a
+    homeomorphism of the two path spaces.  Every piece has the one type
+    of the root, so the cut and the matching are canonical and the
+    certificate needs nothing beyond the two levels.
+
+    g_maps is empty for both closures; it keeps the document schema.
     """
 
     left_levels: tuple
@@ -187,123 +196,32 @@ class Intertwining:
     closure: str
 
 
-# Largest level, in coordinates, the zigzag may build on: a pair whose
-# zigzag needs more comes back None (an Unknown verdict) instead of
-# allocating without bound.
-_SIZE_CAP = 50_000
+def find_intertwining(sysA: IndexSystem, sysB: IndexSystem):
+    """Match the pruned path spaces of two systems, or return None.
 
-
-def _inverse_lists(f, n_targets):
-    inv = [[] for _ in range(n_targets)]
-    for x, a in enumerate(f):
-        inv[a].append(x)
-    return [tuple(v) for v in inv]
-
-
-def _deal(proj, fibers):
-    """Deal the coordinates over each node onto the node's fiber.
-
-    proj[x] is the node coordinate x lies over and fibers[a] the
-    ascending points node a must cover.  The i-th coordinate over a, in
-    index order, goes to fibers[a][i mod |fibers[a]|].  That is onto
-    exactly when every node has at least |fibers[a]| coordinates over
-    it; otherwise returns None.
+    Two finite limits of equal size n get the identity between their
+    two stable levels, in pruned coordinates; n is at most the rank of
+    the last presented level.  Two infinite limits get the restart cut
+    at their tail starts.  Any other pair (finite sizes that differ, a
+    finite against an infinite limit, or an untailed side) gives None.
     """
-    dealt = [0] * len(fibers)
-    out = []
-    for a in proj:
-        fiber = fibers[a]
-        out.append(fiber[dealt[a] % len(fiber)])
-        dealt[a] += 1
-    if any(n < len(fiber) for n, fiber in zip(dealt, fibers)):
-        return None
-    return tuple(out)
-
-
-def _candidate_levels(sys, level_cap):
-    out = []
-    for t in range(1, level_cap + 1):
-        if not sys.has_level(t):
-            break
-        if sys.size_at(t) <= _SIZE_CAP:
-            out.append(t)
-    return out
-
-
-def _level_cap(sys, depth):
-    # The window must be generous: when the other side grows faster,
-    # this side needs many extra levels before its per-node descendant
-    # counts catch up with the fiber sizes forced on it, so the size
-    # cap is what really limits a fast-growing side and the level cap
-    # is only a sanity bound on slow-growing tails.
-    if not sys.is_tailed:
-        return sys.length
-    period = max(1, sys.length - sys.periodic_tail)
-    return sys.length + 8 * (depth + 2) * period
-
-
-def _perfect_zigzag(sysA, sysB, depth):
-    # Levels come in the order k_1, l_1, k_2, l_2, ...  Each is the first
-    # candidate above its side's last level where every node of that
-    # last level has as many descendants as the newest map has points
-    # over it; the next map deals those descendants onto the points.
-    # Before k_1 a single point stands for the right side, so k_1 is the
-    # first candidate and f_1 deals level l_1 round-robin onto level k_1.
-    sides = [
-        (sysX, _candidate_levels(sysX, _level_cap(sysX, depth)), [])
-        for sysX in (sysA, sysB)
-    ]
-    fibers = [(0,)]
-    maps = []
-    for step in range(2 * max(depth, 1)):
-        sysX, candidates, levels = sides[step % 2]
-        prev = levels[-1] if levels else 0
-        for t in candidates:
-            if t <= prev:
-                continue
-            proj = sysX.proj(prev, t) if prev else (0,) * sysX.size_at(t)
-            m = _deal(proj, fibers)
-            if m is not None:
-                break
-        else:
-            return None
-        levels.append(t)
-        maps.append(m)
-        fibers = _inverse_lists(m, sum(len(fiber) for fiber in fibers))
-    left, right = (tuple(levels) for _, _, levels in sides)
-    return Intertwining(left, right, tuple(maps[1::2]), tuple(maps[2::2]), "perfect")
-
-
-def find_intertwining(sysA: IndexSystem, sysB: IndexSystem, depth: int = 5):
-    """Build a zigzag of surjections between two systems.
-
-    Both systems are pruned first; the returned maps use the pruned
-    coordinates.  Two finite limits of equal size n close with the
-    identity between the two stable levels.  Otherwise the zigzag gets
-    `depth` forward maps, built one level at a time with no search:
-    each new level is the first one deep enough for its nodes to cover
-    the fibers of the last map, and its coordinates are dealt
-    round-robin onto those fibers.  For two perfect limits such a level always
-    exists.  Returns None if the finite sizes differ, or if a level
-    the zigzag needs has more than 50 000 coordinates or lies past
-    the level window.
-    """
-    prunedA, _ = surjectivize(sysA)
-    prunedB, _ = surjectivize(sysB)
     cardA = limit_cardinality(sysA)
     cardB = limit_cardinality(sysB)
-    if cardA.kind == "finite" and cardB.kind == "finite":
-        n = cardA.count
-        if n != cardB.count or n > _SIZE_CAP:
-            return None
+    kinds = (cardA.kind, cardB.kind)
+    if kinds == ("infinite", "infinite"):
         return Intertwining(
-            (_stable_level(prunedA, n),),
-            (_stable_level(prunedB, n),),
-            (tuple(range(n)),),
-            (),
-            "stable-bijection",
+            (sysA.periodic_tail,), (sysB.periodic_tail,), (), (), "restart-cut"
         )
-    return _perfect_zigzag(prunedA, prunedB, depth)
+    if kinds != ("finite", "finite") or cardA.count != cardB.count:
+        return None
+    n = cardA.count
+    return Intertwining(
+        (_stable_level(surjectivize(sysA)[0], n),),
+        (_stable_level(surjectivize(sysB)[0], n),),
+        (tuple(range(n)),),
+        (),
+        "stable-bijection",
+    )
 
 
 @dataclass(frozen=True)
@@ -333,6 +251,9 @@ class NotEquivalent:
 
 @dataclass(frozen=True)
 class Unknown:
+    """An untailed side bounds its path count only from below; depth is
+    the caller's, echoed and not used."""
+
     depth: int
 
 
@@ -340,35 +261,26 @@ EquivVerdict = Equivalent | NotEquivalent | Unknown
 
 
 def equivalent_q(left: BratteliSequence, right: BratteliSequence, depth: int = 5):
-    """Decide equivalence up to rational scaling, as far as honesty allows.
+    """Decide equivalence up to rational scaling.
 
-    NotEquivalent is only reported on one of the two sound witnesses:
-    finite limits of different sizes, or a finite against an infinite
-    limit.  Equivalent always comes with a certificate.  Everything
-    else, in particular any untailed presentation (whose cardinality is
-    only a lower bound) and any infinite limit with an isolated path,
-    comes back Unknown.
+    Every tailed pair is decided, by path counts alone: finite limits of
+    different sizes, or a finite against an infinite limit, are
+    NotEquivalent with that witness; equal finite sizes and two infinite
+    limits are Equivalent with a certificate.  An untailed side has only
+    a lower bound on its path count, and the answer is Unknown.  depth
+    does not affect the verdict; it is only echoed in Unknown.
     """
     sysA, diagA = canonicalize_q(left)
     sysB, diagB = canonicalize_q(right)
     cardA = limit_cardinality(sysA)
     cardB = limit_cardinality(sysB)
-
-    kinds = (cardA.kind, cardB.kind)
-    if kinds == ("finite", "finite"):
-        if cardA.count != cardB.count:
-            return NotEquivalent(cardA, cardB, "cardinality")
-    elif kinds in (("finite", "infinite"), ("infinite", "finite")):
+    if "lower_bound" in (cardA.kind, cardB.kind):
+        return Unknown(depth)
+    if cardA.kind != cardB.kind:
         return NotEquivalent(cardA, cardB, "finiteness")
-    elif kinds == ("infinite", "infinite"):
-        if not (limit_is_perfect(sysA) and limit_is_perfect(sysB)):
-            return Unknown(depth)
-    else:
-        return Unknown(depth)
-
-    tw = find_intertwining(sysA, sysB, depth)
-    if tw is None:
-        return Unknown(depth)
+    if cardA != cardB:
+        return NotEquivalent(cardA, cardB, "cardinality")
+    tw = find_intertwining(sysA, sysB)
     cert = EquivalenceCertificate(left, right, diagA, diagB, cardA, cardB, tw)
     return Equivalent(cert)
 
@@ -377,8 +289,8 @@ def equivalence_certificate_failures(cert: EquivalenceCertificate) -> list:
     """Recheck every claim of an equivalence certificate; list failures.
 
     Nothing is trusted: the canonical forms, cardinalities, prunings,
-    stable levels, and every triangle of the zigzag are recomputed from
-    the two sequences embedded in the certificate.
+    stable levels and tail starts are recomputed from the two sequences
+    embedded in the certificate.
     """
     failures = []
     sysA, diagA = canonicalize_q(cert.left)
@@ -400,107 +312,50 @@ def equivalence_certificate_failures(cert: EquivalenceCertificate) -> list:
 
     kinds = (cardA.kind, cardB.kind)
     if kinds == ("finite", "finite"):
-        mode = "finite"
+        want_closure = "stable-bijection"
         if cardA.count != cardB.count:
             failures.append(f"cardinalities {cardA} and {cardB} differ")
             return failures
     elif kinds == ("infinite", "infinite"):
-        mode = "perfect"
-        if not (limit_is_perfect(sysA) and limit_is_perfect(sysB)):
-            failures.append("an infinite limit has an isolated path")
-            return failures
+        want_closure = "restart-cut"
     else:
         failures.append(f"cardinalities {cardA} and {cardB} cannot be equivalent")
         return failures
 
     tw = cert.intertwining
-    want_closure = "stable-bijection" if mode == "finite" else "perfect"
     if tw.closure != want_closure:
         failures.append(f"closure is {tw.closure!r}, expected {want_closure!r}")
-
-    T = len(tw.f_maps)
-    if T < 1:
-        failures.append("intertwining has no maps")
         return failures
-    if len(tw.left_levels) != T or len(tw.right_levels) != T:
-        failures.append("level lists do not match the number of maps")
+    if len(tw.left_levels) != 1 or len(tw.right_levels) != 1 or tw.g_maps:
+        failures.append(f"{tw.closure} names one level per side and no return maps")
         return failures
-    if len(tw.g_maps) != T - 1:
-        failures.append(f"{T} forward maps need {T - 1} return maps")
-        return failures
-    for levels, sysX, side in (
-        (tw.left_levels, sysA, "left"),
-        (tw.right_levels, sysB, "right"),
-    ):
-        for a, b in zip(levels, levels[1:]):
-            if b <= a:
-                failures.append(f"{side} levels are not strictly increasing")
-                return failures
-        for t in levels:
-            if not sysX.has_level(t):
-                failures.append(f"{side} level {t} is not available")
-                return failures
-
+    (ka,), (lb,) = tw.left_levels, tw.right_levels
     prunedA, _ = surjectivize(sysA)
     prunedB, _ = surjectivize(sysB)
 
-    def check_map(f, n_from, n_to, what):
-        if len(f) != n_from:
-            failures.append(f"{what} has {len(f)} entries, expected {n_from}")
-            return False
-        if any(not isinstance(v, int) or not 0 <= v < n_to for v in f):
-            failures.append(f"{what} has entries outside range({n_to})")
-            return False
-        if len(set(f)) != n_to:
-            failures.append(f"{what} is not surjective")
-            return False
-        return True
-
-    ok = True
-    for t in range(T):
-        ka, lb = tw.left_levels[t], tw.right_levels[t]
-        ok &= check_map(
-            tw.f_maps[t],
-            prunedB.size_at(lb),
-            prunedA.size_at(ka),
-            f"f_{t + 1}",
-        )
-        if t + 1 < T:
-            ok &= check_map(
-                tw.g_maps[t],
-                prunedA.size_at(tw.left_levels[t + 1]),
-                prunedB.size_at(lb),
-                f"g_{t + 1}",
-            )
-    if not ok:
+    if want_closure == "restart-cut":
+        if tw.f_maps:
+            failures.append("restart-cut takes no maps")
+        for t, pruned, side in ((ka, prunedA, "left"), (lb, prunedB, "right")):
+            p = pruned.periodic_tail
+            if t != p:
+                failures.append(f"{side} level {t} is not the tail start {p}")
+            elif pruned.size_at(p) != 1:
+                failures.append(f"{side} tail start keeps {pruned.size_at(p)} nodes")
         return failures
 
-    for t in range(T - 1):
-        ka, ka2 = tw.left_levels[t], tw.left_levels[t + 1]
-        lb, lb2 = tw.right_levels[t], tw.right_levels[t + 1]
-        projA = prunedA.proj(ka, ka2)
-        for x in range(prunedA.size_at(ka2)):
-            if tw.f_maps[t][tw.g_maps[t][x]] != projA[x]:
-                failures.append(
-                    f"triangle f_{t + 1} . g_{t + 1} breaks at left coordinate {x}"
-                )
-                break
-        projB = prunedB.proj(lb, lb2)
-        for y in range(prunedB.size_at(lb2)):
-            if tw.g_maps[t][tw.f_maps[t + 1][y]] != projB[y]:
-                failures.append(
-                    f"triangle g_{t + 1} . f_{t + 2} breaks at right coordinate {y}"
-                )
-                break
-
-    if mode == "finite":
-        stableA = _stable_level(prunedA, cardA.count)
-        stableB = _stable_level(prunedB, cardB.count)
-        last_f = tw.f_maps[-1]
-        if tw.left_levels[-1] < stableA or tw.right_levels[-1] < stableB:
-            failures.append("zigzag ends before both sides stabilize")
-        elif len(set(last_f)) != len(last_f):
-            failures.append("final map is not a bijection")
+    # both sizes are n from the stable levels on, so onto means bijective
+    n = cardA.count
+    if len(tw.f_maps) != 1:
+        failures.append(f"stable-bijection takes one map, got {len(tw.f_maps)}")
+    elif ka < _stable_level(prunedA, n) or lb < _stable_level(prunedB, n):
+        failures.append("zigzag ends before both sides stabilize")
+    elif len(tw.f_maps[0]) != n:
+        failures.append(f"f_1 has {len(tw.f_maps[0])} entries, expected {n}")
+    elif any(not isinstance(v, int) or not 0 <= v < n for v in tw.f_maps[0]):
+        failures.append(f"f_1 has entries outside range({n})")
+    elif len(set(tw.f_maps[0])) != n:
+        failures.append("f_1 is not surjective")
     return failures
 
 

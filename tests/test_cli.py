@@ -33,6 +33,7 @@ TREE = (
     "bratteli v1\nsizes: 1 2 4\nunit: 1\n"
     "map 1: 1*1 1*1\nmap 2: 1*1 1*1 2*1 2*1\nrepeat: 1\n"
 )
+TERNARY_TREE = "bratteli v1\nsizes: 1 3\nunit: 1\nmap 1: 1*1 1*1 1*1\nrepeat: 1\n"
 UNTAILED = "bratteli v1\nsizes: 1 1 1\nunit: 1\nmap 1: 1*2\nmap 2: 1*3\n"
 DEAD = (
     "bratteli v1\nsizes: 1 2 2\nunit: 1\n"
@@ -270,6 +271,29 @@ class TestEquiv:
         assert run(["equiv", left, right, "--depth", "2"]) == 0
         assert capsys.readouterr().out == first
 
+    def test_depth_does_not_change_the_certificate(self, doc, capsys):
+        left = doc("a.brat", TREE)
+        right = doc("b.brat", TERNARY_TREE)
+        assert run(["equiv", left, right, "--depth", "1"]) == 0
+        first = capsys.readouterr().out
+        assert run(["equiv", left, right, "--depth", "9"]) == 0
+        assert capsys.readouterr().out == first
+        assert json.loads(first)["intertwining"]["closure"] == "restart-cut"
+
+    def test_old_perfect_certificate_rejected(self, doc, tmp_path, capsys):
+        # a "perfect" certificate, as older versions wrote for these trees
+        # at depth 1
+        left = doc("a.brat", TREE)
+        right = doc("b.brat", TERNARY_TREE)
+        assert run(["equiv", left, right]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        payload["intertwining"].update(closure="perfect", f_maps=[["1"]])
+        cert = tmp_path / "perfect.json"
+        cert.write_text(json.dumps(payload), encoding="utf-8")
+        assert run(["verify", str(cert)]) == 1
+        out = capsys.readouterr().out
+        assert out == "fail: closure is 'perfect', expected 'restart-cut'\n"
+
 
 class TestArchCheck:
     def test_property_holds(self, doc, capsys):
@@ -415,20 +439,66 @@ class TestHostileInput:
         assert time.perf_counter() - start < 10
 
     def test_deep_certificate_level(self, doc, tmp_path, capsys):
-        # the verifier reads a level's size, not its coordinates, so a
-        # certificate naming level 40 of a tree fails at once
+        # a restart cut names its root level; one too long for int()
+        # is an error line, not an attempt to build that level
         start = time.perf_counter()
         path = doc("t.brat", TREE)
         assert run(["equiv", path, path, "--depth", "3"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        payload["intertwining"]["left_levels"][-1] = "40"
+        assert payload["intertwining"]["closure"] == "restart-cut"
+        payload["intertwining"]["left_levels"] = ["7" * 5000]
         cert = tmp_path / "deep.json"
         cert.write_text(json.dumps(payload), encoding="utf-8")
-        assert run(["verify", str(cert)]) == 1
-        captured = capsys.readouterr()
-        assert "Traceback" not in captured.out + captured.err
-        assert f"entries, expected {2**39}" in captured.out
+        err = self.check(["verify", str(cert)], 1, capsys)
+        assert err.startswith("error: level of 5000 digits is too long")
         assert time.perf_counter() - start < 10
+
+    def tampered(self, tmp_path, argv, capsys, edit):
+        assert run(argv) in (0, 1)
+        payload = json.loads(capsys.readouterr().out)
+        edit(payload)
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            (["unit-change", "{dyadic}", "--unit", "3", "--depth", "3"], "sequence"),
+            (["equiv", "{dyadic}", "{triadic}"], "left"),
+            (["equiv", "{dyadic}", "{two_path}"], "right"),
+        ],
+    )
+    def test_embedded_diagram_not_a_string(self, command, key, doc, tmp_path, capsys):
+        paths = {
+            "dyadic": doc("d.brat", DYADIC),
+            "triadic": doc("t.brat", TRIADIC),
+            "two_path": doc("p.brat", TWO_PATH),
+        }
+        argv = [arg.format(**paths) for arg in command]
+        cert = self.tampered(tmp_path, argv, capsys, lambda d: d.update({key: 5}))
+        err = self.check(["verify", cert], 1, capsys)
+        assert err == f"error: {key} must be a str, got int\n"
+
+    @pytest.mark.parametrize(
+        "diagonals, want",
+        [
+            ([5, 5], "error: left_diagonals must be a list, got int\n"),
+            (["12", "34"], "error: left_diagonals must be a list, got str\n"),
+        ],
+    )
+    def test_diagonal_rows_not_lists(self, diagonals, want, doc, tmp_path, capsys):
+        # a string row was read one character per entry
+        argv = ["equiv", doc("a.brat", DYADIC), doc("b.brat", TRIADIC)]
+        edit = lambda d: d.update(left_diagonals=diagonals)
+        cert = self.tampered(tmp_path, argv, capsys, edit)
+        assert self.check(["verify", cert], 1, capsys) == want
+
+    def test_strategy_not_a_name(self, doc, tmp_path, capsys):
+        argv = ["unit-change", doc("d.brat", DYADIC), "--unit", "3", "--depth", "3"]
+        cert = self.tampered(tmp_path, argv, capsys, lambda d: d.update(strategy=[1]))
+        err = self.check(["verify", cert], 1, capsys)
+        assert err == "error: strategy must be 'minimal' or 'paper', got [1]\n"
 
     @pytest.mark.parametrize(
         "command",

@@ -10,6 +10,8 @@ from bratteli import (
     Cardinality,
     Equivalent,
     IndexSystem,
+    Intertwining,
+    NonMixingMap,
     NotEquivalent,
     Unknown,
     canonicalize_q,
@@ -17,7 +19,6 @@ from bratteli import (
     equivalent_q,
     find_intertwining,
     limit_cardinality,
-    limit_is_perfect,
     not_equivalent_failures,
     surjectivize,
     verify_equivalence_certificate,
@@ -139,28 +140,28 @@ class TestCardinality:
             assert limit_cardinality(sys).kind == "finite"
 
 
-class TestPerfect:
-    def test_untailed_is_unknown(self):
-        assert limit_is_perfect(IndexSystem((1, 2), ((0, 0),))) is None
-
-    def test_isolated_paths(self):
-        assert limit_is_perfect(IndexSystem((1, 1), ((0,),), 1)) is False
-        assert limit_is_perfect(IndexSystem((2, 2), ((0, 1),), 1)) is False
-
-    def test_tree_is_perfect(self):
-        assert limit_is_perfect(IndexSystem((1, 2), ((0, 0),), 1)) is True
-
-    def test_infinite_limits_here_are_perfect(self):
-        # growth forces a split below every node, so no path is isolated
-        rng = random.Random(72)
-        seen = 0
-        for _ in range(60):
-            seq = random_sequence(rng, tail="sub")
+class TestDichotomy:
+    def test_tailed_limits_are_finite_or_one_rooted(self):
+        # a cyclic tail keeps its rank, so its limit is finite; an
+        # infinite limit prunes to one root at the tail start p and
+        # N >= 2 nodes at L, each restarting that root: a Cantor set
+        rng = random.Random(7)
+        seen = {"finite": 0, "infinite": 0}
+        for _ in range(3000):
+            tail = rng.choice(("cyclic", "sub"))
+            seq = random_sequence(rng, max_levels=6, tail=tail)
             sys, _ = canonicalize_q(seq)
-            if limit_cardinality(sys).kind == "infinite":
-                seen += 1
-                assert limit_is_perfect(sys) is True
-        assert seen > 10
+            kind = limit_cardinality(sys).kind
+            seen[kind] += 1
+            if kind == "finite":
+                continue
+            pruned, _ = surjectivize(sys)
+            p, L = pruned.periodic_tail, pruned.length
+            n = pruned.size_at(L)
+            assert seq.tail_kind == "substitution"
+            assert pruned.size_at(p) == 1 and n >= 2
+            assert pruned.size_at(L + (L - p)) == n * n
+        assert seen["finite"] > 1000 and seen["infinite"] > 500
 
 
 class TestFindIntertwining:
@@ -186,79 +187,35 @@ class TestFindIntertwining:
         b = IndexSystem((2, 2), ((0, 1),), 1)
         assert find_intertwining(a, b) is None
 
-    def test_trees_interleave(self):
+    def test_trees_restart_cut(self):
         binary, _ = canonicalize_q(full_tree(2, 2))
         ternary, _ = canonicalize_q(full_tree(3, 2))
         tw = find_intertwining(binary, ternary)
-        assert tw is not None
-        assert tw.closure == "perfect"
-        assert tw.left_levels == (1, 2, 3, 5, 9)
-        assert tw.right_levels == (1, 2, 3, 5, 7)
-        again = find_intertwining(binary, ternary)
-        assert again == tw
+        assert tw == Intertwining((1,), (1,), (), (), "restart-cut")
 
-    def test_trees_interleave_reversed(self):
-        # the slow-growing side has to climb much further: its branching
-        # must catch up with the fiber sizes the fast side forces on it
-        binary, _ = canonicalize_q(full_tree(2, 2))
-        ternary, _ = canonicalize_q(full_tree(3, 2))
-        tw = find_intertwining(ternary, binary)
-        assert tw is not None
-        assert tw.closure == "perfect"
-        assert tw.left_levels == (1, 2, 3, 5, 7)
-        assert tw.right_levels == (1, 3, 5, 9, 13)
+    def test_trees_restart_cut_reversed(self):
+        # the cut sits at the tail starts, whichever side grows faster
+        binary, _ = canonicalize_q(full_tree(2, 3))
+        quaternary, _ = canonicalize_q(full_tree(4, 2))
+        tw = find_intertwining(quaternary, binary)
+        assert tw == Intertwining((1,), (1,), (), (), "restart-cut")
 
-    def test_size_cap_returns_none(self):
-        # at depth 6 the binary side would need a level past 50 000
-        # coordinates to cover the fibers the ternary side forces on it
-        binary, _ = canonicalize_q(full_tree(2, 2))
-        ternary, _ = canonicalize_q(full_tree(3, 2))
-        assert find_intertwining(ternary, binary, 6) is None
-
-    def test_size_cap_is_quick(self):
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            (full_tree(3, 2), full_tree(2, 2)),
+            (full_tree(3, 5), full_tree(2, 6)),
+        ],
+        ids=["ternary-binary", "ternary5-binary6"],
+    )
+    def test_former_size_cap_pairs_are_equivalent(self, left, right):
+        # a depth-limited zigzag needs levels past 50 000 coordinates
+        # here; the restart cut needs none
         start = time.perf_counter()
-        verdict = equivalent_q(full_tree(3, 5), full_tree(2, 6), 6)
-        assert isinstance(verdict, Unknown)
+        verdict = equivalent_q(left, right, 7)
+        assert isinstance(verdict, Equivalent)
+        assert equivalence_certificate_failures(verdict.certificate) == []
         assert time.perf_counter() - start < 10
-
-
-def _counts(f, n):
-    out = [0] * n
-    for a in f:
-        out[a] += 1
-    return out
-
-
-def assert_first_covering_levels(pruned_left, pruned_right, tw):
-    """Each zigzag level must be the first above its side's last one
-    where every node of that last level has at least as many
-    descendants, counted with proj, as the newest map has points over
-    it.  Levels come as k_1, l_1, k_2, l_2, ...; before k_1 a single
-    point stands for the right side."""
-    maps = [tw.f_maps[0]]
-    for g, f in zip(tw.g_maps, tw.f_maps[1:]):
-        maps += [g, f]
-    sides = ((pruned_left, tw.left_levels), (pruned_right, tw.right_levels))
-    fiber_sizes = [1]
-    for step in range(2 * len(tw.f_maps)):
-        sysX, levels = sides[step % 2]
-        prev = levels[step // 2 - 1] if step >= 2 else 0
-        chosen = levels[step // 2]
-
-        def covers(t):
-            if prev == 0:
-                counts = [sysX.size_at(t)]
-            else:
-                counts = _counts(sysX.proj(prev, t), sysX.size_at(prev))
-            return all(c >= n for c, n in zip(counts, fiber_sizes))
-
-        assert covers(chosen), (step, chosen)
-        assert not any(covers(t) for t in range(prev + 1, chosen)), (step, chosen)
-        if step == 0:
-            fiber_sizes = [sysX.size_at(chosen)]
-        else:
-            m = maps[step - 1]
-            fiber_sizes = _counts(m, max(m) + 1)
 
 
 class TestEquivalentQ:
@@ -294,7 +251,7 @@ class TestEquivalentQ:
         verdict = equivalent_q(full_tree(2, 2), full_tree(3, 2))
         assert isinstance(verdict, Equivalent)
         cert = verdict.certificate
-        assert cert.intertwining.closure == "perfect"
+        assert cert.intertwining.closure == "restart-cut"
         assert equivalence_certificate_failures(cert) == []
 
     def test_untailed_stays_unknown(self):
@@ -335,23 +292,25 @@ class TestEquivalentQ:
                 assert fwd.reason == back.reason
                 assert fwd.left_cardinality == back.right_cardinality
 
-    def test_random_perfect_pairs_build_first_covering_zigzags(self):
-        # cyclic tails are always finite, so perfect limits come from
+    def test_random_cantor_pairs_cut_at_tail_starts(self):
+        # cyclic tails are always finite, so Cantor limits come from
         # substitution tails
         rng = random.Random(76)
         pool = []
         while len(pool) < 40:
             seq = random_sequence(rng, tail="sub")
             sys, _ = canonicalize_q(seq)
-            if limit_is_perfect(sys):
-                pool.append((seq, surjectivize(sys)[0]))
+            if limit_cardinality(sys).kind == "infinite":
+                pool.append((seq, surjectivize(sys)[0].periodic_tail))
         for _ in range(200):
-            (a, pruned_a), (b, pruned_b) = rng.choice(pool), rng.choice(pool)
+            (a, p_a), (b, p_b) = rng.choice(pool), rng.choice(pool)
             verdict = equivalent_q(a, b)
             assert isinstance(verdict, Equivalent)
             cert = verdict.certificate
             assert equivalence_certificate_failures(cert) == []
-            assert_first_covering_levels(pruned_a, pruned_b, cert.intertwining)
+            tw = cert.intertwining
+            assert (tw.left_levels, tw.right_levels) == ((p_a,), (p_b,))
+            assert tw.f_maps == tw.g_maps == ()
 
     def test_trees_both_directions(self):
         fwd = equivalent_q(full_tree(2, 2), full_tree(3, 2))
@@ -395,30 +354,50 @@ class TestCertificateTampering:
         failures = equivalence_certificate_failures(bad)
         assert any("closure" in f for f in failures)
 
-    def test_broken_triangle(self):
+    def _cantor(self):
         verdict = equivalent_q(full_tree(2, 2), full_tree(3, 2))
-        cert = verdict.certificate
-        tw = cert.intertwining
-        assert len(tw.f_maps) > 1
-        second = list(tw.f_maps[1])
-        j = next(i for i, v in enumerate(second) if v != second[0])
-        second[0], second[j] = second[j], second[0]
-        bad_tw = dataclasses.replace(
-            tw, f_maps=(tw.f_maps[0], tuple(second)) + tw.f_maps[2:]
-        )
-        bad = dataclasses.replace(cert, intertwining=bad_tw)
-        failures = equivalence_certificate_failures(bad)
-        assert any("triangle" in f or "not surjective" in f for f in failures)
-        assert not verify_equivalence_certificate(bad)
+        assert isinstance(verdict, Equivalent)
+        return verdict.certificate
 
-    def test_levels_must_ascend(self):
-        verdict = equivalent_q(full_tree(2, 2), full_tree(3, 2))
+    def _failures(self, cert, **changes):
+        tw = dataclasses.replace(cert.intertwining, **changes)
+        bad = dataclasses.replace(cert, intertwining=tw)
+        return equivalence_certificate_failures(bad)
+
+    def test_wrong_root_level(self):
+        failures = self._failures(self._cantor(), left_levels=(2,))
+        assert failures == ["left level 2 is not the tail start 1"]
+
+    def test_restart_cut_on_a_finite_pair(self):
+        failures = self._failures(self._cert(), f_maps=(), closure="restart-cut")
+        assert failures == ["closure is 'restart-cut', expected 'stable-bijection'"]
+
+    def test_stable_bijection_on_a_cantor_pair(self):
+        failures = self._failures(
+            self._cantor(), f_maps=((0,),), closure="stable-bijection"
+        )
+        assert failures == ["closure is 'stable-bijection', expected 'restart-cut'"]
+
+    def test_restart_cut_with_maps(self):
+        failures = self._failures(self._cantor(), f_maps=((0, 0, 1),))
+        assert failures == ["restart-cut takes no maps"]
+
+    def test_level_before_stabilizing(self):
+        # the left side keeps one coordinate at level 1 and two from
+        # level 2 on, so its bijection must sit at level 2 or deeper
+        split = BratteliSequence(
+            (1, 2, 2),
+            (NonMixingMap(1, (0, 0), (1, 2)), NonMixingMap(2, (0, 1), (3, 5))),
+            (1,),
+            periodic_tail=2,
+        )
+        verdict = equivalent_q(split, two_path(2, 7))
+        assert isinstance(verdict, Equivalent)
         cert = verdict.certificate
-        tw = cert.intertwining
-        bad_tw = dataclasses.replace(tw, left_levels=(2,) * len(tw.left_levels))
-        bad = dataclasses.replace(cert, intertwining=bad_tw)
-        failures = equivalence_certificate_failures(bad)
-        assert any("increasing" in f for f in failures)
+        assert cert.intertwining.left_levels == (2,)
+        assert equivalence_certificate_failures(cert) == []
+        failures = self._failures(cert, left_levels=(1,))
+        assert failures == ["zigzag ends before both sides stabilize"]
 
 
 class TestNotEquivalentFailures:
