@@ -231,6 +231,13 @@ def _cmd_verify(args):
         err = ParseError(str(e), e.lineno, e.colno)
         err.path = args.file
         raise err
+    except ValueError:  # a bare JSON integer past int()'s digit limit
+        print(
+            "error: a JSON number is too long to read; "
+            "certificate numbers are decimal strings",
+            file=sys.stderr,
+        )
+        return 1
     kind = doc.get("kind") if isinstance(doc, dict) else None
     try:
         if kind == "unit-change":

@@ -15,6 +15,11 @@ So path counts decide every tailed pair.  Two finite limits of one size
 are matched by a bijection between their stable levels, and two Cantor
 limits by the restart cut (see Intertwining), which the verifier checks
 in full from the tail starts alone.
+
+The decider and both verifiers prune each side's BratteliSequence once
+and read the path count, stable level and tail start off that one
+pruned sequence; the rescaling is the units pushed up level by level.
+IndexSystem, the shape on its own, is only what canonicalize_q returns.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ class IndexSystem:
 
     parents[i][j] names the level-(i+1) coordinate that level-(i+2)
     coordinate j descends from (everything 0-based).  A periodic tail
-    means the same as for a full sequence.
+    means the same as for a full sequence.  This is what `canon` prints.
     """
 
     sizes: tuple
@@ -52,32 +57,20 @@ class IndexSystem:
         object.__setattr__(self, "parents", parents)
         object.__setattr__(self, "_seq", seq)
 
-    @classmethod
-    def from_sequence(cls, seq: BratteliSequence) -> "IndexSystem":
-        return cls(seq.ranks, tuple(a.parent for a in seq.maps), seq.periodic_tail)
-
-    @property
-    def length(self) -> int:
-        return len(self.sizes)
-
-    @property
-    def is_tailed(self) -> bool:
-        return self.periodic_tail is not None
-
-    @property
-    def tail_kind(self):
-        return self._seq.tail_kind
-
-    def size_at(self, t: int) -> int:
-        return self._seq.rank_at(t)
-
-    def sigma_at(self, t: int) -> tuple:
-        """Parent function from level t+1 coordinates down to level t."""
-        return self._seq.map_at(t).parent
-
     def proj(self, lo: int, hi: int) -> tuple:
         """Ancestor function from level hi coordinates down to level lo."""
         return self._seq.map_between(lo, hi).parent
+
+
+def _diagonals(seq: BratteliSequence) -> tuple:
+    # 1/u_t for every presented level, the units pushed up one level at
+    # a time from the base unit
+    u = seq.base_unit
+    diagonals = [tuple(Fraction(1, v) for v in u)]
+    for a in seq.maps:
+        u = a.apply(u)
+        diagonals.append(tuple(Fraction(1, v) for v in u))
+    return tuple(diagonals)
 
 
 def canonicalize_q(seq: BratteliSequence):
@@ -86,25 +79,12 @@ def canonicalize_q(seq: BratteliSequence):
     Conjugating level t by the diagonal with entries 1/u_t[i] makes
     every connecting map a pure parent map and every unit the all-ones
     vector.  Returns (IndexSystem, diagonals), where diagonals[t-1] is
-    that conjugating tuple of Fractions for each presented level.  The
-    units u_t are pushed up one level at a time from the base unit.
+    that conjugating tuple of Fractions for each presented level.
+    equivalent_q and its verifiers read the shape off the sequence
+    itself and build no IndexSystem.
     """
-    u = seq.base_unit
-    diagonals = [tuple(Fraction(1, v) for v in u)]
-    for a in seq.maps:
-        u = a.apply(u)
-        diagonals.append(tuple(Fraction(1, v) for v in u))
-    return IndexSystem.from_sequence(seq), tuple(diagonals)
-
-
-def surjectivize(sys: IndexSystem):
-    """Prune coordinates with no deep descendants.
-
-    Afterwards every parent function is onto.  Returns the pruned system
-    and, per level, the ascending tuple of surviving old coordinates.
-    """
-    pruned, inclusions = injectivize(sys._seq)
-    return IndexSystem.from_sequence(pruned), inclusions
+    shape = IndexSystem(seq.ranks, tuple(a.parent for a in seq.maps), seq.periodic_tail)
+    return shape, _diagonals(seq)
 
 
 @dataclass(frozen=True)
@@ -140,26 +120,32 @@ class Cardinality:
         return f">={self.count}"
 
 
-def limit_cardinality(sys: IndexSystem) -> Cardinality:
-    """How many infinite paths the pruned diagram carries.
+def _path_space(seq: BratteliSequence):
+    """Prune seq once; return (pruned, Cardinality of its path space).
 
     Without a tail only finitely many levels are known, so the path
     count of the presented part is just a lower bound.  With a tail the
     pruned sizes never shrink, so the limit is finite exactly when one
     full period adds no size, and then the size has already stabilized.
+    Multiplicities play no part: pruning reads only parents and the tail.
     """
-    pruned, _ = surjectivize(sys)
+    pruned, _ = injectivize(seq)
     if not pruned.is_tailed:
-        return Cardinality.lower_bound(pruned.sizes[-1])
-    if pruned.size_at(pruned.periodic_tail) == pruned.size_at(pruned.length):
-        return Cardinality.finite(pruned.size_at(pruned.length))
-    return Cardinality.infinite()
+        return pruned, Cardinality.lower_bound(pruned.ranks[-1])
+    if pruned.ranks[pruned.periodic_tail - 1] == pruned.ranks[-1]:
+        return pruned, Cardinality.finite(pruned.ranks[-1])
+    return pruned, Cardinality.infinite()
 
 
-def _stable_level(pruned: IndexSystem, count: int) -> int:
+def limit_cardinality(seq: BratteliSequence) -> Cardinality:
+    """How many infinite paths the pruned diagram carries."""
+    return _path_space(seq)[1]
+
+
+def _stable_level(pruned: BratteliSequence, count: int) -> int:
     # first level where the pruned sizes reach their final value; from
     # there on every parent function is a bijection
-    return pruned.sizes.index(count) + 1
+    return pruned.ranks.index(count) + 1
 
 
 @dataclass(frozen=True)
@@ -194,34 +180,6 @@ class Intertwining:
     f_maps: tuple
     g_maps: tuple
     closure: str
-
-
-def find_intertwining(sysA: IndexSystem, sysB: IndexSystem):
-    """Match the pruned path spaces of two systems, or return None.
-
-    Two finite limits of equal size n get the identity between their
-    two stable levels, in pruned coordinates; n is at most the rank of
-    the last presented level.  Two infinite limits get the restart cut
-    at their tail starts.  Any other pair (finite sizes that differ, a
-    finite against an infinite limit, or an untailed side) gives None.
-    """
-    cardA = limit_cardinality(sysA)
-    cardB = limit_cardinality(sysB)
-    kinds = (cardA.kind, cardB.kind)
-    if kinds == ("infinite", "infinite"):
-        return Intertwining(
-            (sysA.periodic_tail,), (sysB.periodic_tail,), (), (), "restart-cut"
-        )
-    if kinds != ("finite", "finite") or cardA.count != cardB.count:
-        return None
-    n = cardA.count
-    return Intertwining(
-        (_stable_level(surjectivize(sysA)[0], n),),
-        (_stable_level(surjectivize(sysB)[0], n),),
-        (tuple(range(n)),),
-        (),
-        "stable-bijection",
-    )
 
 
 @dataclass(frozen=True)
@@ -269,38 +227,44 @@ def equivalent_q(left: BratteliSequence, right: BratteliSequence, depth: int = 5
     limits are Equivalent with a certificate.  An untailed side has only
     a lower bound on its path count, and the answer is Unknown.  depth
     does not affect the verdict; it is only echoed in Unknown.
+
+    Each side is pruned once.  Two finite limits of size n are matched
+    by the identity between their stable levels, in pruned coordinates;
+    two infinite limits by the restart cut at their tail starts.
     """
-    sysA, diagA = canonicalize_q(left)
-    sysB, diagB = canonicalize_q(right)
-    cardA = limit_cardinality(sysA)
-    cardB = limit_cardinality(sysB)
+    prunedA, cardA = _path_space(left)
+    prunedB, cardB = _path_space(right)
     if "lower_bound" in (cardA.kind, cardB.kind):
         return Unknown(depth)
     if cardA.kind != cardB.kind:
         return NotEquivalent(cardA, cardB, "finiteness")
     if cardA != cardB:
         return NotEquivalent(cardA, cardB, "cardinality")
-    tw = find_intertwining(sysA, sysB)
-    cert = EquivalenceCertificate(left, right, diagA, diagB, cardA, cardB, tw)
-    return Equivalent(cert)
+    if cardA.kind == "infinite":
+        levels = (prunedA.periodic_tail,), (prunedB.periodic_tail,)
+        tw = Intertwining(*levels, (), (), "restart-cut")
+    else:
+        n = cardA.count
+        levels = (_stable_level(prunedA, n),), (_stable_level(prunedB, n),)
+        tw = Intertwining(*levels, (tuple(range(n)),), (), "stable-bijection")
+    diags = _diagonals(left), _diagonals(right)
+    return Equivalent(EquivalenceCertificate(left, right, *diags, cardA, cardB, tw))
 
 
 def equivalence_certificate_failures(cert: EquivalenceCertificate) -> list:
     """Recheck every claim of an equivalence certificate; list failures.
 
-    Nothing is trusted: the canonical forms, cardinalities, prunings,
-    stable levels and tail starts are recomputed from the two sequences
-    embedded in the certificate.
+    Nothing is trusted: the diagonals, cardinalities, prunings, stable
+    levels and tail starts are recomputed from the two sequences
+    embedded in the certificate, each pruned once.
     """
     failures = []
-    sysA, diagA = canonicalize_q(cert.left)
-    sysB, diagB = canonicalize_q(cert.right)
-    if tuple(cert.left_diagonals) != diagA:
+    if tuple(cert.left_diagonals) != _diagonals(cert.left):
         failures.append("left diagonals do not match the left sequence")
-    if tuple(cert.right_diagonals) != diagB:
+    if tuple(cert.right_diagonals) != _diagonals(cert.right):
         failures.append("right diagonals do not match the right sequence")
-    cardA = limit_cardinality(sysA)
-    cardB = limit_cardinality(sysB)
+    prunedA, cardA = _path_space(cert.left)
+    prunedB, cardB = _path_space(cert.right)
     if cert.left_cardinality != cardA:
         failures.append(
             f"left cardinality recomputes to {cardA}, not {cert.left_cardinality}"
@@ -330,8 +294,6 @@ def equivalence_certificate_failures(cert: EquivalenceCertificate) -> list:
         failures.append(f"{tw.closure} names one level per side and no return maps")
         return failures
     (ka,), (lb,) = tw.left_levels, tw.right_levels
-    prunedA, _ = surjectivize(sysA)
-    prunedB, _ = surjectivize(sysB)
 
     if want_closure == "restart-cut":
         if tw.f_maps:
@@ -340,8 +302,8 @@ def equivalence_certificate_failures(cert: EquivalenceCertificate) -> list:
             p = pruned.periodic_tail
             if t != p:
                 failures.append(f"{side} level {t} is not the tail start {p}")
-            elif pruned.size_at(p) != 1:
-                failures.append(f"{side} tail start keeps {pruned.size_at(p)} nodes")
+            elif pruned.ranks[p - 1] != 1:
+                failures.append(f"{side} tail start keeps {pruned.ranks[p - 1]} nodes")
         return failures
 
     # both sizes are n from the stable levels on, so onto means bijective
@@ -366,10 +328,8 @@ def not_equivalent_failures(verdict: NotEquivalent, left, right) -> list:
     for them: finite limits of different sizes for "cardinality", a
     finite against an infinite limit for "finiteness".
     """
-    sysA, _ = canonicalize_q(left)
-    sysB, _ = canonicalize_q(right)
-    cardA = limit_cardinality(sysA)
-    cardB = limit_cardinality(sysB)
+    _, cardA = _path_space(left)
+    _, cardB = _path_space(right)
     failures = []
     if cardA != verdict.left_cardinality:
         failures.append(f"left cardinality recomputes to {cardA}")

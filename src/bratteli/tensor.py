@@ -2,7 +2,11 @@
 
 Everything here is Kronecker-style bookkeeping: coordinates of a tensor
 level are pairs (a, b) flattened row-major, so pair (a, b) sits at index
-a * rank_B + b.
+a * rank_B + b.  That holds on every presented level, and at every level
+when both factors have cyclic tails.  Past the presented levels of a
+kept tail with a self-similar factor, the ranks are the products but the
+unrolled coordinates follow the result's own block order, so its rows
+can be a permutation of the row-major pairs.
 """
 
 from __future__ import annotations

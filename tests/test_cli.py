@@ -321,6 +321,13 @@ class TestVerify:
         assert run(["verify", str(path)]) == 1
         assert "unsupported verdict" in capsys.readouterr().err
 
+    def test_bare_number_past_the_digit_limit(self, tmp_path, capsys):
+        # json.loads raises a plain ValueError for it, not a decode error
+        path = tmp_path / "long.json"
+        path.write_text('{"kind": "unit-change", "x": ' + "7" * 5000 + "}")
+        assert run(["verify", str(path)]) == 1
+        assert "too long to read" in capsys.readouterr().err
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{", encoding="utf-8")

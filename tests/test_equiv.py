@@ -17,12 +17,12 @@ from bratteli import (
     canonicalize_q,
     equivalence_certificate_failures,
     equivalent_q,
-    find_intertwining,
+    injectivize,
     limit_cardinality,
     not_equivalent_failures,
-    surjectivize,
     verify_equivalence_certificate,
 )
+from bratteli import equiv
 
 from genseq import (
     full_tree,
@@ -31,6 +31,15 @@ from genseq import (
     scalar_chain,
     two_path,
 )
+
+
+def shape(sizes, parents, tail=None, mult=1):
+    """A sequence with the given parent functions and one multiplicity."""
+    maps = tuple(
+        NonMixingMap(sizes[i], tuple(ps), (mult,) * len(ps))
+        for i, ps in enumerate(parents)
+    )
+    return BratteliSequence(tuple(sizes), maps, (1,) * sizes[0], tail)
 
 
 class TestCanonicalize:
@@ -58,8 +67,9 @@ class TestCanonicalize:
     def test_shape_of_a_tree(self):
         sys, _ = canonicalize_q(full_tree(2, 2))
         assert sys.sizes == (1, 2)
-        assert sys.tail_kind == "substitution"
-        assert sys.sigma_at(2) == (0, 0, 1, 1)
+        assert sys.parents == ((0, 0),)
+        assert sys.periodic_tail == 1
+        assert sys.proj(2, 3) == (0, 0, 1, 1)
         assert sys.proj(1, 3) == (0, 0, 0, 0)
 
     def test_diagonals_are_inverse_unit_images(self):
@@ -82,26 +92,6 @@ class TestCanonicalize:
         assert calls[0] <= 2 * L
 
 
-class TestSurjectivize:
-    def test_dead_branch(self):
-        sys = IndexSystem((2, 2), ((0, 0),), 1)
-        pruned, incl = surjectivize(sys)
-        assert pruned.sizes == (1, 1)
-        assert incl == ((0,), (0,))
-
-    def test_image_settles_into_cycle(self):
-        sys = IndexSystem((3, 3), ((0, 0, 1),), 1)
-        pruned, incl = surjectivize(sys)
-        assert pruned.sizes == (1, 1)
-        assert incl == ((0,), (0,))
-
-    def test_already_onto(self):
-        sys = IndexSystem((2, 2), ((1, 0),), 1)
-        pruned, incl = surjectivize(sys)
-        assert pruned == sys
-        assert incl == ((0, 1), (0, 1))
-
-
 class TestCardinality:
     def test_str_forms(self):
         assert str(Cardinality.finite(3)) == "3"
@@ -117,27 +107,27 @@ class TestCardinality:
             Cardinality("infinite", 3)
 
     def test_untailed_is_a_lower_bound(self):
-        sys = IndexSystem((1, 2), ((0, 0),))
-        assert limit_cardinality(sys) == Cardinality.lower_bound(2)
+        assert limit_cardinality(shape((1, 2), ((0, 0),))) == Cardinality.lower_bound(2)
 
     def test_single_chain(self):
-        assert limit_cardinality(IndexSystem((1, 1), ((0,),), 1)) == Cardinality.finite(1)
+        assert limit_cardinality(shape((1, 1), ((0,),), 1)) == Cardinality.finite(1)
 
     def test_two_paths(self):
-        assert limit_cardinality(IndexSystem((2, 2), ((0, 1),), 1)) == Cardinality.finite(2)
+        assert limit_cardinality(shape((2, 2), ((0, 1),), 1)) == Cardinality.finite(2)
 
     def test_dead_branch_collapses(self):
-        assert limit_cardinality(IndexSystem((2, 2), ((0, 0),), 1)) == Cardinality.finite(1)
+        assert limit_cardinality(shape((2, 2), ((0, 0),), 1)) == Cardinality.finite(1)
 
     def test_tree_is_infinite(self):
-        assert limit_cardinality(IndexSystem((1, 2), ((0, 0),), 1)) == Cardinality.infinite()
+        for mult in (1, 5):
+            tree = shape((1, 2), ((0, 0),), 1, mult)
+            assert limit_cardinality(tree) == Cardinality.infinite()
 
     def test_cyclic_tails_are_always_finite(self):
         rng = random.Random(71)
         for _ in range(60):
             seq = random_sequence(rng, tail="cyclic")
-            sys, _ = canonicalize_q(seq)
-            assert limit_cardinality(sys).kind == "finite"
+            assert limit_cardinality(seq).kind == "finite"
 
 
 class TestDichotomy:
@@ -150,25 +140,31 @@ class TestDichotomy:
         for _ in range(3000):
             tail = rng.choice(("cyclic", "sub"))
             seq = random_sequence(rng, max_levels=6, tail=tail)
-            sys, _ = canonicalize_q(seq)
-            kind = limit_cardinality(sys).kind
+            kind = limit_cardinality(seq).kind
             seen[kind] += 1
             if kind == "finite":
                 continue
-            pruned, _ = surjectivize(sys)
+            pruned, _ = injectivize(seq)
             p, L = pruned.periodic_tail, pruned.length
-            n = pruned.size_at(L)
+            n = pruned.rank_at(L)
             assert seq.tail_kind == "substitution"
-            assert pruned.size_at(p) == 1 and n >= 2
-            assert pruned.size_at(L + (L - p)) == n * n
+            assert pruned.rank_at(p) == 1 and n >= 2
+            assert pruned.rank_at(L + (L - p)) == n * n
         assert seen["finite"] > 1000 and seen["infinite"] > 500
 
 
 class TestFindIntertwining:
+    """The Intertwining that equivalent_q puts in its certificates."""
+
+    def _tw(self, left, right):
+        verdict = equivalent_q(left, right)
+        assert isinstance(verdict, Equivalent)
+        assert equivalence_certificate_failures(verdict.certificate) == []
+        return verdict.certificate.intertwining
+
     def test_single_chains(self):
-        sys = IndexSystem((1, 1), ((0,),), 1)
-        tw = find_intertwining(sys, sys)
-        assert tw is not None
+        chain = shape((1, 1), ((0,),), 1)
+        tw = self._tw(chain, chain)
         assert tw.closure == "stable-bijection"
         assert tw.left_levels == (1,)
         assert tw.right_levels == (1,)
@@ -176,28 +172,25 @@ class TestFindIntertwining:
         assert tw.g_maps == ()
 
     def test_two_points_against_swap(self):
-        a = IndexSystem((2, 2), ((0, 1),), 1)
-        b = IndexSystem((2, 2), ((1, 0),), 1)
-        tw = find_intertwining(a, b)
-        assert tw is not None
+        a = shape((2, 2), ((0, 1),), 1)
+        b = shape((2, 2), ((1, 0),), 1, mult=3)
+        tw = self._tw(a, b)
         assert tw.f_maps == ((0, 1),)
 
     def test_different_finite_counts(self):
-        a = IndexSystem((1, 1), ((0,),), 1)
-        b = IndexSystem((2, 2), ((0, 1),), 1)
-        assert find_intertwining(a, b) is None
+        a = shape((1, 1), ((0,),), 1)
+        b = shape((2, 2), ((0, 1),), 1)
+        verdict = equivalent_q(a, b)
+        assert isinstance(verdict, NotEquivalent)
+        assert verdict.reason == "cardinality"
 
     def test_trees_restart_cut(self):
-        binary, _ = canonicalize_q(full_tree(2, 2))
-        ternary, _ = canonicalize_q(full_tree(3, 2))
-        tw = find_intertwining(binary, ternary)
+        tw = self._tw(full_tree(2, 2), full_tree(3, 2))
         assert tw == Intertwining((1,), (1,), (), (), "restart-cut")
 
     def test_trees_restart_cut_reversed(self):
         # the cut sits at the tail starts, whichever side grows faster
-        binary, _ = canonicalize_q(full_tree(2, 3))
-        quaternary, _ = canonicalize_q(full_tree(4, 2))
-        tw = find_intertwining(quaternary, binary)
+        tw = self._tw(full_tree(4, 2), full_tree(2, 3))
         assert tw == Intertwining((1,), (1,), (), (), "restart-cut")
 
     @pytest.mark.parametrize(
@@ -299,9 +292,8 @@ class TestEquivalentQ:
         pool = []
         while len(pool) < 40:
             seq = random_sequence(rng, tail="sub")
-            sys, _ = canonicalize_q(seq)
-            if limit_cardinality(sys).kind == "infinite":
-                pool.append((seq, surjectivize(sys)[0].periodic_tail))
+            if limit_cardinality(seq).kind == "infinite":
+                pool.append((seq, injectivize(seq)[0].periodic_tail))
         for _ in range(200):
             (a, p_a), (b, p_b) = rng.choice(pool), rng.choice(pool)
             verdict = equivalent_q(a, b)
@@ -317,6 +309,41 @@ class TestEquivalentQ:
         back = equivalent_q(full_tree(3, 2), full_tree(2, 2))
         assert isinstance(fwd, Equivalent) and isinstance(back, Equivalent)
         assert verify_equivalence_certificate(back.certificate)
+
+
+class TestOnePruning:
+    """Deciding and verifying prune each side once and build no IndexSystem."""
+
+    @pytest.mark.parametrize(
+        "left, right, kind",
+        [
+            (full_tree(2, 2), full_tree(3, 2), Equivalent),
+            (two_path(2, 7), two_path(3, 5), Equivalent),
+            (
+                long_chain(random.Random(3), 40),
+                long_chain(random.Random(4), 9),
+                Equivalent,
+            ),
+            (scalar_chain(2), two_path(1, 2), NotEquivalent),
+            (scalar_chain(2), full_tree(2, 2), NotEquivalent),
+        ],
+        ids=["tree", "two-path", "chain", "cardinality", "finiteness"],
+    )
+    def test_two_prunings_each(self, left, right, kind, count_calls):
+        prunings = count_calls(equiv, "injectivize")
+        shapes = count_calls(IndexSystem, "__post_init__")
+        verdict = equivalent_q(left, right)
+        assert isinstance(verdict, kind)
+        assert prunings[0] == 2
+        prunings[0] = 0
+        if kind is Equivalent:
+            assert equivalence_certificate_failures(verdict.certificate) == []
+        else:
+            assert not_equivalent_failures(verdict, left, right) == []
+        assert prunings[0] == 2
+        assert shapes[0] == 0
+        canonicalize_q(left)
+        assert shapes[0] == 1
 
 
 class TestCertificateTampering:

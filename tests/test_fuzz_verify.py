@@ -1,0 +1,140 @@
+"""Seeded mutation fuzz of `bratteli verify`.
+
+Documents emitted by `equiv` and `unit-change` get one field replaced by
+a hostile value, or deleted, and are then verified.  Every call must end
+in a documented exit code, with no exception escaping cli.run: 0, 1 or
+2, and 65 only when the mutated field is an embedded diagram text that
+no longer parses.
+"""
+
+import json
+import random
+import time
+
+import pytest
+
+from bratteli.cli import run
+
+DYADIC = "bratteli v1\nsizes: 1 1\nunit: 1\nmap 1: 1*2\nrepeat: 1\n"
+TWO_PATH = "bratteli v1\nsizes: 2 2\nunit: 1 1\nmap 1: 1*2 2*3\nrepeat: 1\n"
+TWO_PATH_B = "bratteli v1\nsizes: 2 2\nunit: 2 1\nmap 1: 2*5 1*7\nrepeat: 1\n"
+TREE = (
+    "bratteli v1\nsizes: 1 2 4\nunit: 1\n"
+    "map 1: 1*1 1*1\nmap 2: 1*1 1*1 2*1 2*1\nrepeat: 1\n"
+)
+TERNARY_TREE = "bratteli v1\nsizes: 1 3\nunit: 1\nmap 1: 1*1 1*1 1*1\nrepeat: 1\n"
+UNTAILED = "bratteli v1\nsizes: 1 1 1\nunit: 1\nmap 1: 1*2\nmap 2: 1*3\n"
+
+# (command, diagram texts, options, exit code)
+EMITTERS = (
+    ("equiv", (TWO_PATH, TWO_PATH_B), (), 0),
+    ("equiv", (TREE, TERNARY_TREE), (), 0),
+    ("equiv", (DYADIC, TWO_PATH), (), 1),
+    ("equiv", (DYADIC, TREE), (), 1),
+    ("equiv", (UNTAILED, DYADIC), (), 2),
+    ("unit-change", (DYADIC,), ("--unit", "3", "--depth", "6"), 0),
+    ("unit-change", (TWO_PATH,), ("--unit", "2,5", "--depth", "4"), 0),
+)
+
+DIAGRAM_FIELDS = ("left", "right", "sequence")
+
+
+class _Bare:
+    """A JSON number too long for int(), written as raw digits."""
+
+    digits = "7" * 5000
+
+
+HOSTILE = (
+    None,
+    -1,
+    0,
+    1.5,
+    True,
+    [],
+    {},
+    [None],
+    {"kind": None},
+    "",
+    "x",
+    "-1",
+    "0",
+    "1/0",
+    "1/",
+    "2^-1",
+    "7" * 5000,
+    "1/" + "7" * 5000,
+    "2^" + "7" * 5000,
+    _Bare(),
+)
+
+
+def _dumps(doc) -> str:
+    marker = "\x00bare\x00"
+    text = json.dumps(doc, default=lambda value: marker)
+    return text.replace(json.dumps(marker), _Bare.digits)
+
+
+def _paths(node, prefix=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _mutate(doc, rng):
+    """A copy of doc with one field replaced or deleted, and that field's path."""
+    doc = json.loads(json.dumps(doc))
+    path = rng.choice(list(_paths(doc)))
+    holder = doc
+    for key in path[:-1]:
+        holder = holder[key]
+    if rng.random() < 0.25:
+        del holder[path[-1]]
+        value = "<deleted>"
+    else:
+        value = rng.choice(HOSTILE)
+        holder[path[-1]] = value
+    return doc, path, value
+
+
+def _emitted(tmp_path, capsys):
+    docs = []
+    for i, (command, texts, options, code) in enumerate(EMITTERS):
+        files = []
+        for j, text in enumerate(texts):
+            path = tmp_path / f"d{i}-{j}.brat"
+            path.write_text(text, encoding="utf-8")
+            files.append(str(path))
+        assert run([command, *files, *options]) == code
+        docs.append(json.loads(capsys.readouterr().out))
+    return docs
+
+
+def test_mutated_documents_end_in_documented_codes(tmp_path, capsys):
+    start = time.perf_counter()
+    docs = _emitted(tmp_path, capsys)
+    rng = random.Random(20)
+    target = tmp_path / "mutated.json"
+    seen = set()
+    for _ in range(600):
+        doc, path, value = _mutate(rng.choice(docs), rng)
+        target.write_text(_dumps(doc), encoding="utf-8")
+        what = f"{path} <- {repr(value)[:40]}"
+        try:
+            code = run(["verify", str(target)])
+        except Exception as e:  # noqa: BLE001 - the test is that none escapes
+            pytest.fail(f"{what}: {type(e).__name__}: {e}")
+        capsys.readouterr()
+        allowed = {0, 1, 2}
+        if path[0] in DIAGRAM_FIELDS and isinstance(value, str):
+            allowed.add(65)
+        assert code in allowed, what
+        seen.add(code)
+    assert {0, 1, 2} <= seen
+    assert time.perf_counter() - start < 10

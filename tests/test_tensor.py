@@ -14,7 +14,7 @@ from bratteli import (
     tensor_vec,
 )
 
-from genseq import full_tree, random_map, scalar_chain, two_path
+from genseq import full_tree, random_map, random_sequence, scalar_chain, two_path
 
 
 def kron(F, G):
@@ -135,6 +135,28 @@ class TestTensorSeq:
             for t in range(1, out.length + 1):
                 assert out.unit_at(t) == tensor_vec(a.unit_at(t), b.unit_at(t))
                 assert out.rank_at(t) == a.rank_at(t) * b.rank_at(t)
+
+    def test_kept_tails_past_the_presented_levels(self):
+        # three periods past the presented levels, every kept tail has
+        # the product ranks, and a cyclic-by-cyclic one the row-major
+        # product maps; with a substitution factor the rows may come out
+        # permuted, so only ranks are checked there
+        rng = random.Random(11)
+        seen = {"cyclic": 0, "substitution": 0}
+        for _ in range(1500):
+            a = random_sequence(rng, tail=rng.choice(("cyclic", "sub")))
+            b = random_sequence(rng, tail=rng.choice(("cyclic", "sub")))
+            out = tensor_seq(a, b)
+            if not out.is_tailed:
+                continue
+            cyclic = a.tail_kind == b.tail_kind == "cyclic"
+            seen["cyclic" if cyclic else "substitution"] += 1
+            horizon = out.length + 3 * (out.length - out.periodic_tail)
+            for t in range(1, horizon):
+                assert out.rank_at(t) == a.rank_at(t) * b.rank_at(t)
+                if cyclic:
+                    assert out.map_at(t) == tensor_map(a.map_at(t), b.map_at(t))
+        assert seen["cyclic"] > 600 and seen["substitution"] > 250
 
 
 class TestTensorQn:
