@@ -92,6 +92,29 @@ class TestCanonicalize:
         assert calls[0] <= 2 * L
 
 
+class TestSurjectivize:
+    """The onto part of a tailed presentation, which the equivalence
+    decision reads off one injectivize call per side."""
+
+    def test_dead_branch(self):
+        seq = shape((2, 2), ((0, 0),), 1)
+        pruned, incl = injectivize(seq)
+        assert pruned.ranks == (1, 1)
+        assert incl == ((0,), (0,))
+
+    def test_image_settles_into_cycle(self):
+        seq = shape((3, 3), ((0, 0, 1),), 1)
+        pruned, incl = injectivize(seq)
+        assert pruned.ranks == (1, 1)
+        assert incl == ((0,), (0,))
+
+    def test_already_onto(self):
+        seq = shape((2, 2), ((1, 0),), 1)
+        pruned, incl = injectivize(seq)
+        assert pruned == seq
+        assert incl == ((0, 1), (0, 1))
+
+
 class TestCardinality:
     def test_str_forms(self):
         assert str(Cardinality.finite(3)) == "3"
