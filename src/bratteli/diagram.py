@@ -13,6 +13,13 @@ level L, in one of two ways:
   presented with finite data.
 
 The two readings agree when rank_p == rank_L == 1.
+
+keep_at lists the coordinates the limit sees.  Each coordinate has one
+parent, so they are found by walking parents down from the last level:
+past the tail start, level-L coordinate c restarts the block at
+coordinate c % rank_p of level p, and the walk down the block repeats
+from the set it found at p until that set stops shrinking (at once on a
+self-similar tail, whose single root always survives).
 """
 
 from __future__ import annotations
@@ -244,43 +251,6 @@ class BratteliSequence:
         """
         return all(a.is_injective() for a in self.maps)
 
-    # -- the class graph of a tail ---------------------------------------
-    #
-    # A position (b, c) stands for every unrolled node whose role in the
-    # repeating block is coordinate c of level b, p <= b < L.  Whether a
-    # node has descendants arbitrarily deep depends only on its position.
-
-    def _tail_positions(self):
-        p = self.periodic_tail
-        return [
-            (b, c) for b in range(p, self.length) for c in range(self.ranks[b - 1])
-        ]
-
-    def _children_positions(self, b: int, c: int):
-        # one entry per child node, so duplicates count
-        kids = self._kids(b)[c]
-        if b + 1 < self.length:
-            return [(b + 1, c2) for c2 in kids]
-        if self.tail_kind == "cyclic":
-            return [(self.periodic_tail, c2) for c2 in kids]
-        return [(self.periodic_tail, 0)] * len(kids)
-
-    def _alive_positions(self) -> frozenset:
-        """Positions with an infinite chain of descendants."""
-
-        def build():
-            alive = set(self._tail_positions())
-            changed = True
-            while changed:
-                changed = False
-                for pos in list(alive):
-                    if not any(ch in alive for ch in self._children_positions(*pos)):
-                        alive.discard(pos)
-                        changed = True
-            return frozenset(alive)
-
-        return self._memo(("alive",), build)
-
 
 def keep_at(seq: BratteliSequence, t: int) -> tuple:
     """The level-t coordinates the limit actually sees, ascending.
@@ -292,26 +262,44 @@ def keep_at(seq: BratteliSequence, t: int) -> tuple:
     seq._require_level(t)
     top = seq.periodic_tail or seq.length
     if t < top:
-        return _keeps_below(seq, top, t)[0]
+        return _keeps_below(seq, keep_at(seq, top), top, t)[0]
     if not seq.is_tailed:
         return tuple(range(seq.ranks[-1]))
-    alive = seq._alive_positions()
-    b = seq._block_position(t)
+    keep = _tail_keeps(seq)[seq._block_position(t) - top]
     if t >= seq.length and seq.tail_kind == "substitution":
-        classes = seq._sub_classes(t)
-        return tuple(j for j, c in enumerate(classes) if (b, c) in alive)
-    return tuple(c for c in range(seq.rank_at(t)) if (b, c) in alive)
+        alive = set(keep)
+        return tuple(j for j, c in enumerate(seq._sub_classes(t)) if c in alive)
+    return keep
 
 
-def _keeps_below(seq: BratteliSequence, top: int, lo: int) -> list:
-    # the kept coordinates of levels lo..top, walked down once from
-    # keep_at(top): a coordinate is kept when one of its children is
-    keep = keep_at(seq, top)
+def _keeps_below(seq: BratteliSequence, keep: tuple, top: int, lo: int) -> list:
+    # the kept coordinates of levels lo..top, given those of top: a
+    # coordinate is kept when one of its children is
     keeps = [keep]
     for s in range(top - 1, lo - 1, -1):
-        keep = tuple(sorted({seq.maps[s - 1].parent[j] for j in keep}))
+        parent = seq.maps[s - 1].parent
+        keep = tuple(sorted({parent[j] for j in keep}))
         keeps.append(keep)
     return keeps[::-1]
+
+
+def _tail_keeps(seq: BratteliSequence) -> tuple:
+    # keeps[b - p] for p <= b <= L: the coordinates of block level b
+    # with descendants at every depth, by the sweep the module describes
+
+    def build():
+        p, L = seq.periodic_tail, seq.length
+        rank_p = seq.ranks[p - 1]
+        root = tuple(range(rank_p))
+        while True:
+            alive = set(root)
+            top = tuple(c for c in range(seq.ranks[-1]) if c % rank_p in alive)
+            keeps = _keeps_below(seq, top, L, p)
+            if keeps[0] == root:
+                return tuple(keeps)
+            root = keeps[0]
+
+    return seq._memo(("keeps",), build)
 
 
 def injectivize(seq: BratteliSequence):
@@ -324,7 +312,7 @@ def injectivize(seq: BratteliSequence):
     """
     L = seq.length
     top = seq.periodic_tail or L
-    keeps = _keeps_below(seq, top, 1)
+    keeps = _keeps_below(seq, keep_at(seq, top), top, 1)
     keeps += [keep_at(seq, t) for t in range(top + 1, L + 1)]
     for t, kept in enumerate(keeps, start=1):
         if not kept:

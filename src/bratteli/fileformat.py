@@ -29,7 +29,6 @@ _NATURAL = re.compile(DIGITS)
 INTEGER = re.compile(f"-?{DIGITS}")
 _FRACTION = re.compile(f"(-?{DIGITS})(?:/({DIGITS}))?")
 _TOKEN = re.compile(r"\S+")
-_CELL = re.compile(f"({DIGITS})\\*({DIGITS})")
 
 
 def parse_fraction(text) -> Fraction:
@@ -57,6 +56,11 @@ def _logical_lines(text: str):
 
 def _tokens(body: str):
     return [(m.start() + 1, m.group()) for m in _TOKEN.finditer(body)]
+
+
+def _column(body: str, k: int) -> int:
+    # 1-based column where the k-th token of the line starts
+    return _tokens(body)[k][0]
 
 
 def _too_long(numeral: str, lineno: int, col: int) -> ParseError:
@@ -117,34 +121,37 @@ def parse_diagram(text: str) -> BratteliSequence:
     maps = []
     for i in range(1, len(sizes)):
         lineno, body = need_line(f"'map {i}:' line")
-        toks = _tokens(body)
-        if [t for _, t in toks[:2]] != ["map", f"{i}:"]:
-            raise ParseError(f"expected 'map {i}:'", lineno, toks[0][0])
-        cells = toks[2:]
-        if len(cells) != sizes[i]:
+        toks = body.split()
+        if toks[:2] != ["map", f"{i}:"]:
+            raise ParseError(f"expected 'map {i}:'", lineno, _column(body, 0))
+        if len(toks) - 2 != sizes[i]:
             raise ParseError(
-                f"map {i} needs {sizes[i]} entries, got {len(cells)}",
+                f"map {i} needs {sizes[i]} entries, got {len(toks) - 2}",
                 lineno,
-                toks[0][0],
+                _column(body, 0),
             )
+        # one split per cell; isascii() because isdigit() also takes "²"
+        src = sizes[i - 1]
         parent, mult = [], []
-        for col, tok in cells:
-            m = _CELL.fullmatch(tok)
-            if not m:
-                raise ParseError(f"expected 'parent*mult', got {tok!r}", lineno, col)
-            try:
-                p, k = int(m.group(1)), int(m.group(2))
-            except ValueError:
-                raise _too_long(max(m.groups(), key=len), lineno, col) from None
-            if not 1 <= p <= sizes[i - 1]:
+        for n, tok in enumerate(toks[2:], start=2):
+            a, star, b = tok.partition("*")
+            if not (star and tok.isascii() and a.isdigit() and b.isdigit()):
                 raise ParseError(
-                    f"parent {p} outside 1..{sizes[i - 1]}", lineno, col
+                    f"expected 'parent*mult', got {tok!r}", lineno, _column(body, n)
                 )
+            try:
+                p, k = int(a), int(b)
+            except ValueError:
+                raise _too_long(max(a, b, key=len), lineno, _column(body, n)) from None
+            if not 1 <= p <= src:
+                raise ParseError(f"parent {p} outside 1..{src}", lineno, _column(body, n))
             if k < 1:
-                raise ParseError(f"multiplicity must be >= 1, got {k}", lineno, col)
+                raise ParseError(
+                    f"multiplicity must be >= 1, got {k}", lineno, _column(body, n)
+                )
             parent.append(p - 1)
             mult.append(k)
-        maps.append(NonMixingMap(sizes[i - 1], tuple(parent), tuple(mult)))
+        maps.append(NonMixingMap(src, tuple(parent), tuple(mult)))
 
     tail = None
     tail_line = 1

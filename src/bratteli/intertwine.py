@@ -124,10 +124,16 @@ class UnitChangeCertificate:
     exact_m: SupernaturalNumber | None = None
 
 
-def _full_support(x: int) -> SupernaturalNumber:
-    # every prime of x, raised to infinite exponent
-    fac = SupernaturalNumber.from_natural(x)
-    return SupernaturalNumber({p: INF for p in fac.primes()})
+def _scalars(rungs, direction: str) -> int:
+    return prod((r.scalar for r in rungs if r.direction == direction), start=1)
+
+
+def _exact(before: int, over: int) -> SupernaturalNumber:
+    # the primes of before, times every prime of over to infinite exponent
+    cycle = SupernaturalNumber.from_natural(over)
+    return SupernaturalNumber.from_natural(before) * SupernaturalNumber(
+        {p: INF for p in cycle.primes()}
+    )
 
 
 def _detect_cycle(seq, rungs):
@@ -135,7 +141,9 @@ def _detect_cycle(seq, rungs):
 
     The state (block position, direction, diagonal entries) of a rung at
     level >= the tail start determines every later rung, so the first
-    repeat pins down the infinite products exactly.
+    repeat pins down the infinite products exactly.  Returns the up and
+    the down scalars as (product before the cycle, product over one
+    cycle) pairs, or (None, None) when no state repeats.
     """
     if seq.tail_kind != "cyclic":
         return None, None
@@ -146,27 +154,22 @@ def _detect_cycle(seq, rungs):
             continue
         state = (seq._block_position(rung.level), rung.direction, rung.diag.entries)
         if state in seen:
-            t0 = seen[state]
-            t1 = idx
-            up0 = prod(
-                (r.scalar for r in rungs[: t0 + 1] if r.direction == "up"), start=1
+            before, over = rungs[: seen[state] + 1], rungs[seen[state] + 1 : idx + 1]
+            return tuple(
+                (_scalars(before, d), _scalars(over, d)) for d in ("up", "down")
             )
-            upc = prod(
-                (r.scalar for r in rungs[t0 + 1 : t1 + 1] if r.direction == "up"),
-                start=1,
-            )
-            down0 = prod(
-                (r.scalar for r in rungs[: t0 + 1] if r.direction == "down"), start=1
-            )
-            downc = prod(
-                (r.scalar for r in rungs[t0 + 1 : t1 + 1] if r.direction == "down"),
-                start=1,
-            )
-            exact_n = SupernaturalNumber.from_natural(up0) * _full_support(upc)
-            exact_m = SupernaturalNumber.from_natural(down0) * _full_support(downc)
-            return exact_n, exact_m
         seen[state] = idx
     return None, None
+
+
+def _shown(value) -> str:
+    # str() refuses integers past sys.get_int_max_str_digits() digits
+    try:
+        return str(value)
+    except ValueError:
+        if isinstance(value, tuple):
+            return f"a vector with a {max(v.bit_length() for v in value)}-bit entry"
+        return f"a {value.bit_length()}-bit number"
 
 
 def unit_change(
@@ -197,13 +200,10 @@ def unit_change(
         rungs.append(LadderRung(t, direction, s, eta))
     rungs = tuple(rungs)
 
-    partial_n = SupernaturalNumber.from_natural(
-        prod((r.scalar for r in rungs if r.direction == "up"), start=1)
-    )
-    partial_m = SupernaturalNumber.from_natural(
-        prod((r.scalar for r in rungs if r.direction == "down"), start=1)
-    )
-    exact_n, exact_m = _detect_cycle(seq, rungs)
+    partial_n = SupernaturalNumber.from_natural(_scalars(rungs, "up"))
+    partial_m = SupernaturalNumber.from_natural(_scalars(rungs, "down"))
+    cycles = _detect_cycle(seq, rungs)
+    exact_n, exact_m = (None if c is None else _exact(*c) for c in cycles)
     return UnitChangeCertificate(
         seq, alt_unit, strategy, rungs, partial_n, partial_m, exact_n, exact_m
     )
@@ -260,7 +260,9 @@ def certificate_failures(cert: UnitChangeCertificate) -> list:
             got = rung.diag.apply(tuple(m_cum * v for v in w_t))
             want = tuple(n_cum * v for v in u_t)
         if got != want:
-            failures.append(f"{where}: carries the unit to {got}, expected {want}")
+            failures.append(
+                f"{where}: carries the unit to {_shown(got)}, expected {_shown(want)}"
+            )
         if idx + 1 < len(cert.rungs):
             nxt = cert.rungs[idx + 1]
             alpha = seq.map_at(t)
@@ -275,22 +277,24 @@ def certificate_failures(cert: UnitChangeCertificate) -> list:
                         )
                         break
 
-    ups = prod((r.scalar for r in cert.rungs if r.direction == "up"), start=1)
-    downs = prod((r.scalar for r in cert.rungs if r.direction == "down"), start=1)
-    if cert.partial_n != SupernaturalNumber.from_natural(ups):
-        failures.append(f"partial_n is {cert.partial_n}, scalars give {ups}")
-    if cert.partial_m != SupernaturalNumber.from_natural(downs):
-        failures.append(f"partial_m is {cert.partial_m}, scalars give {downs}")
+    # the claims are matched against the scalar products, never factored
+    claims = (("partial_n", cert.partial_n), ("partial_m", cert.partial_m))
+    for (name, claim), d in zip(claims, ("up", "down")):
+        product = _scalars(cert.rungs, d)
+        if claim is None or not claim.matches(product):
+            failures.append(f"{name} is {claim}, scalars give {_shown(product)}")
 
-    if cert.exact_n is not None or cert.exact_m is not None:
-        exact_n, exact_m = _detect_cycle(seq, cert.rungs)
-        if cert.exact_n is not None and cert.exact_n != exact_n:
+    claims = (("exact_n", cert.exact_n), ("exact_m", cert.exact_m))
+    for (name, claim), cycle in zip(claims, _detect_cycle(seq, cert.rungs)):
+        if claim is None:
+            continue
+        if cycle is None:
+            failures.append(f"{name} is {claim}, rung data does not cycle")
+        elif not claim.matches(*cycle):
+            before, over = map(_shown, cycle)
             failures.append(
-                f"exact_n is {cert.exact_n}, rung data gives {exact_n}"
-            )
-        if cert.exact_m is not None and cert.exact_m != exact_m:
-            failures.append(
-                f"exact_m is {cert.exact_m}, rung data gives {exact_m}"
+                f"{name} is {claim}, rung data gives {before} times "
+                f"every prime of {over} to inf"
             )
     return failures
 

@@ -167,6 +167,25 @@ class SupernaturalNumber:
             fac[n] = 1
         return cls(fac)
 
+    def matches(self, n: int, over: int = 1) -> bool:
+        """Whether self == from_natural(n) * (every prime of over)^inf.
+
+        Divides n and over by the primes listed here rather than
+        factoring either, so the cost does not grow with a listed
+        exponent, and no trial division runs.
+        """
+        for p, e in self.factors:
+            if e is INF:
+                if over % p:
+                    return False
+                over = _split_power(over, p)[1]
+                n = _split_power(n, p)[1]
+            else:
+                got, n = _split_power(n, p)
+                if got != e or over % p == 0:
+                    return False
+        return n == 1 and over == 1
+
     def exponent(self, p: int):
         for q, e in self.factors:
             if q == p:

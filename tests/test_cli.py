@@ -429,6 +429,28 @@ class TestHostileInput:
         assert err.startswith("error: rung scalar of 2250984 bits")
         assert time.perf_counter() - start < 10
 
+    @pytest.mark.parametrize("tampered", [(0,), (0, 2)])
+    def test_long_rung_scalar_is_not_factored(self, tampered, doc, tmp_path, capsys):
+        # the scalar products are matched against partial_n/partial_m by
+        # division; factoring one took seconds and ended in an error line
+        def edit(payload):
+            for k in tampered:
+                payload["rungs"][k]["scalar"] = "1" * 4000
+
+        argv = self.paper_ladder(doc, 6)[:-2]  # the minimal strategy
+        cert = self.tampered(tmp_path, argv, capsys, edit)
+        start = time.perf_counter()
+        assert run(["verify", cert]) == 1
+        captured = capsys.readouterr()
+        assert time.perf_counter() - start < 1
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert lines[0].startswith("fail: rung 1: carries the unit to")
+        partial_m = next(line for line in lines if "partial_m" in line)
+        if len(tampered) == 2:
+            # the product has about 8000 digits, too many for str()
+            assert partial_m.endswith("-bit number")
+
     @pytest.mark.parametrize(
         "command",
         [

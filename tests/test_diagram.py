@@ -275,6 +275,25 @@ def _embed(seq, level, vec, kept):
     return LimitElement(level, tuple(full))
 
 
+def _kept_oracle(seq, t, horizon=None):
+    """The level-t coordinates with a descendant at `horizon`, found by
+    carrying each coordinate's label up with map_at alone.
+
+    By default the horizon is the last level of an untailed sequence;
+    with a tail it lies past the tail start and t by every block position
+    plus one period, deeper than any dying position's descendants reach."""
+    if horizon is None:
+        horizon = seq.length
+        if seq.is_tailed:
+            p = seq.periodic_tail
+            positions = sum(seq.ranks[b - 1] for b in range(p, seq.length))
+            horizon = max(t, p) + positions + seq.length - p
+    labels = range(seq.rank_at(t))
+    for s in range(t, horizon):
+        labels = [labels[i] for i in seq.map_at(s).parent]
+    return tuple(sorted(set(labels)))
+
+
 class TestKeepAt:
     def test_untailed_is_backward_reachability(self):
         m1 = NonMixingMap(3, (0, 0), (1, 1))
@@ -318,6 +337,33 @@ class TestKeepAt:
         seq = BratteliSequence((2, 2), (m,), (1, 1), periodic_tail=1)
         for t in range(1, 6):
             assert keep_at(seq, t) == (0,)
+
+    def test_matches_pushed_oracle(self):
+        rng = random.Random(50)
+        checked = {"none": 0, "cyclic": 0, "sub": 0}
+        for i in range(900):
+            tail = ("none", "cyclic", "sub")[i % 3]
+            seq = random_sequence(rng, tail=tail)
+            period = seq.length - (seq.periodic_tail or seq.length)
+            for t in range(1, seq.length + 3 * period + 1):
+                assert keep_at(seq, t) == _kept_oracle(seq, t), (seq, t)
+                checked[tail] += 1
+        assert min(checked.values()) > 1000
+
+    @pytest.mark.parametrize("rank, period", [(4, 1), (5, 1), (6, 2), (7, 3)])
+    def test_deaths_after_several_wraps(self, rank, period):
+        # coordinate k's only child is k + 1 once per period (and 0 feeds
+        # 0 and 1), so coordinate 1 dies rank - 2 periods later: the
+        # downward sweep has to wrap the period that often
+        entry = random_map(random.Random(rank), 2, rank)
+        shift = NonMixingMap(rank, (0, 0) + tuple(range(1, rank - 1)), (1,) * rank)
+        same = NonMixingMap(rank, tuple(range(rank)), (2,) * rank)
+        maps = (entry, shift) + (same,) * (period - 1)
+        seq = BratteliSequence((2,) + (rank,) * (period + 1), maps, (1, 1), 2)
+        for t in range(2, seq.length + (rank + 1) * period):
+            assert keep_at(seq, t) == (0,) == _kept_oracle(seq, t)
+        # yet coordinate 1 still has descendants rank - 3 periods on
+        assert 1 in _kept_oracle(seq, 2, horizon=2 + (rank - 3) * period)
 
 
 class TestLimitComparisons:

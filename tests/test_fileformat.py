@@ -1,5 +1,7 @@
 """Parsing and canonical serialization of diagram documents."""
 
+import random
+
 import pytest
 
 from bratteli import ParseError, parse_diagram, serialize_diagram
@@ -59,6 +61,102 @@ class TestParse:
         with pytest.raises(ParseError) as info:
             parse_diagram(doc[1])
         assert "tail from level" in info.value.message
+
+
+class TestCellLocations:
+    """Map cells that int() would take, or that only a digit test of
+    the whole cell can tell apart, each pinned to line and column."""
+
+    LONG = "7" * 5000
+
+    @pytest.mark.parametrize(
+        "cell, message",
+        [
+            ("+1*2", "expected 'parent*mult', got '+1*2'"),
+            ("1_0*1", "expected 'parent*mult', got '1_0*1'"),
+            ("1*\u00b2", "expected 'parent*mult', got '1*\u00b2'"),
+            ("\u0661*1", "expected 'parent*mult', got '\u0661*1'"),
+            ("1*2*3", "expected 'parent*mult', got '1*2*3'"),
+            ("*2", "expected 'parent*mult', got '*2'"),
+            ("1*", "expected 'parent*mult', got '1*'"),
+            ("12", "expected 'parent*mult', got '12'"),
+            (LONG + "*1", "a numeral of 5000 digits is too long"),
+            ("1*" + LONG, "a numeral of 5000 digits is too long"),
+            ("3*1", "parent 3 outside 1..2"),
+            ("0*1", "parent 0 outside 1..2"),
+            ("1*0", "multiplicity must be >= 1, got 0"),
+        ],
+    )
+    def test_cell_location(self, cell, message):
+        head = "bratteli v1\nsizes: 2 2 2\nunit: 1 1\nmap 1: 1*1 2*1\n"
+        text = f"{head}map 2: 2*1  {cell}\n"
+        with pytest.raises(ParseError) as info:
+            parse_diagram(text)
+        assert (info.value.line, info.value.column, info.value.message) == (5, 13, message)
+
+    def test_map_line_locations(self):
+        head = "bratteli v1\nsizes: 2 2\nunit: 1 1\n"
+        for line, want in [
+            ("  map 2: 1*1 1*1", (4, 3, "expected 'map 1:'")),
+            ("\tmap 1: 1*1", (4, 2, "map 1 needs 2 entries, got 1")),
+            ("map 1: 1*1 1*1 1*1 # three", (4, 1, "map 1 needs 2 entries, got 3")),
+            ("map 1:\u00a01*1 \u20031*1x", (4, 13, "expected 'parent*mult', got '1*1x'")),
+        ]:
+            with pytest.raises(ParseError) as info:
+                parse_diagram(head + line + "\n")
+            got = (info.value.line, info.value.column, info.value.message)
+            assert got == want, line
+
+
+_PIECES = (
+    "+1*2", "1_0*1", "1*\u00b2", "\u0661*1", "1*2*3", "*2", "1*", "*", "0*1", "1*0",
+    "2*1", "7" * 4400, "\u00a0", "\u2003", " ", "\t", "\n", "#", "map", "1:", "x",
+)
+
+
+def _mutants(rng, count):
+    """Seeded edits of valid documents: most touch one map cell."""
+    docs = [text for _, text in valid_documents()]
+    for _ in range(count):
+        text = rng.choice(docs)
+        lines = text.split("\n")
+        maps = [i for i, line in enumerate(lines) if line.startswith("map")]
+        for _ in range(rng.randint(1, 2)):
+            if maps and rng.random() < 0.7:
+                i = rng.choice(maps)
+                toks = lines[i].split(" ")
+                toks[rng.randrange(len(toks))] = rng.choice(_PIECES)
+                lines[i] = " ".join(toks)
+            else:
+                i = rng.randrange(len(lines))
+                at = rng.randrange(len(lines[i]) + 1)
+                piece = rng.choice(_PIECES) if rng.random() < 0.5 else ""
+                lines[i] = lines[i][:at] + piece + lines[i][at + rng.randint(0, 2) :]
+        yield "\n".join(lines)
+
+
+class TestMutants:
+    def test_columns_start_tokens_and_parses_round_trip(self):
+        outcomes = {"error": 0, "parsed": 0}
+        for text in _mutants(random.Random(8), 3000):
+            try:
+                seq = parse_diagram(text)
+            except ParseError as e:
+                outcomes["error"] += 1
+                body = text.splitlines()[e.line - 1] if text.strip() else ""
+                col = e.column
+                starts_token = (
+                    col <= len(body)
+                    and not body[col - 1].isspace()
+                    and (col == 1 or body[col - 2].isspace())
+                )
+                assert col == 1 or starts_token, (text, e)
+                continue
+            outcomes["parsed"] += 1
+            canon = serialize_diagram(seq)
+            assert parse_diagram(canon) == seq
+            assert serialize_diagram(parse_diagram(canon)) == canon
+        assert outcomes["error"] > 1000 and outcomes["parsed"] > 100
 
 
 class TestSerialize:

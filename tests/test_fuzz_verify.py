@@ -2,9 +2,9 @@
 
 Documents emitted by `equiv` and `unit-change` get one field replaced by
 a hostile value, or deleted, and are then verified.  Every call must end
-in a documented exit code, with no exception escaping cli.run: 0, 1 or
-2, and 65 only when the mutated field is an embedded diagram text that
-no longer parses.
+within a second in a documented exit code, with no exception escaping
+cli.run: 0, 1 or 2, and 65 only when the mutated field is an embedded
+diagram text that no longer parses.
 """
 
 import json
@@ -65,6 +65,12 @@ HOSTILE = (
     "7" * 5000,
     "1/" + "7" * 5000,
     "2^" + "7" * 5000,
+    # just inside int()'s 4300-digit limit: rung scalars, levels and
+    # diagonal entries that parse, and a claimed exponent nobody raises
+    "1" * 4000,
+    "7" * 4000,
+    "1/" + "7" * 4000,
+    "2^" + "7" * 4000,
     _Bare(),
 )
 
@@ -126,10 +132,12 @@ def test_mutated_documents_end_in_documented_codes(tmp_path, capsys):
         doc, path, value = _mutate(rng.choice(docs), rng)
         target.write_text(_dumps(doc), encoding="utf-8")
         what = f"{path} <- {repr(value)[:40]}"
+        called = time.perf_counter()
         try:
             code = run(["verify", str(target)])
         except Exception as e:  # noqa: BLE001 - the test is that none escapes
             pytest.fail(f"{what}: {type(e).__name__}: {e}")
+        assert time.perf_counter() - called < 1, what
         capsys.readouterr()
         allowed = {0, 1, 2}
         if path[0] in DIAGRAM_FIELDS and isinstance(value, str):
@@ -138,3 +146,29 @@ def test_mutated_documents_end_in_documented_codes(tmp_path, capsys):
         seen.add(code)
     assert {0, 1, 2} <= seen
     assert time.perf_counter() - start < 10
+
+
+def test_every_numeral_near_the_digit_limit(tmp_path, capsys):
+    # each decimal field of each emitted document, in turn, becomes a
+    # 4000-digit numeral; a product of rung scalars is never factored
+    docs = _emitted(tmp_path, capsys)
+    target = tmp_path / "long.json"
+    calls = 0
+    for doc in docs:
+        for path in _paths(doc):
+            holder = doc
+            for key in path[:-1]:
+                holder = holder[key]
+            old = holder[path[-1]]
+            if not (isinstance(old, str) and old.isascii() and old.isdigit()):
+                continue
+            holder[path[-1]] = "1" * 4000
+            target.write_text(json.dumps(doc), encoding="utf-8")
+            holder[path[-1]] = old
+            called = time.perf_counter()
+            code = run(["verify", str(target)])
+            assert time.perf_counter() - called < 1, path
+            assert code in (0, 1, 2), path
+            assert "Traceback" not in capsys.readouterr().err
+            calls += 1
+    assert calls > 50

@@ -123,6 +123,36 @@ class TestMultiply:
             assert (x * y) * z == x * (y * z)
 
 
+class TestMatches:
+    def test_agrees_with_factoring(self):
+        rng = random.Random(12)
+        verdicts = {True: 0, False: 0}
+        for _ in range(600):
+            n = 1
+            for p in rng.sample((2, 3, 5, 7, 11), rng.randint(0, 3)):
+                n *= p ** rng.randint(1, 4)
+            over = rng.choice((1, 1, 2, 6, 10, 35, 4))
+            exact = SupernaturalNumber.from_natural(n) * SupernaturalNumber(
+                {p: INF for p in SupernaturalNumber.from_natural(over).primes()}
+            )
+            fac = dict(exact.factors)
+            if rng.random() < 0.5:
+                p = rng.choice((2, 3, 5, 7, 13))
+                fac[p] = rng.choice((1, 2, INF))
+            claim = SupernaturalNumber(fac)
+            want = claim == exact
+            assert claim.matches(n, over) == want, (claim, n, over)
+            verdicts[want] += 1
+        assert min(verdicts.values()) > 150
+
+    def test_huge_exponent_is_compared_not_raised(self):
+        # 2**(10**4000) would not fit in memory
+        claim = sn((2, 10**4000))
+        assert not claim.matches(2**64)
+        assert not claim.matches(1, 2)
+        assert not sn((2, INF), (3, 10**4000)).matches(2 * 3**5, 2)
+
+
 class TestDivides:
     def test_finite_into_infinite(self):
         assert sn((2, 1)).divides(sn((2, INF)))
