@@ -10,6 +10,8 @@ trailing newline.
 from __future__ import annotations
 
 import json
+import re
+from fractions import Fraction
 
 from .equiv import (
     Cardinality,
@@ -19,14 +21,30 @@ from .equiv import (
     NotEquivalent,
     Unknown,
 )
-from .errors import TooLarge
-from .fileformat import INTEGER, parse_diagram, parse_fraction, serialize_diagram
+from .errors import DIGITS, TooLarge
+from .fileformat import INTEGER, parse_diagram, serialize_diagram
 from .intertwine import DiagonalMap, LadderRung, UnitChangeCertificate
 from .supernat import SupernaturalNumber
+
+_FRACTION = re.compile(f"(-?{DIGITS})(?:/({DIGITS}))?")
 
 
 def dumps(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def parse_fraction(text) -> Fraction:
+    """Read "p" or "p/q" with q >= 1, as str(Fraction) writes them.
+
+    Raises ValueError on anything else, where Fraction(text) would also
+    take floats, exponents and surrounding blanks, and "1/0" would raise
+    ZeroDivisionError.
+    """
+    m = _FRACTION.fullmatch(text) if isinstance(text, str) else None
+    q = int(m.group(2) or 1) if m else 0
+    if q < 1:
+        raise ValueError(f"expected a fraction 'p/q' with q >= 1, got {text!r}")
+    return Fraction(int(m.group(1)), q)
 
 
 def _need(doc, key, kind=object):

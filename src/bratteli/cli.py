@@ -9,32 +9,13 @@ checks, library errors, and NotEquivalent, 2 for inconclusive results
 from __future__ import annotations
 
 import argparse
-import json
-import random
 import sys
 
-from . import certio
-from .diagram import (
-    LimitElement,
-    forall_n_leq_limit,
-    injectivize,
-    limit_leq,
-    telescope,
-)
-from .equiv import (
-    Equivalent,
-    NotEquivalent,
-    canonicalize_q,
-    equivalence_certificate_failures,
-    equivalent_q,
-    not_equivalent_failures,
-)
 from .errors import BratteliError, ParseError
-from .fileformat import INTEGER, parse_diagram, serialize_diagram
-from .intertwine import certificate_failures, unit_change
-from .states import depth_image_vertices
-from .supernat import SupernaturalNumber
-from .tensor import tensor_qn, tensor_seq
+from .fileformat import INTEGER, parse_diagram
+
+# Each command imports what it calls when it runs, so a process loads
+# only the modules of its own command (`validate` loads none of them).
 
 USAGE_EXIT = 64
 PARSE_EXIT = 65
@@ -117,6 +98,9 @@ def _cmd_validate(args):
 
 
 def _cmd_telescope(args):
+    from .diagram import telescope
+    from .fileformat import serialize_diagram
+
     seq = _load(args.file)
     keep = _int_list(args.keep, "--keep")
     sys.stdout.write(serialize_diagram(telescope(seq, keep)))
@@ -124,6 +108,9 @@ def _cmd_telescope(args):
 
 
 def _cmd_injectivize(args):
+    from .diagram import injectivize
+    from .fileformat import serialize_diagram
+
     seq = _load(args.file)
     pruned, inclusions = injectivize(seq)
     sys.stdout.write(serialize_diagram(pruned))
@@ -133,6 +120,9 @@ def _cmd_injectivize(args):
 
 
 def _cmd_tensor(args):
+    from .fileformat import serialize_diagram
+    from .tensor import tensor_seq
+
     left = _load(args.left)
     right = _load(args.right)
     sys.stdout.write(serialize_diagram(tensor_seq(left, right)))
@@ -140,6 +130,10 @@ def _cmd_tensor(args):
 
 
 def _cmd_tensorq(args):
+    from .fileformat import serialize_diagram
+    from .supernat import SupernaturalNumber
+    from .tensor import tensor_qn
+
     seq = _load(args.file)
     try:
         n = SupernaturalNumber.parse(args.n)
@@ -150,6 +144,9 @@ def _cmd_tensorq(args):
 
 
 def _cmd_unit_change(args):
+    from . import certio
+    from .intertwine import unit_change
+
     seq = _load(args.file)
     unit = tuple(_int_list(args.unit, "--unit"))
     cert = unit_change(seq, unit, args.depth, args.strategy)
@@ -158,6 +155,9 @@ def _cmd_unit_change(args):
 
 
 def _cmd_states(args):
+    from . import certio
+    from .states import depth_image_vertices
+
     seq = _load(args.file)
     lines = []
     for values in depth_image_vertices(seq, args.level, args.depth):
@@ -170,6 +170,9 @@ def _cmd_states(args):
 
 
 def _cmd_canon(args):
+    from . import certio
+    from .equiv import canonicalize_q
+
     seq = _load(args.file)
     system, diagonals = canonicalize_q(seq)
     doc = {
@@ -184,6 +187,9 @@ def _cmd_canon(args):
 
 
 def _cmd_equiv(args):
+    from . import certio
+    from .equiv import Equivalent, NotEquivalent, equivalent_q
+
     left = _load(args.left)
     right = _load(args.right)
     verdict = equivalent_q(left, right, args.depth)
@@ -196,6 +202,10 @@ def _cmd_equiv(args):
 
 
 def _cmd_arch_check(args):
+    import random
+
+    from .diagram import LimitElement, forall_n_leq_limit, limit_leq
+
     seq = _load(args.file)
     rng = random.Random(args.seed)
     max_level = seq.length
@@ -225,6 +235,12 @@ def _cmd_arch_check(args):
 
 
 def _cmd_verify(args):
+    import json
+
+    from . import certio
+    from .equiv import equivalence_certificate_failures, not_equivalent_failures
+    from .intertwine import certificate_failures
+
     try:
         doc = json.loads(_read(args.file))
     except json.JSONDecodeError as e:

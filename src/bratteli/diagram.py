@@ -262,7 +262,7 @@ def keep_at(seq: BratteliSequence, t: int) -> tuple:
     seq._require_level(t)
     top = seq.periodic_tail or seq.length
     if t < top:
-        return _keeps_below(seq, keep_at(seq, top), top, t)[0]
+        return _keeps_to_top(seq)[t - 1]
     if not seq.is_tailed:
         return tuple(range(seq.ranks[-1]))
     keep = _tail_keeps(seq)[seq._block_position(t) - top]
@@ -281,6 +281,16 @@ def _keeps_below(seq: BratteliSequence, keep: tuple, top: int, lo: int) -> list:
         keep = tuple(sorted({parent[j] for j in keep}))
         keeps.append(keep)
     return keeps[::-1]
+
+
+def _keeps_to_top(seq: BratteliSequence) -> tuple:
+    # keeps[t - 1] for 1 <= t <= top, from one walk down from top (the
+    # tail start, or the last level), memoized for the sequence
+    def build():
+        top = seq.periodic_tail or seq.length
+        return tuple(_keeps_below(seq, keep_at(seq, top), top, 1))
+
+    return seq._memo(("keeps to top",), build)
 
 
 def _tail_keeps(seq: BratteliSequence) -> tuple:
@@ -312,8 +322,7 @@ def injectivize(seq: BratteliSequence):
     """
     L = seq.length
     top = seq.periodic_tail or L
-    keeps = _keeps_below(seq, keep_at(seq, top), top, 1)
-    keeps += [keep_at(seq, t) for t in range(top + 1, L + 1)]
+    keeps = [*_keeps_to_top(seq), *(keep_at(seq, t) for t in range(top + 1, L + 1))]
     for t, kept in enumerate(keeps, start=1):
         if not kept:
             raise EmptyLevel(f"level {t} loses every coordinate")

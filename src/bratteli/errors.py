@@ -1,9 +1,15 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its numeral grammar.
 
 Every validation failure raises a subclass of BratteliError, so callers
 can catch one type at the boundary.  ParseError additionally carries a
 source location for diagnostics on diagram files.
 """
+
+# The numerals of diagrams, certificates, command-line options and
+# supernatural numbers: ASCII digits only, since str.isdigit, int() and
+# \d also take "²" or "٣".  Every module imports this one, so every
+# reader takes the grammar from here at no cost.
+DIGITS = "[0-9]+"
 
 
 class BratteliError(Exception):

@@ -18,31 +18,14 @@ newline), and parsing it back returns an equal sequence.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .diagram import BratteliSequence
-from .errors import BratteliError, ParseError
+from .errors import DIGITS, BratteliError, ParseError
 from .simplicial import NonMixingMap
-from .supernat import DIGITS
 
 _NATURAL = re.compile(DIGITS)
 INTEGER = re.compile(f"-?{DIGITS}")
-_FRACTION = re.compile(f"(-?{DIGITS})(?:/({DIGITS}))?")
 _TOKEN = re.compile(r"\S+")
-
-
-def parse_fraction(text) -> Fraction:
-    """Read "p" or "p/q" with q >= 1, as str(Fraction) writes them.
-
-    Raises ValueError on anything else, where Fraction(text) would also
-    take floats, exponents and surrounding blanks, and "1/0" would raise
-    ZeroDivisionError.
-    """
-    m = _FRACTION.fullmatch(text) if isinstance(text, str) else None
-    q = int(m.group(2) or 1) if m else 0
-    if q < 1:
-        raise ValueError(f"expected a fraction 'p/q' with q >= 1, got {text!r}")
-    return Fraction(int(m.group(1)), q)
 
 
 def _logical_lines(text: str):

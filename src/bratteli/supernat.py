@@ -12,13 +12,8 @@ import re
 from dataclasses import dataclass
 from math import isqrt
 
-from .errors import TooLarge
+from .errors import DIGITS, TooLarge
 
-# The numerals of diagrams, certificates, command-line options and
-# supernatural numbers: ASCII digits only, since str.isdigit, int() and
-# \d also take "²" or "٣".  This module imports nothing from the
-# package but its errors, so every reader can take the grammar from here.
-DIGITS = "[0-9]+"
 _NATURAL = re.compile(DIGITS)
 
 

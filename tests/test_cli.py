@@ -22,6 +22,7 @@ from bratteli import (
     tensor_qn,
     tensor_seq,
 )
+from bratteli import diagram
 from bratteli.cli import run
 from genseq import random_map, scalar_chain, two_path
 
@@ -304,6 +305,16 @@ class TestArchCheck:
 
     def test_seed_required(self, doc, capsys):
         assert run(["arch-check", doc("d.brat", DYADIC), "--samples", "5"]) == 64
+
+    def test_untailed_chain_walks_down_once(self, doc, capsys, count_calls):
+        # keep_at below the last level reads one walk per sequence
+        rng = random.Random(48)
+        maps = tuple(random_map(rng, 8, 8) for _ in range(399))
+        seq = BratteliSequence((8,) * 400, maps, (1,) * 8)
+        path = doc("chain.brat", serialize_diagram(seq))
+        walks = count_calls(diagram, "_keeps_below")
+        assert run(["arch-check", path, "--samples", "100", "--seed", "1"]) == 0
+        assert walks[0] == 1
 
 
 class TestVerify:
