@@ -12,19 +12,17 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .equiv import (
-    Cardinality,
-    EquivalenceCertificate,
-    Equivalent,
-    Intertwining,
-    NotEquivalent,
-    Unknown,
-)
 from .errors import DIGITS, TooLarge
 from .fileformat import INTEGER, parse_diagram, serialize_diagram
-from .intertwine import DiagonalMap, LadderRung, UnitChangeCertificate
-from .supernat import SupernaturalNumber
+
+# Each codec imports the types it builds or tests when it runs, so
+# `states` and `canon`, which take only decimals and dumps, load none
+# of equiv, intertwine or supernat through this module.
+if TYPE_CHECKING:
+    from .equiv import Cardinality, EquivalenceCertificate
+    from .intertwine import UnitChangeCertificate
 
 _FRACTION = re.compile(f"(-?{DIGITS})(?:/({DIGITS}))?")
 
@@ -91,6 +89,8 @@ def decimals(values, what: str) -> list:
 
 
 def _supernatural(value, what: str):
+    from .supernat import SupernaturalNumber
+
     if value is None:
         return None
     try:
@@ -122,6 +122,8 @@ def unit_change_to_doc(cert: UnitChangeCertificate) -> dict:
 
 
 def unit_change_from_doc(doc: dict) -> UnitChangeCertificate:
+    from .intertwine import DiagonalMap, LadderRung, UnitChangeCertificate
+
     if _need(doc, "kind") != "unit-change":
         raise ValueError(f"not a unit-change document: kind {doc.get('kind')!r}")
     seq = parse_diagram(_need(doc, "sequence", str))
@@ -158,6 +160,8 @@ def _cardinality_to_doc(card: Cardinality) -> dict:
 
 
 def _cardinality_from_doc(doc) -> Cardinality:
+    from .equiv import Cardinality
+
     kind = _need(doc, "kind")
     count = _need(doc, "count")
     return Cardinality(kind, None if count is None else _int(count, "count"))
@@ -176,6 +180,8 @@ def verdict_to_doc(verdict, left=None, right=None) -> dict:
     """Encode an equivalence verdict; embeds both sequences so the
     document can be rechecked on its own.  For Equivalent the sequences
     come out of the certificate; otherwise pass them in."""
+    from .equiv import Equivalent, NotEquivalent, Unknown
+
     if isinstance(verdict, Equivalent):
         cert = verdict.certificate
         tw = cert.intertwining
@@ -226,6 +232,8 @@ def verdict_to_doc(verdict, left=None, right=None) -> dict:
 
 
 def equivalence_certificate_from_doc(doc: dict) -> EquivalenceCertificate:
+    from .equiv import EquivalenceCertificate, Intertwining
+
     if _need(doc, "kind") != "equivalence" or _need(doc, "verdict") != "equivalent":
         raise ValueError("not an equivalent-verdict document")
     tw_doc = _need(doc, "intertwining")
@@ -254,6 +262,8 @@ def equivalence_certificate_from_doc(doc: dict) -> EquivalenceCertificate:
 
 def not_equivalent_from_doc(doc: dict):
     """Returns (NotEquivalent, left sequence, right sequence)."""
+    from .equiv import NotEquivalent
+
     if _need(doc, "kind") != "equivalence" or _need(doc, "verdict") != "not-equivalent":
         raise ValueError("not a not-equivalent-verdict document")
     verdict = NotEquivalent(

@@ -14,11 +14,23 @@ level L, in one of two ways:
 
 The two readings agree when rank_p == rank_L == 1.
 
+Every node has one parent, so the block p..L describes the whole tail
+and both kinds unroll by one closed form.  For t >= L let b be the
+block level p + (t - p) % (L - p) and k = (t - p) // (L - p): level t
+lists copies(t) = (rank_L // rank_p) ** k copies of level b side by
+side, node n being place n % rank_b of copy n // rank_b.  Each copy
+lists level b in one fixed order: the presented one on a cyclic tail,
+the root's kids expanded level by level on a self-similar one.  The
+map out of level t is the block map, relabelled once into those
+orders, repeated once per copy, and the kept coordinates are the kept
+places of level b, once per copy.  Only the block is memoized; nothing
+is kept per unrolled level.
+
 keep_at lists the coordinates the limit sees.  Each coordinate has one
-parent, so they are found by walking parents down from the last level:
-past the tail start, level-L coordinate c restarts the block at
-coordinate c % rank_p of level p, and the walk down the block repeats
-from the set it found at p until that set stops shrinking (at once on a
+parent, so they are found by walking parents down from the last level.
+On the block, level-L coordinate c restarts it at coordinate
+c % rank_p of level p, so the walk from p to L is taken again from the
+set it found at p until that set stops shrinking (at once on a
 self-similar tail, whose single root always survives).
 """
 
@@ -135,58 +147,51 @@ class BratteliSequence:
         p = self.periodic_tail
         return p + (t - p) % (self.length - p)
 
-    def _kids(self, b: int) -> tuple:
-        """kids[c] lists the level-(b+1) coordinates fed by coordinate c."""
+    def _copies(self, t: int) -> int:
+        # how many copies of its block level an unrolled level t lists
+        p = self.periodic_tail
+        return (self.ranks[-1] // self.ranks[p - 1]) ** ((t - p) // (self.length - p))
 
+    def _block(self) -> tuple:
+        # (orders, maps): orders[b - p] lists block level b, p <= b <= L,
+        # in the order every unrolled copy of it follows, and maps[b - p]
+        # is maps[b - 1] relabelled into those orders
         def build():
-            a = self.maps[b - 1]
-            kids = [[] for _ in range(a.source_rank)]
-            for j, i in enumerate(a.parent):
-                kids[i].append(j)
-            return tuple(tuple(k) for k in kids)
+            p = self.periodic_tail
+            orders = [tuple(range(r)) for r in self.ranks[p - 1 :]]
+            if self.tail_kind == "cyclic":
+                return tuple(orders), self.maps[p - 1 :]
+            # the root's kids expanded level by level: by the parent's
+            # place, and in presented order under one parent
+            maps = []
+            for i, a in enumerate(self.maps[p - 1 :]):
+                place = {c: k for k, c in enumerate(orders[i])}
+                order = sorted(orders[i + 1], key=lambda j: place[a.parent[j]])
+                orders[i + 1] = tuple(order)
+                maps.append(
+                    NonMixingMap(
+                        a.source_rank,
+                        tuple(place[a.parent[j]] for j in order),
+                        tuple(a.mult[j] for j in order),
+                    )
+                )
+            return tuple(orders), tuple(maps)
 
-        return self._memo(("kids", b), build)
+        return self._memo(("block",), build)
 
-    # -- self-similar unrolling ------------------------------------------
-
-    def _unrolled(self, kind: str, t: int, first, step):
-        # memoized ("kind", t) for a level t >= length, built upward one
-        # level at a time from the deepest level already known, so deep
-        # levels take a loop rather than a recursion per level
-        s = t
-        while s > self.length and (kind, s) not in self._cache:
-            s -= 1
-        value = self._memo((kind, s), first)
-        for u in range(s + 1, t + 1):
-            value = step(value, self._block_position(u - 1))
-            self._cache[(kind, u)] = value
-        return value
-
-    def _class_counts(self, t: int) -> tuple:
-        # how many level-t nodes carry each block class; t >= length
-        def step(counts, b):
-            a = self.maps[b - 1]
-            if b + 1 < self.length:
-                return tuple(counts[a.parent[j]] for j in range(a.target_rank))
-            kids = self._kids(b)
-            return (sum(counts[c] * len(kids[c]) for c in range(len(counts))),)
-
-        return self._unrolled("counts", t, lambda: (self.ranks[-1],), step)
-
-    def _sub_classes(self, t: int) -> tuple:
-        # block class of every level-t node, in node order; t >= length
+    def _repeat(self, t: int, block: tuple) -> tuple:
+        # block, places in the block level of t, once per copy level t
+        # lists, shifted to that copy's coordinates
+        copies = self._copies(t)
+        if copies == 1:
+            return block
         rank = self.rank_at(t)
         if rank > _COORD_BUDGET:
             raise TooLarge(
                 f"level {t} has {rank} coordinates, more than {_COORD_BUDGET} to list"
             )
-
-        def step(classes, b):
-            kids = self._kids(b)
-            restart = b + 1 == self.length
-            return tuple(0 if restart else c2 for c in classes for c2 in kids[c])
-
-        return self._unrolled("classes", t, lambda: (0,) * self.ranks[-1], step)
+        width = rank // copies
+        return tuple(s + i for s in range(0, rank, width) for i in block)
 
     # -- levels, maps, units ---------------------------------------------
 
@@ -194,9 +199,7 @@ class BratteliSequence:
         self._require_level(t)
         if t <= self.length:
             return self.ranks[t - 1]
-        if self.tail_kind == "cyclic":
-            return self.ranks[self._block_position(t) - 1]
-        return sum(self._class_counts(t))
+        return self._copies(t) * self.ranks[self._block_position(t) - 1]
 
     def map_at(self, t: int) -> NonMixingMap:
         """The map from level t to level t+1."""
@@ -205,22 +208,13 @@ class BratteliSequence:
         if t < self.length:
             return self.maps[t - 1]
         self._require_level(t + 1)
-        if self.tail_kind == "cyclic":
-            return self.maps[self._block_position(t) - 1]
-
-        def build():
-            classes = self._sub_classes(t)
-            b = self._block_position(t)
-            block = self.maps[b - 1]
-            kids = self._kids(b)
-            parent, mult = [], []
-            for j, c in enumerate(classes):
-                for c2 in kids[c]:
-                    parent.append(j)
-                    mult.append(block.mult[c2])
-            return NonMixingMap(len(classes), tuple(parent), tuple(mult))
-
-        return self._memo(("map", t), build)
+        a = self._block()[1][self._block_position(t) - self.periodic_tail]
+        copies = self._copies(t)
+        if copies == 1:
+            return a
+        return NonMixingMap(
+            copies * a.source_rank, self._repeat(t, a.parent), a.mult * copies
+        )
 
     def map_between(self, lo: int, hi: int) -> NonMixingMap:
         """Composite map from level lo to level hi (identity when equal)."""
@@ -265,11 +259,13 @@ def keep_at(seq: BratteliSequence, t: int) -> tuple:
         return _keeps_to_top(seq)[t - 1]
     if not seq.is_tailed:
         return tuple(range(seq.ranks[-1]))
-    keep = _tail_keeps(seq)[seq._block_position(t) - top]
-    if t >= seq.length and seq.tail_kind == "substitution":
-        alive = set(keep)
-        return tuple(j for j, c in enumerate(seq._sub_classes(t)) if c in alive)
-    return keep
+    b = seq._block_position(t)
+    keep = _tail_keeps(seq)[b - top]
+    if t < seq.length:
+        return keep
+    alive = set(keep)
+    order = seq._block()[0][b - top]
+    return seq._repeat(t, tuple(k for k, c in enumerate(order) if c in alive))
 
 
 def _keeps_below(seq: BratteliSequence, keep: tuple, top: int, lo: int) -> list:

@@ -34,20 +34,6 @@ def tensor_map(f: NonMixingMap, g: NonMixingMap) -> NonMixingMap:
     return NonMixingMap(f.source_rank * g.source_rank, tuple(parent), tuple(mult))
 
 
-def _tail_carries_over(seq: BratteliSequence, P: int, M: int) -> bool:
-    # Can the structure of this factor from level P on be replayed below
-    # every node at levels P, P+M, P+2M, ...?  A cyclic tail always can.
-    # A self-similar tail can when the single level-P node and all nodes
-    # one combined period later carry the same block class, so that each
-    # of them roots an identical subdiagram.
-    if seq.tail_kind == "cyclic":
-        return True
-    if seq.rank_at(P) != 1:
-        return False
-    c0 = 0 if P < seq.length else seq._sub_classes(P)[0]
-    return all(c == c0 for c in seq._sub_classes(P + M))
-
-
 def tensor_seq(A: BratteliSequence, B: BratteliSequence) -> BratteliSequence:
     """Levelwise tensor product of two presented sequences.
 
@@ -61,9 +47,7 @@ def tensor_seq(A: BratteliSequence, B: BratteliSequence) -> BratteliSequence:
     if A.is_tailed and B.is_tailed:
         P = max(A.periodic_tail, B.periodic_tail)
         M = lcm(A.length - A.periodic_tail, B.length - B.periodic_tail)
-        length = P + M
-        if _tail_carries_over(A, P, M) and _tail_carries_over(B, P, M):
-            tail = P
+        length, tail = P + M, P
     else:
         length = min(
             [s.length for s in (A, B) if not s.is_tailed]
@@ -72,6 +56,10 @@ def tensor_seq(A: BratteliSequence, B: BratteliSequence) -> BratteliSequence:
     maps = tuple(tensor_map(A.map_at(t), B.map_at(t)) for t in range(1, length))
     unit = tensor_vec(A.base_unit, B.base_unit)
     if tail is not None:
+        # a factor's rank never shrinks from P to P + M, so the product
+        # takes a tail shape only when both factors keep their rank or
+        # both have rank 1 at P; either way each factor's diagram from P
+        # on repeats below every node of P, P + M, P + 2M, ...
         try:
             return BratteliSequence(ranks, maps, unit, tail)
         except BadRepeat:

@@ -13,6 +13,7 @@ from bratteli import (
     NotInjective,
     NotOrderUnit,
     RankMismatch,
+    TooLarge,
     forall_n_leq,
     forall_n_leq_limit,
     injectivize,
@@ -99,6 +100,17 @@ class TestTails:
         seq = BratteliSequence((1, 2, 3), (m1, m2), (1,), periodic_tail=1)
         assert seq.map_at(9).source_rank == seq.rank_at(9) == 3**4
         assert [seq.rank_at(t) for t in range(3, 8)] == [3, 6, 9, 18, 27]
+
+    def test_unrolled_level_past_the_coordinate_budget(self):
+        # level 21 of the binary tree lists 2^20 coordinates, the most
+        # an unrolled level may; level 22 has twice as many
+        tree = full_tree(2, 3)
+        assert len(keep_at(tree, 21)) == 2**20
+        too_many = "level 22 has 2097152 coordinates"
+        with pytest.raises(TooLarge, match=too_many):
+            tree.map_at(22)
+        with pytest.raises(TooLarge, match=too_many):
+            keep_at(tree, 22)
 
     def test_cyclic_preferred_when_both_fit(self):
         seq = scalar_chain(2, levels=2)

@@ -14,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import bratteli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -48,6 +50,20 @@ def _python(*args):
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
     )
+
+
+def _loaded_by(argv):
+    # the modules a fresh process holds after running one command
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from bratteli import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.run({argv!r}) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    done = _python("-c", code)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
 
 
 class TestPublicSurface:
@@ -102,14 +118,25 @@ class TestEntryPoint:
     def test_validate_imports_no_heavy_module(self, tmp_path):
         path = tmp_path / "tiny.brat"
         path.write_text("bratteli v1\nsizes: 1\nunit: 1\n", encoding="utf-8")
-        code = (
-            "import json, sys\n"
-            "from bratteli import cli\n"
-            f"assert cli.run(['validate', {str(path)!r}]) == 0\n"
-            "print(json.dumps(sorted(sys.modules)))\n"
-        )
-        done = _python("-c", code)
-        assert done.returncode == 0, done.stderr
-        loaded = set(json.loads(done.stdout.splitlines()[-1]))
+        loaded = _loaded_by(["validate", str(path)])
         assert "bratteli.fileformat" in loaded
         assert loaded.isdisjoint(f"bratteli.{m}" for m in HEAVY)
+
+    @pytest.mark.parametrize(
+        "argv, used, unused",
+        [
+            (["states", "--level", "1", "--depth", "3"], "states", "equiv intertwine supernat"),
+            (["canon"], "equiv", "intertwine supernat"),
+        ],
+    )
+    def test_certificate_commands_skip_the_codecs_imports(self, tmp_path, argv, used, unused):
+        # certio serves these commands decimals and dumps only, so they
+        # load none of the modules its document codecs need
+        path = tmp_path / "tree.brat"
+        path.write_text(
+            "bratteli v1\nsizes: 1 2\nunit: 1\nmap 1: 1*1 1*1\nrepeat: 1\n",
+            encoding="utf-8",
+        )
+        loaded = _loaded_by([argv[0], str(path), *argv[1:]])
+        assert {"bratteli.certio", f"bratteli.{used}"} <= loaded
+        assert loaded.isdisjoint(f"bratteli.{m}" for m in unused.split())

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from math import lcm
 
 import pytest
 
@@ -157,6 +159,27 @@ class TestTensorSeq:
                 if cyclic:
                     assert out.map_at(t) == tensor_map(a.map_at(t), b.map_at(t))
         assert seen["cyclic"] > 600 and seen["substitution"] > 250
+
+    def test_tail_kept_only_when_both_factors_repeat(self):
+        # with P and M as tensor_seq takes them, a factor's diagram from
+        # P on repeats below every node of P, P + M, P + 2M, ... when its
+        # rank at P is 1 or stays the same over M levels.  A kept tail
+        # needs both factors to repeat, and then also one tail shape of
+        # the product: both factors of rank 1 at P, or both keeping it
+        rng = random.Random(12)
+        seen = Counter()
+        for _ in range(1500):
+            a, b = (random_sequence(rng, tail=rng.choice(("cyclic", "sub"))) for _ in "ab")
+            P = max(a.periodic_tail, b.periodic_tail)
+            M = lcm(a.length - a.periodic_tail, b.length - b.periodic_tail)
+            ranks = [(s.rank_at(P), s.rank_at(P + M)) for s in (a, b)]
+            repeats = all(r in (1, later) for r, later in ranks)
+            shape = all(r == 1 for r, _ in ranks) or all(r == later for r, later in ranks)
+            tailed = tensor_seq(a, b).is_tailed
+            assert tailed == shape, (a, b)
+            assert repeats or not tailed, (a, b)
+            seen[repeats, tailed] += 1
+        assert min(seen[True, True], seen[True, False], seen[False, False]) > 200
 
 
 class TestTensorQn:

@@ -76,3 +76,45 @@ def test_tensor_qn_unrolls_to_the_scaled_maps(tail):
             ), (seq, n, t)
             past += t >= seq.length
     assert past > 1000
+
+
+def _expanded_maps(seq, horizon):
+    # {t: map from level t to t + 1} for length <= t < horizon, unrolled
+    # by hand: every node copies one block coordinate, lists the kids of
+    # that coordinate in presented order, and a node copying the last
+    # level restarts the block at the tail start's single coordinate
+    p, L = seq.periodic_tail, seq.length
+    copied = [0] * seq.ranks[-1]
+    maps = {}
+    for t in range(L, horizon):
+        b = p + (t - p) % (L - p)
+        block = seq.maps[b - 1]
+        parent, mult, below = [], [], []
+        for j, c in enumerate(copied):
+            for kid, i in enumerate(block.parent):
+                if i == c:
+                    parent.append(j)
+                    mult.append(block.mult[kid])
+                    below.append(0 if b + 1 == L else kid)
+        maps[t] = NonMixingMap(len(copied), tuple(parent), tuple(mult))
+        copied = below
+    return maps
+
+
+def test_self_similar_levels_list_the_roots_kids_expanded():
+    # a block map whose parents are not ascending tells the kids'
+    # expansion order apart from listing each block level in presented
+    # order, which unrolls to different (equally valid) coordinates
+    rng = random.Random("node-order")
+    cases = checked = 0
+    while cases < 300:
+        seq = random_sequence(rng, tail="sub")
+        p, L = seq.periodic_tail, seq.length
+        block = seq.maps[p - 1 :]
+        if L - p < 2 or all(list(a.parent) == sorted(a.parent) for a in block):
+            continue
+        cases += 1
+        for t, want in _expanded_maps(seq, L + 3 * (L - p)).items():
+            assert seq.map_at(t) == want, (seq, t)
+            checked += 1
+    assert checked == 300 * 3 * 2
