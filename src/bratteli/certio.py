@@ -14,8 +14,8 @@ import re
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import DIGITS, TooLarge
-from .fileformat import INTEGER, parse_diagram, serialize_diagram
+from .errors import DIGITS
+from .fileformat import INTEGER, _decimal, parse_diagram, serialize_diagram
 
 # Each codec imports the types it builds or tests when it runs, so
 # `states` and `canon`, which take only decimals and dumps, load none
@@ -68,18 +68,6 @@ def _int(value, what: str) -> int:
 
 def _ints(values, what: str) -> tuple:
     return tuple(_int(v, what) for v in _typed(values, list, what))
-
-
-def _decimal(value, what: str) -> str:
-    # str() refuses ints, and Fractions with a numerator or denominator,
-    # longer than sys.get_int_max_str_digits() digits
-    try:
-        return str(value)
-    except ValueError:
-        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
-        raise TooLarge(
-            f"{what} is too long to write in decimal ({bits} bits)"
-        ) from None
 
 
 def decimals(values, what: str) -> list:

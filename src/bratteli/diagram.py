@@ -36,11 +36,10 @@ self-similar tail, whose single root always survives).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import (
     BadRepeat,
     EmptyLevel,
+    Frozen,
     LevelOutOfRange,
     NonAscending,
     NotInjective,
@@ -54,20 +53,15 @@ from .simplicial import NonMixingMap, forall_n_leq, is_order_unit
 _COORD_BUDGET = 2**20
 
 
-@dataclass(frozen=True)
-class BratteliSequence:
+class BratteliSequence(Frozen):
     """Levels 1..L with maps level t -> t+1 and an order unit at level 1."""
 
-    ranks: tuple
-    maps: tuple
-    base_unit: tuple
-    periodic_tail: int | None = None
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("ranks", "maps", "base_unit", "periodic_tail", "_cache")
 
-    def __post_init__(self):
-        ranks = tuple(self.ranks)
-        maps = tuple(self.maps)
-        base_unit = tuple(self.base_unit)
+    def __init__(self, ranks, maps, base_unit, periodic_tail: int | None = None):
+        ranks = tuple(ranks)
+        maps = tuple(maps)
+        base_unit = tuple(base_unit)
         if not ranks:
             raise RankMismatch("need at least one level")
         for r in ranks:
@@ -91,7 +85,7 @@ class BratteliSequence:
             )
         if not is_order_unit(base_unit):
             raise NotOrderUnit(f"{base_unit} is not strictly positive")
-        p = self.periodic_tail
+        p = periodic_tail
         if p is not None:
             if not isinstance(p, int) or not 1 <= p < len(ranks):
                 raise BadRepeat(
@@ -102,9 +96,7 @@ class BratteliSequence:
                     f"tail from level {p} needs rank {ranks[-1]} there (cyclic) "
                     f"or rank 1 (self-similar), got {ranks[p - 1]}"
                 )
-        object.__setattr__(self, "ranks", ranks)
-        object.__setattr__(self, "maps", maps)
-        object.__setattr__(self, "base_unit", base_unit)
+        self._freeze(ranks, maps, base_unit, p, {})
 
     @property
     def length(self) -> int:
@@ -373,21 +365,19 @@ def telescope(seq: BratteliSequence, keep) -> BratteliSequence:
     return BratteliSequence(ranks, maps, tuple(seq.base_unit), tail)
 
 
-@dataclass(frozen=True)
-class LimitElement:
+class LimitElement(Frozen):
     """A group element given at some level; later levels see its image."""
 
-    level: int
-    vec: tuple
+    __slots__ = ("level", "vec")
 
-    def __post_init__(self):
-        if not isinstance(self.level, int) or self.level < 1:
-            raise LevelOutOfRange(f"level must be a positive int, got {self.level!r}")
-        vec = tuple(self.vec)
+    def __init__(self, level: int, vec):
+        if not isinstance(level, int) or level < 1:
+            raise LevelOutOfRange(f"level must be a positive int, got {level!r}")
+        vec = tuple(vec)
         for v in vec:
             if not isinstance(v, int):
                 raise TypeError(f"entries must be ints, got {v!r}")
-        object.__setattr__(self, "vec", vec)
+        self._freeze(level, vec)
 
 
 def _check_elements(seq, a, b, strict):

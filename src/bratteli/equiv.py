@@ -24,15 +24,14 @@ IndexSystem, the shape on its own, is only what canonicalize_q returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diagram import BratteliSequence, injectivize
+from .errors import Frozen
 from .simplicial import NonMixingMap
 
 
-@dataclass(frozen=True)
-class IndexSystem:
+class IndexSystem(Frozen):
     """The shape of a sequence: sizes and parent functions only.
 
     parents[i][j] names the level-(i+1) coordinate that level-(i+2)
@@ -40,22 +39,17 @@ class IndexSystem:
     means the same as for a full sequence.  This is what `canon` prints.
     """
 
-    sizes: tuple
-    parents: tuple
-    periodic_tail: int | None = None
-    _seq: BratteliSequence = field(init=False, repr=False, compare=False)
+    __slots__ = ("sizes", "parents", "periodic_tail", "_seq")
 
-    def __post_init__(self):
-        sizes = tuple(self.sizes)
-        parents = tuple(tuple(p) for p in self.parents)
+    def __init__(self, sizes, parents, periodic_tail: int | None = None):
+        sizes = tuple(sizes)
+        parents = tuple(tuple(p) for p in parents)
         maps = tuple(
             NonMixingMap(sizes[i], parents[i], (1,) * len(parents[i]))
             for i in range(len(parents))
         )
-        seq = BratteliSequence(sizes, maps, (1,) * sizes[0], self.periodic_tail)
-        object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "parents", parents)
-        object.__setattr__(self, "_seq", seq)
+        seq = BratteliSequence(sizes, maps, (1,) * sizes[0], periodic_tail)
+        self._freeze(sizes, parents, periodic_tail, seq)
 
     def proj(self, lo: int, hi: int) -> tuple:
         """Ancestor function from level hi coordinates down to level lo."""
@@ -87,18 +81,17 @@ def canonicalize_q(seq: BratteliSequence):
     return shape, _diagonals(seq)
 
 
-@dataclass(frozen=True)
-class Cardinality:
+class Cardinality(Frozen):
     """Path count of a limit: an exact number, infinite, or a lower bound."""
 
-    kind: str
-    count: int | None = None
+    __slots__ = ("kind", "count")
 
-    def __post_init__(self):
-        if self.kind not in ("finite", "infinite", "lower_bound"):
-            raise ValueError(f"bad cardinality kind {self.kind!r}")
-        if (self.count is None) != (self.kind == "infinite"):
+    def __init__(self, kind: str, count: int | None = None):
+        if kind not in ("finite", "infinite", "lower_bound"):
+            raise ValueError(f"bad cardinality kind {kind!r}")
+        if (count is None) != (kind == "infinite"):
             raise ValueError("count goes with finite and lower_bound kinds only")
+        self._freeze(kind, count)
 
     @classmethod
     def finite(cls, count: int) -> "Cardinality":
@@ -148,8 +141,7 @@ def _stable_level(pruned: BratteliSequence, count: int) -> int:
     return pruned.ranks.index(count) + 1
 
 
-@dataclass(frozen=True)
-class Intertwining:
+class Intertwining(Frozen):
     """How two pruned path spaces are matched, by closure kind.
 
     "stable-bijection" (two finite limits of size n): left_levels and
@@ -175,44 +167,68 @@ class Intertwining:
     g_maps is empty for both closures; it keeps the document schema.
     """
 
-    left_levels: tuple
-    right_levels: tuple
-    f_maps: tuple
-    g_maps: tuple
-    closure: str
+    __slots__ = ("left_levels", "right_levels", "f_maps", "g_maps", "closure")
+
+    def __init__(self, left_levels, right_levels, f_maps, g_maps, closure: str):
+        self._freeze(left_levels, right_levels, f_maps, g_maps, closure)
 
 
-@dataclass(frozen=True)
-class EquivalenceCertificate:
+class EquivalenceCertificate(Frozen):
     """Everything needed to recheck an equivalence verdict from scratch."""
 
-    left: BratteliSequence
-    right: BratteliSequence
-    left_diagonals: tuple
-    right_diagonals: tuple
-    left_cardinality: Cardinality
-    right_cardinality: Cardinality
-    intertwining: Intertwining
+    __slots__ = (
+        "left",
+        "right",
+        "left_diagonals",
+        "right_diagonals",
+        "left_cardinality",
+        "right_cardinality",
+        "intertwining",
+    )
+
+    def __init__(
+        self,
+        left: BratteliSequence,
+        right: BratteliSequence,
+        left_diagonals: tuple,
+        right_diagonals: tuple,
+        left_cardinality: Cardinality,
+        right_cardinality: Cardinality,
+        intertwining: Intertwining,
+    ):
+        self._freeze(
+            left,
+            right,
+            left_diagonals,
+            right_diagonals,
+            left_cardinality,
+            right_cardinality,
+            intertwining,
+        )
 
 
-@dataclass(frozen=True)
-class Equivalent:
-    certificate: EquivalenceCertificate
+class Equivalent(Frozen):
+    __slots__ = ("certificate",)
+
+    def __init__(self, certificate: EquivalenceCertificate):
+        self._freeze(certificate)
 
 
-@dataclass(frozen=True)
-class NotEquivalent:
-    left_cardinality: Cardinality
-    right_cardinality: Cardinality
-    reason: str
+class NotEquivalent(Frozen):
+    __slots__ = ("left_cardinality", "right_cardinality", "reason")
+
+    def __init__(self, left_cardinality, right_cardinality, reason: str):
+        self._freeze(left_cardinality, right_cardinality, reason)
 
 
-@dataclass(frozen=True)
-class Unknown:
+class Unknown(Frozen):
     """An untailed side bounds its path count only from below; depth is
     the caller's, echoed and not used."""
 
-    depth: int
+    __slots__ = ("depth",)
+
+    def __init__(self, depth: int):
+        self._freeze(depth)
 
 
 EquivVerdict = Equivalent | NotEquivalent | Unknown

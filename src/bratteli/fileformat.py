@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 
 from .diagram import BratteliSequence
-from .errors import DIGITS, BratteliError, ParseError
+from .errors import DIGITS, BratteliError, ParseError, TooLarge
 from .simplicial import NonMixingMap
 
 _NATURAL = re.compile(DIGITS)
@@ -62,6 +62,18 @@ def _int(tok: str, lineno: int, col: int, what: str, minimum: int = 1) -> int:
     if value < minimum:
         raise ParseError(f"{what} must be >= {minimum}, got {value}", lineno, col)
     return value
+
+
+def _decimal(value, what: str) -> str:
+    # str() refuses ints, and Fractions with a numerator or denominator,
+    # longer than sys.get_int_max_str_digits() digits
+    try:
+        return str(value)
+    except ValueError:
+        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+        raise TooLarge(
+            f"{what} is too long to write in decimal ({bits} bits)"
+        ) from None
 
 
 def parse_diagram(text: str) -> BratteliSequence:
@@ -161,12 +173,19 @@ def parse_diagram(text: str) -> BratteliSequence:
 
 
 def serialize_diagram(seq: BratteliSequence) -> str:
-    """Canonical text form; parsing it back gives an equal sequence."""
+    """Canonical text form; parsing it back gives an equal sequence.
+    TooLarge when a unit entry or multiplicity is too long to write."""
     out = ["bratteli v1"]
     out.append("sizes: " + " ".join(str(r) for r in seq.ranks))
-    out.append("unit: " + " ".join(str(v) for v in seq.base_unit))
+    try:
+        out.append("unit: " + " ".join(str(v) for v in seq.base_unit))
+    except ValueError:  # so the largest entry is too long: TooLarge names it
+        _decimal(max(seq.base_unit), "a unit entry")
     for i, a in enumerate(seq.maps, start=1):
-        cells = " ".join(f"{p + 1}*{k}" for p, k in zip(a.parent, a.mult))
+        try:
+            cells = " ".join(f"{p + 1}*{k}" for p, k in zip(a.parent, a.mult))
+        except ValueError:
+            _decimal(max(a.mult), f"a multiplicity of map {i}")
         out.append(f"map {i}: {cells}")
     if seq.periodic_tail is not None:
         out.append(f"repeat: {seq.periodic_tail}")

@@ -14,11 +14,10 @@ full supernatural numbers are known exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm, prod
 
 from .diagram import BratteliSequence
-from .errors import NotOrderUnit, NotPositive, RankMismatch, TooLarge
+from .errors import Frozen, NotOrderUnit, NotPositive, RankMismatch, TooLarge
 from .simplicial import NonMixingMap, is_order_unit
 from .supernat import INF, SupernaturalNumber
 
@@ -27,20 +26,19 @@ from .supernat import INF, SupernaturalNumber
 _SCALAR_BITS = 2**20
 
 
-@dataclass(frozen=True)
-class DiagonalMap:
+class DiagonalMap(Frozen):
     """Multiplication by a strictly positive integer vector, entrywise."""
 
-    entries: tuple
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        entries = tuple(self.entries)
+    def __init__(self, entries):
+        entries = tuple(entries)
         if not entries:
             raise NotPositive("diagonal needs at least one entry")
         for v in entries:
             if not isinstance(v, int) or v < 1:
                 raise NotPositive(f"diagonal entry {v!r} must be a positive integer")
-        object.__setattr__(self, "entries", entries)
+        self._freeze(entries)
 
     @property
     def rank(self) -> int:
@@ -82,8 +80,7 @@ def rescale_lemma(alpha: NonMixingMap, gamma: DiagonalMap, strategy: str = "mini
     return n, eta
 
 
-@dataclass(frozen=True)
-class LadderRung:
+class LadderRung(Frozen):
     """One diagonal of the ladder, with the scalar it introduced.
 
     Down rungs map the u tower to the w tower at their level, up rungs
@@ -91,20 +88,17 @@ class LadderRung:
     alternate from there.
     """
 
-    level: int
-    direction: str
-    scalar: int
-    diag: DiagonalMap
+    __slots__ = ("level", "direction", "scalar", "diag")
 
-    def __post_init__(self):
-        if self.direction not in ("down", "up"):
-            raise ValueError(f"direction must be 'down' or 'up', got {self.direction!r}")
-        if not isinstance(self.scalar, int) or self.scalar < 1:
-            raise NotPositive(f"scalar {self.scalar!r} must be a positive integer")
+    def __init__(self, level: int, direction: str, scalar: int, diag: DiagonalMap):
+        if direction not in ("down", "up"):
+            raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
+        if not isinstance(scalar, int) or scalar < 1:
+            raise NotPositive(f"scalar {scalar!r} must be a positive integer")
+        self._freeze(level, direction, scalar, diag)
 
 
-@dataclass(frozen=True)
-class UnitChangeCertificate:
+class UnitChangeCertificate(Frozen):
     """A checkable witness that two units differ by rational scaling.
 
     partial_n and partial_m are the products of the scalars seen so far
@@ -114,14 +108,31 @@ class UnitChangeCertificate:
     supernatural scalings; otherwise they stay None.
     """
 
-    seq: BratteliSequence
-    alt_unit: tuple
-    strategy: str
-    rungs: tuple
-    partial_n: SupernaturalNumber
-    partial_m: SupernaturalNumber
-    exact_n: SupernaturalNumber | None = None
-    exact_m: SupernaturalNumber | None = None
+    __slots__ = (
+        "seq",
+        "alt_unit",
+        "strategy",
+        "rungs",
+        "partial_n",
+        "partial_m",
+        "exact_n",
+        "exact_m",
+    )
+
+    def __init__(
+        self,
+        seq: BratteliSequence,
+        alt_unit: tuple,
+        strategy: str,
+        rungs: tuple,
+        partial_n: SupernaturalNumber,
+        partial_m: SupernaturalNumber,
+        exact_n: SupernaturalNumber | None = None,
+        exact_m: SupernaturalNumber | None = None,
+    ):
+        self._freeze(
+            seq, alt_unit, strategy, rungs, partial_n, partial_m, exact_n, exact_m
+        )
 
 
 def _scalars(rungs, direction: str) -> int:

@@ -9,9 +9,7 @@ each target, 0-based) and mult (positive multipliers).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import NotNonMixing, NotOrderUnit, NotPositive, RankMismatch
+from .errors import Frozen, NotNonMixing, NotOrderUnit, NotPositive, RankMismatch
 
 IntVector = tuple  # tuple[int, ...]
 
@@ -58,19 +56,16 @@ def forall_n_leq(x, y) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class NonMixingMap:
+class NonMixingMap(Frozen):
     """Positive map Z^source_rank -> Z^len(parent), one source per row."""
 
-    source_rank: int
-    parent: tuple
-    mult: tuple
+    __slots__ = ("source_rank", "parent", "mult")
 
-    def __post_init__(self):
-        if not isinstance(self.source_rank, int) or self.source_rank < 1:
-            raise NotPositive(f"source rank must be >= 1, got {self.source_rank}")
-        parent = tuple(self.parent)
-        mult = tuple(self.mult)
+    def __init__(self, source_rank: int, parent, mult):
+        if not isinstance(source_rank, int) or source_rank < 1:
+            raise NotPositive(f"source rank must be >= 1, got {source_rank}")
+        parent = tuple(parent)
+        mult = tuple(mult)
         if len(parent) != len(mult):
             raise RankMismatch(
                 f"parent has length {len(parent)}, mult has length {len(mult)}"
@@ -78,15 +73,14 @@ class NonMixingMap:
         if not parent:
             raise NotPositive("target rank must be >= 1")
         for j, i in enumerate(parent):
-            if not isinstance(i, int) or not 0 <= i < self.source_rank:
+            if not isinstance(i, int) or not 0 <= i < source_rank:
                 raise RankMismatch(
-                    f"parent[{j}] = {i!r} outside range(0, {self.source_rank})"
+                    f"parent[{j}] = {i!r} outside range(0, {source_rank})"
                 )
         for j, k in enumerate(mult):
             if not isinstance(k, int) or k < 1:
                 raise NotPositive(f"mult[{j}] = {k!r} must be a positive integer")
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "mult", mult)
+        self._freeze(source_rank, parent, mult)
 
     @property
     def target_rank(self) -> int:

@@ -12,11 +12,10 @@ matrix is ever formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagram import BratteliSequence
-from .errors import NotNormalized, NotOrderUnit, NotPositive, RankMismatch
+from .errors import Frozen, NotNormalized, NotOrderUnit, NotPositive, RankMismatch
 from .simplicial import is_order_unit
 
 
@@ -27,16 +26,14 @@ def _check_unit(u, what: str = "unit") -> tuple:
     return u
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(Frozen):
     """Values of a state on the basis, normalized against its unit."""
 
-    values: tuple
-    unit: tuple
+    __slots__ = ("values", "unit")
 
-    def __post_init__(self):
-        values = tuple(Fraction(v) for v in self.values)
-        unit = _check_unit(self.unit)
+    def __init__(self, values, unit):
+        values = tuple(Fraction(v) for v in values)
+        unit = _check_unit(unit)
         if len(values) != len(unit):
             raise RankMismatch(
                 f"{len(values)} values against a rank-{len(unit)} unit"
@@ -47,8 +44,7 @@ class StateVector:
         total = sum(v * w for v, w in zip(values, unit))
         if total != 1:
             raise NotNormalized(f"state gives the unit {total}, not 1")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "unit", unit)
+        self._freeze(values, unit)
 
     @property
     def rank(self) -> int:

@@ -9,10 +9,9 @@ subgroups and is what the tensoring code consumes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import isqrt
 
-from .errors import DIGITS, TooLarge
+from .errors import DIGITS, Frozen, TooLarge
 
 _NATURAL = re.compile(DIGITS)
 
@@ -116,21 +115,19 @@ def is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SupernaturalNumber:
+class SupernaturalNumber(Frozen):
     """Finite association prime -> exponent, exponents positive ints or INF.
 
     The empty product is the number 1.  Stored as a tuple of pairs sorted
     by prime, so equality and hashing are structural.
     """
 
-    factors: tuple = ()
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        items = self.factors
-        if isinstance(items, dict):
-            items = items.items()
-        pairs = sorted(tuple(it) for it in items)
+    def __init__(self, factors=()):
+        if isinstance(factors, dict):
+            factors = factors.items()
+        pairs = sorted(tuple(it) for it in factors)
         seen = set()
         for p, e in pairs:
             if not is_prime(p):
@@ -140,7 +137,7 @@ class SupernaturalNumber:
             seen.add(p)
             if e is not INF and (not isinstance(e, int) or e < 1):
                 raise ValueError(f"exponent of {p} must be a positive integer or INF")
-        object.__setattr__(self, "factors", tuple(pairs))
+        self._freeze(tuple(pairs))
 
     @classmethod
     def one(cls) -> "SupernaturalNumber":

@@ -3,7 +3,17 @@
 Everything takes an explicit random.Random so failures replay exactly.
 """
 
+import inspect
+
 from bratteli import BratteliSequence, LimitElement, NonMixingMap
+
+
+def replace(obj, **changes):
+    """A copy of a value object with some fields changed, built through
+    its constructor, so the constructor's checks run on the result."""
+    cls = type(obj)
+    fields = {name: getattr(obj, name) for name in inspect.signature(cls).parameters}
+    return cls(**{**fields, **changes})
 
 
 def scalar_chain(k, levels=2, unit=1, tailed=True):

@@ -40,6 +40,7 @@ DEAD = (
     "bratteli v1\nsizes: 1 2 2\nunit: 1\n"
     "map 1: 1*1 1*2\nmap 2: 1*2 1*3\n"
 )
+BIG_UNIT = "bratteli v1\nsizes: 1\nunit: " + "9" * 3000 + "\n"
 BAD_PARENT = "bratteli v1\nsizes: 2 2\nunit: 1 1\nmap 1: 1*1 3*2\n"
 
 
@@ -412,6 +413,29 @@ class TestHostileInput:
         argv = [command, doc("d.brat", DYADIC), flag, "1" + "0" * 5000]
         err = self.check(argv, 64, capsys)
         assert "5001 digits" in err
+
+    @pytest.mark.parametrize(
+        "command, err",
+        [
+            # level 15000 of the doubling chain multiplies by 2**14999,
+            # which has 4516 decimal digits
+            (
+                ["telescope", "{dyadic}", "--keep", "1,15000"],
+                "error: a multiplicity of map 1 is too long to write in "
+                "decimal (15000 bits)\n",
+            ),
+            (
+                ["tensor", "{big}", "{big}"],
+                "error: a unit entry is too long to write in decimal (19932 bits)\n",
+            ),
+        ],
+        ids=["telescope", "tensor"],
+    )
+    def test_written_numeral_past_digit_limit(self, command, err, doc, capsys):
+        paths = {"dyadic": doc("d.brat", DYADIC), "big": doc("b.brat", BIG_UNIT)}
+        assert run([a.format(**paths) for a in command]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", err)
 
     def test_non_ascii_supernatural_digit(self, doc, capsys):
         argv = ["tensorq", doc("d.brat", DYADIC), "--n", "2^\u0661", "--depth", "2"]

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -24,6 +23,7 @@ from genseq import (
     max_usable_level,
     random_sequence,
     random_unit,
+    replace,
     scalar_chain,
     two_path,
 )
@@ -218,8 +218,8 @@ class TestVerifierWork:
 class TestMutationRejected:
     def test_wrong_scalar_names_the_rung(self):
         cert = unit_change(scalar_chain(2), (3,), 4)
-        bad_rung = dataclasses.replace(cert.rungs[1], scalar=5)
-        bad = dataclasses.replace(
+        bad_rung = replace(cert.rungs[1], scalar=5)
+        bad = replace(
             cert, rungs=(cert.rungs[0], bad_rung) + cert.rungs[2:]
         )
         failures = certificate_failures(bad)
@@ -229,10 +229,10 @@ class TestMutationRejected:
 
     def test_wrong_diagonal_caught(self):
         cert = unit_change(two_path(2, 3), (2, 1), 4)
-        bad_rung = dataclasses.replace(
+        bad_rung = replace(
             cert.rungs[2], diag=DiagonalMap((1, 1))
         )
-        bad = dataclasses.replace(
+        bad = replace(
             cert, rungs=cert.rungs[:2] + (bad_rung,) + cert.rungs[3:]
         )
         assert not verify_certificate(bad)
@@ -244,32 +244,32 @@ class TestMutationRejected:
         assert certificate_failures(cert) == []
         rung = cert.rungs[level - 1]
         entries = (2 * rung.diag.entries[0],) + rung.diag.entries[1:]
-        bad_rung = dataclasses.replace(rung, diag=DiagonalMap(entries))
+        bad_rung = replace(rung, diag=DiagonalMap(entries))
         rungs = cert.rungs[: level - 1] + (bad_rung,) + cert.rungs[level:]
-        failures = certificate_failures(dataclasses.replace(cert, rungs=rungs))
+        failures = certificate_failures(replace(cert, rungs=rungs))
         assert any(f.startswith(f"rung {level}: carries the unit") for f in failures)
         assert all(f.startswith((f"rung {level}:", f"rung {level + 1}:")) for f in failures)
 
     def test_wrong_partial_caught(self):
         cert = unit_change(scalar_chain(2), (3,), 4)
-        bad = dataclasses.replace(cert, partial_n=SupernaturalNumber.from_natural(7))
+        bad = replace(cert, partial_n=SupernaturalNumber.from_natural(7))
         failures = certificate_failures(bad)
         assert any("partial_n" in f for f in failures)
 
     def test_wrong_exact_caught(self):
         cert = unit_change(scalar_chain(2), (3,), 4)
-        bad = dataclasses.replace(cert, exact_n=SupernaturalNumber.parse("5^inf"))
+        bad = replace(cert, exact_n=SupernaturalNumber.parse("5^inf"))
         failures = certificate_failures(bad)
         assert any("exact_n" in f for f in failures)
 
     def test_bad_alt_unit_caught(self):
         cert = unit_change(scalar_chain(2), (3,), 2)
-        bad = dataclasses.replace(cert, alt_unit=(0,))
+        bad = replace(cert, alt_unit=(0,))
         failures = certificate_failures(bad)
         assert failures and "order unit" in failures[0]
 
     def test_scalars_stay_positive(self):
         with pytest.raises(NotPositive):
-            dataclasses.replace(
+            replace(
                 unit_change(scalar_chain(2), (3,), 2).rungs[0], scalar=0
             )

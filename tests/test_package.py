@@ -2,11 +2,13 @@
 
 `bratteli` imports each public name from its home module on first
 access, so these pin what that must not change: the names, the objects
-they resolve to, and that a `validate` process loads none of the heavy
-modules.  The subprocess tests run `python -m bratteli.cli` the way a
-user does, against the source tree.
+they resolve to, that a `validate` process loads none of the heavy
+modules, and that no command loads `dataclasses` or `inspect`.  The
+subprocess tests run `python -m bratteli.cli` the way a user does,
+against the source tree.
 """
 
+import argparse
 import importlib
 import json
 import os
@@ -17,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import bratteli
+from bratteli import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -44,6 +47,22 @@ EXPORTS = {
 # what `validate` has no use for
 HEAVY = ("equiv", "intertwine", "states", "certio", "tensor", "supernat")
 
+# one successful call of every subcommand, on the binary tree and on its
+# `equiv` certificate
+COMMANDS = [
+    ["validate", "{tree}"],
+    ["telescope", "{tree}", "--keep", "1,3"],
+    ["injectivize", "{tree}"],
+    ["tensor", "{tree}", "{tree}"],
+    ["tensorq", "{tree}", "--n", "2^inf", "--depth", "2"],
+    ["unit-change", "{tree}", "--unit", "2", "--depth", "3"],
+    ["states", "{tree}", "--level", "1", "--depth", "3"],
+    ["canon", "{tree}"],
+    ["equiv", "{tree}", "{tree}"],
+    ["arch-check", "{tree}", "--seed", "1"],
+    ["verify", "{cert}"],
+]
+
 
 def _python(*args):
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -53,12 +72,16 @@ def _python(*args):
 
 
 def _loaded_by(argv):
-    # the modules a fresh process holds after running one command
+    # the modules a fresh process holds after running one command as
+    # `python -m bratteli.cli` does
     code = (
-        "import contextlib, io, json, sys\n"
-        "from bratteli import cli\n"
+        "import contextlib, io, json, runpy, sys\n"
+        f"sys.argv = ['bratteli', *{argv!r}]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert cli.run({argv!r}) == 0\n"
+        "    try:\n"
+        "        runpy.run_module('bratteli.cli', run_name='__main__')\n"
+        "    except SystemExit as done:\n"
+        "        assert done.code == 0, done.code\n"
         "print(json.dumps(sorted(sys.modules)))\n"
     )
     done = _python("-c", code)
@@ -140,3 +163,27 @@ class TestEntryPoint:
         loaded = _loaded_by([argv[0], str(path), *argv[1:]])
         assert {"bratteli.certio", f"bratteli.{used}"} <= loaded
         assert loaded.isdisjoint(f"bratteli.{m}" for m in unused.split())
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_no_command_imports_dataclasses(self, tmp_path, capsys, argv):
+        # dataclasses imports inspect, which imports ast, dis and
+        # tokenize: about 13 ms of every command's startup
+        tree = tmp_path / "tree.brat"
+        tree.write_text(
+            "bratteli v1\nsizes: 1 2\nunit: 1\nmap 1: 1*1 1*1\nrepeat: 1\n",
+            encoding="utf-8",
+        )
+        cert = tmp_path / "cert.json"
+        assert cli.run(["equiv", str(tree), str(tree)]) == 0
+        cert.write_text(capsys.readouterr().out, encoding="utf-8")
+        loaded = _loaded_by([a.format(tree=tree, cert=cert) for a in argv])
+        assert "bratteli.fileformat" in loaded
+        assert loaded.isdisjoint({"dataclasses", "inspect"})
+
+    def test_every_subcommand_is_guarded(self):
+        (sub,) = [
+            a
+            for a in cli._build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert sorted(sub.choices) == sorted(argv[0] for argv in COMMANDS)
