@@ -20,7 +20,7 @@ _EXPORTS = {
     "tensor": "tensor_map tensor_qn tensor_seq tensor_vec",
     "intertwine": "DiagonalMap LadderRung UnitChangeCertificate "
     "certificate_failures rescale_lemma unit_change verify_certificate",
-    "states": "StateVector depth_image_vertices restate_unit simplex_vertices "
+    "states": "StateVector depth_image_vertices simplex_vertices "
     "verify_state_invariance",
     "equiv": "Cardinality EquivalenceCertificate Equivalent EquivVerdict "
     "IndexSystem Intertwining NotEquivalent Unknown canonicalize_q "

@@ -20,6 +20,9 @@ from .fileformat import INTEGER, parse_diagram
 USAGE_EXIT = 64
 PARSE_EXIT = 65
 
+# characters `states` writes at a time
+_CHUNK = 1 << 16
+
 
 class _UsageError(Exception):
     pass
@@ -156,16 +159,25 @@ def _cmd_unit_change(args):
 
 def _cmd_states(args):
     from . import certio
-    from .states import depth_image_vertices
+    from .states import depth_image_runs
 
     seq = _load(args.file)
-    lines = []
-    for values in depth_image_vertices(seq, args.level, args.depth):
-        if args.decimal:
-            lines.append(" ".join(str(float(v)) for v in values))
-        else:
-            lines.append(" ".join(certio.decimals(values, "state value")))
-    sys.stdout.write("".join(line + "\n" for line in lines))
+    vertices, runs = depth_image_runs(seq, args.level, args.depth)
+    # every line is one of the level's vertices: format each one that
+    # occurs once, in the order they occur, before anything is written
+    lines = {}
+    for i, _ in runs:
+        if i not in lines:
+            if args.decimal:
+                text = " ".join(str(float(v)) for v in vertices[i])
+            else:
+                text = " ".join(certio.decimals(vertices[i], "state value"))
+            lines[i] = text + "\n"
+    for i, n in runs:
+        line = lines[i]
+        per = max(1, _CHUNK // len(line))
+        for done in range(0, n, per):
+            sys.stdout.write(line * min(per, n - done))
     return 0
 
 

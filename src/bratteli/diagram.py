@@ -26,6 +26,17 @@ orders, repeated once per copy, and the kept coordinates are the kept
 places of level b, once per copy.  Only the block is memoized; nothing
 is kept per unrolled level.
 
+Composites and ancestors follow the same form.  On a cyclic tail every
+period composes to the same map, so whole periods are that map raised
+to a power by repeated squaring.  On a self-similar tail node n of an
+unrolled level t descends from node n // rank_b of its period's start
+level, and a period start's node m from node m // rank_L of the one
+before, so the ancestors of a deep level at a shallow one come in
+contiguous runs that ancestor_runs gives without listing level t.
+A level is listed, by map_at or keep_at, only while it has at most
+_COORD_BUDGET coordinates; the first level past it is found from the
+copy counts before anything is built.
+
 keep_at lists the coordinates the limit sees.  Each coordinate has one
 parent, so they are found by walking parents down from the last level.
 On the block, level-L coordinate c restarts it at coordinate
@@ -35,6 +46,8 @@ self-similar tail, whose single root always survives).
 """
 
 from __future__ import annotations
+
+import sys
 
 from .errors import (
     BadRepeat,
@@ -51,6 +64,10 @@ from .simplicial import NonMixingMap, forall_n_leq, is_order_unit
 
 # the most coordinates an unrolled self-similar level may list
 _COORD_BUDGET = 2**20
+
+# composites whose multiplicities all have more bits than this, and too
+# many digits to write, are refused before they are composed
+_MULT_BITS = 2**20
 
 
 class BratteliSequence(Frozen):
@@ -174,16 +191,69 @@ class BratteliSequence(Frozen):
     def _repeat(self, t: int, block: tuple) -> tuple:
         # block, places in the block level of t, once per copy level t
         # lists, shifted to that copy's coordinates
+        self._check_listable(t, t + 1)
         copies = self._copies(t)
         if copies == 1:
             return block
-        rank = self.rank_at(t)
-        if rank > _COORD_BUDGET:
-            raise TooLarge(
-                f"level {t} has {rank} coordinates, more than {_COORD_BUDGET} to list"
-            )
-        width = rank // copies
-        return tuple(s + i for s in range(0, rank, width) for i in block)
+        width = self.ranks[self._block_position(t) - 1]
+        return tuple(s + i for s in range(0, copies * width, width) for i in block)
+
+    def _check_listable(self, lo: int, hi: int):
+        # refuse the first level t in [lo, hi) that unrolls to more than
+        # _COORD_BUDGET coordinates.  Only a self-similar tail grows, by
+        # rank_L >= 2 each period, so from L the walk stops within about
+        # 20 periods; a level whose copy count alone is past the budget
+        # is refused by its exponent, before the power is computed
+        if hi <= self.length or self.tail_kind != "substitution":
+            return
+        p, L = self.periodic_tail, self.length
+        for t in range(max(lo, L), hi):
+            if (t - p) // (L - p) > _COORD_BUDGET.bit_length():
+                raise TooLarge(
+                    f"level {t} has more than {_COORD_BUDGET} coordinates to list"
+                )
+            rank = self.rank_at(t)
+            if rank > _COORD_BUDGET:
+                raise TooLarge(
+                    f"level {t} has {rank} coordinates, more than {_COORD_BUDGET} to list"
+                )
+
+    def _check_span(self, lo: int, hi: int):
+        self._require_level(lo)
+        self._require_level(hi)
+        if lo > hi:
+            raise LevelOutOfRange(f"need lo <= hi, got {lo} > {hi}")
+        self._check_listable(lo, hi)
+
+    def _compose(self, f: tuple, lo: int, hi: int) -> tuple:
+        # f, a (parent, mult) composite ending at level lo, followed by
+        # the maps of levels lo..hi-1; mult None is carried as None.  On
+        # a cyclic tail the maps from any level s >= p on repeat every
+        # period, so the whole periods from max(lo, p) are one period's
+        # composite raised to a power, by repeated squaring
+        if self.tail_kind == "cyclic":
+            p, period = self.periodic_tail, self.length - self.periodic_tail
+            start = max(lo, p)
+            k = (hi - start) // period
+            if k > 1:
+                f = self._compose(f, lo, start)
+                rank = self.rank_at(start)
+                one = (range(rank), None if f[1] is None else (1,) * rank)
+                power = self._compose(one, start, start + period)
+                while k:
+                    if k & 1:
+                        f = _then(f, power)
+                    k >>= 1
+                    if k:
+                        power = _then(power, power)
+                lo = hi - (hi - start) % period
+        parent, mult = f
+        for t in range(lo, hi):
+            a = self.map_at(t)
+            if mult is not None:
+                mult = [k * mult[i] for i, k in zip(a.parent, a.mult)]
+            parent = [parent[i] for i in a.parent]
+        return parent, mult
 
     # -- levels, maps, units ---------------------------------------------
 
@@ -201,28 +271,70 @@ class BratteliSequence(Frozen):
             return self.maps[t - 1]
         self._require_level(t + 1)
         a = self._block()[1][self._block_position(t) - self.periodic_tail]
-        copies = self._copies(t)
+        parent = self._repeat(t, a.parent)
+        copies = len(parent) // len(a.parent)
         if copies == 1:
             return a
-        return NonMixingMap(
-            copies * a.source_rank, self._repeat(t, a.parent), a.mult * copies
-        )
+        return NonMixingMap(copies * a.source_rank, parent, a.mult * copies)
 
     def map_between(self, lo: int, hi: int) -> NonMixingMap:
         """Composite map from level lo to level hi (identity when equal)."""
-        self._require_level(lo)
-        self._require_level(hi)
-        if lo > hi:
-            raise LevelOutOfRange(f"need lo <= hi, got {lo} > {hi}")
+        self._check_span(lo, hi)
         # every map_at(t) is already valid, so compose the parent and
         # mult lists directly and validate only the finished composite
         rank = self.rank_at(lo)
-        parent, mult = range(rank), (1,) * rank
-        for t in range(lo, hi):
-            a = self.map_at(t)
-            mult = [k * mult[i] for i, k in zip(a.parent, a.mult)]
-            parent = [parent[i] for i in a.parent]
+        parent, mult = self._compose((range(rank), (1,) * rank), lo, hi)
         return NonMixingMap(rank, tuple(parent), tuple(mult))
+
+    def ancestor_runs(self, lo: int, hi: int) -> tuple:
+        """The level-lo ancestor of every level-hi node, in runs.
+
+        Returns (ancestor, count) pairs, adjacent ones with different
+        ancestors: the first count nodes of level hi descend from the
+        first ancestor, the next from the second, and so on.  Only
+        parents are read, composed as map_between composes them, except
+        past L on a self-similar tail, where the runs come from the
+        closed form without listing level hi.  Level hi is refused by
+        the same coordinate budget as map_between(lo, hi).
+        """
+        self._check_span(lo, hi)
+        if self.tail_kind == "substitution" and hi > self.length:
+            pieces = self._tail_ancestors(lo, hi)
+        else:
+            parent = self._compose((range(self.rank_at(lo)), None), lo, hi)[0]
+            pieces = ((a, 1) for a in parent)
+        runs = []
+        for a, n in pieces:
+            if runs and runs[-1][0] == a:
+                runs[-1] = (a, runs[-1][1] + n)
+            else:
+                runs.append((a, n))
+        return tuple(runs)
+
+    def _tail_ancestors(self, lo: int, hi: int):
+        # (ancestor, count) pieces for a level hi past L on a self-similar
+        # tail.  Node n of level hi is place n % rank_b of copy n // rank_b
+        # of its block level b, and copy c descends from node c of its
+        # period's start level.  When lo is in hi's period, copy c of hi
+        # reads copy c of lo place by place: g composes the block maps
+        # between them.  Otherwise g gives the ancestor in lo's copy c of
+        # each of the rank_L places of the next period's start (of each
+        # node of level L when lo <= L), and each such place lies above
+        # `under` nodes of level hi.
+        p, L = self.periodic_tail, self.length
+        period, n_copies = L - p, self.ranks[-1]
+        b, k = self._block_position(hi), (hi - p) // period
+        if lo <= L:
+            k_lo, w = 0, 0
+            g = self._compose((range(self.rank_at(lo)), None), lo, L)[0]
+        else:
+            b_lo, k_lo = self._block_position(lo), (lo - p) // period
+            w = self.ranks[b_lo - 1]
+            g = range(w)
+            for a in self._block()[1][b_lo - p : (b if k_lo == k else L) - p]:
+                g = [g[i] for i in a.parent]
+        under = 1 if k_lo == k else self.ranks[b - 1] * n_copies ** (k - k_lo - 1)
+        return ((c * w + a, under) for c in range(n_copies**k_lo) for a in g)
 
     def unit_at(self, t: int) -> tuple:
         """Image of the base unit at level t."""
@@ -236,6 +348,15 @@ class BratteliSequence(Frozen):
         and inherit injectivity from them.
         """
         return all(a.is_injective() for a in self.maps)
+
+
+def _then(f: tuple, g: tuple) -> tuple:
+    # the composite of (parent, mult) pairs f then g; mult may be None
+    (fp, fm), (gp, gm) = f, g
+    parent = [fp[i] for i in gp]
+    if fm is None:
+        return parent, None
+    return parent, [k * fm[i] for i, k in zip(gp, gm)]
 
 
 def keep_at(seq: BratteliSequence, t: int) -> tuple:
@@ -338,6 +459,14 @@ def telescope(seq: BratteliSequence, keep) -> BratteliSequence:
     arithmetic progression lying inside the tail whose step is a
     multiple of the period; a self-similar tail is dropped, since the
     telescoped level sizes no longer follow a fixed block.
+
+    Two results are refused before anything is composed: one with a
+    level past the coordinate budget, and one with a composite whose
+    every multiplicity has more than _MULT_BITS bits and more decimal
+    digits than sys.get_int_max_str_digits() lets a diagram document
+    carry.  Each multiplicity of a composite is a product of one
+    multiplicity of every map it spans, so it has at least the bits
+    of the product of their smallest ones.
     """
     keep = tuple(keep)
     if not keep or keep[0] != 1:
@@ -349,6 +478,17 @@ def telescope(seq: BratteliSequence, keep) -> BratteliSequence:
         seq._require_level(t)
     if keep == tuple(range(1, seq.length + 1)):
         return seq
+    seq._check_listable(1, keep[-1])
+    limit = sys.get_int_max_str_digits()
+    low = [min(a.mult).bit_length() - 1 for a in seq.maps]
+    for i, (a, b) in enumerate(zip(keep, keep[1:]), start=1):
+        bits = _least_bits(seq, low, a, b)
+        # 2**(bits - 1) >= 10**limit, with 3.3220 > log2(10)
+        if limit and bits > _MULT_BITS and (bits - 1) * 10000 >= limit * 33220:
+            raise TooLarge(
+                f"a multiplicity of map {i} is too long to write in decimal "
+                f"(at least {bits} bits)"
+            )
     ranks = tuple(seq.rank_at(t) for t in keep)
     maps = tuple(seq.map_between(a, b) for a, b in zip(keep, keep[1:]))
     tail = None
@@ -363,6 +503,24 @@ def telescope(seq: BratteliSequence, keep) -> BratteliSequence:
             if t0 <= len(gaps) - 1:
                 tail = t0 + 1
     return BratteliSequence(ranks, maps, tuple(seq.base_unit), tail)
+
+
+def _least_bits(seq: BratteliSequence, low: list, lo: int, hi: int) -> int:
+    # a lower bound on the bit length of every multiplicity of
+    # map_between(lo, hi): the smallest multiplicity m of each map it
+    # spans contributes at least low[t - 1] = bit_length(m) - 1 bits.  A
+    # level past L reads the map of its block level, so whole periods
+    # sum at once.
+    L = seq.length
+    bits = 1 + sum(low[lo - 1 : min(hi, L) - 1])
+    start = max(lo, L)
+    if start < hi:
+        p = seq.periodic_tail
+        b = seq._block_position(start)
+        cycle = low[b - 1 :] + low[p - 1 : b - 1]
+        n = hi - start
+        bits += n // len(cycle) * sum(cycle) + sum(cycle[: n % len(cycle)])
+    return bits
 
 
 class LimitElement(Frozen):

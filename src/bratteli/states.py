@@ -6,23 +6,26 @@ carries states backwards by (dual s)(x) = s(alpha x), and pulling the
 extreme points of deeper and deeper levels back to a fixed level traces
 out the nested images whose intersection is the trace simplex of the
 limit.  Every coordinate of a non-mixing map reads one parent, so an
-extreme state pulls back to the extreme state of its ancestor and no
-matrix is ever formed.
+extreme state pulls back to the extreme state e_i / u_i of its
+ancestor i: the pulled-back vertices of a deep level are the vertices
+of the chosen level, repeated in the runs BratteliSequence.ancestor_runs
+gives.  No matrix is formed and no deep level is listed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, repeat
 
 from .diagram import BratteliSequence
 from .errors import Frozen, NotNormalized, NotOrderUnit, NotPositive, RankMismatch
 from .simplicial import is_order_unit
 
 
-def _check_unit(u, what: str = "unit") -> tuple:
+def _check_unit(u) -> tuple:
     u = tuple(u)
     if not is_order_unit(u):
-        raise NotOrderUnit(f"{what} {u} is not strictly positive")
+        raise NotOrderUnit(f"unit {u} is not strictly positive")
     return u
 
 
@@ -71,29 +74,37 @@ def simplex_vertices(rank: int, u) -> tuple:
     return tuple(out)
 
 
+def depth_image_runs(seq: BratteliSequence, level: int, depth: int) -> tuple:
+    """(vertices, runs): the vertices of `level`, and which of them the
+    vertices of `depth` pull back to.
+
+    vertices[i] is the value tuple of e_i / u_i, with u the unit at
+    `level`; runs are seq.ancestor_runs(level, depth), (i, count) pairs
+    saying that the next count coordinates of `depth`, in order, pull
+    back to vertices[i].  Coordinate j of `depth` reads the single
+    ancestor i, and its unit entry is v_j = mult_j * u_i, so the extreme
+    state e_j / v_j pulls back to exactly e_i / u_i.
+    """
+    u = seq.unit_at(level)
+    runs = seq.ancestor_runs(level, depth)
+    zero = Fraction(0)
+    vertices = []
+    for i, ui in enumerate(u):
+        values = [zero] * len(u)
+        values[i] = Fraction(1, ui)
+        vertices.append(tuple(values))
+    return tuple(vertices), runs
+
+
 def depth_image_vertices(seq: BratteliSequence, level: int, depth: int) -> tuple:
     """Extreme states of level `depth`, pulled back to `level`.
 
     Returns the value tuples, one per level-`depth` coordinate in order;
     their convex hull is the stage-`depth` approximation of the limit
     trace simplex, drawn inside the state simplex of the chosen level.
-    Coordinate j reads the single ancestor i = parent(j) at `level`, and
-    its unit entry is v_j = mult_j * u_i, so the extreme state e_j / v_j
-    pulls back to exactly the vertex e_i / u_i.
     """
-    vertices = simplex_vertices(seq.rank_at(level), seq.unit_at(level))
-    return tuple(vertices[i].values for i in seq.map_between(level, depth).parent)
-
-
-def restate_unit(state: StateVector, new_unit) -> StateVector:
-    """The same functional renormalized against another order unit."""
-    new_unit = _check_unit(new_unit, "new unit")
-    if len(new_unit) != state.rank:
-        raise RankMismatch(
-            f"new unit has length {len(new_unit)}, state rank {state.rank}"
-        )
-    total = sum((v * w for v, w in zip(state.values, new_unit)), Fraction(0))
-    return StateVector(tuple(v / total for v in state.values), new_unit)
+    vertices, runs = depth_image_runs(seq, level, depth)
+    return tuple(chain.from_iterable(repeat(vertices[i], n) for i, n in runs))
 
 
 def verify_state_invariance(seq: BratteliSequence, n, depth: int) -> bool:

@@ -4,9 +4,11 @@ Everything here is Kronecker-style bookkeeping: coordinates of a tensor
 level are pairs (a, b) flattened row-major, so pair (a, b) sits at index
 a * rank_B + b.  That holds on every presented level, and at every level
 when both factors have cyclic tails.  Past the presented levels of a
-kept tail with a self-similar factor, the ranks are the products but the
-unrolled coordinates follow the result's own block order, so its rows
-can be a permutation of the row-major pairs.
+kept tail with a self-similar factor the product diagram is still
+exact: it is isomorphic, by a relabelling that fixes the presented
+levels, to the row-major product of the factors' unrollings.  Only the
+row order differs, since the unrolled coordinates follow the result's
+own block order, which can permute the row-major pairs.
 """
 
 from __future__ import annotations
@@ -78,6 +80,7 @@ def tensor_qn(seq: BratteliSequence, n, depth: int) -> BratteliSequence:
     """
     seq._require_level(depth)
     ns = n.associated_sequence(depth)
+    seq._check_listable(1, depth)
     ranks = tuple(seq.rank_at(t) for t in range(1, depth + 1))
     maps = []
     for i in range(1, depth):

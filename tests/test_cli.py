@@ -6,8 +6,12 @@ error, 2 inconclusive, 64 usage, 65 malformed input.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +38,7 @@ TREE = (
     "bratteli v1\nsizes: 1 2 4\nunit: 1\n"
     "map 1: 1*1 1*1\nmap 2: 1*1 1*1 2*1 2*1\nrepeat: 1\n"
 )
+BINARY_TREE = "bratteli v1\nsizes: 1 2\nunit: 1\nmap 1: 1*1 1*1\nrepeat: 1\n"
 TERNARY_TREE = "bratteli v1\nsizes: 1 3\nunit: 1\nmap 1: 1*1 1*1 1*1\nrepeat: 1\n"
 UNTAILED = "bratteli v1\nsizes: 1 1 1\nunit: 1\nmap 1: 1*2\nmap 2: 1*3\n"
 DEAD = (
@@ -210,6 +215,40 @@ class TestStates:
             ["states", doc("u.brat", UNTAILED), "--level", "5", "--depth", "6"]
         ) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_deep_level_in_bounded_memory(self, doc, tmp_path):
+        # level 22 of the binary tree has 2^21 coordinates, each pulling
+        # back to the vertex of its level-2 ancestor; one child process
+        # writes them to a file and reports its own peak RSS
+        path = doc("t.brat", TREE)
+        out = tmp_path / "out.txt"
+        argv = [sys.executable, "-m", "bratteli.cli", "states", path]
+        argv += ["--level", "2", "--depth", "22"]
+        probe = (
+            "import resource, subprocess, sys\n"
+            f"with open({str(out)!r}, 'wb') as fh:\n"
+            f"    code = subprocess.run({argv!r}, stdout=fh).returncode\n"
+            "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+        )
+        code, peak_kb = map(int, done.stdout.split())
+        assert code == 0
+        assert peak_kb < 64 * 1024
+        assert out.read_text() == "1 0\n" * 2**20 + "0 1\n" * 2**20
+
+    def test_level_past_the_budget_refused_at_once(self, doc, capsys):
+        start = time.perf_counter()
+        path = doc("t.brat", TREE)
+        assert run(["states", path, "--level", "2", "--depth", "23"]) == 1
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == (
+            "",
+            "error: level 22 has 2097152 coordinates, more than 1048576 to list\n",
+        )
 
 
 class TestCanon:
@@ -436,6 +475,37 @@ class TestHostileInput:
         assert run([a.format(**paths) for a in command]) == 1
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", err)
+
+    @pytest.mark.parametrize(
+        "text, keep, err",
+        [
+            (
+                BINARY_TREE,
+                "1,1000000000",
+                "error: level 22 has 2097152 coordinates, more than 1048576 to list\n",
+            ),
+            # squaring the period reaches 2**999999 at once, and the
+            # writer names its size
+            (
+                DYADIC,
+                "1,1000000",
+                "error: a multiplicity of map 1 is too long to write in "
+                "decimal (1000000 bits)\n",
+            ),
+            (
+                DYADIC,
+                "1,1000000000",
+                "error: a multiplicity of map 1 is too long to write in "
+                "decimal (at least 1000000000 bits)\n",
+            ),
+        ],
+        ids=["level", "composite", "bound"],
+    )
+    def test_deep_telescope_refused_at_once(self, text, keep, err, doc, capsys):
+        start = time.perf_counter()
+        assert run(["telescope", doc("d.brat", text), "--keep", keep]) == 1
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == ("", err)
 
     def test_non_ascii_supernatural_digit(self, doc, capsys):
         argv = ["tensorq", doc("d.brat", DYADIC), "--n", "2^\u0661", "--depth", "2"]

@@ -111,6 +111,19 @@ class TestTails:
             tree.map_at(22)
         with pytest.raises(TooLarge, match=too_many):
             keep_at(tree, 22)
+        with pytest.raises(TooLarge, match=too_many):
+            tree.ancestor_runs(1, 23)
+        # a level whose copy count alone is past the budget is refused
+        # before its rank is computed
+        with pytest.raises(TooLarge, match="level 1000000000 has more than"):
+            tree.map_between(10**9, 10**9 + 1)
+
+    def test_deep_ancestors_in_runs(self):
+        # node n of level 22 descends from node n // 2^20 of level 2
+        tree = full_tree(2, 3)
+        assert tree.ancestor_runs(2, 22) == ((0, 2**20), (1, 2**20))
+        assert tree.ancestor_runs(1, 22) == ((0, 2**21),)
+        assert tree.ancestor_runs(11, 12) == tuple((c, 2) for c in range(2**10))
 
     def test_cyclic_preferred_when_both_fit(self):
         seq = scalar_chain(2, levels=2)

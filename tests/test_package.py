@@ -35,7 +35,7 @@ EXPORTS = {
     "tensor": "tensor_map tensor_qn tensor_seq tensor_vec",
     "intertwine": "DiagonalMap LadderRung UnitChangeCertificate "
     "certificate_failures rescale_lemma unit_change verify_certificate",
-    "states": "StateVector depth_image_vertices restate_unit simplex_vertices "
+    "states": "StateVector depth_image_vertices simplex_vertices "
     "verify_state_invariance",
     "equiv": "Cardinality EquivalenceCertificate Equivalent EquivVerdict "
     "IndexSystem Intertwining NotEquivalent Unknown canonicalize_q "
@@ -92,7 +92,7 @@ def _loaded_by(argv):
 class TestPublicSurface:
     def test_names(self):
         names = [n for names in EXPORTS.values() for n in names.split()]
-        assert len(names) == 61
+        assert len(names) == 60
         assert set(bratteli.__all__) == set(names)
 
     def test_star_import_binds_the_home_objects(self):

@@ -13,7 +13,6 @@ from bratteli import (
     StateVector,
     SupernaturalNumber,
     depth_image_vertices,
-    restate_unit,
     simplex_vertices,
     verify_state_invariance,
 )
@@ -27,14 +26,6 @@ from genseq import (
     scalar_chain,
     two_path,
 )
-
-
-def random_state(rng, unit):
-    raw = [rng.randint(0, 5) for _ in unit]
-    if not any(raw):
-        raw[rng.randrange(len(raw))] = 1
-    total = sum(r * u for r, u in zip(raw, unit))
-    return StateVector(tuple(Fraction(r, total) for r in raw), unit)
 
 
 def random_supernat(rng):
@@ -222,28 +213,6 @@ class TestSimplex:
             ]
             for shallow, deep in zip(stages, stages[1:]):
                 assert deep <= shallow
-
-
-class TestRestate:
-    def test_oracle(self):
-        s = StateVector((Fraction(1, 2), Fraction(0)), (2, 3))
-        r = restate_unit(s, (1, 1))
-        assert r.values == (1, 0)
-        assert r.unit == (1, 1)
-
-    def test_involution(self):
-        rng = random.Random(66)
-        for _ in range(200):
-            rank = rng.randint(1, 4)
-            u = random_unit(rng, rank)
-            w = random_unit(rng, rank)
-            s = random_state(rng, u)
-            assert restate_unit(restate_unit(s, w), u) == s
-
-    def test_rank_checked(self):
-        s = StateVector((Fraction(1),), (1,))
-        with pytest.raises(RankMismatch):
-            restate_unit(s, (1, 1))
 
 
 class TestStateInvariance:

@@ -17,11 +17,23 @@ from bratteli import (
     SupernaturalNumber,
     injectivize,
     keep_at,
+    telescope,
     tensor_qn,
 )
 from genseq import max_usable_level, random_sequence
 
 TAILS = ("cyclic", "sub")
+
+
+def _composed(seq, lo, hi):
+    # (parent, mult) of the composite lo -> hi, one map_at at a time
+    parent, mult = list(range(seq.rank_at(lo))), [1] * seq.rank_at(lo)
+    for t in range(lo, hi):
+        a = seq.map_at(t)
+        parent, mult = [parent[i] for i in a.parent], [
+            k * mult[i] for i, k in zip(a.parent, a.mult)
+        ]
+    return tuple(parent), tuple(mult)
 
 
 def _restricted(seq, t):
@@ -118,3 +130,65 @@ def test_self_similar_levels_list_the_roots_kids_expanded():
             assert seq.map_at(t) == want, (seq, t)
             checked += 1
     assert checked == 300 * 3 * 2
+
+
+@pytest.mark.parametrize("tail", TAILS)
+def test_ancestor_runs_are_the_composed_parents(tail):
+    rng = random.Random(f"ancestors-{tail}")
+    pairs = past = 0
+    for _ in range(300):
+        seq = random_sequence(rng, tail=tail)
+        top = max_usable_level(seq, extra_periods=3)
+        for lo in range(1, top + 1):
+            for hi in range(lo, top + 1):
+                runs = seq.ancestor_runs(lo, hi)
+                assert all(n >= 1 for _, n in runs)
+                assert all(a != b for (a, _), (b, _) in zip(runs, runs[1:]))
+                got = tuple(a for a, n in runs for _ in range(n))
+                assert got == _composed(seq, lo, hi)[0], (seq, lo, hi)
+                pairs += 1
+                past += hi > seq.length
+    assert pairs > 5000 and past > 3000
+
+
+def test_map_between_over_many_periods():
+    # whole periods of a cyclic tail compose by squaring one period
+    rng = random.Random("many-periods")
+    for _ in range(200):
+        seq = random_sequence(rng, tail="cyclic", max_mult=3)
+        period = seq.length - seq.periodic_tail
+        lo = rng.randint(1, seq.length + period)
+        hi = lo + rng.randint(0, 13 * period)
+        a = seq.map_between(lo, hi)
+        assert (a.parent, a.mult) == _composed(seq, lo, hi), (seq, lo, hi)
+
+
+def test_telescope_unrolls_to_the_input_composites():
+    # a kept tail continues the kept levels' last step: level i of the
+    # result past its presented ones is level keep[-1] + (i - len(keep)) * h
+    # of the input
+    rng = random.Random("telescope")
+    kept = checked = 0
+    while kept < 300:
+        seq = random_sequence(rng, tail="cyclic", max_mult=3)
+        p, period = seq.periodic_tail, seq.length - seq.periodic_tail
+        head = sorted(rng.sample(range(2, p + 3), rng.randint(0, 2)))
+        start = max([p, *head]) + rng.randint(0, 2 * period)
+        step = period * rng.randint(1, 2)
+        run = [start + j * step for j in range(rng.randint(2, 4))]
+        keep = [1] + [t for t in head if t < start] + [t for t in run if t > 1]
+        out = telescope(seq, keep)
+        if out.periodic_tail is None:
+            continue
+        kept += 1
+        levels = list(keep)
+        horizon = out.length + 3 * (out.length - out.periodic_tail)
+        while len(levels) <= horizon:
+            levels.append(levels[-1] + step)
+        for i in range(1, horizon):
+            parent, mult = _composed(seq, levels[i - 1], levels[i])
+            assert out.map_at(i) == NonMixingMap(
+                seq.rank_at(levels[i - 1]), parent, mult
+            ), (seq, keep, i)
+            checked += 1
+    assert checked > 3000
