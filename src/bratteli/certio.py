@@ -25,6 +25,7 @@ if TYPE_CHECKING:
     from .intertwine import UnitChangeCertificate
 
 _FRACTION = re.compile(f"(-?{DIGITS})(?:/({DIGITS}))?")
+_INTEGERS = re.compile(f"-?{DIGITS}(?: -?{DIGITS})*")
 
 
 def dumps(doc) -> str:
@@ -67,7 +68,17 @@ def _int(value, what: str) -> int:
 
 
 def _ints(values, what: str) -> tuple:
-    return tuple(_int(v, what) for v in _typed(values, list, what))
+    # one pattern over the values joined by spaces and one int() pass;
+    # the per-value loop runs only to name the first fault
+    values = _typed(values, list, what)
+    try:
+        joined = " ".join(values)
+        parts = joined.split(" ")
+        if _INTEGERS.fullmatch(joined) and len(parts) == len(values):
+            return tuple(map(int, parts))
+    except (TypeError, ValueError):  # a value not a str, or past int()'s limit
+        pass
+    return tuple(_int(v, what) for v in values)
 
 
 def decimals(values, what: str) -> list:

@@ -48,6 +48,7 @@ self-similar tail, whose single root always survives).
 from __future__ import annotations
 
 import sys
+from math import prod
 
 from .errors import (
     BadRepeat,
@@ -461,12 +462,13 @@ def telescope(seq: BratteliSequence, keep) -> BratteliSequence:
     telescoped level sizes no longer follow a fixed block.
 
     Two results are refused before anything is composed: one with a
-    level past the coordinate budget, and one with a composite whose
-    every multiplicity has more than _MULT_BITS bits and more decimal
-    digits than sys.get_int_max_str_digits() lets a diagram document
-    carry.  Each multiplicity of a composite is a product of one
-    multiplicity of every map it spans, so it has at least the bits
-    of the product of their smallest ones.
+    level past the coordinate budget, and one with a composite that has
+    a multiplicity of more than _MULT_BITS bits and more decimal digits
+    than sys.get_int_max_str_digits() lets a diagram document carry.
+    Each multiplicity of a composite is a product of one multiplicity of
+    every map it spans, so every one has at least the bits of the product
+    of their smallest ones, and on a cyclic tail the largest has at least
+    the bits of the product along one ancestor path (_most_bits).
     """
     keep = tuple(keep)
     if not keep or keep[0] != 1:
@@ -481,8 +483,9 @@ def telescope(seq: BratteliSequence, keep) -> BratteliSequence:
     seq._check_listable(1, keep[-1])
     limit = sys.get_int_max_str_digits()
     low = [min(a.mult).bit_length() - 1 for a in seq.maps]
+    laps = {}
     for i, (a, b) in enumerate(zip(keep, keep[1:]), start=1):
-        bits = _least_bits(seq, low, a, b)
+        bits = max(_least_bits(seq, low, a, b), _most_bits(seq, laps, a, b))
         # 2**(bits - 1) >= 10**limit, with 3.3220 > log2(10)
         if limit and bits > _MULT_BITS and (bits - 1) * 10000 >= limit * 33220:
             raise TooLarge(
@@ -521,6 +524,40 @@ def _least_bits(seq: BratteliSequence, low: list, lo: int, hi: int) -> int:
         n = hi - start
         bits += n // len(cycle) * sum(cycle) + sum(cycle[: n % len(cycle)])
     return bits
+
+
+def _most_bits(seq: BratteliSequence, laps: dict, lo: int, hi: int) -> int:
+    # a lower bound on the bit length of the largest multiplicity of
+    # map_between(lo, hi) on a cyclic tail.  The k whole periods from
+    # start = max(lo, p) each compose to one map Q.  A node c on a cycle
+    # of Q's parents is its own ancestor some laps down, so it has
+    # descendants at every level and one of level hi descends through
+    # c at level start + k * period.  Down from there its path follows
+    # the cycle k steps, each lap multiplying by the product of Q's
+    # multiplicities around it.
+    if seq.tail_kind != "cyclic":
+        return 1
+    period = seq.length - seq.periodic_tail
+    start = max(lo, seq.periodic_tail)
+    k = (hi - start) // period
+    if k < 1:
+        return 1
+    b = seq._block_position(start)
+    if b not in laps:  # (length, bits) of every cycle of Q, memoized by b
+        rank = seq.rank_at(start)
+        parent, mult = seq._compose((range(rank), (1,) * rank), start, start + period)
+        laps[b], walk = [], [None] * rank
+        for first in range(rank):
+            c, path = first, []
+            while walk[c] is None:
+                walk[c] = first
+                path.append(c)
+                c = parent[c]
+            if walk[c] == first:  # this walk closed a new cycle at c
+                cycle = path[path.index(c) :]
+                bits = prod(mult[j] for j in cycle).bit_length() - 1
+                laps[b].append((len(cycle), bits))
+    return 1 + max(k // m * bits for m, bits in laps[b])
 
 
 class LimitElement(Frozen):

@@ -12,7 +12,10 @@ line carries one `parent*mult` token per coordinate of its target
 level, parents 1-based.  `#` starts a comment, full-line or trailing,
 and blank lines are ignored.  serialize_diagram writes the canonical
 form (this exact line order, single spaces, no comments, trailing
-newline), and parsing it back returns an equal sequence.
+newline), and parsing it back returns an equal sequence.  Numerals are
+ASCII digits only.  The sizes, and all map cells, are checked by one
+pattern and one int() pass; only a part that fails them is scanned token
+by token, to name its first fault.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ from .diagram import BratteliSequence
 from .errors import DIGITS, BratteliError, ParseError, TooLarge
 from .simplicial import NonMixingMap
 
-_NATURAL = re.compile(DIGITS)
 INTEGER = re.compile(f"-?{DIGITS}")
 _TOKEN = re.compile(r"\S+")
+_NATURALS = re.compile(f"{DIGITS}(?: {DIGITS})*")
+_CELLS = re.compile(rf"{DIGITS}\*{DIGITS}(?: {DIGITS}\*{DIGITS})*")
 
 
 def _logical_lines(text: str):
@@ -53,7 +57,7 @@ def _too_long(numeral: str, lineno: int, col: int) -> ParseError:
 
 
 def _int(tok: str, lineno: int, col: int, what: str, minimum: int = 1) -> int:
-    if not _NATURAL.fullmatch(tok):
+    if not _NATURALS.fullmatch(tok):  # one numeral, since a token has no space
         raise ParseError(f"expected {what}, got {tok!r}", lineno, col)
     try:
         value = int(tok)
@@ -62,6 +66,37 @@ def _int(tok: str, lineno: int, col: int, what: str, minimum: int = 1) -> int:
     if value < minimum:
         raise ParseError(f"{what} must be >= {minimum}, got {value}", lineno, col)
     return value
+
+
+def _bulk(pattern, toks: list):
+    # toks' numerals if pattern takes them joined by spaces and all are >= 1
+    joined = " ".join(toks)
+    try:
+        nums = [*map(int, joined.replace("*", " ").split(" "))]
+    except ValueError:  # not numerals, or past int()'s digit limit
+        return None
+    return nums if pattern.fullmatch(joined) and min(nums) >= 1 else None
+
+
+def _bulk_maps(block: list, sizes: list):
+    # the maps of a well-formed map section, else None
+    cells = []
+    for i, (_, body) in enumerate(block, start=1):
+        toks = body.split()
+        if toks[:2] != ["map", f"{i}:"] or len(toks) - 2 != sizes[i]:
+            return None
+        cells += toks[2:]
+    nums = _bulk(_CELLS, cells)
+    if len(block) < len(sizes) - 1 or not nums:
+        return None
+    maps, at, parent, mult = [], 0, tuple([p - 1 for p in nums[0::2]]), tuple(nums[1::2])
+    for src, n in zip(sizes, sizes[1:]):
+        row = parent[at : at + n]
+        if max(row) >= src:
+            return None
+        maps.append(NonMixingMap._of(src, row, mult[at : at + n]))
+        at += n
+    return maps
 
 
 def _decimal(value, what: str) -> str:
@@ -96,12 +131,14 @@ def parse_diagram(text: str) -> BratteliSequence:
         raise ParseError("expected header 'bratteli v1'", lineno, toks[0][0])
 
     lineno, body = need_line("'sizes:' line")
-    toks = _tokens(body)
-    if toks[0][1] != "sizes:":
-        raise ParseError(f"expected 'sizes:', got {toks[0][1]!r}", lineno, toks[0][0])
-    if len(toks) < 2:
-        raise ParseError("need at least one size", lineno, toks[0][0])
-    sizes = tuple(_int(t, lineno, c, "a size") for c, t in toks[1:])
+    head, *nums = body.split()
+    if head != "sizes:":
+        raise ParseError(f"expected 'sizes:', got {head!r}", lineno, _column(body, 0))
+    if not nums:
+        raise ParseError("need at least one size", lineno, _column(body, 0))
+    sizes = _bulk(_NATURALS, nums)
+    if sizes is None:  # scan the line to name its first fault
+        sizes = [_int(t, lineno, c, "a size") for c, t in _tokens(body)[1:]]
 
     lineno, body = need_line("'unit:' line")
     toks = _tokens(body)
@@ -113,40 +150,44 @@ def parse_diagram(text: str) -> BratteliSequence:
             f"unit needs {sizes[0]} entries, got {len(unit)}", lineno, toks[0][0]
         )
 
-    maps = []
-    for i in range(1, len(sizes)):
-        lineno, body = need_line(f"'map {i}:' line")
-        toks = body.split()
-        if toks[:2] != ["map", f"{i}:"]:
-            raise ParseError(f"expected 'map {i}:'", lineno, _column(body, 0))
-        if len(toks) - 2 != sizes[i]:
-            raise ParseError(
-                f"map {i} needs {sizes[i]} entries, got {len(toks) - 2}",
-                lineno,
-                _column(body, 0),
-            )
-        # one split per cell; isascii() because isdigit() also takes "²"
-        src = sizes[i - 1]
-        parent, mult = [], []
-        for n, tok in enumerate(toks[2:], start=2):
-            a, star, b = tok.partition("*")
-            if not (star and tok.isascii() and a.isdigit() and b.isdigit()):
+    maps = _bulk_maps(lines[pos : pos + len(sizes) - 1], sizes)
+    if maps is not None:
+        pos += len(maps)
+    else:  # scan the section cell by cell to name its first fault
+        maps = []
+        for i in range(1, len(sizes)):
+            lineno, body = need_line(f"'map {i}:' line")
+            toks = body.split()
+            if toks[:2] != ["map", f"{i}:"]:
+                raise ParseError(f"expected 'map {i}:'", lineno, _column(body, 0))
+            if len(toks) - 2 != sizes[i]:
                 raise ParseError(
-                    f"expected 'parent*mult', got {tok!r}", lineno, _column(body, n)
+                    f"map {i} needs {sizes[i]} entries, got {len(toks) - 2}",
+                    lineno,
+                    _column(body, 0),
                 )
-            try:
-                p, k = int(a), int(b)
-            except ValueError:
-                raise _too_long(max(a, b, key=len), lineno, _column(body, n)) from None
-            if not 1 <= p <= src:
-                raise ParseError(f"parent {p} outside 1..{src}", lineno, _column(body, n))
-            if k < 1:
-                raise ParseError(
-                    f"multiplicity must be >= 1, got {k}", lineno, _column(body, n)
-                )
-            parent.append(p - 1)
-            mult.append(k)
-        maps.append(NonMixingMap(src, tuple(parent), tuple(mult)))
+            # one split per cell; isascii() because isdigit() also takes "²"
+            src = sizes[i - 1]
+            parent, mult = [], []
+            for n, tok in enumerate(toks[2:], start=2):
+                a, star, b = tok.partition("*")
+                if not (star and tok.isascii() and a.isdigit() and b.isdigit()):
+                    raise ParseError(
+                        f"expected 'parent*mult', got {tok!r}", lineno, _column(body, n)
+                    )
+                try:
+                    p, k = int(a), int(b)
+                except ValueError:
+                    raise _too_long(max(a, b, key=len), lineno, _column(body, n)) from None
+                if not 1 <= p <= src:
+                    raise ParseError(f"parent {p} outside 1..{src}", lineno, _column(body, n))
+                if k < 1:
+                    raise ParseError(
+                        f"multiplicity must be >= 1, got {k}", lineno, _column(body, n)
+                    )
+                parent.append(p - 1)
+                mult.append(k)
+            maps.append(NonMixingMap(src, tuple(parent), tuple(mult)))
 
     tail = None
     tail_line = 1

@@ -9,7 +9,7 @@ each target, 0-based) and mult (positive multipliers).
 
 from __future__ import annotations
 
-from .errors import Frozen, NotNonMixing, NotOrderUnit, NotPositive, RankMismatch
+from .errors import Frozen, NotNonMixing, NotOrderUnit, NotPositive, RankMismatch, _set
 
 IntVector = tuple  # tuple[int, ...]
 
@@ -81,6 +81,15 @@ class NonMixingMap(Frozen):
             if not isinstance(k, int) or k < 1:
                 raise NotPositive(f"mult[{j}] = {k!r} must be a positive integer")
         self._freeze(source_rank, parent, mult)
+
+    @classmethod
+    def _of(cls, source_rank: int, parent: tuple, mult: tuple) -> "NonMixingMap":
+        """Unchecked: the caller has already made the checks of __init__."""
+        self = cls.__new__(cls)
+        _set(self, "source_rank", source_rank)
+        _set(self, "parent", parent)
+        _set(self, "mult", mult)
+        return self
 
     @property
     def target_rank(self) -> int:

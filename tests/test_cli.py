@@ -507,6 +507,31 @@ class TestHostileInput:
         assert time.perf_counter() - start < 1
         assert capsys.readouterr() == ("", err)
 
+    def test_largest_multiplicity_refused_at_once(self, doc):
+        # the smallest multiplicity of this two-path cycle stays 1, but the
+        # other path triples every level, so the composite to level 10**7
+        # has a multiplicity of 15 849 624 bits.  A child process with a
+        # timeout, since composing it before refusing takes seconds
+        path = doc("t.brat", TWO_PATH.replace("1*2 2*3", "1*1 2*3"))
+        argv = [sys.executable, "-m", "bratteli.cli", "telescope", path]
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        start = time.perf_counter()
+        done = subprocess.run(
+            [*argv, "--keep", "1,10000000"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert time.perf_counter() - start < 1
+        assert (done.returncode, done.stdout, done.stderr) == (
+            1,
+            "",
+            "error: a multiplicity of map 1 is too long to write in decimal "
+            "(at least 10000000 bits)\n",
+        )
+
     def test_non_ascii_supernatural_digit(self, doc, capsys):
         argv = ["tensorq", doc("d.brat", DYADIC), "--n", "2^\u0661", "--depth", "2"]
         err = self.check(argv, 64, capsys)

@@ -23,6 +23,7 @@ from bratteli import (
     limit_leq,
     telescope,
 )
+from bratteli import diagram
 
 from genseq import (
     full_tree,
@@ -212,6 +213,21 @@ class TestTelescope:
         assert kept.maps[-1] == seq.map_between(2, 4)
         dropped = telescope(seq, (1, 3, 4))
         assert dropped.periodic_tail is None
+
+    def test_multiplicity_bounds_are_lower_bounds(self):
+        # the bounds telescope refuses by, against the composites
+        rng = random.Random(35)
+        for _ in range(300):
+            seq = random_sequence(rng, max_rank=5, max_mult=9)
+            low = [min(a.mult).bit_length() - 1 for a in seq.maps]
+            last = seq.length + 3 * (seq.length - (seq.periodic_tail or 1))
+            top = last if seq.tail_kind == "cyclic" else seq.length
+            for _ in range(5):
+                lo = rng.randint(1, top)
+                hi = rng.randint(lo, top)
+                bits = [k.bit_length() for k in seq.map_between(lo, hi).mult]
+                assert diagram._least_bits(seq, low, lo, hi) <= min(bits)
+                assert diagram._most_bits(seq, {}, lo, hi) <= max(bits)
 
     def test_soundness_for_limit_verdicts(self):
         # comparisons at kept levels agree before and after telescoping,
