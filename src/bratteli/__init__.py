@@ -11,21 +11,18 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "errors": "BadRepeat BratteliError EmptyLevel LevelOutOfRange NonAscending "
-    "NotInjective NotNonMixing NotNormalized NotOrderUnit NotPositive "
-    "ParseError RankMismatch TooLarge",
-    "supernat": "INF ONE SupernaturalNumber is_prime",
-    "simplicial": "NonMixingMap forall_n_leq is_order_unit is_positive",
+    "NotNormalized NotOrderUnit NotPositive ParseError RankMismatch TooLarge",
+    "supernat": "INF SupernaturalNumber is_prime",
+    "simplicial": "NonMixingMap forall_n_leq is_order_unit",
     "diagram": "BratteliSequence LimitElement forall_n_leq_limit injectivize "
-    "keep_at limit_eq limit_leq telescope",
+    "keep_at limit_leq telescope",
     "tensor": "tensor_map tensor_qn tensor_seq tensor_vec",
     "intertwine": "DiagonalMap LadderRung UnitChangeCertificate "
-    "certificate_failures rescale_lemma unit_change verify_certificate",
-    "states": "StateVector depth_image_vertices simplex_vertices "
-    "verify_state_invariance",
-    "equiv": "Cardinality EquivalenceCertificate Equivalent EquivVerdict "
-    "IndexSystem Intertwining NotEquivalent Unknown canonicalize_q "
-    "equivalence_certificate_failures equivalent_q limit_cardinality "
-    "not_equivalent_failures verify_equivalence_certificate",
+    "certificate_failures rescale_lemma unit_change",
+    "states": "StateVector depth_image_vertices verify_state_invariance",
+    "equiv": "Cardinality EquivalenceCertificate Equivalent IndexSystem "
+    "Intertwining NotEquivalent Unknown canonicalize_q "
+    "equivalence_certificate_failures equivalent_q not_equivalent_failures",
     "fileformat": "parse_diagram serialize_diagram",
 }
 _HOME = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}

@@ -175,10 +175,10 @@ def _coords_from_doc(values, what: str) -> tuple:
     return tuple(v - 1 for v in _ints(values, what))
 
 
-def verdict_to_doc(verdict, left=None, right=None) -> dict:
+def verdict_to_doc(verdict, left, right) -> dict:
     """Encode an equivalence verdict; embeds both sequences so the
     document can be rechecked on its own.  For Equivalent the sequences
-    come out of the certificate; otherwise pass them in."""
+    come out of the certificate, and left and right go unused."""
     from .equiv import Equivalent, NotEquivalent, Unknown
 
     if isinstance(verdict, Equivalent):
@@ -206,8 +206,6 @@ def verdict_to_doc(verdict, left=None, right=None) -> dict:
             },
         }
     if isinstance(verdict, NotEquivalent):
-        if left is None or right is None:
-            raise ValueError("a not-equivalent document needs both sequences")
         return {
             "kind": "equivalence",
             "verdict": "not-equivalent",
@@ -218,15 +216,13 @@ def verdict_to_doc(verdict, left=None, right=None) -> dict:
             "right_cardinality": _cardinality_to_doc(verdict.right_cardinality),
         }
     if isinstance(verdict, Unknown):
-        doc = {
+        return {
             "kind": "equivalence",
             "verdict": "unknown",
             "depth": str(verdict.depth),
+            "left": serialize_diagram(left),
+            "right": serialize_diagram(right),
         }
-        if left is not None and right is not None:
-            doc["left"] = serialize_diagram(left)
-            doc["right"] = serialize_diagram(right)
-        return doc
     raise ValueError(f"not a verdict: {verdict!r}")
 
 

@@ -56,7 +56,6 @@ from .errors import (
     Frozen,
     LevelOutOfRange,
     NonAscending,
-    NotInjective,
     NotOrderUnit,
     RankMismatch,
     TooLarge,
@@ -575,9 +574,7 @@ class LimitElement(Frozen):
         self._freeze(level, vec)
 
 
-def _check_elements(seq, a, b, strict):
-    if strict and not seq.is_injective_presentation():
-        raise NotInjective("presentation has non-injective maps")
+def _check_elements(seq, a, b):
     for el in (a, b):
         seq._require_level(el.level)
         want = seq.rank_at(el.level)
@@ -595,28 +592,20 @@ def _pushed_pair(seq, a, b):
     return tuple(x[j] for j in kept), tuple(y[j] for j in kept)
 
 
-def limit_eq(seq, a: LimitElement, b: LimitElement, strict: bool = False) -> bool:
-    """Whether a and b are the same element of the limit group.
+def limit_leq(seq, a: LimitElement, b: LimitElement) -> bool:
+    """Whether a <= b in the limit order.
 
     Both elements are pushed to a common level and compared on the
     coordinates the limit sees.  Coordinates without deep descendants
     never influence any later level, so ignoring them is exact, not an
-    approximation.  With strict=True a presentation with non-injective
-    maps is rejected instead.
+    approximation.
     """
-    _check_elements(seq, a, b, strict)
-    x, y = _pushed_pair(seq, a, b)
-    return x == y
-
-
-def limit_leq(seq, a: LimitElement, b: LimitElement, strict: bool = False) -> bool:
-    """Whether a <= b in the limit order."""
-    _check_elements(seq, a, b, strict)
+    _check_elements(seq, a, b)
     x, y = _pushed_pair(seq, a, b)
     return all(xi <= yi for xi, yi in zip(x, y))
 
 
-def forall_n_leq_limit(seq, a, b, strict: bool = False) -> bool:
+def forall_n_leq_limit(seq, a, b) -> bool:
     """Whether n*a <= b in the limit for every n >= 1.
 
     Pushing multiplies each surviving coordinate by a positive integer,
@@ -625,7 +614,7 @@ def forall_n_leq_limit(seq, a, b, strict: bool = False) -> bool:
     a.level has a kept descendant at every deeper level, so a positive
     entry there already answers False, before anything is pushed.
     """
-    _check_elements(seq, a, b, strict)
+    _check_elements(seq, a, b)
     if any(a.vec[c] > 0 for c in keep_at(seq, a.level)):
         return False
     x, y = _pushed_pair(seq, a, b)

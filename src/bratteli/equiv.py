@@ -130,11 +130,6 @@ def _path_space(seq: BratteliSequence):
     return pruned, Cardinality.infinite()
 
 
-def limit_cardinality(seq: BratteliSequence) -> Cardinality:
-    """How many infinite paths the pruned diagram carries."""
-    return _path_space(seq)[1]
-
-
 def _stable_level(pruned: BratteliSequence, count: int) -> int:
     # first level where the pruned sizes reach their final value; from
     # there on every parent function is a bijection
@@ -229,9 +224,6 @@ class Unknown(Frozen):
 
     def __init__(self, depth: int):
         self._freeze(depth)
-
-
-EquivVerdict = Equivalent | NotEquivalent | Unknown
 
 
 def equivalent_q(left: BratteliSequence, right: BratteliSequence, depth: int = 5):
@@ -361,7 +353,3 @@ def not_equivalent_failures(verdict: NotEquivalent, left, right) -> list:
     else:
         failures.append(f"unsupported reason {verdict.reason!r}")
     return failures
-
-
-def verify_equivalence_certificate(cert: EquivalenceCertificate) -> bool:
-    return not equivalence_certificate_failures(cert)

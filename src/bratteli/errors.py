@@ -73,10 +73,6 @@ class NotPositive(BratteliError):
     """A multiplicity or scaling entry is zero or negative."""
 
 
-class NotNonMixing(BratteliError):
-    """A matrix row has zero or several nonzero entries."""
-
-
 class NotOrderUnit(BratteliError):
     """A vector required to be strictly positive is not."""
 
@@ -99,10 +95,6 @@ class EmptyLevel(BratteliError):
 
 class BadRepeat(BratteliError):
     """A periodic tail whose rank pattern does not close up."""
-
-
-class NotInjective(BratteliError):
-    """Strict mode rejected a presentation with non-injective maps."""
 
 
 class TooLarge(BratteliError):

@@ -308,7 +308,3 @@ def certificate_failures(cert: UnitChangeCertificate) -> list:
                 f"every prime of {over} to inf"
             )
     return failures
-
-
-def verify_certificate(cert: UnitChangeCertificate) -> bool:
-    return not certificate_failures(cert)

@@ -9,24 +9,7 @@ each target, 0-based) and mult (positive multipliers).
 
 from __future__ import annotations
 
-from .errors import Frozen, NotNonMixing, NotOrderUnit, NotPositive, RankMismatch, _set
-
-IntVector = tuple  # tuple[int, ...]
-
-
-def _check_vec(x, rank: int, what: str = "vector") -> tuple:
-    x = tuple(x)
-    if len(x) != rank:
-        raise RankMismatch(f"{what} has length {len(x)}, expected {rank}")
-    for v in x:
-        if not isinstance(v, int):
-            raise TypeError(f"{what} entries must be ints, got {v!r}")
-    return x
-
-
-def is_positive(x) -> bool:
-    """Membership in the cone: every entry >= 0."""
-    return all(v >= 0 for v in x)
+from .errors import Frozen, NotPositive, RankMismatch, _set
 
 
 def is_order_unit(x) -> bool:
@@ -103,27 +86,6 @@ class NonMixingMap(Frozen):
     def scalar(cls, rank: int, k: int) -> "NonMixingMap":
         return cls(rank, tuple(range(rank)), (k,) * rank)
 
-    @classmethod
-    def from_matrix(cls, rows) -> "NonMixingMap":
-        """Build from an s x r integer matrix, one nonzero per row."""
-        rows = [tuple(row) for row in rows]
-        if not rows:
-            raise NotPositive("matrix must have at least one row")
-        r = len(rows[0])
-        parent, mult = [], []
-        for j, row in enumerate(rows):
-            if len(row) != r:
-                raise RankMismatch(f"row {j} has length {len(row)}, expected {r}")
-            hits = [(i, v) for i, v in enumerate(row) if v != 0]
-            if len(hits) != 1:
-                raise NotNonMixing(f"row {j} has {len(hits)} nonzero entries")
-            i, v = hits[0]
-            if v < 0:
-                raise NotPositive(f"row {j} has negative entry {v}")
-            parent.append(i)
-            mult.append(v)
-        return cls(r, tuple(parent), tuple(mult))
-
     def matrix(self):
         rows = []
         for i, k in zip(self.parent, self.mult):
@@ -133,7 +95,12 @@ class NonMixingMap(Frozen):
         return tuple(rows)
 
     def apply(self, x) -> tuple:
-        x = _check_vec(x, self.source_rank)
+        x = tuple(x)
+        if len(x) != self.source_rank:
+            raise RankMismatch(f"vector has length {len(x)}, expected {self.source_rank}")
+        for v in x:
+            if not isinstance(v, int):
+                raise TypeError(f"vector entries must be ints, got {v!r}")
         return tuple(k * x[i] for i, k in zip(self.parent, self.mult))
 
     def compose(self, inner: "NonMixingMap") -> "NonMixingMap":
@@ -145,13 +112,6 @@ class NonMixingMap(Frozen):
         parent = tuple(inner.parent[i] for i in self.parent)
         mult = tuple(k * inner.mult[i] for i, k in zip(self.parent, self.mult))
         return NonMixingMap(inner.source_rank, parent, mult)
-
-    def push_unit(self, u) -> tuple:
-        """Image of an order unit; stays an order unit by positivity."""
-        u = _check_vec(u, self.source_rank, "unit")
-        if not is_order_unit(u):
-            raise NotOrderUnit(f"{u} is not strictly positive")
-        return self.apply(u)
 
     def is_injective(self) -> bool:
         """Injective iff every source coordinate feeds some target."""

@@ -22,13 +22,6 @@ from .errors import Frozen, NotNormalized, NotOrderUnit, NotPositive, RankMismat
 from .simplicial import is_order_unit
 
 
-def _check_unit(u) -> tuple:
-    u = tuple(u)
-    if not is_order_unit(u):
-        raise NotOrderUnit(f"unit {u} is not strictly positive")
-    return u
-
-
 class StateVector(Frozen):
     """Values of a state on the basis, normalized against its unit."""
 
@@ -36,7 +29,9 @@ class StateVector(Frozen):
 
     def __init__(self, values, unit):
         values = tuple(Fraction(v) for v in values)
-        unit = _check_unit(unit)
+        unit = tuple(unit)
+        if not is_order_unit(unit):
+            raise NotOrderUnit(f"unit {unit} is not strictly positive")
         if len(values) != len(unit):
             raise RankMismatch(
                 f"{len(values)} values against a rank-{len(unit)} unit"
@@ -58,20 +53,6 @@ class StateVector(Frozen):
         if len(x) != self.rank:
             raise RankMismatch(f"vector has length {len(x)}, state rank {self.rank}")
         return sum((v * xi for v, xi in zip(self.values, x)), Fraction(0))
-
-
-def simplex_vertices(rank: int, u) -> tuple:
-    """Extreme states of (Z^rank, u): coordinate evaluations over u_i."""
-    u = _check_unit(u)
-    if len(u) != rank:
-        raise RankMismatch(f"unit has length {len(u)}, expected {rank}")
-    out = []
-    for i in range(rank):
-        values = tuple(
-            Fraction(1, u[i]) if j == i else Fraction(0) for j in range(rank)
-        )
-        out.append(StateVector(values, u))
-    return tuple(out)
 
 
 def depth_image_runs(seq: BratteliSequence, level: int, depth: int) -> tuple:
@@ -118,12 +99,12 @@ def verify_state_invariance(seq: BratteliSequence, n, depth: int) -> bool:
     from .tensor import tensor_qn
 
     scaled = tensor_qn(seq, n, depth)
-    ns = n.associated_sequence(depth)
+    ratios = n.associated_ratios(depth)
     for i in range(1, depth):
         plain = seq.map_at(i)
         tensored = scaled.map_at(i)
         if (tensored.source_rank, tensored.parent) != (plain.source_rank, plain.parent):
             return False
-        if any(a * ns[i - 1] != b * ns[i] for a, b in zip(tensored.mult, plain.mult)):
+        if any(a != b * ratios[i] for a, b in zip(tensored.mult, plain.mult)):
             return False
     return True

@@ -3,13 +3,16 @@
 A supernatural number n determines the subgroup Q_n of the rationals
 generated by 1/d for every natural d dividing n.  The associated
 sequence n_1 | n_2 | ... realizes Q_n as an increasing union of cyclic
-subgroups and is what the tensoring code consumes.
+subgroups; the tensoring code consumes its ratios n_{i+1}/n_i, which
+have closed forms.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import accumulate
 from math import isqrt
+from operator import itemgetter, mul
 
 from .errors import DIGITS, Frozen, TooLarge
 
@@ -17,7 +20,7 @@ _NATURAL = re.compile(DIGITS)
 
 
 class _Infinity:
-    """Distinguished exponent token, strictly above every integer."""
+    """Distinguished exponent token, the one infinite exponent."""
 
     __slots__ = ()
     _instance = None
@@ -30,41 +33,8 @@ class _Infinity:
     def __repr__(self):
         return "inf"
 
-    def __lt__(self, other):
-        if isinstance(other, (int, _Infinity)):
-            return False
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, _Infinity):
-            return True
-        if isinstance(other, int):
-            return False
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, _Infinity):
-            return False
-        if isinstance(other, int):
-            return True
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, (int, _Infinity)):
-            return True
-        return NotImplemented
-
-    def __add__(self, other):
-        if isinstance(other, (int, _Infinity)):
-            return self
-        return NotImplemented
-
-    __radd__ = __add__
-
 
 INF = _Infinity()
-
-Exponent = "int | _Infinity"
 
 
 # Trial division stops at this bound: a cofactor below its square with
@@ -127,7 +97,9 @@ class SupernaturalNumber(Frozen):
     def __init__(self, factors=()):
         if isinstance(factors, dict):
             factors = factors.items()
-        pairs = sorted(tuple(it) for it in factors)
+        # by prime alone: INF has no order, and a repeated prime is
+        # refused below
+        pairs = sorted((tuple(it) for it in factors), key=itemgetter(0))
         seen = set()
         for p, e in pairs:
             if not is_prime(p):
@@ -178,25 +150,8 @@ class SupernaturalNumber(Frozen):
                     return False
         return n == 1 and over == 1
 
-    def exponent(self, p: int):
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
     def primes(self) -> tuple:
         return tuple(p for p, _ in self.factors)
-
-    def is_finite(self) -> bool:
-        return all(e is not INF for _, e in self.factors)
-
-    def to_int(self) -> int:
-        if not self.is_finite():
-            raise ValueError("not a natural number")
-        out = 1
-        for p, e in self.factors:
-            out *= p**e
-        return out
 
     def multiply(self, other: "SupernaturalNumber") -> "SupernaturalNumber":
         fac = dict(self.factors)
@@ -207,8 +162,27 @@ class SupernaturalNumber(Frozen):
 
     __mul__ = multiply
 
-    def divides(self, other: "SupernaturalNumber") -> bool:
-        return all(e <= other.exponent(p) for p, e in self.factors)
+    def associated_ratios(self, length: int) -> tuple:
+        """n_1, n_2 / n_1, ..., n_length / n_(length-1) of the associated
+        sequence, each in closed form.
+
+        Prime p_j (0-based, ascending) enters at step j with exponent
+        min(j + 1, e), and at each later step i gains one more while
+        e > i, so no n_i, which has about i bits, is ever formed.
+        """
+        if not isinstance(length, int) or length < 1:
+            raise ValueError("length must be >= 1")
+        out = []
+        for i in range(length):
+            r = 1
+            for p, e in self.factors[:i]:
+                if e is INF or e > i:
+                    r *= p
+            if i < len(self.factors):
+                p, e = self.factors[i]
+                r *= p ** (i + 1 if e is INF else min(i + 1, e))
+            out.append(r)
+        return tuple(out)
 
     def associated_sequence(self, length: int) -> tuple:
         """Canonical divisibility chain n_1 | n_2 | ... | n_length.
@@ -217,16 +191,7 @@ class SupernaturalNumber(Frozen):
         order, each capped at exponent min(i, e_p).  The supremum of the
         chain recovers every exponent, including the infinite ones.
         """
-        if not isinstance(length, int) or length < 1:
-            raise ValueError("length must be >= 1")
-        out = []
-        for i in range(1, length + 1):
-            n_i = 1
-            for p, e in self.factors[:i]:
-                cap = i if e is INF else min(i, e)
-                n_i *= p**cap
-            out.append(n_i)
-        return tuple(out)
+        return tuple(accumulate(self.associated_ratios(length), mul))
 
     @classmethod
     def parse(cls, text: str) -> "SupernaturalNumber":
@@ -268,6 +233,3 @@ def _parse_nat(text: str, token: str) -> int:
     if not _NATURAL.fullmatch(text):
         raise ValueError(f"bad supernatural token {token!r}")
     return int(text)
-
-
-ONE = SupernaturalNumber()

@@ -75,17 +75,17 @@ def tensor_qn(seq: BratteliSequence, n, depth: int) -> BratteliSequence:
     The groups at each level are unchanged; the divisibility chain
     n_1 | n_2 | ... associated with n is folded into the presentation
     instead.  The unit becomes n_1 times the old one and the map out of
-    level i picks up the integer factor n_{i+1}/n_i.  The result
-    presents `depth` levels and carries no tail.
+    level i picks up the integer factor n_{i+1}/n_i, read off in closed
+    form without forming the chain.  The result presents `depth` levels
+    and carries no tail.
     """
     seq._require_level(depth)
-    ns = n.associated_sequence(depth)
+    ratios = n.associated_ratios(depth)
     seq._check_listable(1, depth)
     ranks = tuple(seq.rank_at(t) for t in range(1, depth + 1))
     maps = []
-    for i in range(1, depth):
+    for i, k in enumerate(ratios[1:], start=1):
         a = seq.map_at(i)
-        k = ns[i] // ns[i - 1]
         maps.append(NonMixingMap(a.source_rank, a.parent, tuple(m * k for m in a.mult)))
-    unit = tuple(ns[0] * u for u in seq.base_unit)
+    unit = tuple(ratios[0] * u for u in seq.base_unit)
     return BratteliSequence(ranks, tuple(maps), unit, None)

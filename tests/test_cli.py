@@ -137,6 +137,18 @@ class TestTensorQ:
         n = SupernaturalNumber.parse("2^inf*3")
         assert out == serialize_diagram(tensor_qn(parse_diagram(DYADIC), n, 4))
 
+    def test_deep_chain_in_linear_time(self, doc, capsys):
+        # n_i of 2^inf has i bits, so forming every n_i would take time
+        # and memory quadratic in the depth; the factors n_(i+1)/n_i are 2
+        start = time.perf_counter()
+        assert run(
+            ["tensorq", doc("d.brat", DYADIC), "--n", "2^inf", "--depth", "80000"]
+        ) == 0
+        assert time.perf_counter() - start < 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2] == "unit: 2"
+        assert lines[3:] == [f"map {i}: 1*4" for i in range(1, 80000)]
+
     def test_bad_supernatural(self, doc, capsys):
         assert run(["tensorq", doc("d.brat", DYADIC), "--n", "x", "--depth", "2"]) == 64
         assert "usage error: --n" in capsys.readouterr().err

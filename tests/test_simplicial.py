@@ -4,43 +4,48 @@ import pytest
 
 from bratteli import (
     NonMixingMap,
-    NotNonMixing,
-    NotOrderUnit,
     NotPositive,
     RankMismatch,
     forall_n_leq,
     is_order_unit,
-    is_positive,
 )
 
 from genseq import random_map
 
 
 class TestFromMatrix:
+    """A matrix with one nonzero entry per row, written as the map's
+    literal parents and multiplicities."""
+
     def test_reads_single_entry_rows(self):
-        f = NonMixingMap.from_matrix([[2, 0], [3, 0], [0, 1]])
-        assert f.parent == (0, 0, 1)
-        assert f.mult == (2, 3, 1)
+        # the rows (2, 0), (3, 0), (0, 1)
+        f = NonMixingMap(2, (0, 0, 1), (2, 3, 1))
+        assert f.matrix() == ((2, 0), (3, 0), (0, 1))
         assert f.source_rank == 2
         assert f.target_rank == 3
 
     def test_rejects_two_entries_in_a_row(self):
-        with pytest.raises(NotNonMixing):
-            NonMixingMap.from_matrix([[1, 1]])
+        # the row (1, 1) would need two parents
+        with pytest.raises(RankMismatch):
+            NonMixingMap(2, ((0, 1),), (1,))
 
     def test_rejects_negative_entry(self):
+        # the row (0, -1)
         with pytest.raises(NotPositive):
-            NonMixingMap.from_matrix([[0, -1]])
+            NonMixingMap(2, (1,), (-1,))
 
     def test_rejects_zero_row(self):
-        with pytest.raises(NotNonMixing):
-            NonMixingMap.from_matrix([[0, 0], [1, 0]])
+        # the rows (0, 0), (1, 0)
+        with pytest.raises(NotPositive):
+            NonMixingMap(2, (0, 0), (0, 1))
 
     def test_matrix_round_trip(self):
+        # each row of matrix() reads back as its one parent and multiplicity
         rng = random.Random(21)
         for _ in range(50):
             f = random_map(rng, rng.randint(1, 5), rng.randint(1, 5), max_mult=9)
-            assert NonMixingMap.from_matrix(f.matrix()) == f
+            rows = [[(i, v) for i, v in enumerate(row) if v] for row in f.matrix()]
+            assert rows == [[(i, k)] for i, k in zip(f.parent, f.mult)]
 
 
 class TestApply:
@@ -108,16 +113,11 @@ class TestCompose:
 class TestUnits:
     def test_push_unit_examples(self):
         f = NonMixingMap(2, (0, 0, 1), (2, 3, 1))
-        assert f.push_unit((1, 1)) == (2, 3, 1)
+        assert f.apply((1, 1)) == (2, 3, 1)
         e = NonMixingMap.identity(3)
-        assert e.push_unit((4, 1, 2)) == (4, 1, 2)
+        assert e.apply((4, 1, 2)) == (4, 1, 2)
         g = NonMixingMap(2, (0,), (4,))
-        assert g.push_unit((3, 5)) == (12,)
-
-    def test_push_unit_rejects_non_unit(self):
-        f = NonMixingMap(2, (0, 1), (1, 1))
-        with pytest.raises(NotOrderUnit):
-            f.push_unit((1, 0))
+        assert g.apply((3, 5)) == (12,)
 
     def test_pushed_units_stay_units(self):
         rng = random.Random(24)
@@ -125,7 +125,7 @@ class TestUnits:
             a, b = rng.randint(1, 5), rng.randint(1, 5)
             f = random_map(rng, a, b)
             u = tuple(rng.randint(1, 6) for _ in range(a))
-            assert is_order_unit(f.push_unit(u))
+            assert is_order_unit(f.apply(u))
 
 
 class TestInjectivity:
@@ -140,11 +140,6 @@ class TestInjectivity:
 
 
 class TestOrderPredicates:
-    def test_positivity(self):
-        assert is_positive((0, 0))
-        assert is_positive((1, 2))
-        assert not is_positive((1, -1))
-
     def test_order_unit_is_strict_positivity(self):
         assert is_order_unit((1, 2))
         assert not is_order_unit((1, 0))

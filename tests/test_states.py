@@ -13,7 +13,6 @@ from bratteli import (
     StateVector,
     SupernaturalNumber,
     depth_image_vertices,
-    simplex_vertices,
     verify_state_invariance,
 )
 
@@ -64,6 +63,14 @@ def pulled_back_vertices(seq, level, depth):
     )
 
 
+def simplex_vertices(u):
+    """Extreme states of (Z^r, u), r = len(u): e_i / u_i for each i."""
+    return tuple(
+        StateVector(tuple(Fraction(int(j == i), u[i]) for j in range(len(u))), u)
+        for i in range(len(u))
+    )
+
+
 def pull_back(state, alpha, unit):
     """The state x -> state(alpha x) on the source of alpha, normalized
     against `unit`, the unit alpha carries to state.unit."""
@@ -96,8 +103,8 @@ class TestDualMap:
     """Pulling extreme states back along the dual of a map."""
 
     def test_oracle(self):
-        alpha = NonMixingMap.from_matrix(((2, 0), (3, 0), (0, 1)))
-        assert alpha.push_unit((1, 1)) == (2, 3, 1)
+        alpha = NonMixingMap(2, (0, 0, 1), (2, 3, 1))
+        assert alpha.apply((1, 1)) == (2, 3, 1)
         got = depth_image_vertices(one_step(alpha, (1, 1)), 1, 2)
         assert got == ((1, 0), (1, 0), (0, 1))
 
@@ -105,7 +112,7 @@ class TestDualMap:
         u = (2, 5)
         seq = one_step(NonMixingMap.identity(2), u)
         assert depth_image_vertices(seq, 1, 2) == tuple(
-            v.values for v in simplex_vertices(2, u)
+            v.values for v in simplex_vertices(u)
         )
 
     def test_scalar_dual(self):
@@ -119,10 +126,10 @@ class TestDualMap:
             src = rng.randint(1, 4)
             alpha = random_map(rng, src, rng.randint(1, 4))
             u = random_unit(rng, src)
-            v = alpha.push_unit(u)
+            v = alpha.apply(u)
             got = depth_image_vertices(one_step(alpha, u), 1, 2)
             x = tuple(rng.randint(-6, 6) for _ in range(src))
-            for s, values in zip(simplex_vertices(len(v), v), got):
+            for s, values in zip(simplex_vertices(v), got):
                 assert StateVector(values, u).evaluate(x) == s.evaluate(alpha.apply(x))
 
     def test_functoriality(self):
@@ -159,11 +166,12 @@ class TestDualMap:
 
 class TestSimplex:
     def test_vertices_oracle(self):
-        vs = simplex_vertices(2, (2, 3))
-        assert [v.values for v in vs] == [
+        # at depth = level nothing is pulled back: the level's own e_i / u_i
+        seq = BratteliSequence((2,), (), (2, 3))
+        assert depth_image_vertices(seq, 1, 1) == (
             (Fraction(1, 2), Fraction(0)),
             (Fraction(0), Fraction(1, 3)),
-        ]
+        )
 
     def test_point_simplex_of_a_chain(self):
         pulled = depth_image_vertices(scalar_chain(2), 1, 5)
@@ -195,7 +203,7 @@ class TestSimplex:
             level = rng.randint(1, top)
             depth = rng.randint(level, top)
             u = seq.unit_at(level)
-            vs = simplex_vertices(seq.rank_at(level), u)
+            vs = simplex_vertices(u)
             want = {
                 vs[i].values for i in set(seq.map_between(level, depth).parent)
             }

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from bratteli import INF, ONE, SupernaturalNumber, TooLarge, is_prime
+from bratteli import INF, SupernaturalNumber, TooLarge, is_prime
 
 
 def sn(*pairs):
@@ -10,16 +10,21 @@ def sn(*pairs):
 
 
 class TestInfinity:
+    """INF as an exponent.  The token has no order or arithmetic of its
+    own, so these read it through the operations that take exponents."""
+
     def test_orders_above_every_int(self):
-        assert INF > 10**18
-        assert INF >= INF
-        assert not (INF < 5)
-        assert 3 < INF
+        # the chain of 2^inf outgrows every finite power of 2
+        assert sn((2, INF)).associated_ratios(200) == (2,) * 200
+        assert sn((2, 10**18)) != sn((2, INF))
+        assert not sn((2, INF)).matches(2**64)
+        assert sn((2, INF)).matches(1, 2)
 
     def test_absorbs_addition(self):
-        assert INF + 7 is INF
-        assert 7 + INF is INF
-        assert INF + INF is INF
+        # multiplying adds exponents
+        assert sn((2, INF)) * sn((2, 7)) == sn((2, INF))
+        assert sn((2, 7)) * sn((2, INF)) == sn((2, INF))
+        assert sn((2, INF)) * sn((2, INF)) == sn((2, INF))
 
 
 def test_is_prime_small_values():
@@ -71,9 +76,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             sn((2, -1))
 
+    def test_rejects_repeated_prime(self):
+        # sorted by prime alone, so an infinite exponent is never compared
+        for pairs in ([(2, INF), (2, 3)], [(3, 1), (2, INF), (3, INF)]):
+            with pytest.raises(ValueError, match="repeated"):
+                SupernaturalNumber(pairs)
+
     def test_from_natural_one_is_empty(self):
-        assert SupernaturalNumber.from_natural(1) == ONE
-        assert ONE.factors == ()
+        assert SupernaturalNumber.from_natural(1) == SupernaturalNumber.one()
+        assert SupernaturalNumber.one().factors == ()
 
     def test_from_natural_twelve(self):
         assert SupernaturalNumber.from_natural(12) == sn((2, 2), (3, 1))
@@ -94,8 +105,9 @@ class TestMultiply:
 
     def test_one_is_identity(self):
         x = sn((2, 3), (7, INF))
-        assert ONE * x == x
-        assert x * ONE == x
+        one = SupernaturalNumber.one()
+        assert one * x == x
+        assert x * one == x
 
     def test_mixed_infinite_exponents(self):
         assert sn((2, 3), (5, INF)) * sn((2, INF), (5, 2)) == sn((2, INF), (5, INF))
@@ -153,40 +165,31 @@ class TestMatches:
         assert not sn((2, INF), (3, 10**4000)).matches(2 * 3**5, 2)
 
 
-class TestDivides:
-    def test_finite_into_infinite(self):
-        assert sn((2, 1)).divides(sn((2, INF)))
-
-    def test_missing_prime(self):
-        assert not sn((3, 1)).divides(sn((2, INF)))
-
-    def test_reflexive(self):
-        x = sn((2, 2), (3, 1))
-        assert x.divides(x)
-
-    def test_partial_order_on_random_triples(self):
-        rng = random.Random(13)
-        pool = [2, 3, 5]
-        def draw():
-            fac = {}
-            for p in rng.sample(pool, rng.randint(0, 3)):
-                fac[p] = rng.choice([1, 2, INF])
-            return SupernaturalNumber(fac)
-        for _ in range(1000):
-            x, y, z = draw(), draw(), draw()
-            assert x.divides(x)
-            if x.divides(y) and y.divides(x):
-                assert x == y
-            if x.divides(y) and y.divides(z):
-                assert x.divides(z)
-
-
 class TestAssociatedSequence:
     def test_two_to_infinity(self):
         assert sn((2, INF)).associated_sequence(3) == (2, 4, 8)
 
+    def test_matches_the_definition(self):
+        # n_i is the product of the first i primes p, each to the power
+        # min(i, e_p); ratio 0 is n_1 and ratio i is n_(i+1) / n_i
+        rng = random.Random(15)
+        pool = [2, 3, 5, 7, 11]
+        for _ in range(300):
+            picked = rng.sample(pool, rng.randint(0, 5))
+            n = SupernaturalNumber({p: rng.choice([1, 2, 3, 5, INF]) for p in picked})
+            length = rng.randint(1, 9)
+            chain = [1]
+            for i in range(1, length + 1):
+                n_i = 1
+                for p, e in n.factors[:i]:
+                    n_i *= p ** (i if e is INF else min(i, e))
+                chain.append(n_i)
+            assert n.associated_sequence(length) == tuple(chain[1:]), n
+            want = tuple(b // a for a, b in zip(chain, chain[1:]))
+            assert n.associated_ratios(length) == want, (n, length)
+
     def test_one_gives_constant_ones(self):
-        assert ONE.associated_sequence(3) == (1, 1, 1)
+        assert SupernaturalNumber.one().associated_sequence(3) == (1, 1, 1)
 
     def test_six(self):
         assert SupernaturalNumber.from_natural(6).associated_sequence(2) == (2, 6)
@@ -228,9 +231,3 @@ class TestText:
         for text in (" 2^\u0663 * 5 ", "\u0663", "2^\u00b2"):
             with pytest.raises(ValueError):
                 SupernaturalNumber.parse(text)
-
-    def test_finite_round_trip_to_int(self):
-        n = SupernaturalNumber.from_natural(360)
-        assert n.is_finite()
-        assert n.to_int() == 360
-        assert not sn((2, INF)).is_finite()

@@ -9,7 +9,6 @@ from bratteli import (
     LevelOutOfRange,
     NonMixingMap,
     SupernaturalNumber,
-    ONE,
     tensor_map,
     tensor_qn,
     tensor_seq,
@@ -185,7 +184,7 @@ class TestTensorSeq:
 class TestTensorQn:
     def test_one_changes_nothing(self):
         seq = scalar_chain(3, levels=4, tailed=False)
-        out = tensor_qn(seq, ONE, 4)
+        out = tensor_qn(seq, SupernaturalNumber.one(), 4)
         assert out.ranks == seq.ranks
         assert out.maps == seq.maps
         assert out.base_unit == seq.base_unit
@@ -223,7 +222,7 @@ class TestTensorQn:
     def test_depth_checked_on_untailed(self):
         seq = scalar_chain(2, levels=2, tailed=False)
         with pytest.raises(LevelOutOfRange):
-            tensor_qn(seq, ONE, 3)
+            tensor_qn(seq, SupernaturalNumber.one(), 3)
 
     def test_depth_one_only_scales_unit(self):
         out = tensor_qn(two_path(2, 3), SupernaturalNumber.from_natural(6), 1)

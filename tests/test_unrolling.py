@@ -12,13 +12,15 @@ import random
 import pytest
 
 from bratteli import (
-    ONE,
     NonMixingMap,
     SupernaturalNumber,
     injectivize,
     keep_at,
     telescope,
+    tensor_map,
     tensor_qn,
+    tensor_seq,
+    tensor_vec,
 )
 from genseq import max_usable_level, random_sequence
 
@@ -66,8 +68,7 @@ def test_injectivize_unrolls_to_the_restricted_maps(tail):
 def test_tensor_qn_unrolls_to_the_scaled_maps(tail):
     rng = random.Random(f"tensor-qn-{tail}")
     ns = [
-        ONE,
-        SupernaturalNumber.from_natural(12),
+            SupernaturalNumber.from_natural(12),
         SupernaturalNumber.parse("3^inf"),
         SupernaturalNumber.parse("2^inf*5"),
     ]
@@ -192,3 +193,51 @@ def test_telescope_unrolls_to_the_input_composites():
             ), (seq, keep, i)
             checked += 1
     assert checked > 3000
+
+
+def _subtrees(maps, top, horizon, ids):
+    # an id for the subtree below each level-top node down to level
+    # horizon: its children's (multiplicity, subtree id) pairs, unordered.
+    # maps(t) is the map out of level t; ids interns the pairs, so two
+    # calls sharing ids give equal ids exactly to isomorphic subtrees
+    below = [0] * maps(horizon - 1).target_rank
+    for t in range(horizon - 1, top - 1, -1):
+        a = maps(t)
+        kids = [[] for _ in range(a.source_rank)]
+        for j, i in enumerate(a.parent):
+            kids[i].append((a.mult[j], below[j]))
+        below = [ids.setdefault(tuple(sorted(k)), len(ids) + 1) for k in kids]
+    return below
+
+
+def test_tensor_seq_unrolls_to_the_product_of_the_unrollings():
+    # a kept tail is the row-major product of the factors' unrollings up
+    # to a relabelling that fixes the presented levels: the presented
+    # maps are the product maps, and below every node of the last
+    # presented level the two diagrams have the same subtree, with its
+    # multiplicities, down to three periods further (one period where
+    # three would pass 200,000 coordinates)
+    rng = random.Random(11)
+    seen = {"cyclic": 0, "substitution": 0}
+    for _ in range(1500):
+        a = random_sequence(rng, tail=rng.choice(("cyclic", "sub")))
+        b = random_sequence(rng, tail=rng.choice(("cyclic", "sub")))
+        out = tensor_seq(a, b)
+        if not out.is_tailed:
+            continue
+        kind = "cyclic" if a.tail_kind == b.tail_kind == "cyclic" else "substitution"
+        seen[kind] += 1
+        L, period = out.length, out.length - out.periodic_tail
+        horizon = L + 3 * period
+        if a.rank_at(horizon) * b.rank_at(horizon) > 200_000:
+            horizon = L + period
+        assert out.base_unit == tensor_vec(a.base_unit, b.base_unit)
+        for t in range(1, L):
+            assert out.map_at(t) == tensor_map(a.map_at(t), b.map_at(t)), (a, b, t)
+        ids = {}
+        got = _subtrees(out.map_at, L, horizon, ids)
+        want = _subtrees(
+            lambda t: tensor_map(a.map_at(t), b.map_at(t)), L, horizon, ids
+        )
+        assert got == want, (a, b)
+    assert seen["cyclic"] > 600 and seen["substitution"] > 250
