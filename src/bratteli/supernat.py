@@ -10,9 +10,8 @@ have closed forms.
 from __future__ import annotations
 
 import re
-from itertools import accumulate
 from math import isqrt
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from .errors import DIGITS, Frozen, TooLarge
 
@@ -166,9 +165,12 @@ class SupernaturalNumber(Frozen):
         """n_1, n_2 / n_1, ..., n_length / n_(length-1) of the associated
         sequence, each in closed form.
 
-        Prime p_j (0-based, ascending) enters at step j with exponent
-        min(j + 1, e), and at each later step i gains one more while
-        e > i, so no n_i, which has about i bits, is ever formed.
+        The associated sequence n_1 | n_2 | ... takes, at step i, the
+        first i primes in ascending order, each capped at exponent
+        min(i, e_p); its supremum recovers every exponent, including the
+        infinite ones.  Prime p_j (0-based) enters at step j with
+        exponent min(j + 1, e), and at each later step i gains one more
+        while e > i, so no n_i, which has about i bits, is ever formed.
         """
         if not isinstance(length, int) or length < 1:
             raise ValueError("length must be >= 1")
@@ -183,15 +185,6 @@ class SupernaturalNumber(Frozen):
                 r *= p ** (i + 1 if e is INF else min(i + 1, e))
             out.append(r)
         return tuple(out)
-
-    def associated_sequence(self, length: int) -> tuple:
-        """Canonical divisibility chain n_1 | n_2 | ... | n_length.
-
-        Step i takes the first i primes of the product in ascending
-        order, each capped at exponent min(i, e_p).  The supremum of the
-        chain recovers every exponent, including the infinite ones.
-        """
-        return tuple(accumulate(self.associated_ratios(length), mul))
 
     @classmethod
     def parse(cls, text: str) -> "SupernaturalNumber":

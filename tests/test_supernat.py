@@ -166,12 +166,15 @@ class TestMatches:
 
 
 class TestAssociatedSequence:
+    """The associated sequence n_1 | n_2 | ..., read through its ratios:
+    ratio 0 is n_1 and ratio i is n_(i+1) / n_i."""
+
     def test_two_to_infinity(self):
-        assert sn((2, INF)).associated_sequence(3) == (2, 4, 8)
+        assert sn((2, INF)).associated_ratios(3) == (2, 2, 2)
 
     def test_matches_the_definition(self):
         # n_i is the product of the first i primes p, each to the power
-        # min(i, e_p); ratio 0 is n_1 and ratio i is n_(i+1) / n_i
+        # min(i, e_p)
         rng = random.Random(15)
         pool = [2, 3, 5, 7, 11]
         for _ in range(300):
@@ -184,22 +187,25 @@ class TestAssociatedSequence:
                 for p, e in n.factors[:i]:
                     n_i *= p ** (i if e is INF else min(i, e))
                 chain.append(n_i)
-            assert n.associated_sequence(length) == tuple(chain[1:]), n
             want = tuple(b // a for a, b in zip(chain, chain[1:]))
             assert n.associated_ratios(length) == want, (n, length)
 
     def test_one_gives_constant_ones(self):
-        assert SupernaturalNumber.one().associated_sequence(3) == (1, 1, 1)
+        assert SupernaturalNumber.one().associated_ratios(3) == (1, 1, 1)
 
     def test_six(self):
-        assert SupernaturalNumber.from_natural(6).associated_sequence(2) == (2, 6)
+        # the chain 2 | 6
+        assert SupernaturalNumber.from_natural(6).associated_ratios(2) == (2, 3)
 
     def test_capped_exponents(self):
-        # 2^inf*3^2*5: exponents of 3 and 5 saturate at 2 and 1
+        # 2^inf*3^2*5: the chain 2 | 36 | 360 | 720, where the exponents
+        # of 3 and 5 saturate at 2 and 1
         n = SupernaturalNumber.parse("2^inf*3^2*5")
-        assert n.associated_sequence(4) == (2, 36, 360, 720)
+        assert n.associated_ratios(4) == (2, 18, 10, 2)
 
     def test_divisibility_chain(self):
+        # every n_i divides n: its running product never takes a prime
+        # outside n, nor past n's exponent
         rng = random.Random(14)
         pool = [2, 3, 5, 7, 11]
         for _ in range(200):
@@ -208,11 +214,18 @@ class TestAssociatedSequence:
                 fac[p] = rng.choice([1, 2, 3, INF])
             n = SupernaturalNumber(fac)
             length = rng.randint(1, 7)
-            chain = n.associated_sequence(length)
-            assert len(chain) == length
-            for a, b in zip(chain, chain[1:]):
-                assert b % a == 0
-                assert b // a >= 1
+            ratios = n.associated_ratios(length)
+            assert len(ratios) == length
+            exps = dict.fromkeys(pool, 0)
+            for r in ratios:
+                assert r >= 1
+                for p in pool:
+                    while r % p == 0:
+                        r //= p
+                        exps[p] += 1
+                assert r == 1
+                for p, k in exps.items():
+                    assert k == 0 or fac[p] is INF or k <= fac[p], (n, ratios)
 
 
 class TestText:

@@ -211,11 +211,11 @@ class TestTensorQn:
         tree = full_tree(2, 2)
         n = SupernaturalNumber.parse("3^inf")
         out = tensor_qn(tree, n, 3)
-        ns = n.associated_sequence(3)
+        ratios = n.associated_ratios(3)
         assert out.ranks == tuple(tree.rank_at(t) for t in (1, 2, 3))
         for i in range(1, 3):
             a, b = tree.map_at(i), out.map_at(i)
-            k = ns[i] // ns[i - 1]
+            k = ratios[i]
             assert b.parent == a.parent
             assert b.mult == tuple(m * k for m in a.mult)
 

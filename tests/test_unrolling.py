@@ -68,7 +68,8 @@ def test_injectivize_unrolls_to_the_restricted_maps(tail):
 def test_tensor_qn_unrolls_to_the_scaled_maps(tail):
     rng = random.Random(f"tensor-qn-{tail}")
     ns = [
-            SupernaturalNumber.from_natural(12),
+        SupernaturalNumber.one(),
+        SupernaturalNumber.from_natural(12),
         SupernaturalNumber.parse("3^inf"),
         SupernaturalNumber.parse("2^inf*5"),
     ]
@@ -78,12 +79,12 @@ def test_tensor_qn_unrolls_to_the_scaled_maps(tail):
         n = rng.choice(ns)
         depth = max_usable_level(seq, extra_periods=3)
         out = tensor_qn(seq, n, depth)
-        chain = n.associated_sequence(depth)
+        ratios = n.associated_ratios(depth)
         assert out.ranks == tuple(seq.rank_at(t) for t in range(1, depth + 1))
-        assert out.base_unit == tuple(chain[0] * u for u in seq.base_unit)
+        assert out.base_unit == tuple(ratios[0] * u for u in seq.base_unit)
         for t in range(1, depth):
             a = seq.map_at(t)
-            k = chain[t] // chain[t - 1]
+            k = ratios[t]
             assert out.map_at(t) == NonMixingMap(
                 a.source_rank, a.parent, tuple(m * k for m in a.mult)
             ), (seq, n, t)
