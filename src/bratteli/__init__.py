@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "errors": "BadRepeat BratteliError EmptyLevel LevelOutOfRange NonAscending "
-    "NotNormalized NotOrderUnit NotPositive ParseError RankMismatch TooLarge",
+    "NotOrderUnit NotPositive ParseError RankMismatch TooLarge",
     "supernat": "INF SupernaturalNumber is_prime",
     "simplicial": "NonMixingMap forall_n_leq is_order_unit",
     "diagram": "BratteliSequence LimitElement forall_n_leq_limit injectivize "
@@ -19,7 +19,7 @@ _EXPORTS = {
     "tensor": "tensor_map tensor_qn tensor_seq tensor_vec",
     "intertwine": "DiagonalMap LadderRung UnitChangeCertificate "
     "certificate_failures rescale_lemma unit_change",
-    "states": "StateVector depth_image_vertices verify_state_invariance",
+    "states": "depth_image_vertices verify_state_invariance",
     "equiv": "Cardinality EquivalenceCertificate Equivalent IndexSystem "
     "Intertwining NotEquivalent Unknown canonicalize_q "
     "equivalence_certificate_failures equivalent_q not_equivalent_failures",

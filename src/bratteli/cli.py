@@ -159,10 +159,13 @@ def _cmd_unit_change(args):
 
 def _cmd_states(args):
     from . import certio
-    from .states import depth_image_runs
+    from .states import depth_image_runs, exact_image_runs
 
     seq = _load(args.file)
-    vertices, runs = depth_image_runs(seq, args.level, args.depth)
+    # floats never fail on size; an exact value too long to write is
+    # refused before the unit at --level is formed
+    image_runs = depth_image_runs if args.decimal else exact_image_runs
+    vertices, runs = image_runs(seq, args.level, args.depth)
     # every line is one of the level's vertices: format each one that
     # occurs once, in the order they occur, before anything is written
     lines = {}

@@ -48,7 +48,6 @@ self-similar tail, whose single root always survives).
 from __future__ import annotations
 
 import sys
-from math import prod
 
 from .errors import (
     BadRepeat,
@@ -65,8 +64,8 @@ from .simplicial import NonMixingMap, forall_n_leq, is_order_unit
 # the most coordinates an unrolled self-similar level may list
 _COORD_BUDGET = 2**20
 
-# composites whose multiplicities all have more bits than this, and too
-# many digits to write, are refused before they are composed
+# composites whose numbers have more bits than this together, one of
+# them too many digits to write, are refused before they are composed
 _MULT_BITS = 2**20
 
 
@@ -225,10 +224,11 @@ class BratteliSequence(Frozen):
             raise LevelOutOfRange(f"need lo <= hi, got {lo} > {hi}")
         self._check_listable(lo, hi)
 
-    def _compose(self, f: tuple, lo: int, hi: int) -> tuple:
+    def _compose(self, f: tuple, lo: int, hi: int, log: bool = False) -> tuple:
         # f, a (parent, mult) composite ending at level lo, followed by
-        # the maps of levels lo..hi-1; mult None is carried as None.  On
-        # a cyclic tail the maps from any level s >= p on repeat every
+        # the maps of levels lo..hi-1; mult None is carried as None, and
+        # with log each multiplicity k adds floor(log2 k) to it instead.
+        # On a cyclic tail the maps from any level s >= p on repeat every
         # period, so the whole periods from max(lo, p) are one period's
         # composite raised to a power, by repeated squaring
         if self.tail_kind == "cyclic":
@@ -236,24 +236,30 @@ class BratteliSequence(Frozen):
             start = max(lo, p)
             k = (hi - start) // period
             if k > 1:
-                f = self._compose(f, lo, start)
+                f = self._compose(f, lo, start, log)
                 rank = self.rank_at(start)
-                one = (range(rank), None if f[1] is None else (1,) * rank)
-                power = self._compose(one, start, start + period)
+                one = (range(rank), None if f[1] is None else (int(not log),) * rank)
+                power = self._compose(one, start, start + period, log)
                 while k:
                     if k & 1:
-                        f = _then(f, power)
+                        f = _then(f, power, log)
                     k >>= 1
                     if k:
-                        power = _then(power, power)
+                        power = _then(power, power, log)
                 lo = hi - (hi - start) % period
-        parent, mult = f
         for t in range(lo, hi):
             a = self.map_at(t)
-            if mult is not None:
-                mult = [k * mult[i] for i, k in zip(a.parent, a.mult)]
-            parent = [parent[i] for i in a.parent]
-        return parent, mult
+            mult = [k.bit_length() - 1 for k in a.mult] if log else a.mult
+            f = _then(f, (a.parent, mult), log)
+        return f
+
+    def _log_between(self, lo: int, hi: int, start) -> list:
+        # lower bounds on log2 of each entry of map_between(lo, hi).apply(x),
+        # from such bounds `start` for x.  When start holds floor(log2 x_i),
+        # each bound is at least log2 of its entry over log2 3, since
+        # floor(log2 k) >= log2(k) / log2(3) for every k >= 1
+        self._check_span(lo, hi)
+        return self._compose((range(self.rank_at(lo)), start), lo, hi, True)[1]
 
     # -- levels, maps, units ---------------------------------------------
 
@@ -275,7 +281,7 @@ class BratteliSequence(Frozen):
         copies = len(parent) // len(a.parent)
         if copies == 1:
             return a
-        return NonMixingMap(copies * a.source_rank, parent, a.mult * copies)
+        return NonMixingMap._of(copies * a.source_rank, parent, a.mult * copies)
 
     def map_between(self, lo: int, hi: int) -> NonMixingMap:
         """Composite map from level lo to level hi (identity when equal)."""
@@ -350,13 +356,32 @@ class BratteliSequence(Frozen):
         return all(a.is_injective() for a in self.maps)
 
 
-def _then(f: tuple, g: tuple) -> tuple:
-    # the composite of (parent, mult) pairs f then g; mult may be None
+def _then(f: tuple, g: tuple, log: bool = False) -> tuple:
+    # the composite of (parent, mult) pairs f then g; mult may be None,
+    # and with log it holds log2 bounds, which add where mults multiply
     (fp, fm), (gp, gm) = f, g
     parent = [fp[i] for i in gp]
     if fm is None:
         return parent, None
+    if log:
+        return parent, [k + fm[i] for i, k in zip(gp, gm)]
     return parent, [k * fm[i] for i, k in zip(gp, gm)]
+
+
+def _refuse_unwritable(bits, written, what: str):
+    # raise TooLarge, before a composite is formed, when composing it is
+    # costly (its log2 bounds `bits` add up to more than _MULT_BITS) and
+    # one of the numbers at the indices `written` could never be written
+    # (its bound means more digits than sys.get_int_max_str_digits())
+    limit = sys.get_int_max_str_digits()
+    if not limit or sum(bits) <= _MULT_BITS:
+        return
+    most = max(bits[i] for i in written)
+    # 2**most >= 10**limit, with 3.3220 > log2(10)
+    if most * 10000 >= limit * 33220:
+        raise TooLarge(
+            f"{what} is too long to write in decimal (at least {most + 1} bits)"
+        )
 
 
 def keep_at(seq: BratteliSequence, t: int) -> tuple:
@@ -461,13 +486,8 @@ def telescope(seq: BratteliSequence, keep) -> BratteliSequence:
     telescoped level sizes no longer follow a fixed block.
 
     Two results are refused before anything is composed: one with a
-    level past the coordinate budget, and one with a composite that has
-    a multiplicity of more than _MULT_BITS bits and more decimal digits
-    than sys.get_int_max_str_digits() lets a diagram document carry.
-    Each multiplicity of a composite is a product of one multiplicity of
-    every map it spans, so every one has at least the bits of the product
-    of their smallest ones, and on a cyclic tail the largest has at least
-    the bits of the product along one ancestor path (_most_bits).
+    level past the coordinate budget, and one with a multiplicity that
+    a lower bound on its bits shows too long to write (_refuse_unwritable).
     """
     keep = tuple(keep)
     if not keep or keep[0] != 1:
@@ -480,17 +500,9 @@ def telescope(seq: BratteliSequence, keep) -> BratteliSequence:
     if keep == tuple(range(1, seq.length + 1)):
         return seq
     seq._check_listable(1, keep[-1])
-    limit = sys.get_int_max_str_digits()
-    low = [min(a.mult).bit_length() - 1 for a in seq.maps]
-    laps = {}
     for i, (a, b) in enumerate(zip(keep, keep[1:]), start=1):
-        bits = max(_least_bits(seq, low, a, b), _most_bits(seq, laps, a, b))
-        # 2**(bits - 1) >= 10**limit, with 3.3220 > log2(10)
-        if limit and bits > _MULT_BITS and (bits - 1) * 10000 >= limit * 33220:
-            raise TooLarge(
-                f"a multiplicity of map {i} is too long to write in decimal "
-                f"(at least {bits} bits)"
-            )
+        bits = seq._log_between(a, b, (0,) * seq.rank_at(a))
+        _refuse_unwritable(bits, range(len(bits)), f"a multiplicity of map {i}")
     ranks = tuple(seq.rank_at(t) for t in keep)
     maps = tuple(seq.map_between(a, b) for a, b in zip(keep, keep[1:]))
     tail = None
@@ -505,58 +517,6 @@ def telescope(seq: BratteliSequence, keep) -> BratteliSequence:
             if t0 <= len(gaps) - 1:
                 tail = t0 + 1
     return BratteliSequence(ranks, maps, tuple(seq.base_unit), tail)
-
-
-def _least_bits(seq: BratteliSequence, low: list, lo: int, hi: int) -> int:
-    # a lower bound on the bit length of every multiplicity of
-    # map_between(lo, hi): the smallest multiplicity m of each map it
-    # spans contributes at least low[t - 1] = bit_length(m) - 1 bits.  A
-    # level past L reads the map of its block level, so whole periods
-    # sum at once.
-    L = seq.length
-    bits = 1 + sum(low[lo - 1 : min(hi, L) - 1])
-    start = max(lo, L)
-    if start < hi:
-        p = seq.periodic_tail
-        b = seq._block_position(start)
-        cycle = low[b - 1 :] + low[p - 1 : b - 1]
-        n = hi - start
-        bits += n // len(cycle) * sum(cycle) + sum(cycle[: n % len(cycle)])
-    return bits
-
-
-def _most_bits(seq: BratteliSequence, laps: dict, lo: int, hi: int) -> int:
-    # a lower bound on the bit length of the largest multiplicity of
-    # map_between(lo, hi) on a cyclic tail.  The k whole periods from
-    # start = max(lo, p) each compose to one map Q.  A node c on a cycle
-    # of Q's parents is its own ancestor some laps down, so it has
-    # descendants at every level and one of level hi descends through
-    # c at level start + k * period.  Down from there its path follows
-    # the cycle k steps, each lap multiplying by the product of Q's
-    # multiplicities around it.
-    if seq.tail_kind != "cyclic":
-        return 1
-    period = seq.length - seq.periodic_tail
-    start = max(lo, seq.periodic_tail)
-    k = (hi - start) // period
-    if k < 1:
-        return 1
-    b = seq._block_position(start)
-    if b not in laps:  # (length, bits) of every cycle of Q, memoized by b
-        rank = seq.rank_at(start)
-        parent, mult = seq._compose((range(rank), (1,) * rank), start, start + period)
-        laps[b], walk = [], [None] * rank
-        for first in range(rank):
-            c, path = first, []
-            while walk[c] is None:
-                walk[c] = first
-                path.append(c)
-                c = parent[c]
-            if walk[c] == first:  # this walk closed a new cycle at c
-                cycle = path[path.index(c) :]
-                bits = prod(mult[j] for j in cycle).bit_length() - 1
-                laps[b].append((len(cycle), bits))
-    return 1 + max(k // m * bits for m, bits in laps[b])
 
 
 class LimitElement(Frozen):

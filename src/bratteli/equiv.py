@@ -310,8 +310,6 @@ def equivalence_certificate_failures(cert: EquivalenceCertificate) -> list:
             p = pruned.periodic_tail
             if t != p:
                 failures.append(f"{side} level {t} is not the tail start {p}")
-            elif pruned.ranks[p - 1] != 1:
-                failures.append(f"{side} tail start keeps {pruned.ranks[p - 1]} nodes")
         return failures
 
     # both sizes are n from the stable levels on, so onto means bijective

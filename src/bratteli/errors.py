@@ -77,10 +77,6 @@ class NotOrderUnit(BratteliError):
     """A vector required to be strictly positive is not."""
 
 
-class NotNormalized(BratteliError):
-    """A map does not carry the declared source unit to the target unit."""
-
-
 class LevelOutOfRange(BratteliError):
     """A level index falls outside the presented (or unrolled) range."""
 

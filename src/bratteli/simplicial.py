@@ -78,22 +78,6 @@ class NonMixingMap(Frozen):
     def target_rank(self) -> int:
         return len(self.parent)
 
-    @classmethod
-    def identity(cls, rank: int) -> "NonMixingMap":
-        return cls(rank, tuple(range(rank)), (1,) * rank)
-
-    @classmethod
-    def scalar(cls, rank: int, k: int) -> "NonMixingMap":
-        return cls(rank, tuple(range(rank)), (k,) * rank)
-
-    def matrix(self):
-        rows = []
-        for i, k in zip(self.parent, self.mult):
-            row = [0] * self.source_rank
-            row[i] = k
-            rows.append(tuple(row))
-        return tuple(rows)
-
     def apply(self, x) -> tuple:
         x = tuple(x)
         if len(x) != self.source_rank:

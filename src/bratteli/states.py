@@ -17,42 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, repeat
 
-from .diagram import BratteliSequence
-from .errors import Frozen, NotNormalized, NotOrderUnit, NotPositive, RankMismatch
-from .simplicial import is_order_unit
-
-
-class StateVector(Frozen):
-    """Values of a state on the basis, normalized against its unit."""
-
-    __slots__ = ("values", "unit")
-
-    def __init__(self, values, unit):
-        values = tuple(Fraction(v) for v in values)
-        unit = tuple(unit)
-        if not is_order_unit(unit):
-            raise NotOrderUnit(f"unit {unit} is not strictly positive")
-        if len(values) != len(unit):
-            raise RankMismatch(
-                f"{len(values)} values against a rank-{len(unit)} unit"
-            )
-        for v in values:
-            if v < 0:
-                raise NotPositive(f"state value {v} is negative")
-        total = sum(v * w for v, w in zip(values, unit))
-        if total != 1:
-            raise NotNormalized(f"state gives the unit {total}, not 1")
-        self._freeze(values, unit)
-
-    @property
-    def rank(self) -> int:
-        return len(self.values)
-
-    def evaluate(self, x) -> Fraction:
-        x = tuple(x)
-        if len(x) != self.rank:
-            raise RankMismatch(f"vector has length {len(x)}, state rank {self.rank}")
-        return sum((v * xi for v, xi in zip(self.values, x)), Fraction(0))
+from .diagram import BratteliSequence, _refuse_unwritable
 
 
 def depth_image_runs(seq: BratteliSequence, level: int, depth: int) -> tuple:
@@ -67,14 +32,32 @@ def depth_image_runs(seq: BratteliSequence, level: int, depth: int) -> tuple:
     state e_j / v_j pulls back to exactly e_i / u_i.
     """
     u = seq.unit_at(level)
+    return _vertices(u), seq.ancestor_runs(level, depth)
+
+
+def exact_image_runs(seq: BratteliSequence, level: int, depth: int) -> tuple:
+    """depth_image_runs, refusing first a vertex whose value 1 / u_i is
+    too long to write exactly.
+
+    Raises TooLarge, from lower bounds on the bits of every unit entry
+    at `level` and before any is formed, when the written vertices
+    would fail the test of diagram._refuse_unwritable.
+    """
+    bits = seq._log_between(1, level, [v.bit_length() - 1 for v in seq.base_unit])
     runs = seq.ancestor_runs(level, depth)
+    _refuse_unwritable(bits, [i for i, _ in runs], "state value")
+    return _vertices(seq.unit_at(level)), runs
+
+
+def _vertices(u) -> tuple:
+    # the value tuple of e_i / u_i for every i
     zero = Fraction(0)
     vertices = []
     for i, ui in enumerate(u):
         values = [zero] * len(u)
         values[i] = Fraction(1, ui)
         vertices.append(tuple(values))
-    return tuple(vertices), runs
+    return tuple(vertices)
 
 
 def depth_image_vertices(seq: BratteliSequence, level: int, depth: int) -> tuple:

@@ -33,7 +33,7 @@ def tensor_map(f: NonMixingMap, g: NonMixingMap) -> NonMixingMap:
         for k in range(g.target_rank):
             parent.append(f.parent[j] * g.source_rank + g.parent[k])
             mult.append(f.mult[j] * g.mult[k])
-    return NonMixingMap(f.source_rank * g.source_rank, tuple(parent), tuple(mult))
+    return NonMixingMap._of(f.source_rank * g.source_rank, tuple(parent), tuple(mult))
 
 
 def tensor_seq(A: BratteliSequence, B: BratteliSequence) -> BratteliSequence:

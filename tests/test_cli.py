@@ -34,6 +34,7 @@ DYADIC = "bratteli v1\nsizes: 1 1\nunit: 1\nmap 1: 1*2\nrepeat: 1\n"
 TRIADIC = "bratteli v1\nsizes: 1 1\nunit: 1\nmap 1: 1*3\nrepeat: 1\n"
 DYADIC_UNIT3 = "bratteli v1\nsizes: 1 1\nunit: 3\nmap 1: 1*2\nrepeat: 1\n"
 TWO_PATH = "bratteli v1\nsizes: 2 2\nunit: 1 1\nmap 1: 1*2 2*3\nrepeat: 1\n"
+CYCLIC_TRIPLING = TWO_PATH.replace("1*2 2*3", "1*1 2*3")
 TREE = (
     "bratteli v1\nsizes: 1 2 4\nunit: 1\n"
     "map 1: 1*1 1*1\nmap 2: 1*1 1*1 2*1 2*1\nrepeat: 1\n"
@@ -519,30 +520,73 @@ class TestHostileInput:
         assert time.perf_counter() - start < 1
         assert capsys.readouterr() == ("", err)
 
-    def test_largest_multiplicity_refused_at_once(self, doc):
-        # the smallest multiplicity of this two-path cycle stays 1, but the
-        # other path triples every level, so the composite to level 10**7
-        # has a multiplicity of 15 849 624 bits.  A child process with a
-        # timeout, since composing it before refusing takes seconds
-        path = doc("t.brat", TWO_PATH.replace("1*2 2*3", "1*1 2*3"))
-        argv = [sys.executable, "-m", "bratteli.cli", "telescope", path]
+    def in_child(self, argv):
+        # the command in a child process with a timeout, since composing
+        # what it refuses would take seconds to minutes; (exit code,
+        # stdout, stderr, seconds)
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         start = time.perf_counter()
         done = subprocess.run(
-            [*argv, "--keep", "1,10000000"],
+            [sys.executable, "-m", "bratteli.cli", *argv],
             env=env,
             capture_output=True,
             text=True,
             timeout=60,
         )
-        assert time.perf_counter() - start < 1
-        assert (done.returncode, done.stdout, done.stderr) == (
+        return done.returncode, done.stdout, done.stderr, time.perf_counter() - start
+
+    def test_largest_multiplicity_refused_at_once(self, doc):
+        # the smallest multiplicity of this two-path cycle stays 1, but the
+        # other path triples every level, so the composite to level 10**7
+        # has a multiplicity of 15 849 624 bits
+        path = doc("t.brat", CYCLIC_TRIPLING)
+        code, out, err, secs = self.in_child(["telescope", path, "--keep", "1,10000000"])
+        assert secs < 1
+        assert (code, out, err) == (
             1,
             "",
             "error: a multiplicity of map 1 is too long to write in decimal "
             "(at least 10000000 bits)\n",
         )
+
+    @pytest.mark.parametrize(
+        "text, argv, err",
+        [
+            # the unit entry 3**(10**8 - 1) at level 10**8, whose inverse
+            # is a vertex, takes minutes to form
+            (
+                CYCLIC_TRIPLING,
+                ["states", "{path}", "--level", "100000000", "--depth", "100000000"],
+                "error: state value is too long to write in decimal "
+                "(at least 100000000 bits)\n",
+            ),
+            # a self-similar tail whose rightmost path multiplies by a
+            # 4001-digit number every level: 2**17 multiplicities of up
+            # to 17 * 13 288 bits, too many to hold in memory
+            (
+                "bratteli v1\nsizes: 1 2\nunit: 1\nmap 1: 1*1 1*1"
+                + "0" * 4000
+                + "\nrepeat: 1\n",
+                ["telescope", "{path}", "--keep", "1,18"],
+                "error: a multiplicity of map 1 is too long to write in decimal "
+                "(at least 225880 bits)\n",
+            ),
+        ],
+        ids=["states", "telescope"],
+    )
+    def test_unwritable_bound_refused_at_once(self, text, argv, err, doc):
+        path = doc("t.brat", text)
+        code, out, got, secs = self.in_child([a.format(path=path) for a in argv])
+        assert secs < 1
+        assert (code, out, got) == (1, "", err)
+
+    def test_decimal_states_never_refused(self, doc, capsys):
+        # past both thresholds of the exact refusal, floats still print
+        path = doc("t.brat", CYCLIC_TRIPLING)
+        argv = ["states", path, "--level", "2000000", "--depth", "2000000"]
+        assert run([*argv, "--decimal"]) == 0
+        assert capsys.readouterr() == ("1.0 0.0\n0.0 0.0\n", "")
 
     def test_non_ascii_supernatural_digit(self, doc, capsys):
         argv = ["tensorq", doc("d.brat", DYADIC), "--n", "2^\u0661", "--depth", "2"]

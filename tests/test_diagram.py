@@ -21,7 +21,6 @@ from bratteli import (
     limit_leq,
     telescope,
 )
-from bratteli import diagram
 
 from genseq import (
     full_tree,
@@ -50,7 +49,7 @@ class TestConstruction:
 
     def test_unit_must_be_order_unit(self):
         with pytest.raises(NotOrderUnit):
-            BratteliSequence((2, 2), (NonMixingMap.identity(2),), (1, 0))
+            BratteliSequence((2, 2), (NonMixingMap(2, (0, 1), (1, 1)),), (1, 0))
 
     def test_tail_needs_matching_rank_or_rank_one(self):
         m = NonMixingMap(2, (0, 1), (1, 1))
@@ -218,19 +217,26 @@ class TestTelescope:
         assert dropped.periodic_tail is None
 
     def test_multiplicity_bounds_are_lower_bounds(self):
-        # the bounds telescope refuses by, against the composites
+        # the bounds telescope and states refuse by, against the composites
+        # and units they bound: b <= floor(log2 m), and 3**b >= 2**floor(log2 m)
+        # since each factor k of m adds floor(log2 k) >= log2(k) / log2(3)
+        def check(bounds, values):
+            for b, m in zip(bounds, values, strict=True):
+                n = m.bit_length() - 1
+                assert b <= n and 3**b >= 2**n
+
         rng = random.Random(35)
-        for _ in range(300):
-            seq = random_sequence(rng, max_rank=5, max_mult=9)
-            low = [min(a.mult).bit_length() - 1 for a in seq.maps]
-            last = seq.length + 3 * (seq.length - (seq.periodic_tail or 1))
-            top = last if seq.tail_kind == "cyclic" else seq.length
+        for k in range(400):
+            tail = "maybe" if k < 300 else "sub"
+            seq = random_sequence(rng, max_rank=5, max_mult=9, tail=tail)
+            top = max_usable_level(seq, extra_periods=3)
             for _ in range(5):
                 lo = rng.randint(1, top)
                 hi = rng.randint(lo, top)
-                bits = [k.bit_length() for k in seq.map_between(lo, hi).mult]
-                assert diagram._least_bits(seq, low, lo, hi) <= min(bits)
-                assert diagram._most_bits(seq, {}, lo, hi) <= max(bits)
+                bits = seq._log_between(lo, hi, (0,) * seq.rank_at(lo))
+                check(bits, seq.map_between(lo, hi).mult)
+            start = [u.bit_length() - 1 for u in seq.base_unit]
+            check(seq._log_between(1, hi, start), seq.unit_at(hi))
 
     def test_soundness_for_limit_verdicts(self):
         # comparisons at kept levels agree before and after telescoping,

@@ -1,16 +1,10 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from bratteli import (
     BratteliSequence,
     INF,
     NonMixingMap,
-    NotNormalized,
-    NotPositive,
-    RankMismatch,
-    StateVector,
     SupernaturalNumber,
     depth_image_vertices,
     verify_state_invariance,
@@ -66,37 +60,35 @@ def pulled_back_vertices(seq, level, depth):
 def simplex_vertices(u):
     """Extreme states of (Z^r, u), r = len(u): e_i / u_i for each i."""
     return tuple(
-        StateVector(tuple(Fraction(int(j == i), u[i]) for j in range(len(u))), u)
-        for i in range(len(u))
+        tuple(Fraction(int(j == i), u[i]) for j in range(len(u))) for i in range(len(u))
     )
 
 
+def evaluate(state, x):
+    """The state with basis values `state`, at x."""
+    return sum((v * xi for v, xi in zip(state, x)), Fraction(0))
+
+
+def assert_state(state, unit):
+    """A state on (Z^r, unit): r nonnegative values that give the unit 1."""
+    assert len(state) == len(unit)
+    assert all(v >= 0 for v in state)
+    assert evaluate(state, unit) == 1
+
+
 def pull_back(state, alpha, unit):
-    """The state x -> state(alpha x) on the source of alpha, normalized
-    against `unit`, the unit alpha carries to state.unit."""
+    """The state x -> state(alpha x) on the source of alpha, for a state
+    at the unit alpha carries `unit` to; checks both are states."""
+    assert_state(state, alpha.apply(unit))
     basis = [tuple(int(k == i) for k in range(len(unit))) for i in range(len(unit))]
-    return StateVector(tuple(state.evaluate(alpha.apply(e)) for e in basis), unit)
+    pulled = tuple(evaluate(state, alpha.apply(e)) for e in basis)
+    assert_state(pulled, unit)
+    return pulled
 
 
 def one_step(alpha, unit):
     """Two-level sequence presenting alpha from `unit`."""
     return BratteliSequence((alpha.source_rank, alpha.target_rank), (alpha,), unit)
-
-
-class TestStateVector:
-    def test_normalization_checked(self):
-        StateVector((Fraction(1, 3), Fraction(1, 3)), (1, 2))
-        with pytest.raises(NotNormalized):
-            StateVector((Fraction(1, 2), Fraction(1, 2)), (1, 2))
-        with pytest.raises(NotPositive):
-            StateVector((Fraction(3, 2), Fraction(-1, 4)), (1, 2))
-        with pytest.raises(RankMismatch):
-            StateVector((Fraction(1),), (1, 1))
-
-    def test_evaluate(self):
-        s = StateVector((Fraction(1, 2), Fraction(0)), (2, 3))
-        assert s.evaluate((4, 6)) == 2
-        assert s.evaluate(s.unit) == 1
 
 
 class TestDualMap:
@@ -110,13 +102,11 @@ class TestDualMap:
 
     def test_identity_dual(self):
         u = (2, 5)
-        seq = one_step(NonMixingMap.identity(2), u)
-        assert depth_image_vertices(seq, 1, 2) == tuple(
-            v.values for v in simplex_vertices(u)
-        )
+        seq = one_step(NonMixingMap(2, (0, 1), (1, 1)), u)
+        assert depth_image_vertices(seq, 1, 2) == simplex_vertices(u)
 
     def test_scalar_dual(self):
-        seq = one_step(NonMixingMap.scalar(1, 4), (1,))
+        seq = one_step(NonMixingMap(1, (0,), (4,)), (1,))
         assert depth_image_vertices(seq, 1, 2) == ((1,),)
 
     def test_transport_identity(self):
@@ -130,7 +120,7 @@ class TestDualMap:
             got = depth_image_vertices(one_step(alpha, u), 1, 2)
             x = tuple(rng.randint(-6, 6) for _ in range(src))
             for s, values in zip(simplex_vertices(v), got):
-                assert StateVector(values, u).evaluate(x) == s.evaluate(alpha.apply(x))
+                assert evaluate(values, x) == evaluate(s, alpha.apply(x))
 
     def test_functoriality(self):
         # pulling back in two steps through a middle level is one step
@@ -143,9 +133,8 @@ class TestDualMap:
             depth = rng.randint(mid, top)
             u = seq.unit_at(level)
             alpha = seq.map_between(level, mid)
-            w = seq.unit_at(mid)
             two_steps = tuple(
-                pull_back(StateVector(values, w), alpha, u).values
+                pull_back(values, alpha, u)
                 for values in depth_image_vertices(seq, mid, depth)
             )
             assert two_steps == depth_image_vertices(seq, level, depth)
@@ -161,7 +150,7 @@ class TestDualMap:
             assert depth_image_vertices(seq, level, depth) == want
             u = seq.unit_at(level)
             for values in want:
-                StateVector(values, u)
+                assert_state(values, u)
 
 
 class TestSimplex:
@@ -204,9 +193,7 @@ class TestSimplex:
             depth = rng.randint(level, top)
             u = seq.unit_at(level)
             vs = simplex_vertices(u)
-            want = {
-                vs[i].values for i in set(seq.map_between(level, depth).parent)
-            }
+            want = {vs[i] for i in set(seq.map_between(level, depth).parent)}
             assert set(depth_image_vertices(seq, level, depth)) == want
 
     def test_nested_images(self):

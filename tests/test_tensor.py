@@ -18,6 +18,12 @@ from bratteli import (
 from genseq import full_tree, random_map, random_sequence, scalar_chain, two_path
 
 
+def dense(f):
+    """f's matrix: row j holds mult[j] in column parent[j], zeros elsewhere."""
+    r = f.source_rank
+    return tuple(tuple(k * (c == i) for c in range(r)) for i, k in zip(f.parent, f.mult))
+
+
 def kron(F, G):
     out = []
     for frow in F:
@@ -48,7 +54,7 @@ class TestTensorMap:
         for _ in range(500):
             f = random_map(rng, rng.randint(1, 3), rng.randint(1, 4))
             g = random_map(rng, rng.randint(1, 3), rng.randint(1, 4))
-            assert tensor_map(f, g).matrix() == kron(f.matrix(), g.matrix())
+            assert dense(tensor_map(f, g)) == kron(dense(f), dense(g))
 
     def test_elementary_tensors(self):
         rng = random.Random(42)
@@ -64,8 +70,9 @@ class TestTensorMap:
 
     def test_identity_factors(self):
         g = NonMixingMap(2, (0, 1, 1), (4, 5, 6))
-        assert tensor_map(NonMixingMap.identity(1), g) == g
-        gi = tensor_map(g, NonMixingMap.identity(1))
+        one = NonMixingMap(1, (0,), (1,))
+        assert tensor_map(one, g) == g
+        gi = tensor_map(g, one)
         assert gi == g
 
 
@@ -77,7 +84,7 @@ class TestTensorSeq:
         assert out.periodic_tail == 1
 
     def test_unit_sequence_is_neutral(self):
-        one = BratteliSequence((1, 1), (NonMixingMap.identity(1),), (1,), 1)
+        one = BratteliSequence((1, 1), (NonMixingMap(1, (0,), (1,)),), (1,), 1)
         a = two_path(2, 3)
         assert tensor_seq(one, a) == a
 

@@ -8,7 +8,6 @@ none of this.
 
 import copy
 import pickle
-from fractions import Fraction
 
 import pytest
 
@@ -24,7 +23,6 @@ from bratteli import (
     LimitElement,
     NonMixingMap,
     NotEquivalent,
-    StateVector,
     SupernaturalNumber,
     UnitChangeCertificate,
     Unknown,
@@ -62,7 +60,6 @@ def _values():
         (DiagonalMap((1, 2)), "entries"),
         (cert.rungs[0], "scalar"),
         (cert, "partial_n"),
-        (StateVector((Fraction(1, 2),), (2,)), "values"),
         (SupernaturalNumber.parse("2^inf*3"), "factors"),
     ]
 
@@ -162,7 +159,6 @@ class TestConstruction:
         assert SupernaturalNumber().factors == ()
         assert SupernaturalNumber(factors={3: 1, 2: 2}).factors == ((2, 2), (3, 1))
         assert DiagonalMap(entries=[1, 2]).entries == (1, 2)
-        assert StateVector(values=[1], unit=[1]).values == (Fraction(1),)
         assert Unknown(depth=3).depth == 3
 
     def test_certificate_defaults(self):
