@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import DIGITS
@@ -24,26 +23,11 @@ if TYPE_CHECKING:
     from .equiv import Cardinality, EquivalenceCertificate
     from .intertwine import UnitChangeCertificate
 
-_FRACTION = re.compile(f"(-?{DIGITS})(?:/({DIGITS}))?")
 _INTEGERS = re.compile(f"-?{DIGITS}(?: -?{DIGITS})*")
 
 
 def dumps(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def parse_fraction(text) -> Fraction:
-    """Read "p" or "p/q" with q >= 1, as str(Fraction) writes them.
-
-    Raises ValueError on anything else, where Fraction(text) would also
-    take floats, exponents and surrounding blanks, and "1/0" would raise
-    ZeroDivisionError.
-    """
-    m = _FRACTION.fullmatch(text) if isinstance(text, str) else None
-    q = int(m.group(2) or 1) if m else 0
-    if q < 1:
-        raise ValueError(f"expected a fraction 'p/q' with q >= 1, got {text!r}")
-    return Fraction(int(m.group(1)), q)
 
 
 def _need(doc, key, kind=object):
@@ -189,12 +173,6 @@ def verdict_to_doc(verdict, left, right) -> dict:
             "verdict": "equivalent",
             "left": serialize_diagram(cert.left),
             "right": serialize_diagram(cert.right),
-            "left_diagonals": [
-                decimals(d, "left diagonal entry") for d in cert.left_diagonals
-            ],
-            "right_diagonals": [
-                decimals(d, "right diagonal entry") for d in cert.right_diagonals
-            ],
             "left_cardinality": _cardinality_to_doc(cert.left_cardinality),
             "right_cardinality": _cardinality_to_doc(cert.right_cardinality),
             "intertwining": {
@@ -226,11 +204,23 @@ def verdict_to_doc(verdict, left, right) -> dict:
     raise ValueError(f"not a verdict: {verdict!r}")
 
 
+def _refuse_diagonals(doc: dict):
+    # the rescaling diagonals are no part of an equivalence document; one
+    # that carries them is refused rather than verified with them unread,
+    # where a tampered "1/0" entry would pass as ok
+    for key in ("left_diagonals", "right_diagonals"):
+        if key in doc:
+            raise ValueError(
+                f"{key} must not appear: equivalence documents carry no diagonals"
+            )
+
+
 def equivalence_certificate_from_doc(doc: dict) -> EquivalenceCertificate:
     from .equiv import EquivalenceCertificate, Intertwining
 
     if _need(doc, "kind") != "equivalence" or _need(doc, "verdict") != "equivalent":
         raise ValueError("not an equivalent-verdict document")
+    _refuse_diagonals(doc)
     tw_doc = _need(doc, "intertwining")
     tw = Intertwining(
         _ints(_need(tw_doc, "left_levels"), "level"),
@@ -239,16 +229,9 @@ def equivalence_certificate_from_doc(doc: dict) -> EquivalenceCertificate:
         tuple(_coords_from_doc(g, "g entry") for g in _need(tw_doc, "g_maps", list)),
         _need(tw_doc, "closure", str),
     )
-
-    def diagonals(key):
-        rows = _need(doc, key, list)
-        return tuple(tuple(parse_fraction(v) for v in _typed(d, list, key)) for d in rows)
-
     return EquivalenceCertificate(
         parse_diagram(_need(doc, "left", str)),
         parse_diagram(_need(doc, "right", str)),
-        diagonals("left_diagonals"),
-        diagonals("right_diagonals"),
         _cardinality_from_doc(_need(doc, "left_cardinality")),
         _cardinality_from_doc(_need(doc, "right_cardinality")),
         tw,
@@ -261,6 +244,7 @@ def not_equivalent_from_doc(doc: dict):
 
     if _need(doc, "kind") != "equivalence" or _need(doc, "verdict") != "not-equivalent":
         raise ValueError("not a not-equivalent-verdict document")
+    _refuse_diagonals(doc)
     verdict = NotEquivalent(
         _cardinality_from_doc(_need(doc, "left_cardinality")),
         _cardinality_from_doc(_need(doc, "right_cardinality")),

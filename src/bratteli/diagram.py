@@ -247,9 +247,20 @@ class BratteliSequence(Frozen):
                     if k:
                         power = _then(power, power, log)
                 lo = hi - (hi - start) % period
+        logs = {}
         for t in range(lo, hi):
             a = self.map_at(t)
-            mult = [k.bit_length() - 1 for k in a.mult] if log else a.mult
+            mult = a.mult
+            if log and t < self.length:
+                mult = [k.bit_length() - 1 for k in mult]
+            elif log:
+                # past L, map_at(t) repeats one block map's mults once per
+                # copy; take that block's bounds once and repeat them too
+                b = self._block_position(t)
+                if b not in logs:
+                    block = self._block()[1][b - self.periodic_tail]
+                    logs[b] = [k.bit_length() - 1 for k in block.mult]
+                mult = logs[b] * self._copies(t)
             f = _then(f, (a.parent, mult), log)
         return f
 

@@ -18,8 +18,11 @@ in full from the tail starts alone.
 
 The decider and both verifiers prune each side's BratteliSequence once
 and read the path count, stable level and tail start off that one
-pruned sequence; the rescaling is the units pushed up level by level.
-IndexSystem, the shape on its own, is only what canonicalize_q returns.
+pruned sequence.  The rescaling (the units pushed up level by level)
+plays no part in the verdict, so a certificate carries none of it: only
+the two sequences, their path counts, the closure and the levels it
+names.  IndexSystem, the shape on its own, and the rescaling diagonals
+are only what canonicalize_q returns for `canon` to print.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ def canonicalize_q(seq: BratteliSequence):
     vector.  Returns (IndexSystem, diagonals), where diagonals[t-1] is
     that conjugating tuple of Fractions for each presented level.
     equivalent_q and its verifiers read the shape off the sequence
-    itself and build no IndexSystem.
+    itself and build neither.
     """
     shape = IndexSystem(seq.ranks, tuple(a.parent for a in seq.maps), seq.periodic_tail)
     return shape, _diagonals(seq)
@@ -169,37 +172,23 @@ class Intertwining(Frozen):
 
 
 class EquivalenceCertificate(Frozen):
-    """Everything needed to recheck an equivalence verdict from scratch."""
+    """Everything needed to recheck an equivalence verdict from scratch:
+    the two sequences, the path count of each, and how the two path
+    spaces are matched.  The rescaling diagonals are left out; the
+    verdict never reads them, and canonicalize_q recomputes them from
+    either sequence."""
 
-    __slots__ = (
-        "left",
-        "right",
-        "left_diagonals",
-        "right_diagonals",
-        "left_cardinality",
-        "right_cardinality",
-        "intertwining",
-    )
+    __slots__ = ("left", "right", "left_cardinality", "right_cardinality", "intertwining")
 
     def __init__(
         self,
         left: BratteliSequence,
         right: BratteliSequence,
-        left_diagonals: tuple,
-        right_diagonals: tuple,
         left_cardinality: Cardinality,
         right_cardinality: Cardinality,
         intertwining: Intertwining,
     ):
-        self._freeze(
-            left,
-            right,
-            left_diagonals,
-            right_diagonals,
-            left_cardinality,
-            right_cardinality,
-            intertwining,
-        )
+        self._freeze(left, right, left_cardinality, right_cardinality, intertwining)
 
 
 class Equivalent(Frozen):
@@ -255,22 +244,18 @@ def equivalent_q(left: BratteliSequence, right: BratteliSequence, depth: int = 5
         n = cardA.count
         levels = (_stable_level(prunedA, n),), (_stable_level(prunedB, n),)
         tw = Intertwining(*levels, (tuple(range(n)),), (), "stable-bijection")
-    diags = _diagonals(left), _diagonals(right)
-    return Equivalent(EquivalenceCertificate(left, right, *diags, cardA, cardB, tw))
+    return Equivalent(EquivalenceCertificate(left, right, cardA, cardB, tw))
 
 
 def equivalence_certificate_failures(cert: EquivalenceCertificate) -> list:
     """Recheck every claim of an equivalence certificate; list failures.
 
-    Nothing is trusted: the diagonals, cardinalities, prunings, stable
-    levels and tail starts are recomputed from the two sequences
-    embedded in the certificate, each pruned once.
+    Nothing is trusted: the cardinalities, prunings, stable levels and
+    tail starts are recomputed from the two sequences embedded in the
+    certificate, each pruned once.  Multiplicities and units are never
+    read, so no rescaling is formed.
     """
     failures = []
-    if tuple(cert.left_diagonals) != _diagonals(cert.left):
-        failures.append("left diagonals do not match the left sequence")
-    if tuple(cert.right_diagonals) != _diagonals(cert.right):
-        failures.append("right diagonals do not match the right sequence")
     prunedA, cardA = _path_space(cert.left)
     prunedB, cardB = _path_space(cert.right)
     if cert.left_cardinality != cardA:

@@ -19,7 +19,7 @@ from bratteli import (
     injectivize,
     not_equivalent_failures,
 )
-from bratteli import equiv
+from bratteli import certio, equiv
 
 from genseq import (
     full_tree,
@@ -241,9 +241,18 @@ class TestEquivalentQ:
         verdict = equivalent_q(scalar_chain(2), scalar_chain(3))
         assert isinstance(verdict, Equivalent)
         cert = verdict.certificate
-        assert cert.left_cardinality == Cardinality.finite(1)
-        assert cert.left_diagonals[1] == (Fraction(1, 2),)
-        assert cert.right_diagonals[1] == (Fraction(1, 3),)
+        assert (cert.left_cardinality, cert.right_cardinality) == (
+            Cardinality.finite(1),
+            Cardinality.finite(1),
+        )
+        tw = cert.intertwining
+        assert (tw.left_levels, tw.right_levels, tw.f_maps, tw.g_maps, tw.closure) == (
+            (1,), (1,), ((0,),), (), "stable-bijection"
+        )
+        # the scalings are what `canon` prints; the certificate has none
+        assert not any("diagonals" in name for name in type(cert).__slots__)
+        assert canonicalize_q(scalar_chain(2))[1][1] == (Fraction(1, 2),)
+        assert canonicalize_q(scalar_chain(3))[1][1] == (Fraction(1, 3),)
         assert equivalence_certificate_failures(cert) == []
 
     def test_path_count_separates(self):
@@ -383,10 +392,15 @@ class TestCertificateTampering:
         assert any("left cardinality" in f for f in failures)
 
     def test_wrong_diagonals(self):
+        # diagonals are no part of a certificate: a document that carries
+        # them, even the ones canonicalize_q computes, is refused
         cert = self._cert()
-        bad = replace(cert, left_diagonals=cert.right_diagonals)
-        failures = equivalence_certificate_failures(bad)
-        assert any("left diagonals" in f for f in failures)
+        doc = certio.verdict_to_doc(Equivalent(cert), None, None)
+        assert certio.equivalence_certificate_from_doc(doc) == cert
+        diagonals = [certio.decimals(d, "entry") for d in canonicalize_q(cert.left)[1]]
+        for key in ("left_diagonals", "right_diagonals"):
+            with pytest.raises(ValueError, match=f"^{key} must not appear"):
+                certio.equivalence_certificate_from_doc({**doc, key: diagonals})
 
     def test_non_surjective_map(self):
         cert = self._cert()

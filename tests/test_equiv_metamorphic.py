@@ -1,0 +1,120 @@
+"""Metamorphic checks of `equiv` certificates, through the command line.
+
+Seeded random tailed sequences go through cli.run in process.  An
+equivalence document carries the two sequences, their path counts and
+the matching, and no rescaling, so three relations must hold:
+
+* every Equivalent document passes `verify`;
+* changing one embedded sequence so that its path count changes makes
+  `verify` exit 1 with `fail:` lines;
+* a sequence is Equivalent to its own pruning (`injectivize`).
+"""
+
+import json
+import random
+
+import pytest
+
+from bratteli import BratteliSequence, NonMixingMap, serialize_diagram
+from bratteli.cli import run
+from genseq import random_sequence
+
+SEED = 16
+COUNT = 60
+
+
+def _tailed(rng):
+    return [random_sequence(rng, tail=("cyclic", "sub")[i % 2]) for i in range(COUNT)]
+
+
+@pytest.fixture
+def cli(tmp_path, capsys):
+    """cli(argv, **texts) writes each text to a file, puts its path in
+    argv where {name} stands, runs the command, and returns (code, out)."""
+
+    def call(argv, **texts):
+        paths = {}
+        for name, text in texts.items():
+            path = tmp_path / f"{name}.txt"
+            path.write_text(text, encoding="utf-8")
+            paths[name] = str(path)
+        code = run([arg.format(**paths) for arg in argv])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        return code, captured.out
+
+    return call
+
+
+def _verify(cli, doc):
+    return cli(["verify", "{cert}"], cert=json.dumps(doc))
+
+
+def _widened(seq):
+    # one more coordinate on every level, each the lone child of the one
+    # before: a cyclic tail stays cyclic, and the limit gains one path
+    maps = [
+        NonMixingMap(a.source_rank + 1, a.parent + (a.source_rank,), a.mult + (1,))
+        for a in seq.maps
+    ]
+    ranks = [r + 1 for r in seq.ranks]
+    return BratteliSequence(ranks, maps, seq.base_unit + (1,), seq.periodic_tail)
+
+
+def _cut(seq):
+    # the levels up to the tail start p, where a substitution tail has one
+    # node, then that node repeated: a Cantor limit becomes one path
+    p = seq.periodic_tail
+    one = NonMixingMap(1, (0,), (1,))
+    ranks, maps = seq.ranks[:p] + (1,), seq.maps[: p - 1] + (one,)
+    return BratteliSequence(ranks, maps, seq.base_unit, p)
+
+
+def test_every_equivalent_document_verifies(cli):
+    texts = [serialize_diagram(seq) for seq in _tailed(random.Random(SEED))]
+    verdicts = []
+    # neighbours differ in tail kind, and every other pair shares it
+    for a, b in [*zip(texts, texts[1:]), *zip(texts, texts[2:])]:
+        code, out = cli(["equiv", "{a}", "{b}"], a=a, b=b)
+        doc = json.loads(out)
+        verdicts.append(doc["verdict"])
+        assert code == {"equivalent": 0, "not-equivalent": 1}[doc["verdict"]]
+        assert "left_diagonals" not in doc and "right_diagonals" not in doc
+        assert _verify(cli, doc) == (0, "ok: certificate verified\n")
+    assert verdicts.count("equivalent") >= COUNT // 2
+    assert verdicts.count("not-equivalent") >= COUNT // 2
+
+
+def test_changed_path_count_fails_verify(cli):
+    rng = random.Random(SEED + 1)
+    changed = 0
+    for seq in _tailed(rng):
+        text = serialize_diagram(seq)
+        code, out = cli(["equiv", "{a}", "{a}"], a=text)
+        assert code == 0
+        doc = json.loads(out)
+        count = doc["left_cardinality"]
+        if seq.tail_kind == "cyclic":
+            edited = _widened(seq)
+        elif count["kind"] == "infinite":
+            edited = _cut(seq)
+        else:
+            continue  # a one-path substitution tail: cutting keeps one path
+        side = rng.choice(("left", "right"))
+        code, out = _verify(cli, {**doc, side: serialize_diagram(edited)})
+        assert code == 1, (text, side)
+        lines = out.splitlines()
+        assert lines and all(line.startswith("fail: ") for line in lines)
+        assert f"fail: {side} cardinality recomputes to" in out
+        changed += 1
+    assert changed >= COUNT // 2
+
+
+def test_sequence_is_equivalent_to_its_pruning(cli):
+    for seq in _tailed(random.Random(SEED + 2)):
+        text = serialize_diagram(seq)
+        code, pruned = cli(["injectivize", "{a}"], a=text)
+        assert code == 0
+        code, out = cli(["equiv", "{a}", "{b}"], a=text, b=pruned)
+        assert code == 0, text
+        assert _verify(cli, json.loads(out)) == (0, "ok: certificate verified\n")

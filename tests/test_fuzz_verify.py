@@ -1,10 +1,13 @@
 """Seeded mutation fuzz of `bratteli verify`.
 
 Documents emitted by `equiv` and `unit-change` get one field replaced by
-a hostile value, or deleted, and are then verified.  Every call must end
-within a second in a documented exit code, with no exception escaping
-cli.run: 0, 1 or 2, and 65 only when the mutated field is an embedded
-diagram text that no longer parses.
+a hostile value, or deleted, or, in an equivalence document, one of the
+retired diagonal keys put back, and are then verified.  Every call must
+end within a second in a documented exit code, with no exception
+escaping cli.run: 0, 1 or 2, and 65 only when the mutated field is an
+embedded diagram text that no longer parses.  Every field of the path
+counts and the matching, and both retired keys, also meet every hostile
+value in turn.
 """
 
 import json
@@ -37,6 +40,12 @@ EMITTERS = (
 )
 
 DIAGRAM_FIELDS = ("left", "right", "sequence")
+
+# what an equivalence verdict claims besides its two sequences
+CLAIM_FIELDS = ("left_cardinality", "right_cardinality", "intertwining")
+
+# keys an equivalence document no longer carries; verify refuses them
+RETIRED = ("left_diagonals", "right_diagonals")
 
 
 class _Bare:
@@ -93,20 +102,33 @@ def _paths(node, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
-def _mutate(doc, rng):
-    """A copy of doc with one field replaced or deleted, and that field's path."""
+DELETED = "<deleted>"
+
+
+def _set(doc, path, value):
+    """A copy of doc with the field at path set to value, or deleted when
+    value is DELETED."""
     doc = json.loads(json.dumps(doc))
-    path = rng.choice(list(_paths(doc)))
     holder = doc
     for key in path[:-1]:
         holder = holder[key]
-    if rng.random() < 0.25:
+    if value is DELETED:
         del holder[path[-1]]
-        value = "<deleted>"
     else:
-        value = rng.choice(HOSTILE)
         holder[path[-1]] = value
-    return doc, path, value
+    return doc
+
+
+def _mutate(doc, rng):
+    """A copy of doc with one field replaced, deleted or put back, and
+    that field's path."""
+    if doc["kind"] == "equivalence" and rng.random() < 0.1:
+        path = (rng.choice(RETIRED),)
+        value = rng.choice(HOSTILE)
+    else:
+        path = rng.choice(list(_paths(doc)))
+        value = DELETED if rng.random() < 0.25 else rng.choice(HOSTILE)
+    return _set(doc, path, value), path, value
 
 
 def _emitted(tmp_path, capsys):
@@ -142,6 +164,8 @@ def test_mutated_documents_end_in_documented_codes(tmp_path, capsys):
         allowed = {0, 1, 2}
         if path[0] in DIAGRAM_FIELDS and isinstance(value, str):
             allowed.add(65)
+        if path[0] in RETIRED and doc["verdict"] != "unknown":
+            allowed = {1}
         assert code in allowed, what
         seen.add(code)
     assert {0, 1, 2} <= seen
@@ -172,3 +196,58 @@ def test_every_numeral_near_the_digit_limit(tmp_path, capsys):
             assert "Traceback" not in capsys.readouterr().err
             calls += 1
     assert calls > 50
+
+
+def _claims(tmp_path, capsys):
+    # the documents emitted by `equiv` that claim a verdict
+    return [
+        doc
+        for doc in _emitted(tmp_path, capsys)
+        if doc["kind"] == "equivalence" and doc["verdict"] != "unknown"
+    ]
+
+
+def _verified(target, doc, capsys):
+    target.write_text(_dumps(doc), encoding="utf-8")
+    called = time.perf_counter()
+    code = run(["verify", str(target)])
+    assert time.perf_counter() - called < 1
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    return code, out, err
+
+
+def test_every_claim_field_meets_every_hostile_value(tmp_path, capsys):
+    # each field of the path counts and of the matching, replaced by each
+    # hostile value or deleted; a refusal names itself on one line
+    target = tmp_path / "claim.json"
+    calls = 0
+    for doc in _claims(tmp_path, capsys):
+        for path in _paths(doc):
+            if path[0] not in CLAIM_FIELDS:
+                continue
+            for value in (*HOSTILE, DELETED):
+                what = f"{doc['verdict']} {path} <- {repr(value)[:40]}"
+                code, out, err = _verified(target, _set(doc, path, value), capsys)
+                assert code in (0, 1), what
+                if code == 1:
+                    assert err.startswith("error: ") or out.startswith("fail: "), what
+                calls += 1
+    assert calls > 1000
+
+
+def test_retired_keys_are_refused_whatever_their_value(tmp_path, capsys):
+    target = tmp_path / "retired.json"
+    old_rows = [["1"], ["1/2"]]
+    for doc in _claims(tmp_path, capsys):
+        for key in RETIRED:
+            want = (
+                f"error: {key} must not appear: "
+                "equivalence documents carry no diagonals\n"
+            )
+            for value in (*HOSTILE, old_rows):
+                code, out, err = _verified(target, {**doc, key: value}, capsys)
+                what = (doc["verdict"], key, value)
+                assert (code, out) == (1, ""), what
+                # a bare number too long for int() stops the JSON reader
+                assert err == want or isinstance(value, _Bare), what

@@ -178,8 +178,6 @@ class TestConstruction:
         kwargs = dict(
             left=_tree(),
             right=_tree(),
-            left_diagonals=(),
-            right_diagonals=(),
             left_cardinality=INFINITE,
             right_cardinality=INFINITE,
             intertwining=tw,
