@@ -17,7 +17,7 @@ _EXPORTS = {
     "diagram": "BratteliSequence LimitElement forall_n_leq_limit injectivize "
     "keep_at limit_leq telescope",
     "tensor": "tensor_map tensor_qn tensor_seq tensor_vec",
-    "intertwine": "DiagonalMap LadderRung UnitChangeCertificate "
+    "intertwine": "DiagonalMap UnitChangeCertificate "
     "certificate_failures rescale_lemma unit_change",
     "states": "depth_image_vertices verify_state_invariance",
     "equiv": "Cardinality EquivalenceCertificate Equivalent IndexSystem "

@@ -89,13 +89,8 @@ def unit_change_to_doc(cert: UnitChangeCertificate) -> dict:
         "alt_unit": [str(v) for v in cert.alt_unit],
         "strategy": cert.strategy,
         "rungs": [
-            {
-                "level": str(r.level),
-                "direction": r.direction,
-                "scalar": _decimal(r.scalar, f"rung {r.level} scalar"),
-                "diag": decimals(r.diag.entries, f"rung {r.level} diagonal"),
-            }
-            for r in cert.rungs
+            {"scalar": _decimal(s, f"rung {t} scalar")}
+            for t, s in enumerate(cert.rungs, start=1)
         ],
         "partial_n": str(cert.partial_n),
         "partial_m": str(cert.partial_m),
@@ -105,34 +100,40 @@ def unit_change_to_doc(cert: UnitChangeCertificate) -> dict:
 
 
 def unit_change_from_doc(doc: dict) -> UnitChangeCertificate:
-    from .intertwine import DiagonalMap, LadderRung, UnitChangeCertificate
+    from .intertwine import UnitChangeCertificate
 
     if _need(doc, "kind") != "unit-change":
         raise ValueError(f"not a unit-change document: kind {doc.get('kind')!r}")
+    rungs = _need(doc, "rungs", list)
+    _refuse_rung_keys(rungs)
     seq = parse_diagram(_need(doc, "sequence", str))
     strategy = _need(doc, "strategy")
     if strategy not in ("minimal", "paper"):
         raise ValueError(f"strategy must be 'minimal' or 'paper', got {strategy!r}")
-    rungs = []
-    for r in _need(doc, "rungs", list):
-        rungs.append(
-            LadderRung(
-                _int(_need(r, "level"), "rung level"),
-                _need(r, "direction"),
-                _int(_need(r, "scalar"), "rung scalar"),
-                DiagonalMap(_ints(_need(r, "diag"), "diagonal entry")),
-            )
-        )
     return UnitChangeCertificate(
         seq,
         _ints(_need(doc, "alt_unit"), "unit entry"),
         strategy,
-        tuple(rungs),
+        _ints([_need(r, "scalar") for r in rungs], "rung scalar"),
         _supernatural(_need(doc, "partial_n"), "partial_n"),
         _supernatural(_need(doc, "partial_m"), "partial_m"),
         _supernatural(doc.get("exact_n"), "exact_n"),
         _supernatural(doc.get("exact_m"), "exact_m"),
     )
+
+
+def _refuse_rung_keys(rungs: list):
+    # a rung's level, direction and diagonal follow from the scalars; a
+    # rung that still carries them is refused rather than verified with
+    # them unread, where a tampered diagonal would pass as ok
+    for t, r in enumerate(rungs, start=1):
+        if isinstance(r, dict):
+            for key in ("level", "direction", "diag"):
+                if key in r:
+                    raise ValueError(
+                        f"{key} must not appear in rung {t}: "
+                        "unit-change rungs carry only their scalar"
+                    )
 
 
 def _cardinality_to_doc(card: Cardinality) -> dict:

@@ -158,26 +158,25 @@ def _cmd_unit_change(args):
 
 
 def _cmd_states(args):
-    from . import certio
     from .states import depth_image_runs, exact_image_runs
 
     seq = _load(args.file)
     # floats never fail on size; an exact value too long to write is
-    # refused before the unit at --level is formed
+    # refused before anything is written
     image_runs = depth_image_runs if args.decimal else exact_image_runs
-    vertices, runs = image_runs(seq, args.level, args.depth)
-    # every line is one of the level's vertices: format each one that
-    # occurs once, in the order they occur, before anything is written
-    lines = {}
-    for i, _ in runs:
-        if i not in lines:
-            if args.decimal:
-                text = " ".join(str(float(v)) for v in vertices[i])
-            else:
-                text = " ".join(certio.decimals(vertices[i], "state value"))
-            lines[i] = text + "\n"
+    unit, runs = image_runs(seq, args.level, args.depth)
+    # line i is zeros with the value 1/u_i at place i; it is formatted
+    # when its run is written, so nothing is kept per vertex.  str(1 / u)
+    # is str(float(Fraction(1, u))), and the Fraction reads "1/u" or "1"
+    zero = "0.0" if args.decimal else "0"
+    last = len(unit) - 1
     for i, n in runs:
-        line = lines[i]
+        u = unit[i]
+        if args.decimal:
+            value = str(1 / u)
+        else:
+            value = f"1/{u}" if u != 1 else "1"
+        line = f"{zero} " * i + value + f" {zero}" * (last - i) + "\n"
         per = max(1, _CHUNK // len(line))
         for done in range(0, n, per):
             sys.stdout.write(line * min(per, n - done))

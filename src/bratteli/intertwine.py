@@ -9,7 +9,8 @@ Collecting the scalars of the up rungs and of the down rungs gives two
 natural numbers N and M (partial products of two supernatural numbers)
 such that the towers scaled by N and by M agree down to the explored
 depth.  On a cyclic tail the rung data eventually cycles, and then the
-full supernatural numbers are known exactly.
+full supernatural numbers are known exactly.  A certificate keeps only
+the rung scalars; its verifier derives every diagonal from them.
 """
 
 from __future__ import annotations
@@ -80,32 +81,18 @@ def rescale_lemma(alpha: NonMixingMap, gamma: DiagonalMap, strategy: str = "mini
     return n, eta
 
 
-class LadderRung(Frozen):
-    """One diagonal of the ladder, with the scalar it introduced.
-
-    Down rungs map the u tower to the w tower at their level, up rungs
-    map back.  Rung t lives at level t; rung 1 is down and directions
-    alternate from there.
-    """
-
-    __slots__ = ("level", "direction", "scalar", "diag")
-
-    def __init__(self, level: int, direction: str, scalar: int, diag: DiagonalMap):
-        if direction not in ("down", "up"):
-            raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
-        if not isinstance(scalar, int) or scalar < 1:
-            raise NotPositive(f"scalar {scalar!r} must be a positive integer")
-        self._freeze(level, direction, scalar, diag)
-
-
 class UnitChangeCertificate(Frozen):
     """A checkable witness that two units differ by rational scaling.
 
-    partial_n and partial_m are the products of the scalars seen so far
-    on up and down rungs; they only ever grow as the depth increases.
-    exact_n and exact_m are filled in when the rung data is seen to
-    cycle (possible on cyclic tails), and then describe the full
-    supernatural scalings; otherwise they stay None.
+    rungs holds the scalar of each rung, rung 1 first.  Rung t lives at
+    level t; odd rungs are down rungs, which map the u tower to the w
+    tower, and even rungs are up rungs, which map back.  Each rung's
+    diagonal follows from the scalars (see certificate_failures), so it
+    is not stored.  partial_n and partial_m are the products of the
+    scalars seen so far on up and down rungs; they only ever grow as the
+    depth increases.  exact_n and exact_m are filled in when the rung
+    data is seen to cycle (possible on cyclic tails), and then describe
+    the full supernatural scalings; otherwise they stay None.
     """
 
     __slots__ = (
@@ -130,13 +117,23 @@ class UnitChangeCertificate(Frozen):
         exact_n: SupernaturalNumber | None = None,
         exact_m: SupernaturalNumber | None = None,
     ):
+        rungs = tuple(rungs)
+        for t, s in enumerate(rungs, start=1):
+            if not isinstance(s, int) or s < 1:
+                raise NotPositive(f"rung {t} scalar {s!r} must be a positive integer")
         self._freeze(
             seq, alt_unit, strategy, rungs, partial_n, partial_m, exact_n, exact_m
         )
 
 
-def _scalars(rungs, direction: str) -> int:
-    return prod((r.scalar for r in rungs if r.direction == direction), start=1)
+# the index parity of the up and of the down rungs' scalars: rung t,
+# at index t - 1, is up when t is even
+_UP, _DOWN = 1, 0
+
+
+def _product(scalars, parity: int, lo: int = 0, hi: int | None = None) -> int:
+    # the product of scalars[lo:hi] at the indices of the given parity
+    return prod(scalars[lo + (lo + parity) % 2 : hi : 2], start=1)
 
 
 def _exact(before: int, over: int) -> SupernaturalNumber:
@@ -147,27 +144,68 @@ def _exact(before: int, over: int) -> SupernaturalNumber:
     )
 
 
-def _detect_cycle(seq, rungs):
+def _diagonals(seq, alt_unit, scalars) -> tuple:
+    """(diagonals, failure): every rung's diagonal, derived from the
+    scalars alone.
+
+    Rung 1's diagonal is D_1 = s_1 * w_1 / u_1 entrywise, and rung t's
+    is D_t[j] = s_t / D_{t-1}[parent(j)], with parent that of the map
+    from level t - 1.  Every division must be exact.  diagonals lists
+    D_1, D_2, ... as tuples up to the first rung whose derivation fails;
+    failure is then a line naming that rung and coordinate (1-based),
+    and otherwise None.
+    """
+    diagonals = []
+    if not scalars:
+        return diagonals, None
+    s = scalars[0]
+    d = []
+    for i, (u, w) in enumerate(zip(seq.base_unit, alt_unit), start=1):
+        q, r = divmod(s * w, u)
+        if r:
+            return diagonals, (
+                "rung 1: the scalar times the alt_unit entry is not a "
+                f"multiple of the unit entry at coordinate {i}"
+            )
+        d.append(q)
+    diagonals.append(tuple(d))
+    for t in range(2, len(scalars) + 1):
+        if not seq.has_level(t):
+            return diagonals, f"rung {t}: level {t} not available"
+        s, prev, d = scalars[t - 1], diagonals[-1], []
+        for j, i in enumerate(seq.map_at(t - 1).parent, start=1):
+            q, r = divmod(s, prev[i])
+            if r:
+                return diagonals, (
+                    f"rung {t}: the scalar is not a multiple of rung {t - 1}'s "
+                    f"entry at coordinate {j}"
+                )
+            d.append(q)
+        diagonals.append(tuple(d))
+    return diagonals, None
+
+
+def _detect_cycle(seq, scalars, diagonals):
     """Look for a repeated rung state on a cyclic tail.
 
     The state (block position, direction, diagonal entries) of a rung at
     level >= the tail start determines every later rung, so the first
-    repeat pins down the infinite products exactly.  Returns the up and
-    the down scalars as (product before the cycle, product over one
-    cycle) pairs, or (None, None) when no state repeats.
+    repeat pins down the infinite products exactly.  diagonals are the
+    rungs' diagonals as _diagonals derives them.  Returns the up and the
+    down scalars as (product before the cycle, product over one cycle)
+    pairs, or (None, None) when no state repeats.
     """
     if seq.tail_kind != "cyclic":
         return None, None
-    p = seq.periodic_tail
     seen = {}
-    for idx, rung in enumerate(rungs):
-        if rung.level < p:
-            continue
-        state = (seq._block_position(rung.level), rung.direction, rung.diag.entries)
+    for idx in range(seq.periodic_tail - 1, len(diagonals)):
+        t = idx + 1
+        state = (seq._block_position(t), t % 2, diagonals[idx])
         if state in seen:
-            before, over = rungs[: seen[state] + 1], rungs[seen[state] + 1 : idx + 1]
+            first = seen[state] + 1
             return tuple(
-                (_scalars(before, d), _scalars(over, d)) for d in ("up", "down")
+                (_product(scalars, d, 0, first), _product(scalars, d, first, idx + 1))
+                for d in (_UP, _DOWN)
             )
         seen[state] = idx
     return None, None
@@ -178,8 +216,6 @@ def _shown(value) -> str:
     try:
         return str(value)
     except ValueError:
-        if isinstance(value, tuple):
-            return f"a vector with a {max(v.bit_length() for v in value)}-bit entry"
         return f"a {value.bit_length()}-bit number"
 
 
@@ -199,104 +235,73 @@ def unit_change(
     for t in range(1, depth + 1):
         seq._require_level(t)
 
-    rungs = []
+    scalars = []
     if depth >= 1:
         u1 = seq.base_unit
         m1 = prod(u1)
-        gamma1 = DiagonalMap(tuple((m1 // u1[i]) * alt_unit[i] for i in range(len(u1))))
-        rungs.append(LadderRung(1, "down", m1, gamma1))
+        diag = DiagonalMap(tuple((m1 // u) * w for u, w in zip(u1, alt_unit)))
+        scalars.append(m1)
     for t in range(2, depth + 1):
-        s, eta = rescale_lemma(seq.map_at(t - 1), rungs[-1].diag, strategy)
-        direction = "up" if t % 2 == 0 else "down"
-        rungs.append(LadderRung(t, direction, s, eta))
-    rungs = tuple(rungs)
+        s, diag = rescale_lemma(seq.map_at(t - 1), diag, strategy)
+        scalars.append(s)
+    scalars = tuple(scalars)
 
-    partial_n = SupernaturalNumber.from_natural(_scalars(rungs, "up"))
-    partial_m = SupernaturalNumber.from_natural(_scalars(rungs, "down"))
-    cycles = _detect_cycle(seq, rungs)
+    partial_n = SupernaturalNumber.from_natural(_product(scalars, _UP))
+    partial_m = SupernaturalNumber.from_natural(_product(scalars, _DOWN))
+    cycles = _detect_cycle(seq, scalars, _diagonals(seq, alt_unit, scalars)[0])
     exact_n, exact_m = (None if c is None else _exact(*c) for c in cycles)
     return UnitChangeCertificate(
-        seq, alt_unit, strategy, rungs, partial_n, partial_m, exact_n, exact_m
+        seq, alt_unit, strategy, scalars, partial_n, partial_m, exact_n, exact_m
     )
 
 
 def certificate_failures(cert: UnitChangeCertificate) -> list:
     """Re-derive every claim of the certificate; list what fails, if anything.
 
-    The checks do not re-run the construction: each rung is tested
-    directly against the unit images it claims to connect, and
-    consecutive rungs are tested against the connecting map between
-    their levels, so a hand-edited certificate cannot sneak through.
+    The certificate carries only the rung scalars s_1, s_2, ....  The
+    checks do not re-run the construction: _diagonals derives each
+    rung's diagonal from the scalars, D_1 = s_1 * w_1 / u_1 and D_t[j] =
+    s_t / D_{t-1}[parent(j)], and a division that is not exact fails the
+    certificate at that rung and coordinate.  This takes O(depth * rank)
+    steps on numbers no longer than the scalars.
+
+    Why no more is needed.  Write u_t and w_t for the two units pushed
+    to level t, and N_t and M_t for the products of the up and of the
+    down scalars through rung t.  The ladder claims that a down rung's
+    diagonal carries N_t u_t to M_t w_t, and an up rung's carries M_t w_t
+    to N_t u_t.  Rung 1 is down with N_1 = 1 and M_1 = s_1, so its claim
+    D_1 u_1 = s_1 w_1 holds by the definition of D_1.  Suppose a down
+    rung t holds, D_t[i] N_t u_t[i] = M_t w_t[i].  Rung t + 1 is up, with
+    N_{t+1} = s_{t+1} N_t and M_{t+1} = M_t, and a coordinate j of level
+    t + 1 with parent i and multiplicity k has u_{t+1}[j] = k u_t[i] and
+    w_{t+1}[j] = k w_t[i].  Then
+        D_{t+1}[j] M_{t+1} w_{t+1}[j] = (s_{t+1} / D_t[i]) M_t k w_t[i]
+                                      = s_{t+1} k N_t u_t[i]
+                                      = N_{t+1} u_{t+1}[j],
+    which is rung t + 1's claim; an up rung followed by a down one is
+    the same with u and w, N and M swapped.  By induction every rung
+    holds, so neither unit is pushed up and no running product is formed.
+    The square between rungs t and t + 1, D_{t+1}[j] D_t[parent(j)] =
+    s_{t+1}, holds by construction of D_{t+1}, and every D_t is a vector
+    of positive integers because the scalars are.
     """
     seq = cert.seq
-    failures = []
     w1 = tuple(cert.alt_unit)
     if len(w1) != seq.ranks[0] or not is_order_unit(w1):
         return [f"alternative unit {w1} is not an order unit at level 1"]
-
-    n_cum = 1
-    m_cum = 1
-    # u_t and w_t, the images of the two units at level t, pushed up one
-    # level per rung from the sequence's own maps
-    u_t, w_t = seq.base_unit, w1
-    for idx, rung in enumerate(cert.rungs):
-        t = idx + 1
-        where = f"rung {t}"
-        if t > 1 and seq.has_level(t):
-            alpha = seq.map_at(t - 1)
-            u_t, w_t = alpha.apply(u_t), alpha.apply(w_t)
-        if rung.level != t:
-            failures.append(f"{where}: level {rung.level}, expected {t}")
-            continue
-        want_dir = "down" if t % 2 == 1 else "up"
-        if rung.direction != want_dir:
-            failures.append(f"{where}: direction {rung.direction}, expected {want_dir}")
-            continue
-        if not seq.has_level(t):
-            failures.append(f"{where}: level {t} not available")
-            continue
-        if rung.diag.rank != seq.rank_at(t):
-            failures.append(
-                f"{where}: diagonal rank {rung.diag.rank}, level rank {seq.rank_at(t)}"
-            )
-            continue
-        if rung.direction == "up":
-            n_cum *= rung.scalar
-        else:
-            m_cum *= rung.scalar
-        if rung.direction == "down":
-            got = rung.diag.apply(tuple(n_cum * v for v in u_t))
-            want = tuple(m_cum * v for v in w_t)
-        else:
-            got = rung.diag.apply(tuple(m_cum * v for v in w_t))
-            want = tuple(n_cum * v for v in u_t)
-        if got != want:
-            failures.append(
-                f"{where}: carries the unit to {_shown(got)}, expected {_shown(want)}"
-            )
-        if idx + 1 < len(cert.rungs):
-            nxt = cert.rungs[idx + 1]
-            alpha = seq.map_at(t)
-            if nxt.diag.rank == alpha.target_rank and rung.diag.rank == alpha.source_rank:
-                for j in range(alpha.target_rank):
-                    lhs = nxt.diag.entries[j] * alpha.mult[j] * rung.diag.entries[alpha.parent[j]]
-                    rhs = nxt.scalar * alpha.mult[j]
-                    if lhs != rhs:
-                        failures.append(
-                            f"rung {t + 1}: square against the level-{t} map "
-                            f"fails at coordinate {j}"
-                        )
-                        break
+    scalars = cert.rungs
+    diagonals, failure = _diagonals(seq, w1, scalars)
+    failures = [] if failure is None else [failure]
 
     # the claims are matched against the scalar products, never factored
-    claims = (("partial_n", cert.partial_n), ("partial_m", cert.partial_m))
-    for (name, claim), d in zip(claims, ("up", "down")):
-        product = _scalars(cert.rungs, d)
+    claims = (("partial_n", cert.partial_n, _UP), ("partial_m", cert.partial_m, _DOWN))
+    for name, claim, parity in claims:
+        product = _product(scalars, parity)
         if claim is None or not claim.matches(product):
             failures.append(f"{name} is {claim}, scalars give {_shown(product)}")
 
     claims = (("exact_n", cert.exact_n), ("exact_m", cert.exact_m))
-    for (name, claim), cycle in zip(claims, _detect_cycle(seq, cert.rungs)):
+    for (name, claim), cycle in zip(claims, _detect_cycle(seq, scalars, diagonals)):
         if claim is None:
             continue
         if cycle is None:

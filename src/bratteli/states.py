@@ -14,25 +14,26 @@ gives.  No matrix is formed and no deep level is listed.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from itertools import chain, repeat
 
 from .diagram import BratteliSequence, _refuse_unwritable
+from .fileformat import _decimal
 
 
 def depth_image_runs(seq: BratteliSequence, level: int, depth: int) -> tuple:
-    """(vertices, runs): the vertices of `level`, and which of them the
+    """(unit, runs): the unit at `level`, and which of its vertices the
     vertices of `depth` pull back to.
 
-    vertices[i] is the value tuple of e_i / u_i, with u the unit at
-    `level`; runs are seq.ancestor_runs(level, depth), (i, count) pairs
-    saying that the next count coordinates of `depth`, in order, pull
-    back to vertices[i].  Coordinate j of `depth` reads the single
-    ancestor i, and its unit entry is v_j = mult_j * u_i, so the extreme
-    state e_j / v_j pulls back to exactly e_i / u_i.
+    Vertex i of `level` is e_i / unit[i]; runs are
+    seq.ancestor_runs(level, depth), (i, count) pairs saying that the
+    next count coordinates of `depth`, in order, pull back to vertex i.
+    Coordinate j of `depth` reads the single ancestor i, and its unit
+    entry is v_j = mult_j * u_i, so the extreme state e_j / v_j pulls
+    back to exactly e_i / u_i.
     """
-    u = seq.unit_at(level)
-    return _vertices(u), seq.ancestor_runs(level, depth)
+    return seq.unit_at(level), seq.ancestor_runs(level, depth)
 
 
 def exact_image_runs(seq: BratteliSequence, level: int, depth: int) -> tuple:
@@ -41,12 +42,23 @@ def exact_image_runs(seq: BratteliSequence, level: int, depth: int) -> tuple:
 
     Raises TooLarge, from lower bounds on the bits of every unit entry
     at `level` and before any is formed, when the written vertices
-    would fail the test of diagram._refuse_unwritable.
+    would fail the test of diagram._refuse_unwritable; and otherwise,
+    before any vertex is written, at the first written unit entry with
+    more digits than str() writes.
     """
     bits = seq._log_between(1, level, [v.bit_length() - 1 for v in seq.base_unit])
     runs = seq.ancestor_runs(level, depth)
     _refuse_unwritable(bits, [i for i, _ in runs], "state value")
-    return _vertices(seq.unit_at(level)), runs
+    u = seq.unit_at(level)
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        # u_i >= 10**limit has more digits than str() writes, and
+        # _decimal raises TooLarge on it, as it would on 1/u_i
+        top = 10**limit
+        for i, _ in runs:
+            if u[i] >= top:
+                _decimal(u[i], "state value")
+    return u, runs
 
 
 def _vertices(u) -> tuple:
@@ -67,7 +79,8 @@ def depth_image_vertices(seq: BratteliSequence, level: int, depth: int) -> tuple
     their convex hull is the stage-`depth` approximation of the limit
     trace simplex, drawn inside the state simplex of the chosen level.
     """
-    vertices, runs = depth_image_runs(seq, level, depth)
+    u, runs = depth_image_runs(seq, level, depth)
+    vertices = _vertices(u)
     return tuple(chain.from_iterable(repeat(vertices[i], n) for i, n in runs))
 
 

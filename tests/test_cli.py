@@ -28,7 +28,7 @@ from bratteli import (
 )
 from bratteli import diagram
 from bratteli.cli import run
-from genseq import random_map, scalar_chain, two_path
+from genseq import long_chain, random_map, scalar_chain, two_path
 
 DYADIC = "bratteli v1\nsizes: 1 1\nunit: 1\nmap 1: 1*2\nrepeat: 1\n"
 TRIADIC = "bratteli v1\nsizes: 1 1\nunit: 1\nmap 1: 1*3\nrepeat: 1\n"
@@ -188,6 +188,41 @@ class TestUnitChange:
         assert run(["verify", str(cert_path)]) == 1
         assert "fail:" in capsys.readouterr().out
 
+    def test_deep_ladder_verifies_in_linear_time(self, doc, tmp_path, capsys):
+        # 6400 rungs on a 400-level rank-8 chain: pushing both units up
+        # and multiplying them by the running scalar products took 3.5 s
+        chain = long_chain(random.Random(44), 400)
+        path = doc("c.brat", serialize_diagram(chain))
+        argv = ["unit-change", path, "--unit", "1,2,3,1,2,3,1,2", "--depth", "6400"]
+        assert run(argv) == 0
+        cert = tmp_path / "deep.json"
+        cert.write_text(capsys.readouterr().out, encoding="utf-8")
+        start = time.perf_counter()
+        assert run(["verify", str(cert)]) == 0
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().out == "ok: certificate verified\n"
+
+    def test_old_document_refused(self, doc, tmp_path, capsys):
+        # rungs as documents used to write them: level, direction, scalar
+        # and diagonal; the scalar alone is read now, so the rest is refused
+        path = doc("d.brat", DYADIC)
+        assert run(["unit-change", path, "--unit", "3", "--depth", "4"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [sorted(r) for r in payload["rungs"]] == [["scalar"]] * 4
+        diagonals = (["3"], ["1"], ["1"], ["1"])
+        payload["rungs"] = [
+            {"level": str(t), "direction": ("up", "down")[t % 2], "diag": d, **r}
+            for t, (r, d) in enumerate(zip(payload["rungs"], diagonals), start=1)
+        ]
+        cert = tmp_path / "old.json"
+        cert.write_text(json.dumps(payload), encoding="utf-8")
+        assert run(["verify", str(cert)]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "error: level must not appear in rung 1: "
+            "unit-change rungs carry only their scalar\n",
+        )
+
     def test_rejects_non_unit(self, doc, capsys):
         assert run(
             ["unit-change", doc("d.brat", DYADIC), "--unit", "0", "--depth", "4"]
@@ -257,6 +292,27 @@ class TestStates:
         assert code == 0
         assert peak_kb < 64 * 1024
         assert out.read_text() == "1 0\n" * 2**20 + "0 1\n" * 2**20
+
+    def test_deep_level_lines_in_linear_memory(self, doc):
+        # level 12 of the binary tree has 2048 vertices, each a line of
+        # 2048 values; one child process writes them all, and keeping a
+        # formatted line, or a vertex tuple, per vertex peaked at 56 MB
+        path = doc("t.brat", BINARY_TREE)
+        argv = [sys.executable, "-m", "bratteli.cli", "states", path]
+        argv += ["--level", "12", "--depth", "12"]
+        probe = (
+            "import resource, subprocess, sys\n"
+            f"code = subprocess.run({argv!r}, stdout=subprocess.DEVNULL).returncode\n"
+            "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+        )
+        code, peak_kb = map(int, done.stdout.split())
+        assert code == 0
+        assert peak_kb < 32 * 1024
 
     def test_level_past_the_budget_refused_at_once(self, doc, capsys):
         start = time.perf_counter()
@@ -626,7 +682,9 @@ class TestHostileInput:
     @pytest.mark.parametrize("tampered", [(0,), (0, 2)])
     def test_long_rung_scalar_is_not_factored(self, tampered, doc, tmp_path, capsys):
         # the scalar products are matched against partial_n/partial_m by
-        # division; factoring one took seconds and ended in an error line
+        # division; factoring one took seconds and ended in an error line.
+        # Rung 1's diagonal takes the long scalar exactly (the unit is all
+        # ones), and rung 2's short scalar is no multiple of its entries
         def edit(payload):
             for k in tampered:
                 payload["rungs"][k]["scalar"] = "1" * 4000
@@ -639,7 +697,10 @@ class TestHostileInput:
         assert time.perf_counter() - start < 1
         assert captured.err == ""
         lines = captured.out.splitlines()
-        assert lines[0].startswith("fail: rung 1: carries the unit to")
+        assert lines[0] == (
+            "fail: rung 2: the scalar is not a multiple of rung 1's entry "
+            "at coordinate 1"
+        )
         partial_m = next(line for line in lines if "partial_m" in line)
         if len(tampered) == 2:
             # the product has about 8000 digits, too many for str()

@@ -1,12 +1,13 @@
 """Seeded mutation fuzz of `bratteli verify`.
 
 Documents emitted by `equiv` and `unit-change` get one field replaced by
-a hostile value, or deleted, or, in an equivalence document, one of the
-retired diagonal keys put back, and are then verified.  Every call must
+a hostile value, or deleted, or one of the retired keys put back (a
+diagonal key in an equivalence document, a rung's level, direction or
+diagonal in a unit-change document), and are then verified.  Every call must
 end within a second in a documented exit code, with no exception
 escaping cli.run: 0, 1 or 2, and 65 only when the mutated field is an
 embedded diagram text that no longer parses.  Every field of the path
-counts and the matching, and both retired keys, also meet every hostile
+counts and the matching, and every retired key, also meet every hostile
 value in turn.
 """
 
@@ -37,6 +38,8 @@ EMITTERS = (
     ("equiv", (UNTAILED, DYADIC), (), 2),
     ("unit-change", (DYADIC,), ("--unit", "3", "--depth", "6"), 0),
     ("unit-change", (TWO_PATH,), ("--unit", "2,5", "--depth", "4"), 0),
+    # a deeper ladder, for more rung scalars to tamper with
+    ("unit-change", (TWO_PATH_B,), ("--unit", "3,1", "--depth", "24"), 0),
 )
 
 DIAGRAM_FIELDS = ("left", "right", "sequence")
@@ -44,8 +47,25 @@ DIAGRAM_FIELDS = ("left", "right", "sequence")
 # what an equivalence verdict claims besides its two sequences
 CLAIM_FIELDS = ("left_cardinality", "right_cardinality", "intertwining")
 
-# keys an equivalence document no longer carries; verify refuses them
-RETIRED = ("left_diagonals", "right_diagonals")
+# keys verify refuses: the rescaling diagonals at the top of an
+# equivalence document, and a rung's level, direction and diagonal in a
+# unit-change document
+RETIRED = ("left_diagonals", "right_diagonals", "level", "direction", "diag")
+
+
+def _retired_places(doc):
+    """(path, the error line verify gives) for each place a retired key
+    goes back into doc: the top of an equivalence document, the first
+    and the last rung of a unit-change document."""
+    if doc["kind"] == "equivalence":
+        why = "equivalence documents carry no diagonals"
+        return [((key,), f"error: {key} must not appear: {why}\n") for key in RETIRED[:2]]
+    why = "unit-change rungs carry only their scalar"
+    return [
+        (("rungs", rung, key), f"error: {key} must not appear in rung {rung + 1}: {why}\n")
+        for key in RETIRED[2:]
+        for rung in (0, len(doc["rungs"]) - 1)
+    ]
 
 
 class _Bare:
@@ -122,8 +142,8 @@ def _set(doc, path, value):
 def _mutate(doc, rng):
     """A copy of doc with one field replaced, deleted or put back, and
     that field's path."""
-    if doc["kind"] == "equivalence" and rng.random() < 0.1:
-        path = (rng.choice(RETIRED),)
+    if rng.random() < 0.1:
+        path = rng.choice(_retired_places(doc))[0]
         value = rng.choice(HOSTILE)
     else:
         path = rng.choice(list(_paths(doc)))
@@ -164,7 +184,7 @@ def test_mutated_documents_end_in_documented_codes(tmp_path, capsys):
         allowed = {0, 1, 2}
         if path[0] in DIAGRAM_FIELDS and isinstance(value, str):
             allowed.add(65)
-        if path[0] in RETIRED and doc["verdict"] != "unknown":
+        if path[-1] in RETIRED and doc.get("verdict") != "unknown":
             allowed = {1}
         assert code in allowed, what
         seen.add(code)
@@ -238,16 +258,20 @@ def test_every_claim_field_meets_every_hostile_value(tmp_path, capsys):
 
 def test_retired_keys_are_refused_whatever_their_value(tmp_path, capsys):
     target = tmp_path / "retired.json"
-    old_rows = [["1"], ["1/2"]]
-    for doc in _claims(tmp_path, capsys):
-        for key in RETIRED:
-            want = (
-                f"error: {key} must not appear: "
-                "equivalence documents carry no diagonals\n"
-            )
-            for value in (*HOSTILE, old_rows):
-                code, out, err = _verified(target, {**doc, key: value}, capsys)
-                what = (doc["verdict"], key, value)
+    old_values = {
+        "left_diagonals": [["1"], ["1/2"]],
+        "right_diagonals": [["1"], ["1/2"]],
+        "level": "1",
+        "direction": "down",
+        "diag": ["1", "2"],
+    }
+    for doc in _emitted(tmp_path, capsys):
+        if doc.get("verdict") == "unknown":
+            continue
+        for path, want in _retired_places(doc):
+            for value in (*HOSTILE, old_values[path[-1]]):
+                code, out, err = _verified(target, _set(doc, path, value), capsys)
+                what = (doc["kind"], path, value)
                 assert (code, out) == (1, ""), what
                 # a bare number too long for int() stops the JSON reader
                 assert err == want or isinstance(value, _Bare), what

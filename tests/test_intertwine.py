@@ -1,4 +1,5 @@
 import random
+from math import prod
 
 import pytest
 
@@ -11,9 +12,11 @@ from bratteli import (
     RankMismatch,
     SupernaturalNumber,
     certificate_failures,
+    is_order_unit,
     rescale_lemma,
     unit_change,
 )
+from bratteli.intertwine import _diagonals
 
 from genseq import (
     full_tree,
@@ -25,6 +28,12 @@ from genseq import (
     scalar_chain,
     two_path,
 )
+
+
+def _derived(cert):
+    diagonals, failure = _diagonals(cert.seq, cert.alt_unit, cert.rungs)
+    assert failure is None
+    return diagonals
 
 
 class TestDiagonalMap:
@@ -109,13 +118,8 @@ class TestRescale:
 class TestUnitChange:
     def test_dyadic_oracle_minimal(self):
         cert = unit_change(scalar_chain(2), (3,), 4)
-        got = [(r.level, r.direction, r.scalar, r.diag.entries) for r in cert.rungs]
-        assert got == [
-            (1, "down", 1, (3,)),
-            (2, "up", 3, (1,)),
-            (3, "down", 1, (1,)),
-            (4, "up", 1, (1,)),
-        ]
+        assert cert.rungs == (1, 3, 1, 1)
+        assert _derived(cert) == [(3,), (1,), (1,), (1,)]
         assert cert.partial_n == SupernaturalNumber.from_natural(3)
         assert cert.partial_m == SupernaturalNumber.one()
         assert cert.exact_n == SupernaturalNumber.from_natural(3)
@@ -124,7 +128,7 @@ class TestUnitChange:
 
     def test_dyadic_oracle_paper(self):
         cert = unit_change(scalar_chain(2), (3,), 6, strategy="paper")
-        assert [r.scalar for r in cert.rungs] == [1, 6, 4, 4, 4, 4]
+        assert cert.rungs == (1, 6, 4, 4, 4, 4)
         assert cert.partial_n == SupernaturalNumber.from_natural(96)
         assert cert.partial_m == SupernaturalNumber.from_natural(16)
         assert cert.exact_n == SupernaturalNumber.parse("2^inf*3")
@@ -134,20 +138,15 @@ class TestUnitChange:
     def test_same_unit_is_free(self):
         seq = two_path(2, 3)
         cert = unit_change(seq, seq.base_unit, 5)
-        assert all(r.scalar == 1 for r in cert.rungs)
+        assert cert.rungs == (1,) * 5
         assert cert.partial_n == SupernaturalNumber.one() and cert.partial_m == SupernaturalNumber.one()
         assert cert.exact_n == SupernaturalNumber.one() and cert.exact_m == SupernaturalNumber.one()
         assert certificate_failures(cert) == []
 
     def test_rank_two_cycle(self):
         cert = unit_change(two_path(2, 3), (2, 1), 4)
-        got = [(r.direction, r.scalar, r.diag.entries) for r in cert.rungs]
-        assert got == [
-            ("down", 1, (2, 1)),
-            ("up", 2, (1, 2)),
-            ("down", 2, (2, 1)),
-            ("up", 2, (1, 2)),
-        ]
+        assert cert.rungs == (1, 2, 2, 2)
+        assert _derived(cert) == [(2, 1), (1, 2), (2, 1), (1, 2)]
         assert cert.partial_n == SupernaturalNumber.from_natural(4)
         assert cert.partial_m == SupernaturalNumber.from_natural(2)
         assert cert.exact_n == SupernaturalNumber.parse("2^inf")
@@ -215,38 +214,60 @@ class TestVerifierWork:
 
 class TestMutationRejected:
     def test_wrong_scalar_names_the_rung(self):
+        # rung 2's diagonal would be 5 / 3; the claimed cycle needs the
+        # rungs after it
         cert = unit_change(scalar_chain(2), (3,), 4)
-        bad_rung = replace(cert.rungs[1], scalar=5)
-        bad = replace(
-            cert, rungs=(cert.rungs[0], bad_rung) + cert.rungs[2:]
-        )
-        failures = certificate_failures(bad)
-        assert failures
-        assert any("rung 2" in f for f in failures)
-        assert certificate_failures(bad)
+        bad = replace(cert, rungs=(cert.rungs[0], 5) + cert.rungs[2:])
+        assert certificate_failures(bad) == [
+            "rung 2: the scalar is not a multiple of rung 1's entry at coordinate 1",
+            "partial_n is 3, scalars give 5",
+            "exact_n is 3, rung data does not cycle",
+            "exact_m is 1, rung data does not cycle",
+        ]
 
     def test_wrong_diagonal_caught(self):
+        # doubling rung 3's scalar doubles its diagonal to (4, 2), which
+        # rung 4's scalar 2 no longer clears
         cert = unit_change(two_path(2, 3), (2, 1), 4)
-        bad_rung = replace(
-            cert.rungs[2], diag=DiagonalMap((1, 1))
-        )
-        bad = replace(
-            cert, rungs=cert.rungs[:2] + (bad_rung,) + cert.rungs[3:]
-        )
-        assert certificate_failures(bad)
+        assert cert.rungs == (1, 2, 2, 2)
+        bad = replace(cert, rungs=(1, 2, 4, 2))
+        assert certificate_failures(bad) == [
+            "rung 4: the scalar is not a multiple of rung 3's entry at coordinate 1",
+            "partial_m is 2, scalars give 4",
+            "exact_n is 2^inf, rung data does not cycle",
+            "exact_m is 2^inf, rung data does not cycle",
+        ]
 
     @pytest.mark.parametrize("level", [20, 40])
     def test_tampered_rung_of_a_long_ladder_is_named(self, level):
         seq = long_chain(random.Random(43), 40)
         cert = unit_change(seq, (1, 2, 3, 1, 2, 3, 1, 2), 40)
         assert certificate_failures(cert) == []
-        rung = cert.rungs[level - 1]
-        entries = (2 * rung.diag.entries[0],) + rung.diag.entries[1:]
-        bad_rung = replace(rung, diag=DiagonalMap(entries))
-        rungs = cert.rungs[: level - 1] + (bad_rung,) + cert.rungs[level:]
+        # the minimal scalar is the lcm of entries above 1, so one more
+        # is a multiple of none of them
+        rungs = list(cert.rungs)
+        rungs[level - 1] += 1
         failures = certificate_failures(replace(cert, rungs=rungs))
-        assert any(f.startswith(f"rung {level}: carries the unit") for f in failures)
-        assert all(f.startswith((f"rung {level}:", f"rung {level + 1}:")) for f in failures)
+        assert failures[0] == (
+            f"rung {level}: the scalar is not a multiple of rung {level - 1}'s "
+            "entry at coordinate 1"
+        )
+        assert [f.split(" ")[0] for f in failures[1:]] == ["partial_n"]
+
+    def test_swapped_scalars_caught(self):
+        # two up rungs trade scalars: partial_n, partial_m and the other
+        # claims still match, so only the derived diagonals can tell
+        cert = unit_change(long_chain(random.Random(43), 40), (1, 2, 3, 1, 2, 3, 1, 2), 40)
+        a, b = next(
+            (a, b)
+            for a in range(1, 40, 2)
+            for b in range(a + 2, 40, 2)
+            if cert.rungs[a] != cert.rungs[b]
+        )
+        rungs = list(cert.rungs)
+        rungs[a], rungs[b] = rungs[b], rungs[a]
+        failures = certificate_failures(replace(cert, rungs=rungs))
+        assert failures and failures[0].startswith("rung ")
 
     def test_wrong_partial_caught(self):
         cert = unit_change(scalar_chain(2), (3,), 4)
@@ -267,7 +288,147 @@ class TestMutationRejected:
         assert failures and "order unit" in failures[0]
 
     def test_scalars_stay_positive(self):
-        with pytest.raises(NotPositive):
-            replace(
-                unit_change(scalar_chain(2), (3,), 2).rungs[0], scalar=0
+        cert = unit_change(scalar_chain(2), (3,), 2)
+        for bad in (0, -3, "3"):
+            with pytest.raises(NotPositive):
+                replace(cert, rungs=(bad,) + cert.rungs[1:])
+
+
+class OldRung:
+    """A rung as unit-change documents used to carry it."""
+
+    def __init__(self, level, direction, scalar, diag):
+        self.level, self.direction = level, direction
+        self.scalar, self.diag = scalar, diag
+
+
+def _old_rungs(seq, alt_unit, depth, strategy):
+    # the ladder with every rung's level, direction and diagonal, built
+    # by pushing each diagonal through the next map with rescale_lemma
+    rungs = []
+    if depth >= 1:
+        u1 = seq.base_unit
+        m1 = prod(u1)
+        gamma1 = DiagonalMap(tuple((m1 // u1[i]) * alt_unit[i] for i in range(len(u1))))
+        rungs.append(OldRung(1, "down", m1, gamma1))
+    for t in range(2, depth + 1):
+        s, eta = rescale_lemma(seq.map_at(t - 1), rungs[-1].diag, strategy)
+        rungs.append(OldRung(t, "up" if t % 2 == 0 else "down", s, eta))
+    return rungs
+
+
+def _old_scalars(rungs, direction):
+    return prod((r.scalar for r in rungs if r.direction == direction), start=1)
+
+
+def _old_detect_cycle(seq, rungs):
+    if seq.tail_kind != "cyclic":
+        return None, None
+    p = seq.periodic_tail
+    seen = {}
+    for idx, rung in enumerate(rungs):
+        if rung.level < p:
+            continue
+        state = (seq._block_position(rung.level), rung.direction, rung.diag.entries)
+        if state in seen:
+            before, over = rungs[: seen[state] + 1], rungs[seen[state] + 1 : idx + 1]
+            return tuple(
+                (_old_scalars(before, d), _old_scalars(over, d)) for d in ("up", "down")
             )
+        seen[state] = idx
+    return None, None
+
+
+def _old_failures(cert, rungs):
+    """The verifier of the documents that carried every rung's diagonal:
+    it pushes both units up a level per rung, and checks each rung against
+    them and each pair of rungs against the map between their levels."""
+    seq = cert.seq
+    failures = []
+    w1 = tuple(cert.alt_unit)
+    if len(w1) != seq.ranks[0] or not is_order_unit(w1):
+        return [f"alternative unit {w1} is not an order unit at level 1"]
+    n_cum = m_cum = 1
+    u_t, w_t = seq.base_unit, w1
+    for idx, rung in enumerate(rungs):
+        t = idx + 1
+        if t > 1 and seq.has_level(t):
+            alpha = seq.map_at(t - 1)
+            u_t, w_t = alpha.apply(u_t), alpha.apply(w_t)
+        want_dir = "down" if t % 2 == 1 else "up"
+        if rung.level != t or rung.direction != want_dir or not seq.has_level(t):
+            failures.append(f"rung {t}: misplaced")
+            continue
+        if rung.diag.rank != seq.rank_at(t):
+            failures.append(f"rung {t}: diagonal rank")
+            continue
+        if rung.direction == "up":
+            n_cum *= rung.scalar
+        else:
+            m_cum *= rung.scalar
+        if rung.direction == "down":
+            got = rung.diag.apply(tuple(n_cum * v for v in u_t))
+            want = tuple(m_cum * v for v in w_t)
+        else:
+            got = rung.diag.apply(tuple(m_cum * v for v in w_t))
+            want = tuple(n_cum * v for v in u_t)
+        if got != want:
+            failures.append(f"rung {t}: carries the unit wrongly")
+        if idx + 1 < len(rungs):
+            nxt = rungs[idx + 1]
+            alpha = seq.map_at(t)
+            if nxt.diag.rank == alpha.target_rank and rung.diag.rank == alpha.source_rank:
+                for j in range(alpha.target_rank):
+                    d, e = nxt.diag.entries[j], rung.diag.entries[alpha.parent[j]]
+                    if d * alpha.mult[j] * e != nxt.scalar * alpha.mult[j]:
+                        failures.append(f"rung {t + 1}: square fails at {j}")
+                        break
+    claims = (("partial_n", cert.partial_n), ("partial_m", cert.partial_m))
+    for (name, claim), d in zip(claims, ("up", "down")):
+        if claim is None or not claim.matches(_old_scalars(rungs, d)):
+            failures.append(f"{name} does not match")
+    claims = (("exact_n", cert.exact_n), ("exact_m", cert.exact_m))
+    for (name, claim), cycle in zip(claims, _old_detect_cycle(seq, rungs)):
+        if claim is not None and (cycle is None or not claim.matches(*cycle)):
+            failures.append(f"{name} does not match")
+    return failures
+
+
+class TestAgainstTheOldVerifier:
+    """The scalar-only verifier against the one that read every rung's
+    diagonal: both accept every emitted certificate, and both reject
+    every change of one scalar that leaves the claims as they were."""
+
+    @staticmethod
+    def _mutated(rng, s):
+        p = rng.choice((2, 3, 5, 7))
+        kind = rng.choice(("times", "over", "plus"))
+        if kind == "over" and s % p == 0:
+            return s // p
+        if kind == "plus":
+            return s + 1
+        return s * p
+
+    def test_both_accept_and_both_reject(self):
+        # 500 ladders, four mutations each
+        rng = random.Random(61)
+        for _ in range(500):
+            seq = random_sequence(rng, tail=rng.choice(("none", "cyclic", "sub")))
+            strategy = rng.choice(("minimal", "paper"))
+            # the paper strategy's scalars grow doubly exponentially
+            reach = 12 if strategy == "minimal" else 6
+            depth = min(rng.randint(1, reach), max_usable_level(seq, 12, size_cap=50))
+            alt = random_unit(rng, seq.ranks[0])
+            cert = unit_change(seq, alt, depth, strategy)
+            old = _old_rungs(seq, alt, depth, strategy)
+            assert cert.rungs == tuple(r.scalar for r in old)
+            assert certificate_failures(cert) == []
+            assert _old_failures(cert, old) == []
+            for _ in range(4):
+                k = rng.randrange(depth)
+                s = self._mutated(rng, cert.rungs[k])
+                rungs = cert.rungs[:k] + (s,) + cert.rungs[k + 1 :]
+                bad_old = list(old)
+                bad_old[k] = OldRung(k + 1, old[k].direction, s, old[k].diag)
+                assert certificate_failures(replace(cert, rungs=rungs)), (cert, k, s)
+                assert _old_failures(cert, bad_old), (cert, k, s)

@@ -19,7 +19,6 @@ from bratteli import (
     Equivalent,
     IndexSystem,
     Intertwining,
-    LadderRung,
     LimitElement,
     NonMixingMap,
     NotEquivalent,
@@ -58,7 +57,6 @@ def _values():
         (NotEquivalent(Cardinality.finite(1), INFINITE, "finiteness"), "reason"),
         (Unknown(5), "depth"),
         (DiagonalMap((1, 2)), "entries"),
-        (cert.rungs[0], "scalar"),
         (cert, "partial_n"),
         (SupernaturalNumber.parse("2^inf*3"), "factors"),
     ]
@@ -166,8 +164,6 @@ class TestConstruction:
         fields = cert.seq, cert.alt_unit, cert.strategy, cert.rungs
         short = UnitChangeCertificate(*fields, cert.partial_n, cert.partial_m)
         assert (short.exact_n, short.exact_m) == (None, None)
-        rung = LadderRung(level=1, direction="down", scalar=3, diag=DiagonalMap((1,)))
-        assert (rung.level, rung.direction, rung.scalar) == (1, "down", 3)
         tw = Intertwining(
             left_levels=(1,),
             right_levels=(1,),
@@ -184,7 +180,3 @@ class TestConstruction:
         )
         by_name = EquivalenceCertificate(**kwargs)
         assert by_name == EquivalenceCertificate(*kwargs.values())
-
-    def test_rung_direction_is_checked(self):
-        with pytest.raises(ValueError):
-            LadderRung(1, "sideways", 1, DiagonalMap((1,)))
