@@ -1,24 +1,29 @@
 """Certificates and verdicts as JSON documents.
 
 Integers travel as decimal strings so that arbitrarily large scalars
-survive any JSON implementation unchanged; fractions as "p/q" strings;
-supernatural numbers in their text form; sequences embedded as diagram
-documents.  Encoding is deterministic: sorted keys, two-space indent,
-trailing newline.
+survive any JSON implementation unchanged; supernatural numbers in their
+text form; sequences embedded as diagram documents.  Encoding is
+deterministic: sorted keys, two-space indent, trailing newline, the
+bytes of json.dumps(doc, indent=2, sort_keys=True) + "\n".  dumps
+writes them itself, because with an indent json.dumps runs its encoder
+in pure Python; each string is quoted by json's C quoting function, and
+each list of strings, the bulk of every document, is put together by
+one join.
 """
 
 from __future__ import annotations
 
-import json
 import re
+from json import dumps as _json_dumps
+from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING
 
 from .errors import DIGITS
 from .fileformat import INTEGER, _decimal, parse_diagram, serialize_diagram
 
 # Each codec imports the types it builds or tests when it runs, so
-# `states` and `canon`, which take only decimals and dumps, load none
-# of equiv, intertwine or supernat through this module.
+# `canon`, which takes only dumps, loads none of equiv, intertwine or
+# supernat through this module.
 if TYPE_CHECKING:
     from .equiv import Cardinality, EquivalenceCertificate
     from .intertwine import UnitChangeCertificate
@@ -27,7 +32,43 @@ _INTEGERS = re.compile(f"-?{DIGITS}(?: -?{DIGITS})*")
 
 
 def dumps(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """json.dumps(doc, indent=2, sort_keys=True) + "\n", byte for byte."""
+    return _write(doc, "\n") + "\n"
+
+
+def _write(value, newline: str) -> str:
+    # value as json.dumps(indent=2, sort_keys=True) writes it on a line
+    # that `newline` ("\n" and the line's indent) starts.  What this does
+    # not take apart (a float, a key that is not a str, a type JSON has
+    # no form for) json.dumps writes or refuses, its line breaks indented
+    # to match: it breaks lines nowhere else, since it escapes "\n" in
+    # every string.  An empty list or dict takes that way too
+    if isinstance(value, str):
+        return _quote(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)) and value:
+        try:
+            body = ("," + inner).join(map(_quote, value))
+        except TypeError:  # not only strings
+            body = ("," + inner).join([_write(v, inner) for v in value])
+        return "[" + inner + body + newline + "]"
+    if isinstance(value, dict) and value:
+        try:
+            body = ("," + inner).join(
+                [_quote(k) + ": " + _write(value[k], inner) for k in sorted(value)]
+            )
+            return "{" + inner + body + newline + "}"
+        except TypeError:  # a key not a str, or a value JSON has no form for
+            pass
+    elif value is None:
+        return "null"
+    elif value is True:
+        return "true"
+    elif value is False:
+        return "false"
+    elif isinstance(value, int):
+        return int.__repr__(value)
+    return _json_dumps(value, indent=2, sort_keys=True).replace("\n", newline)
 
 
 def _need(doc, key, kind=object):
@@ -63,12 +104,6 @@ def _ints(values, what: str) -> tuple:
     except (TypeError, ValueError):  # a value not a str, or past int()'s limit
         pass
     return tuple(_int(v, what) for v in values)
-
-
-def decimals(values, what: str) -> list:
-    """Ints or Fractions as decimal text; TooLarge names `what` when one
-    is too long to write."""
-    return [_decimal(v, what) for v in values]
 
 
 def _supernatural(value, what: str):

@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .errors import BratteliError, ParseError
-from .fileformat import INTEGER, parse_diagram
+from .fileformat import INTEGER, _decimal, parse_diagram
 
 # Each command imports what it calls when it runs, so a process loads
 # only the modules of its own command (`validate` loads none of them).
@@ -158,12 +158,12 @@ def _cmd_unit_change(args):
 
 
 def _cmd_states(args):
-    from .states import depth_image_runs, exact_image_runs
+    from .states import exact_image_runs, float_image_runs
 
     seq = _load(args.file)
     # floats never fail on size; an exact value too long to write is
     # refused before anything is written
-    image_runs = depth_image_runs if args.decimal else exact_image_runs
+    image_runs = float_image_runs if args.decimal else exact_image_runs
     unit, runs = image_runs(seq, args.level, args.depth)
     # line i is zeros with the value 1/u_i at place i; it is formatted
     # when its run is written, so nothing is kept per vertex.  str(1 / u)
@@ -188,13 +188,17 @@ def _cmd_canon(args):
     from .equiv import canonicalize_q
 
     seq = _load(args.file)
-    system, diagonals = canonicalize_q(seq)
+    system, units = canonicalize_q(seq)
+    # the diagonal entry 1/u is written as str(Fraction(1, u)) reads
     doc = {
         "kind": "canonical-form",
         "sizes": [str(v) for v in system.sizes],
         "parents": [[str(p + 1) for p in ps] for ps in system.parents],
         "repeat": None if system.periodic_tail is None else str(system.periodic_tail),
-        "diagonals": [certio.decimals(d, "diagonal entry") for d in diagonals],
+        "diagonals": [
+            ["1" if v == 1 else "1/" + _decimal(v, "diagonal entry") for v in u]
+            for u in units
+        ],
     }
     sys.stdout.write(certio.dumps(doc))
     return 0

@@ -48,6 +48,7 @@ self-similar tail, whose single root always survives).
 from __future__ import annotations
 
 import sys
+from itertools import accumulate
 
 from .errors import (
     BadRepeat,
@@ -224,10 +225,14 @@ class BratteliSequence(Frozen):
             raise LevelOutOfRange(f"need lo <= hi, got {lo} > {hi}")
         self._check_listable(lo, hi)
 
-    def _compose(self, f: tuple, lo: int, hi: int, log: bool = False) -> tuple:
+    def _compose(
+        self, f: tuple, lo: int, hi: int, log: bool = False, cap: int | None = None
+    ) -> tuple:
         # f, a (parent, mult) composite ending at level lo, followed by
         # the maps of levels lo..hi-1; mult None is carried as None, and
         # with log each multiplicity k adds floor(log2 k) to it instead.
+        # With cap each product stops growing at cap, so a composite mult
+        # is exact below cap and cap from there on.
         # On a cyclic tail the maps from any level s >= p on repeat every
         # period, so the whole periods from max(lo, p) are one period's
         # composite raised to a power, by repeated squaring
@@ -236,16 +241,16 @@ class BratteliSequence(Frozen):
             start = max(lo, p)
             k = (hi - start) // period
             if k > 1:
-                f = self._compose(f, lo, start, log)
+                f = self._compose(f, lo, start, log, cap)
                 rank = self.rank_at(start)
                 one = (range(rank), None if f[1] is None else (int(not log),) * rank)
-                power = self._compose(one, start, start + period, log)
+                power = self._compose(one, start, start + period, log, cap)
                 while k:
                     if k & 1:
-                        f = _then(f, power, log)
+                        f = _then(f, power, log, cap)
                     k >>= 1
                     if k:
-                        power = _then(power, power, log)
+                        power = _then(power, power, log, cap)
                 lo = hi - (hi - start) % period
         logs = {}
         for t in range(lo, hi):
@@ -261,7 +266,7 @@ class BratteliSequence(Frozen):
                     block = self._block()[1][b - self.periodic_tail]
                     logs[b] = [k.bit_length() - 1 for k in block.mult]
                 mult = logs[b] * self._copies(t)
-            f = _then(f, (a.parent, mult), log)
+            f = _then(f, (a.parent, mult), log, cap)
         return f
 
     def _log_between(self, lo: int, hi: int, start) -> list:
@@ -367,15 +372,18 @@ class BratteliSequence(Frozen):
         return all(a.is_injective() for a in self.maps)
 
 
-def _then(f: tuple, g: tuple, log: bool = False) -> tuple:
+def _then(f: tuple, g: tuple, log: bool = False, cap: int | None = None) -> tuple:
     # the composite of (parent, mult) pairs f then g; mult may be None,
-    # and with log it holds log2 bounds, which add where mults multiply
+    # with log it holds log2 bounds, which add where mults multiply, and
+    # with cap each product is cut down to cap
     (fp, fm), (gp, gm) = f, g
     parent = [fp[i] for i in gp]
     if fm is None:
         return parent, None
     if log:
         return parent, [k + fm[i] for i, k in zip(gp, gm)]
+    if cap is not None:
+        return parent, [min(k * fm[i], cap) for i, k in zip(gp, gm)]
     return parent, [k * fm[i] for i, k in zip(gp, gm)]
 
 
@@ -393,6 +401,23 @@ def _refuse_unwritable(bits, written, what: str):
         raise TooLarge(
             f"{what} is too long to write in decimal (at least {most + 1} bits)"
         )
+
+
+def _most_bits_below(seq: BratteliSequence, t: int) -> int:
+    # the sum over levels 1..t-1 of the largest floor(log2 k) over the
+    # multiplicities k of map_at(s).  Past L, map_at(s) repeats the map
+    # of its block position, so every period adds the same sum, that of
+    # levels p..L-1
+    sums = seq._memo(
+        ("most bits",),
+        lambda: (0, *accumulate(max(a.mult).bit_length() - 1 for a in seq.maps)),
+    )
+    L = seq.length
+    if t <= L:
+        return sums[t - 1]
+    p = seq.periodic_tail
+    k, r = divmod(t - L, L - p)
+    return sums[L - 1] + k * (sums[L - 1] - sums[p - 1]) + sums[p - 1 + r] - sums[p - 1]
 
 
 def keep_at(seq: BratteliSequence, t: int) -> tuple:
@@ -512,6 +537,13 @@ def telescope(seq: BratteliSequence, keep) -> BratteliSequence:
         return seq
     seq._check_listable(1, keep[-1])
     for i, (a, b) in enumerate(zip(keep, keep[1:]), start=1):
+        # the log2 bounds of map i's multiplicities add up to at most
+        # rank_at(b) times the sum, over its levels, of each level's
+        # largest bound; when that is at most _MULT_BITS there is nothing
+        # _refuse_unwritable could refuse, and no bound is composed
+        most = _most_bits_below(seq, b) - _most_bits_below(seq, a)
+        if seq.rank_at(b) * most <= _MULT_BITS:
+            continue
         bits = seq._log_between(a, b, (0,) * seq.rank_at(a))
         _refuse_unwritable(bits, range(len(bits)), f"a multiplicity of map {i}")
     ranks = tuple(seq.rank_at(t) for t in keep)

@@ -21,13 +21,14 @@ and read the path count, stable level and tail start off that one
 pruned sequence.  The rescaling (the units pushed up level by level)
 plays no part in the verdict, so a certificate carries none of it: only
 the two sequences, their path counts, the closure and the levels it
-names.  IndexSystem, the shape on its own, and the rescaling diagonals
-are only what canonicalize_q returns for `canon` to print.
+names.  IndexSystem, the shape on its own, and the units, whose
+reciprocals are the rescaling diagonals, are only what canonicalize_q
+returns for `canon` to print.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from operator import mul
 
 from .diagram import BratteliSequence, injectivize
 from .errors import Frozen
@@ -59,29 +60,26 @@ class IndexSystem(Frozen):
         return self._seq.map_between(lo, hi).parent
 
 
-def _diagonals(seq: BratteliSequence) -> tuple:
-    # 1/u_t for every presented level, the units pushed up one level at
-    # a time from the base unit
-    u = seq.base_unit
-    diagonals = [tuple(Fraction(1, v) for v in u)]
-    for a in seq.maps:
-        u = a.apply(u)
-        diagonals.append(tuple(Fraction(1, v) for v in u))
-    return tuple(diagonals)
-
-
 def canonicalize_q(seq: BratteliSequence):
     """Split a sequence into its shape and the rational rescaling.
 
-    Conjugating level t by the diagonal with entries 1/u_t[i] makes
-    every connecting map a pure parent map and every unit the all-ones
-    vector.  Returns (IndexSystem, diagonals), where diagonals[t-1] is
-    that conjugating tuple of Fractions for each presented level.
-    equivalent_q and its verifiers read the shape off the sequence
-    itself and build neither.
+    Conjugating level t by the diagonal with entries 1/u_t[i], u_t the
+    base unit pushed up to level t, makes every connecting map a pure
+    parent map and every unit the all-ones vector.  Returns (IndexSystem,
+    units), where units[t-1] is u_t for each presented level, pushed up
+    one level at a time; `canon` writes each diagonal entry from it as
+    the text "1/u" (or "1"), and no Fraction is formed.  equivalent_q and
+    its verifiers read the shape off the sequence itself and build
+    neither.
     """
     shape = IndexSystem(seq.ranks, tuple(a.parent for a in seq.maps), seq.periodic_tail)
-    return shape, _diagonals(seq)
+    u = seq.base_unit
+    units = [u]
+    for a in seq.maps:
+        # a.apply(u), without its checks: u is a unit of seq itself
+        u = tuple(map(mul, a.mult, map(u.__getitem__, a.parent)))
+        units.append(u)
+    return shape, tuple(units)
 
 
 class Cardinality(Frozen):

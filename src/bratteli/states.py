@@ -36,6 +36,27 @@ def depth_image_runs(seq: BratteliSequence, level: int, depth: int) -> tuple:
     return seq.unit_at(level), seq.ancestor_runs(level, depth)
 
 
+# 1 / u rounds to the float 0.0 from u = 2**1075 on: that quotient is
+# half the smallest subnormal 2**-1074, a tie that rounds to even
+_FLOAT_CAP = 2**1075
+
+
+def float_image_runs(seq: BratteliSequence, level: int, depth: int) -> tuple:
+    """depth_image_runs with every unit entry cut down to 2**1075, for
+    writing each vertex value 1 / u_i as a float.
+
+    The float 1 / min(u_i, 2**1075) is the float 1 / u_i, since both
+    round to 0.0 once u_i reaches 2**1075.  A product of positive
+    integers never shrinks, so composing the unit with every product cut
+    down to 2**1075 gives min(u_i, 2**1075) exactly, and no number of
+    more than about 2,150 bits is formed however deep `level` is.
+    """
+    seq._check_span(1, level)
+    start = range(seq.ranks[0]), [min(v, _FLOAT_CAP) for v in seq.base_unit]
+    unit = seq._compose(start, 1, level, cap=_FLOAT_CAP)[1]
+    return unit, seq.ancestor_runs(level, depth)
+
+
 def exact_image_runs(seq: BratteliSequence, level: int, depth: int) -> tuple:
     """depth_image_runs, refusing first a vertex whose value 1 / u_i is
     too long to write exactly.

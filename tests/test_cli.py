@@ -329,11 +329,13 @@ class TestCanon:
     def test_document_shape(self, doc, capsys):
         assert run(["canon", doc("d.brat", DYADIC_UNIT3)]) == 0
         payload = json.loads(capsys.readouterr().out)
-        system, diagonals = canonicalize_q(parse_diagram(DYADIC_UNIT3))
+        system, units = canonicalize_q(parse_diagram(DYADIC_UNIT3))
+        assert units == ((3,), (6,))
         assert payload["kind"] == "canonical-form"
         assert payload["sizes"] == [str(v) for v in system.sizes]
         assert payload["parents"] == [[str(p + 1) for p in ps] for ps in system.parents]
-        assert payload["diagonals"] == [[str(v) for v in d] for d in diagonals]
+        assert payload["diagonals"] == [[f"1/{v}" for v in u] for u in units]
+        assert payload["diagonals"] == [["1/3"], ["1/6"]]
 
     def test_deterministic_bytes(self, doc, capsys):
         path = doc("p.brat", TWO_PATH)
@@ -651,6 +653,15 @@ class TestHostileInput:
         argv = ["states", path, "--level", "2000000", "--depth", "2000000"]
         assert run([*argv, "--decimal"]) == 0
         assert capsys.readouterr() == ("1.0 0.0\n0.0 0.0\n", "")
+
+    def test_deep_decimal_states_form_no_huge_unit(self, doc):
+        # the unit entry 3**(10**7 - 1) has 15 849 624 bits and took
+        # seconds to form; an entry past 2**1075 is formed only that far
+        path = doc("t.brat", CYCLIC_TRIPLING)
+        argv = ["states", path, "--level", "10000000", "--depth", "10000000"]
+        code, out, err, secs = self.in_child([*argv, "--decimal"])
+        assert secs < 1
+        assert (code, out, err) == (0, "1.0 0.0\n0.0 0.0\n", "")
 
     def test_non_ascii_supernatural_digit(self, doc, capsys):
         argv = ["tensorq", doc("d.brat", DYADIC), "--n", "2^\u0661", "--depth", "2"]

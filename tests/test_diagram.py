@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from bratteli import diagram
 from bratteli import (
     BadRepeat,
     BratteliSequence,
@@ -237,6 +238,44 @@ class TestTelescope:
                 check(bits, seq.map_between(lo, hi).mult)
             start = [u.bit_length() - 1 for u in seq.base_unit]
             check(seq._log_between(1, hi, start), seq.unit_at(hi))
+
+    def test_most_bits_sums_the_unrolled_levels(self):
+        # the closed form per period, against map_at level by level
+        rng = random.Random(36)
+        for _ in range(300):
+            seq = random_sequence(rng, max_rank=5, max_mult=9, tail="maybe")
+            top = max_usable_level(seq, extra_periods=3)
+            total = 0
+            for t in range(1, top + 1):
+                assert diagram._most_bits_below(seq, t) == total
+                if t < top:
+                    total += max(seq.map_at(t).mult).bit_length() - 1
+
+    def test_most_bits_bound_the_refusal_pass(self):
+        # what telescope skips the pass by is an upper bound on the sum
+        # of the pass's bounds
+        rng = random.Random(37)
+        for _ in range(300):
+            seq = random_sequence(rng, max_rank=5, max_mult=9, tail="maybe")
+            top = max_usable_level(seq, extra_periods=3)
+            lo = rng.randint(1, top)
+            hi = rng.randint(lo, top)
+            most = diagram._most_bits_below(seq, hi) - diagram._most_bits_below(seq, lo)
+            bits = seq._log_between(lo, hi, (0,) * seq.rank_at(lo))
+            assert sum(bits) <= seq.rank_at(hi) * most
+
+    def test_no_refusal_pass_when_nothing_can_be_refused(self, count_calls):
+        # every multiplicity of the binary tree is 1, so no composite of it
+        # can be refused, and no log2 bound is composed; the tripling
+        # cycle to level 2**21 could be, and is
+        passes = count_calls(BratteliSequence, "_log_between")
+        out = telescope(full_tree(2, 2), (1, 4, 12))
+        assert passes[0] == 0
+        assert out.ranks == (1, 8, 2048)
+        tripling = two_path(1, 3, levels=2)
+        with pytest.raises(TooLarge, match="at least 2097153 bits"):
+            telescope(tripling, (1, 2**21 + 1))
+        assert passes[0] == 1
 
     def test_soundness_for_limit_verdicts(self):
         # comparisons at kept levels agree before and after telescoping,

@@ -151,7 +151,7 @@ class TestEntryPoint:
     )
     def test_certificate_commands_skip_the_codecs_imports(self, tmp_path, argv, used, unused):
         # these commands load none of the modules the certificate codecs
-        # need; certio serves `canon` decimals and dumps only, and
+        # need; certio serves `canon` dumps only, and
         # `states` writes its lines without it
         path = tmp_path / "tree.brat"
         path.write_text(
