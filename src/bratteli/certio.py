@@ -39,8 +39,9 @@ def dumps(doc) -> str:
 def _write(value, newline: str) -> str:
     # value as json.dumps(indent=2, sort_keys=True) writes it on a line
     # that `newline` ("\n" and the line's indent) starts.  What this does
-    # not take apart (a float, a key that is not a str, a type JSON has
-    # no form for) json.dumps writes or refuses, its line breaks indented
+    # not take apart (a number or bool, which no document holds since its
+    # numbers are decimal strings, a key that is not a str, a type JSON
+    # has no form for) json.dumps writes or refuses, its line breaks indented
     # to match: it breaks lines nowhere else, since it escapes "\n" in
     # every string.  An empty list or dict takes that way too
     if isinstance(value, str):
@@ -62,12 +63,6 @@ def _write(value, newline: str) -> str:
             pass
     elif value is None:
         return "null"
-    elif value is True:
-        return "true"
-    elif value is False:
-        return "false"
-    elif isinstance(value, int):
-        return int.__repr__(value)
     return _json_dumps(value, indent=2, sort_keys=True).replace("\n", newline)
 
 

@@ -23,8 +23,8 @@ lists level b in one fixed order: the presented one on a cyclic tail,
 the root's kids expanded level by level on a self-similar one.  The
 map out of level t is the block map, relabelled once into those
 orders, repeated once per copy, and the kept coordinates are the kept
-places of level b, once per copy.  Only the block is memoized; nothing
-is kept per unrolled level.
+places of level b, once per copy.  Only the block and the kept places
+are memoized; nothing is kept per unrolled level.
 
 Composites and ancestors follow the same form.  On a cyclic tail every
 period composes to the same map, so whole periods are that map raised
@@ -37,12 +37,18 @@ A level is listed, by map_at or keep_at, only while it has at most
 _COORD_BUDGET coordinates; the first level past it is found from the
 copy counts before anything is built.
 
+Every vector is pushed up by _push, which composes the maps onto it
+as above: the units u_t, both sides of a limit comparison, the log2
+bounds telescope and states refuse by, and the cut unit `states
+--decimal` writes.
+
 keep_at lists the coordinates the limit sees.  Each coordinate has one
-parent, so they are found by walking parents down from the last level.
-On the block, level-L coordinate c restarts it at coordinate
-c % rank_p of level p, so the walk from p to L is taken again from the
-set it found at p until that set stops shrinking (at once on a
-self-similar tail, whose single root always survives).
+parent, so they are found by one memoized walk of parents down to
+level 1, from all of level L without a tail.  On the block, level-L
+coordinate c restarts it at coordinate c % rank_p of level p, so with a
+tail the walk from L to p is taken again from the set it found at p
+until that set stops shrinking (at once on a self-similar tail, whose
+single root always survives), and then goes on down from p.
 """
 
 from __future__ import annotations
@@ -269,13 +275,14 @@ class BratteliSequence(Frozen):
             f = _then(f, (a.parent, mult), log, cap)
         return f
 
-    def _log_between(self, lo: int, hi: int, start) -> list:
-        # lower bounds on log2 of each entry of map_between(lo, hi).apply(x),
-        # from such bounds `start` for x.  When start holds floor(log2 x_i),
-        # each bound is at least log2 of its entry over log2 3, since
-        # floor(log2 k) >= log2(k) / log2(3) for every k >= 1
+    def _push(self, x, lo: int, hi: int, log: bool = False, cap: int | None = None):
+        # x, a vector at level lo, pushed up to level hi along parents.
+        # With log, x and the result hold lower bounds on log2 of entries:
+        # from floor(log2) ones, each is at least log2 of its entry over
+        # log2 3, as floor(log2 k) >= log2(k) / log2(3).  With cap, each
+        # entry is cut down to cap
         self._check_span(lo, hi)
-        return self._compose((range(self.rank_at(lo)), start), lo, hi, True)[1]
+        return self._compose((range(self.rank_at(lo)), x), lo, hi, log, cap)[1]
 
     # -- levels, maps, units ---------------------------------------------
 
@@ -360,7 +367,7 @@ class BratteliSequence(Frozen):
 
     def unit_at(self, t: int) -> tuple:
         """Image of the base unit at level t."""
-        return self.map_between(1, t).apply(self.base_unit)
+        return tuple(self._push(self.base_unit, 1, t))
 
     def is_injective_presentation(self) -> bool:
         """True when every presented map is injective.
@@ -403,6 +410,13 @@ def _refuse_unwritable(bits, written, what: str):
         )
 
 
+def _refuse_deep(depth: int):
+    # a command that lists every level down to `depth` is refused, before
+    # any is built, past _COORD_BUDGET levels
+    if depth > _COORD_BUDGET:
+        raise TooLarge(f"depth {depth} is more than {_COORD_BUDGET} levels to list")
+
+
 def _most_bits_below(seq: BratteliSequence, t: int) -> int:
     # the sum over levels 1..t-1 of the largest floor(log2 k) over the
     # multiplicities k of map_at(s).  Past L, map_at(s) repeats the map
@@ -428,17 +442,11 @@ def keep_at(seq: BratteliSequence, t: int) -> tuple:
     depth.
     """
     seq._require_level(t)
-    top = seq.periodic_tail or seq.length
-    if t < top:
-        return _keeps_to_top(seq)[t - 1]
-    if not seq.is_tailed:
-        return tuple(range(seq.ranks[-1]))
+    if t <= seq.length:
+        return _keeps(seq)[t - 1]
     b = seq._block_position(t)
-    keep = _tail_keeps(seq)[b - top]
-    if t < seq.length:
-        return keep
-    alive = set(keep)
-    order = seq._block()[0][b - top]
+    alive = set(_keeps(seq)[b - 1])
+    order = seq._block()[0][b - seq.periodic_tail]
     return seq._repeat(t, tuple(k for k, c in enumerate(order) if c in alive))
 
 
@@ -453,31 +461,22 @@ def _keeps_below(seq: BratteliSequence, keep: tuple, top: int, lo: int) -> list:
     return keeps[::-1]
 
 
-def _keeps_to_top(seq: BratteliSequence) -> tuple:
-    # keeps[t - 1] for 1 <= t <= top, from one walk down from top (the
-    # tail start, or the last level), memoized for the sequence
-    def build():
-        top = seq.periodic_tail or seq.length
-        return tuple(_keeps_below(seq, keep_at(seq, top), top, 1))
-
-    return seq._memo(("keeps to top",), build)
-
-
-def _tail_keeps(seq: BratteliSequence) -> tuple:
-    # keeps[b - p] for p <= b <= L: the coordinates of block level b
-    # with descendants at every depth, by the sweep the module describes
-
+def _keeps(seq: BratteliSequence) -> tuple:
+    # keeps[t - 1], the kept coordinates of presented level t, by the
+    # one walk the module describes, memoized for the sequence
     def build():
         p, L = seq.periodic_tail, seq.length
+        if p is None:
+            return tuple(_keeps_below(seq, tuple(range(seq.ranks[-1])), L, 1))
         rank_p = seq.ranks[p - 1]
         root = tuple(range(rank_p))
         while True:
             alive = set(root)
             top = tuple(c for c in range(seq.ranks[-1]) if c % rank_p in alive)
-            keeps = _keeps_below(seq, top, L, p)
-            if keeps[0] == root:
-                return tuple(keeps)
-            root = keeps[0]
+            block = _keeps_below(seq, top, L, p)
+            if block[0] == root:
+                return (*_keeps_below(seq, root, p, 1)[:-1], *block)
+            root = block[0]
 
     return seq._memo(("keeps",), build)
 
@@ -491,13 +490,12 @@ def injectivize(seq: BratteliSequence):
     and unit.  A tail survives pruning with its start level unchanged.
     """
     L = seq.length
-    top = seq.periodic_tail or L
-    keeps = [*_keeps_to_top(seq), *(keep_at(seq, t) for t in range(top + 1, L + 1))]
+    keeps = _keeps(seq)
     for t, kept in enumerate(keeps, start=1):
         if not kept:
             raise EmptyLevel(f"level {t} loses every coordinate")
     if all(len(k) == r for k, r in zip(keeps, seq.ranks)):
-        return seq, tuple(keeps)
+        return seq, keeps
     new_maps = []
     for t in range(1, L):
         old = seq.maps[t - 1]
@@ -509,7 +507,7 @@ def injectivize(seq: BratteliSequence):
     pruned = BratteliSequence(
         tuple(len(k) for k in keeps), tuple(new_maps), unit, seq.periodic_tail
     )
-    return pruned, tuple(keeps)
+    return pruned, keeps
 
 
 def telescope(seq: BratteliSequence, keep) -> BratteliSequence:
@@ -544,7 +542,7 @@ def telescope(seq: BratteliSequence, keep) -> BratteliSequence:
         most = _most_bits_below(seq, b) - _most_bits_below(seq, a)
         if seq.rank_at(b) * most <= _MULT_BITS:
             continue
-        bits = seq._log_between(a, b, (0,) * seq.rank_at(a))
+        bits = seq._push((0,) * seq.rank_at(a), a, b, log=True)
         _refuse_unwritable(bits, range(len(bits)), f"a multiplicity of map {i}")
     ranks = tuple(seq.rank_at(t) for t in keep)
     maps = tuple(seq.map_between(a, b) for a, b in zip(keep, keep[1:]))
@@ -589,8 +587,8 @@ def _check_elements(seq, a, b):
 
 def _pushed_pair(seq, a, b):
     m = max(a.level, b.level)
-    x = seq.map_between(a.level, m).apply(a.vec)
-    y = seq.map_between(b.level, m).apply(b.vec)
+    x = seq._push(a.vec, a.level, m)
+    y = seq._push(b.vec, b.level, m)
     kept = keep_at(seq, m)
     return tuple(x[j] for j in kept), tuple(y[j] for j in kept)
 

@@ -131,6 +131,19 @@ def _path_space(seq: BratteliSequence):
     return pruned, Cardinality.infinite()
 
 
+def _verdict(cardA: Cardinality, cardB: Cardinality) -> str:
+    # the rule every pair is decided by: "unknown" when a side only bounds
+    # its path count, "finiteness" for a finite against an infinite limit,
+    # "cardinality" for finite limits of different sizes, else "equivalent"
+    if "lower_bound" in (cardA.kind, cardB.kind):
+        return "unknown"
+    if cardA.kind != cardB.kind:
+        return "finiteness"
+    if cardA != cardB:
+        return "cardinality"
+    return "equivalent"
+
+
 def _stable_level(pruned: BratteliSequence, count: int) -> int:
     # first level where the pruned sizes reach their final value; from
     # there on every parent function is a bijection
@@ -229,12 +242,11 @@ def equivalent_q(left: BratteliSequence, right: BratteliSequence, depth: int = 5
     """
     prunedA, cardA = _path_space(left)
     prunedB, cardB = _path_space(right)
-    if "lower_bound" in (cardA.kind, cardB.kind):
+    verdict = _verdict(cardA, cardB)
+    if verdict == "unknown":
         return Unknown(depth)
-    if cardA.kind != cardB.kind:
-        return NotEquivalent(cardA, cardB, "finiteness")
-    if cardA != cardB:
-        return NotEquivalent(cardA, cardB, "cardinality")
+    if verdict != "equivalent":
+        return NotEquivalent(cardA, cardB, verdict)
     if cardA.kind == "infinite":
         levels = (prunedA.periodic_tail,), (prunedB.periodic_tail,)
         tw = Intertwining(*levels, (), (), "restart-cut")
@@ -265,17 +277,12 @@ def equivalence_certificate_failures(cert: EquivalenceCertificate) -> list:
             f"right cardinality recomputes to {cardB}, not {cert.right_cardinality}"
         )
 
-    kinds = (cardA.kind, cardB.kind)
-    if kinds == ("finite", "finite"):
-        want_closure = "stable-bijection"
-        if cardA.count != cardB.count:
-            failures.append(f"cardinalities {cardA} and {cardB} differ")
-            return failures
-    elif kinds == ("infinite", "infinite"):
-        want_closure = "restart-cut"
-    else:
-        failures.append(f"cardinalities {cardA} and {cardB} cannot be equivalent")
+    verdict = _verdict(cardA, cardB)
+    if verdict != "equivalent":
+        why = "differ" if verdict == "cardinality" else "cannot be equivalent"
+        failures.append(f"cardinalities {cardA} and {cardB} {why}")
         return failures
+    want_closure = "restart-cut" if cardA.kind == "infinite" else "stable-bijection"
 
     tw = cert.intertwining
     if tw.closure != want_closure:
@@ -324,13 +331,8 @@ def not_equivalent_failures(verdict: NotEquivalent, left, right) -> list:
         failures.append(f"left cardinality recomputes to {cardA}")
     if cardB != verdict.right_cardinality:
         failures.append(f"right cardinality recomputes to {cardB}")
-    kinds = (cardA.kind, cardB.kind)
-    if verdict.reason == "cardinality":
-        if not (kinds == ("finite", "finite") and cardA.count != cardB.count):
-            failures.append("cardinality witness does not hold")
-    elif verdict.reason == "finiteness":
-        if kinds not in (("finite", "infinite"), ("infinite", "finite")):
-            failures.append("finiteness witness does not hold")
-    else:
+    if verdict.reason not in ("cardinality", "finiteness"):
         failures.append(f"unsupported reason {verdict.reason!r}")
+    elif _verdict(cardA, cardB) != verdict.reason:
+        failures.append(f"{verdict.reason} witness does not hold")
     return failures

@@ -99,15 +99,13 @@ def _bulk_maps(block: list, sizes: list):
     return maps
 
 
-def _decimal(value, what: str) -> str:
-    # str() refuses ints, and Fractions with a numerator or denominator,
-    # longer than sys.get_int_max_str_digits() digits
+def _decimal(value: int, what: str) -> str:
+    # str() refuses an int longer than sys.get_int_max_str_digits() digits
     try:
         return str(value)
     except ValueError:
-        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
         raise TooLarge(
-            f"{what} is too long to write in decimal ({bits} bits)"
+            f"{what} is too long to write in decimal ({value.bit_length()} bits)"
         ) from None
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from math import lcm, prod
 
-from .diagram import BratteliSequence
+from .diagram import BratteliSequence, _refuse_deep
 from .errors import Frozen, NotOrderUnit, NotPositive, RankMismatch, TooLarge
 from .simplicial import NonMixingMap, is_order_unit
 from .supernat import INF, SupernaturalNumber
@@ -222,7 +222,8 @@ def _shown(value) -> str:
 def unit_change(
     seq: BratteliSequence, alt_unit, depth: int, strategy: str = "minimal"
 ) -> UnitChangeCertificate:
-    """Build the ladder between the base unit and alt_unit, depth rungs deep."""
+    """Build the ladder between the base unit and alt_unit, depth rungs
+    deep; a depth past 2**20 rungs raises TooLarge."""
     alt_unit = tuple(alt_unit)
     if len(alt_unit) != seq.ranks[0]:
         raise RankMismatch(
@@ -232,6 +233,7 @@ def unit_change(
         raise NotOrderUnit(f"{alt_unit} is not strictly positive")
     if not isinstance(depth, int) or depth < 0:
         raise ValueError(f"depth must be a nonnegative integer, got {depth!r}")
+    _refuse_deep(depth)
     for t in range(1, depth + 1):
         seq._require_level(t)
 

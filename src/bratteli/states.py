@@ -21,29 +21,16 @@ from itertools import chain, repeat
 from .diagram import BratteliSequence, _refuse_unwritable
 from .fileformat import _decimal
 
-
-def depth_image_runs(seq: BratteliSequence, level: int, depth: int) -> tuple:
-    """(unit, runs): the unit at `level`, and which of its vertices the
-    vertices of `depth` pull back to.
-
-    Vertex i of `level` is e_i / unit[i]; runs are
-    seq.ancestor_runs(level, depth), (i, count) pairs saying that the
-    next count coordinates of `depth`, in order, pull back to vertex i.
-    Coordinate j of `depth` reads the single ancestor i, and its unit
-    entry is v_j = mult_j * u_i, so the extreme state e_j / v_j pulls
-    back to exactly e_i / u_i.
-    """
-    return seq.unit_at(level), seq.ancestor_runs(level, depth)
-
-
 # 1 / u rounds to the float 0.0 from u = 2**1075 on: that quotient is
 # half the smallest subnormal 2**-1074, a tie that rounds to even
 _FLOAT_CAP = 2**1075
 
 
 def float_image_runs(seq: BratteliSequence, level: int, depth: int) -> tuple:
-    """depth_image_runs with every unit entry cut down to 2**1075, for
-    writing each vertex value 1 / u_i as a float.
+    """(unit, runs): the unit at `level`, every entry cut down to
+    2**1075 for writing each vertex value 1 / u_i as a float, and
+    seq.ancestor_runs(level, depth), the (i, count) pairs saying that the
+    next count coordinates of `depth`, in order, pull back to vertex i.
 
     The float 1 / min(u_i, 2**1075) is the float 1 / u_i, since both
     round to 0.0 once u_i reaches 2**1075.  A product of positive
@@ -51,15 +38,13 @@ def float_image_runs(seq: BratteliSequence, level: int, depth: int) -> tuple:
     down to 2**1075 gives min(u_i, 2**1075) exactly, and no number of
     more than about 2,150 bits is formed however deep `level` is.
     """
-    seq._check_span(1, level)
-    start = range(seq.ranks[0]), [min(v, _FLOAT_CAP) for v in seq.base_unit]
-    unit = seq._compose(start, 1, level, cap=_FLOAT_CAP)[1]
-    return unit, seq.ancestor_runs(level, depth)
+    start = [min(v, _FLOAT_CAP) for v in seq.base_unit]
+    return seq._push(start, 1, level, cap=_FLOAT_CAP), seq.ancestor_runs(level, depth)
 
 
 def exact_image_runs(seq: BratteliSequence, level: int, depth: int) -> tuple:
-    """depth_image_runs, refusing first a vertex whose value 1 / u_i is
-    too long to write exactly.
+    """(unit, runs) as float_image_runs gives them, with the unit exact,
+    refusing first a vertex whose value 1 / u_i is too long to write.
 
     Raises TooLarge, from lower bounds on the bits of every unit entry
     at `level` and before any is formed, when the written vertices
@@ -67,7 +52,7 @@ def exact_image_runs(seq: BratteliSequence, level: int, depth: int) -> tuple:
     before any vertex is written, at the first written unit entry with
     more digits than str() writes.
     """
-    bits = seq._log_between(1, level, [v.bit_length() - 1 for v in seq.base_unit])
+    bits = seq._push([v.bit_length() - 1 for v in seq.base_unit], 1, level, log=True)
     runs = seq.ancestor_runs(level, depth)
     _refuse_unwritable(bits, [i for i, _ in runs], "state value")
     u = seq.unit_at(level)
@@ -99,9 +84,15 @@ def depth_image_vertices(seq: BratteliSequence, level: int, depth: int) -> tuple
     Returns the value tuples, one per level-`depth` coordinate in order;
     their convex hull is the stage-`depth` approximation of the limit
     trace simplex, drawn inside the state simplex of the chosen level.
+
+    Vertex i of `level` is e_i / u_i, u the unit there.  Coordinate j of
+    `depth` reads the single ancestor i, and its unit entry is
+    v_j = mult_j * u_i, so the extreme state e_j / v_j pulls back to
+    exactly e_i / u_i; seq.ancestor_runs(level, depth) says which i each
+    coordinate of `depth` reads, in runs.
     """
-    u, runs = depth_image_runs(seq, level, depth)
-    vertices = _vertices(u)
+    vertices = _vertices(seq.unit_at(level))
+    runs = seq.ancestor_runs(level, depth)
     return tuple(chain.from_iterable(repeat(vertices[i], n) for i, n in runs))
 
 

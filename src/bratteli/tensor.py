@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .diagram import BratteliSequence
+from .diagram import BratteliSequence, _refuse_deep
 from .errors import BadRepeat
 from .simplicial import NonMixingMap
 
@@ -77,9 +77,10 @@ def tensor_qn(seq: BratteliSequence, n, depth: int) -> BratteliSequence:
     instead.  The unit becomes n_1 times the old one and the map out of
     level i picks up the integer factor n_{i+1}/n_i, read off in closed
     form without forming the chain.  The result presents `depth` levels
-    and carries no tail.
+    and carries no tail; a depth past 2**20 levels raises TooLarge.
     """
     seq._require_level(depth)
+    _refuse_deep(depth)
     ratios = n.associated_ratios(depth)
     seq._check_listable(1, depth)
     ranks = tuple(seq.rank_at(t) for t in range(1, depth + 1))

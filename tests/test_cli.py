@@ -647,6 +647,26 @@ class TestHostileInput:
         assert secs < 1
         assert (code, out, got) == (1, "", err)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tensorq", "{path}", "--n", "2^inf", "--depth", "1000000000"],
+            ["unit-change", "{path}", "--unit", "3", "--depth", "1000000000"],
+        ],
+        ids=["tensorq", "unit-change"],
+    )
+    def test_depth_past_the_budget_refused_at_once(self, argv, doc):
+        # every level down to --depth is listed, and on the doubling chain
+        # 3 000 000 levels took 32-44 s and up to 1.1 GB
+        path = doc("d.brat", DYADIC)
+        code, out, err, secs = self.in_child([a.format(path=path) for a in argv])
+        assert secs < 1
+        assert (code, out, err) == (
+            1,
+            "",
+            "error: depth 1000000000 is more than 1048576 levels to list\n",
+        )
+
     def test_decimal_states_never_refused(self, doc, capsys):
         # past both thresholds of the exact refusal, floats still print
         path = doc("t.brat", CYCLIC_TRIPLING)

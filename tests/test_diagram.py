@@ -234,10 +234,10 @@ class TestTelescope:
             for _ in range(5):
                 lo = rng.randint(1, top)
                 hi = rng.randint(lo, top)
-                bits = seq._log_between(lo, hi, (0,) * seq.rank_at(lo))
+                bits = seq._push((0,) * seq.rank_at(lo), lo, hi, log=True)
                 check(bits, seq.map_between(lo, hi).mult)
             start = [u.bit_length() - 1 for u in seq.base_unit]
-            check(seq._log_between(1, hi, start), seq.unit_at(hi))
+            check(seq._push(start, 1, hi, log=True), seq.unit_at(hi))
 
     def test_most_bits_sums_the_unrolled_levels(self):
         # the closed form per period, against map_at level by level
@@ -261,14 +261,14 @@ class TestTelescope:
             lo = rng.randint(1, top)
             hi = rng.randint(lo, top)
             most = diagram._most_bits_below(seq, hi) - diagram._most_bits_below(seq, lo)
-            bits = seq._log_between(lo, hi, (0,) * seq.rank_at(lo))
+            bits = seq._push((0,) * seq.rank_at(lo), lo, hi, log=True)
             assert sum(bits) <= seq.rank_at(hi) * most
 
     def test_no_refusal_pass_when_nothing_can_be_refused(self, count_calls):
         # every multiplicity of the binary tree is 1, so no composite of it
         # can be refused, and no log2 bound is composed; the tripling
         # cycle to level 2**21 could be, and is
-        passes = count_calls(BratteliSequence, "_log_between")
+        passes = count_calls(BratteliSequence, "_push")
         out = telescope(full_tree(2, 2), (1, 4, 12))
         assert passes[0] == 0
         assert out.ranks == (1, 8, 2048)
@@ -548,10 +548,10 @@ class TestForallNSigns:
         a = LimitElement(3, (-1,) * 7 + (1,))
         b = LimitElement(400, (5,) * 8)
         assert keep_at(seq, 3)[-1] == 7
-        between = count_calls(BratteliSequence, "map_between")
+        pushes = count_calls(BratteliSequence, "_push")
         assert not forall_n_leq_limit(seq, a, b)
         assert not forall_n_leq_limit(seq, b, a)
-        assert between[0] == 0
+        assert pushes[0] == 0
 
     def test_checks_come_before_the_signs(self):
         # a has a positive kept entry, so the sign test alone would

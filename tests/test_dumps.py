@@ -22,7 +22,6 @@ from pathlib import Path
 
 from bratteli import TooLarge, certio, parse_diagram, serialize_diagram
 from bratteli.cli import run
-from bratteli.fileformat import _decimal
 from corpus import valid_documents
 from genseq import max_usable_level, random_sequence
 
@@ -118,9 +117,18 @@ def test_printed_documents_are_json_dumps():
     assert printed >= 3 * len(docs)
 
 
+def _old_decimal(value, what):
+    # fileformat._decimal as it was while it still wrote Fractions
+    try:
+        return str(value)
+    except ValueError:
+        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+        raise TooLarge(f"{what} is too long to write in decimal ({bits} bits)") from None
+
+
 def _old_canon(seq):
     # `canon` as it wrote before: Fraction diagonals, each written by
-    # fileformat._decimal, and json.dumps
+    # the old _decimal, and json.dumps
     u = seq.base_unit
     diagonals = [tuple(Fraction(1, v) for v in u)]
     for a in seq.maps:
@@ -131,7 +139,7 @@ def _old_canon(seq):
         "sizes": [str(v) for v in seq.ranks],
         "parents": [[str(p + 1) for p in a.parent] for a in seq.maps],
         "repeat": None if seq.periodic_tail is None else str(seq.periodic_tail),
-        "diagonals": [[_decimal(v, "diagonal entry") for v in d] for d in diagonals],
+        "diagonals": [[_old_decimal(v, "diagonal entry") for v in d] for d in diagonals],
     }
     return _json(doc)
 

@@ -71,7 +71,7 @@ class TestCanonicalize:
 
     def test_diagonals_are_inverse_unit_images(self):
         # the units u_t behind the diagonals 1/u_t, at every presented
-        # level, against unit_at's composite from level 1
+        # level, against unit_at's push from level 1
         rng = random.Random(41)
         for i in range(300):
             seq = random_sequence(rng, tail=("none", "cyclic", "sub")[i % 3])
