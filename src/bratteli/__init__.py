@@ -10,7 +10,7 @@ from importlib import import_module as _import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "errors": "BadRepeat BratteliError EmptyLevel LevelOutOfRange NonAscending "
+    "errors": "BadRepeat BratteliError LevelOutOfRange NonAscending "
     "NotOrderUnit NotPositive ParseError RankMismatch TooLarge",
     "supernat": "INF SupernaturalNumber is_prime",
     "simplicial": "NonMixingMap forall_n_leq is_order_unit",

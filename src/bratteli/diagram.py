@@ -58,7 +58,6 @@ from itertools import accumulate
 
 from .errors import (
     BadRepeat,
-    EmptyLevel,
     Frozen,
     LevelOutOfRange,
     NonAscending,
@@ -491,9 +490,6 @@ def injectivize(seq: BratteliSequence):
     """
     L = seq.length
     keeps = _keeps(seq)
-    for t, kept in enumerate(keeps, start=1):
-        if not kept:
-            raise EmptyLevel(f"level {t} loses every coordinate")
     if all(len(k) == r for k, r in zip(keeps, seq.ranks)):
         return seq, keeps
     new_maps = []

@@ -16,9 +16,12 @@ are matched by a bijection between their stable levels, and two Cantor
 limits by the restart cut (see Intertwining), which the verifier checks
 in full from the tail starts alone.
 
-The decider and both verifiers prune each side's BratteliSequence once
-and read the path count, stable level and tail start off that one
-pruned sequence.  The rescaling (the units pushed up level by level)
+The decider and both verifiers read each side's path space off its kept
+counts: how many coordinates keep_at keeps at each presented level,
+from the one memoized walk of parents in diagram.  The path count and
+the stable level come from those counts, and the tail start is the
+sequence's own, since pruning never moves it; no pruned sequence or map
+is built.  The rescaling (the units pushed up level by level)
 plays no part in the verdict, so a certificate carries none of it: only
 the two sequences, their path counts, the closure and the levels it
 names.  IndexSystem, the shape on its own, and the units, whose
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 from operator import mul
 
-from .diagram import BratteliSequence, injectivize
+from .diagram import BratteliSequence, _keeps
 from .errors import Frozen
 from .simplicial import NonMixingMap
 
@@ -115,20 +118,23 @@ class Cardinality(Frozen):
 
 
 def _path_space(seq: BratteliSequence):
-    """Prune seq once; return (pruned, Cardinality of its path space).
+    """(sizes, Cardinality of the path space), where sizes[t-1] is the
+    number of level-t coordinates the limit sees, len(keep_at(seq, t)),
+    at each presented level: the level sizes of the pruned sequence,
+    which is not built.
 
     Without a tail only finitely many levels are known, so the path
     count of the presented part is just a lower bound.  With a tail the
-    pruned sizes never shrink, so the limit is finite exactly when one
+    kept sizes never shrink, so the limit is finite exactly when one
     full period adds no size, and then the size has already stabilized.
-    Multiplicities play no part: pruning reads only parents and the tail.
+    Multiplicities play no part: the walk reads only parents and the tail.
     """
-    pruned, _ = injectivize(seq)
-    if not pruned.is_tailed:
-        return pruned, Cardinality.lower_bound(pruned.ranks[-1])
-    if pruned.ranks[pruned.periodic_tail - 1] == pruned.ranks[-1]:
-        return pruned, Cardinality.finite(pruned.ranks[-1])
-    return pruned, Cardinality.infinite()
+    sizes = tuple(map(len, _keeps(seq)))
+    if not seq.is_tailed:
+        return sizes, Cardinality.lower_bound(sizes[-1])
+    if sizes[seq.periodic_tail - 1] == sizes[-1]:
+        return sizes, Cardinality.finite(sizes[-1])
+    return sizes, Cardinality.infinite()
 
 
 def _verdict(cardA: Cardinality, cardB: Cardinality) -> str:
@@ -144,10 +150,10 @@ def _verdict(cardA: Cardinality, cardB: Cardinality) -> str:
     return "equivalent"
 
 
-def _stable_level(pruned: BratteliSequence, count: int) -> int:
-    # first level where the pruned sizes reach their final value; from
-    # there on every parent function is a bijection
-    return pruned.ranks.index(count) + 1
+def _stable_level(sizes: tuple, count: int) -> int:
+    # first level where the kept sizes reach their final value; from
+    # there on every pruned parent function is a bijection
+    return sizes.index(count) + 1
 
 
 class Intertwining(Frozen):
@@ -236,23 +242,24 @@ def equivalent_q(left: BratteliSequence, right: BratteliSequence, depth: int = 5
     a lower bound on its path count, and the answer is Unknown.  depth
     does not affect the verdict; it is only echoed in Unknown.
 
-    Each side is pruned once.  Two finite limits of size n are matched
-    by the identity between their stable levels, in pruned coordinates;
-    two infinite limits by the restart cut at their tail starts.
+    Each side's kept counts are read once.  Two finite limits of size n
+    are matched by the identity between their stable levels, in pruned
+    coordinates; two infinite limits by the restart cut at their tail
+    starts.
     """
-    prunedA, cardA = _path_space(left)
-    prunedB, cardB = _path_space(right)
+    sizesA, cardA = _path_space(left)
+    sizesB, cardB = _path_space(right)
     verdict = _verdict(cardA, cardB)
     if verdict == "unknown":
         return Unknown(depth)
     if verdict != "equivalent":
         return NotEquivalent(cardA, cardB, verdict)
     if cardA.kind == "infinite":
-        levels = (prunedA.periodic_tail,), (prunedB.periodic_tail,)
+        levels = (left.periodic_tail,), (right.periodic_tail,)
         tw = Intertwining(*levels, (), (), "restart-cut")
     else:
         n = cardA.count
-        levels = (_stable_level(prunedA, n),), (_stable_level(prunedB, n),)
+        levels = (_stable_level(sizesA, n),), (_stable_level(sizesB, n),)
         tw = Intertwining(*levels, (tuple(range(n)),), (), "stable-bijection")
     return Equivalent(EquivalenceCertificate(left, right, cardA, cardB, tw))
 
@@ -260,14 +267,14 @@ def equivalent_q(left: BratteliSequence, right: BratteliSequence, depth: int = 5
 def equivalence_certificate_failures(cert: EquivalenceCertificate) -> list:
     """Recheck every claim of an equivalence certificate; list failures.
 
-    Nothing is trusted: the cardinalities, prunings, stable levels and
-    tail starts are recomputed from the two sequences embedded in the
-    certificate, each pruned once.  Multiplicities and units are never
-    read, so no rescaling is formed.
+    Nothing is trusted: the cardinalities, kept counts, stable levels
+    and tail starts are recomputed from the two sequences embedded in
+    the certificate.  Multiplicities and units are never read, so no
+    rescaling is formed.
     """
     failures = []
-    prunedA, cardA = _path_space(cert.left)
-    prunedB, cardB = _path_space(cert.right)
+    sizesA, cardA = _path_space(cert.left)
+    sizesB, cardB = _path_space(cert.right)
     if cert.left_cardinality != cardA:
         failures.append(
             f"left cardinality recomputes to {cardA}, not {cert.left_cardinality}"
@@ -296,8 +303,8 @@ def equivalence_certificate_failures(cert: EquivalenceCertificate) -> list:
     if want_closure == "restart-cut":
         if tw.f_maps:
             failures.append("restart-cut takes no maps")
-        for t, pruned, side in ((ka, prunedA, "left"), (lb, prunedB, "right")):
-            p = pruned.periodic_tail
+        for t, seq, side in ((ka, cert.left, "left"), (lb, cert.right, "right")):
+            p = seq.periodic_tail
             if t != p:
                 failures.append(f"{side} level {t} is not the tail start {p}")
         return failures
@@ -306,7 +313,7 @@ def equivalence_certificate_failures(cert: EquivalenceCertificate) -> list:
     n = cardA.count
     if len(tw.f_maps) != 1:
         failures.append(f"stable-bijection takes one map, got {len(tw.f_maps)}")
-    elif ka < _stable_level(prunedA, n) or lb < _stable_level(prunedB, n):
+    elif ka < _stable_level(sizesA, n) or lb < _stable_level(sizesB, n):
         failures.append("zigzag ends before both sides stabilize")
     elif len(tw.f_maps[0]) != n:
         failures.append(f"f_1 has {len(tw.f_maps[0])} entries, expected {n}")

@@ -85,10 +85,6 @@ class NonAscending(BratteliError):
     """A level list is not a strictly ascending chain starting at 1."""
 
 
-class EmptyLevel(BratteliError):
-    """Pruning removed every coordinate of some level."""
-
-
 class BadRepeat(BratteliError):
     """A periodic tail whose rank pattern does not close up."""
 

@@ -191,7 +191,8 @@ def _detect_cycle(seq, scalars, diagonals):
     The state (block position, direction, diagonal entries) of a rung at
     level >= the tail start determines every later rung, so the first
     repeat pins down the infinite products exactly.  diagonals are the
-    rungs' diagonals as _diagonals derives them.  Returns the up and the
+    rungs' diagonals, as unit_change builds them or _diagonals derives
+    them from the scalars.  Returns the up and the
     down scalars as (product before the cycle, product over one cycle)
     pairs, or (None, None) when no state repeats.
     """
@@ -237,20 +238,22 @@ def unit_change(
     for t in range(1, depth + 1):
         seq._require_level(t)
 
-    scalars = []
+    scalars, diagonals = [], []
     if depth >= 1:
         u1 = seq.base_unit
         m1 = prod(u1)
         diag = DiagonalMap(tuple((m1 // u) * w for u, w in zip(u1, alt_unit)))
         scalars.append(m1)
+        diagonals.append(diag.entries)
     for t in range(2, depth + 1):
         s, diag = rescale_lemma(seq.map_at(t - 1), diag, strategy)
         scalars.append(s)
+        diagonals.append(diag.entries)
     scalars = tuple(scalars)
 
     partial_n = SupernaturalNumber.from_natural(_product(scalars, _UP))
     partial_m = SupernaturalNumber.from_natural(_product(scalars, _DOWN))
-    cycles = _detect_cycle(seq, scalars, _diagonals(seq, alt_unit, scalars)[0])
+    cycles = _detect_cycle(seq, scalars, diagonals)
     exact_n, exact_m = (None if c is None else _exact(*c) for c in cycles)
     return UnitChangeCertificate(
         seq, alt_unit, strategy, scalars, partial_n, partial_m, exact_n, exact_m

@@ -5,12 +5,16 @@ generated by 1/d for every natural d dividing n.  The associated
 sequence n_1 | n_2 | ... realizes Q_n as an increasing union of cyclic
 subgroups; the tensoring code consumes its ratios n_{i+1}/n_i, which
 have closed forms.
+
+An exponent is a positive int or INF, which is math.inf: it orders
+above every int and absorbs addition, so products add exponents and
+the associated sequence caps them with min, the infinite ones alike.
 """
 
 from __future__ import annotations
 
 import re
-from math import isqrt
+from math import inf, isqrt
 from operator import itemgetter
 
 from .errors import DIGITS, Frozen, TooLarge
@@ -18,22 +22,8 @@ from .errors import DIGITS, Frozen, TooLarge
 _NATURAL = re.compile(DIGITS)
 
 
-class _Infinity:
-    """Distinguished exponent token, the one infinite exponent."""
-
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "inf"
-
-
-INF = _Infinity()
+# the infinite exponent; its repr and str, "inf", are its text form
+INF = inf
 
 
 # Trial division stops at this bound: a cofactor below its square with
@@ -96,8 +86,7 @@ class SupernaturalNumber(Frozen):
     def __init__(self, factors=()):
         if isinstance(factors, dict):
             factors = factors.items()
-        # by prime alone: INF has no order, and a repeated prime is
-        # refused below
+        # by prime alone: a repeated prime is refused below
         pairs = sorted((tuple(it) for it in factors), key=itemgetter(0))
         seen = set()
         for p, e in pairs:
@@ -106,7 +95,7 @@ class SupernaturalNumber(Frozen):
             if p in seen:
                 raise ValueError(f"prime {p} repeated")
             seen.add(p)
-            if e is not INF and (not isinstance(e, int) or e < 1):
+            if e != INF and (not isinstance(e, int) or e < 1):
                 raise ValueError(f"exponent of {p} must be a positive integer or INF")
         self._freeze(tuple(pairs))
 
@@ -138,15 +127,10 @@ class SupernaturalNumber(Frozen):
         exponent, and no trial division runs.
         """
         for p, e in self.factors:
-            if e is INF:
-                if over % p:
-                    return False
-                over = _split_power(over, p)[1]
-                n = _split_power(n, p)[1]
-            else:
-                got, n = _split_power(n, p)
-                if got != e or over % p == 0:
-                    return False
+            got, n = _split_power(n, p)
+            k, over = _split_power(over, p)
+            if e != (INF if k else got):
+                return False
         return n == 1 and over == 1
 
     def primes(self) -> tuple:
@@ -155,8 +139,7 @@ class SupernaturalNumber(Frozen):
     def multiply(self, other: "SupernaturalNumber") -> "SupernaturalNumber":
         fac = dict(self.factors)
         for p, e in other.factors:
-            old = fac.get(p, 0)
-            fac[p] = INF if (e is INF or old is INF) else old + e
+            fac[p] = fac.get(p, 0) + e
         return SupernaturalNumber(fac)
 
     __mul__ = multiply
@@ -178,11 +161,11 @@ class SupernaturalNumber(Frozen):
         for i in range(length):
             r = 1
             for p, e in self.factors[:i]:
-                if e is INF or e > i:
+                if e > i:
                     r *= p
             if i < len(self.factors):
                 p, e = self.factors[i]
-                r *= p ** (i + 1 if e is INF else min(i + 1, e))
+                r *= p ** min(i + 1, e)
             out.append(r)
         return tuple(out)
 
@@ -212,12 +195,7 @@ class SupernaturalNumber(Frozen):
             return "1"
         parts = []
         for p, e in self.factors:
-            if e == 1:
-                parts.append(str(p))
-            elif e is INF:
-                parts.append(f"{p}^inf")
-            else:
-                parts.append(f"{p}^{e}")
+            parts.append(str(p) if e == 1 else f"{p}^{e}")
         return "*".join(parts)
 
 

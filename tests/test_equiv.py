@@ -18,7 +18,7 @@ from bratteli import (
     injectivize,
     not_equivalent_failures,
 )
-from bratteli import certio, equiv
+from bratteli import certio, diagram, equiv
 
 from genseq import (
     full_tree,
@@ -91,8 +91,8 @@ class TestCanonicalize:
 
 
 class TestSurjectivize:
-    """The onto part of a tailed presentation, which the equivalence
-    decision reads off one injectivize call per side."""
+    """The onto part of a tailed presentation, whose level sizes the
+    equivalence decision reads off each side's kept counts."""
 
     def test_dead_branch(self):
         seq = shape((2, 2), ((0, 0),), 1)
@@ -342,7 +342,9 @@ class TestEquivalentQ:
 
 
 class TestOnePruning:
-    """Deciding and verifying prune each side once and build no IndexSystem."""
+    """Deciding and verifying read each side's one kept walk: they prune
+    nothing (no injectivize call), walk each sequence object at most
+    once, and build no IndexSystem."""
 
     @pytest.mark.parametrize(
         "left, right, kind",
@@ -359,18 +361,27 @@ class TestOnePruning:
         ],
         ids=["tree", "two-path", "chain", "cardinality", "finiteness"],
     )
-    def test_two_prunings_each(self, left, right, kind, count_calls):
-        prunings = count_calls(equiv, "injectivize")
+    def test_two_prunings_each(self, left, right, kind, count_calls, monkeypatch):
+        prunings = count_calls(diagram, "injectivize")
         shapes = count_calls(IndexSystem, "__init__")
+        walked = []
+        memo = BratteliSequence._memo
+
+        def recording(seq, key, build):
+            if key == ("keeps",) and key not in seq._cache:
+                walked.append(seq)
+            return memo(seq, key, build)
+
+        monkeypatch.setattr(BratteliSequence, "_memo", recording)
         verdict = equivalent_q(left, right)
         assert isinstance(verdict, kind)
-        assert prunings[0] == 2
-        prunings[0] = 0
         if kind is Equivalent:
             assert equivalence_certificate_failures(verdict.certificate) == []
         else:
             assert not_equivalent_failures(verdict, left, right) == []
-        assert prunings[0] == 2
+        assert prunings[0] == 0
+        assert len(walked) <= 2 and len({id(s) for s in walked}) == len(walked)
+        assert all(s is left or s is right for s in walked)
         assert shapes[0] == 0
         canonicalize_q(left)
         assert shapes[0] == 1

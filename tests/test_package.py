@@ -25,7 +25,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # every public name, by the module it lives in
 EXPORTS = {
-    "errors": "BadRepeat BratteliError EmptyLevel LevelOutOfRange NonAscending "
+    "errors": "BadRepeat BratteliError LevelOutOfRange NonAscending "
     "NotOrderUnit NotPositive ParseError RankMismatch TooLarge",
     "supernat": "INF SupernaturalNumber is_prime",
     "simplicial": "NonMixingMap forall_n_leq is_order_unit",
@@ -89,7 +89,7 @@ def _loaded_by(argv):
 class TestPublicSurface:
     def test_names(self):
         names = [n for names in EXPORTS.values() for n in names.split()]
-        assert len(names) == 47
+        assert len(names) == 46
         assert set(bratteli.__all__) == set(names)
 
     def test_star_import_binds_the_home_objects(self):
