@@ -272,6 +272,9 @@ def _cmd_verify(args):
             file=sys.stderr,
         )
         return 1
+    except RecursionError:
+        print("error: the JSON nests too deeply to read", file=sys.stderr)
+        return 1
     kind = doc.get("kind") if isinstance(doc, dict) else None
     try:
         if kind == "unit-change":

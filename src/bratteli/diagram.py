@@ -35,7 +35,9 @@ before, so the ancestors of a deep level at a shallow one come in
 contiguous runs that ancestor_runs gives without listing level t.
 A level is listed, by map_at or keep_at, only while it has at most
 _COORD_BUDGET coordinates; the first level past it is found from the
-copy counts before anything is built.
+copy counts before anything is built.  A command that lists a run of
+levels lists at most _LIST_BUDGET coordinates over all of them, counted
+from rank_at before the first is built.
 
 Every vector is pushed up by _push, which composes the maps onto it
 as above: the units u_t, both sides of a limit comparison, the log2
@@ -67,8 +69,14 @@ from .errors import (
 )
 from .simplicial import NonMixingMap, forall_n_leq, is_order_unit
 
-# the most coordinates an unrolled self-similar level may list
+# the most coordinates an unrolled self-similar level may list, and
+# the most levels a command may list down to
 _COORD_BUDGET = 2**20
+
+# the most coordinates a command may list over all its levels together;
+# four times the budget above, so the deepest listing of the binary tree
+# that budget admits, levels 1..21, still runs
+_LIST_BUDGET = 4 * _COORD_BUDGET
 
 # composites whose numbers have more bits than this together, one of
 # them too many digits to write, are refused before they are composed
@@ -416,6 +424,16 @@ def _refuse_deep(depth: int):
         raise TooLarge(f"depth {depth} is more than {_COORD_BUDGET} levels to list")
 
 
+def _refuse_listing(ranks):
+    # a command that lists levels of these ranks, read one at a time, is
+    # refused past _LIST_BUDGET coordinates in total, before any is built
+    total = 0
+    for rank in ranks:
+        total += rank
+        if total > _LIST_BUDGET:
+            raise TooLarge(f"the levels to list have more than {_LIST_BUDGET} coordinates")
+
+
 def _most_bits_below(seq: BratteliSequence, t: int) -> int:
     # the sum over levels 1..t-1 of the largest floor(log2 k) over the
     # multiplicities k of map_at(s).  Past L, map_at(s) repeats the map
@@ -515,8 +533,9 @@ def telescope(seq: BratteliSequence, keep) -> BratteliSequence:
     multiple of the period; a self-similar tail is dropped, since the
     telescoped level sizes no longer follow a fixed block.
 
-    Two results are refused before anything is composed: one with a
-    level past the coordinate budget, and one with a multiplicity that
+    Three results are refused before anything is composed: one with a
+    level past the coordinate budget, one whose levels have more than
+    _LIST_BUDGET coordinates together, and one with a multiplicity that
     a lower bound on its bits shows too long to write (_refuse_unwritable).
     """
     keep = tuple(keep)
@@ -530,6 +549,7 @@ def telescope(seq: BratteliSequence, keep) -> BratteliSequence:
     if keep == tuple(range(1, seq.length + 1)):
         return seq
     seq._check_listable(1, keep[-1])
+    _refuse_listing(map(seq.rank_at, keep))
     for i, (a, b) in enumerate(zip(keep, keep[1:]), start=1):
         # the log2 bounds of map i's multiplicities add up to at most
         # rank_at(b) times the sum, over its levels, of each level's

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from math import lcm, prod
 
-from .diagram import BratteliSequence, _refuse_deep
+from .diagram import BratteliSequence, _refuse_deep, _refuse_listing
 from .errors import Frozen, NotOrderUnit, NotPositive, RankMismatch, TooLarge
 from .simplicial import NonMixingMap, is_order_unit
 from .supernat import INF, SupernaturalNumber
@@ -224,7 +224,8 @@ def unit_change(
     seq: BratteliSequence, alt_unit, depth: int, strategy: str = "minimal"
 ) -> UnitChangeCertificate:
     """Build the ladder between the base unit and alt_unit, depth rungs
-    deep; a depth past 2**20 rungs raises TooLarge."""
+    deep; a depth past 2**20 rungs, or rungs of more than 2**22
+    coordinates together, raise TooLarge before any rung is built."""
     alt_unit = tuple(alt_unit)
     if len(alt_unit) != seq.ranks[0]:
         raise RankMismatch(
@@ -235,8 +236,8 @@ def unit_change(
     if not isinstance(depth, int) or depth < 0:
         raise ValueError(f"depth must be a nonnegative integer, got {depth!r}")
     _refuse_deep(depth)
-    for t in range(1, depth + 1):
-        seq._require_level(t)
+    # rank_at refuses the first level that is not there
+    _refuse_listing(map(seq.rank_at, range(1, depth + 1)))
 
     scalars, diagonals = [], []
     if depth >= 1:
@@ -268,7 +269,8 @@ def certificate_failures(cert: UnitChangeCertificate) -> list:
     rung's diagonal from the scalars, D_1 = s_1 * w_1 / u_1 and D_t[j] =
     s_t / D_{t-1}[parent(j)], and a division that is not exact fails the
     certificate at that rung and coordinate.  This takes O(depth * rank)
-    steps on numbers no longer than the scalars.
+    steps on numbers no longer than the scalars; rungs of more than 2**22
+    coordinates together raise TooLarge before any diagonal is derived.
 
     Why no more is needed.  Write u_t and w_t for the two units pushed
     to level t, and N_t and M_t for the products of the up and of the
@@ -295,6 +297,8 @@ def certificate_failures(cert: UnitChangeCertificate) -> list:
     if len(w1) != seq.ranks[0] or not is_order_unit(w1):
         return [f"alternative unit {w1} is not an order unit at level 1"]
     scalars = cert.rungs
+    levels = range(1, len(scalars) + 1)
+    _refuse_listing(map(seq.rank_at, levels if seq.is_tailed else levels[: seq.length]))
     diagonals, failure = _diagonals(seq, w1, scalars)
     failures = [] if failure is None else [failure]
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .diagram import BratteliSequence, _refuse_deep
+from .diagram import BratteliSequence, _refuse_deep, _refuse_listing
 from .errors import BadRepeat
 from .simplicial import NonMixingMap
 
@@ -44,6 +44,8 @@ def tensor_seq(A: BratteliSequence, B: BratteliSequence) -> BratteliSequence:
     lengths, and keeps a tail whenever the combined pattern provably
     closes up again; otherwise the tail is dropped.  With at most one
     tail the result is truncated to the shortest untailed presentation.
+    A result of more than 2**20 levels, or 2**22 coordinates, raises
+    TooLarge before any map is built.
     """
     tail = None
     if A.is_tailed and B.is_tailed:
@@ -54,6 +56,8 @@ def tensor_seq(A: BratteliSequence, B: BratteliSequence) -> BratteliSequence:
         length = min(
             [s.length for s in (A, B) if not s.is_tailed]
         )
+    _refuse_deep(length)
+    _refuse_listing(A.rank_at(t) * B.rank_at(t) for t in range(1, length + 1))
     ranks = tuple(A.rank_at(t) * B.rank_at(t) for t in range(1, length + 1))
     maps = tuple(tensor_map(A.map_at(t), B.map_at(t)) for t in range(1, length))
     unit = tensor_vec(A.base_unit, B.base_unit)
@@ -77,12 +81,14 @@ def tensor_qn(seq: BratteliSequence, n, depth: int) -> BratteliSequence:
     instead.  The unit becomes n_1 times the old one and the map out of
     level i picks up the integer factor n_{i+1}/n_i, read off in closed
     form without forming the chain.  The result presents `depth` levels
-    and carries no tail; a depth past 2**20 levels raises TooLarge.
+    and carries no tail; a depth past 2**20 levels, or levels of more
+    than 2**22 coordinates together, raise TooLarge.
     """
     seq._require_level(depth)
     _refuse_deep(depth)
-    ratios = n.associated_ratios(depth)
     seq._check_listable(1, depth)
+    _refuse_listing(map(seq.rank_at, range(1, depth + 1)))
+    ratios = n.associated_ratios(depth)
     ranks = tuple(seq.rank_at(t) for t in range(1, depth + 1))
     maps = []
     for i, k in enumerate(ratios[1:], start=1):

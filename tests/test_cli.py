@@ -8,6 +8,7 @@ error, 2 inconclusive, 64 usage, 65 malformed input.
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -26,9 +27,9 @@ from bratteli import (
     tensor_qn,
     tensor_seq,
 )
-from bratteli import diagram
+from bratteli import certio, diagram, unit_change
 from bratteli.cli import run
-from genseq import long_chain, random_map, scalar_chain, two_path
+from genseq import long_chain, random_map, replace, scalar_chain, two_path
 
 DYADIC = "bratteli v1\nsizes: 1 1\nunit: 1\nmap 1: 1*2\nrepeat: 1\n"
 TRIADIC = "bratteli v1\nsizes: 1 1\nunit: 1\nmap 1: 1*3\nrepeat: 1\n"
@@ -48,6 +49,29 @@ DEAD = (
 )
 BIG_UNIT = "bratteli v1\nsizes: 1\nunit: " + "9" * 3000 + "\n"
 BAD_PARENT = "bratteli v1\nsizes: 2 2\nunit: 1 1\nmap 1: 1*1 3*2\n"
+# one level of 4096 leaves under the root, no tail
+WIDE = "bratteli v1\nsizes: 1 4096\nunit: 1\nmap 1: " + " ".join(["1*1"] * 4096) + "\n"
+# 4096 parallel rank-1 chains, cyclic from level 1
+RANK_4096 = (
+    "bratteli v1\nsizes: 4096 4096\nunit: "
+    + " ".join(["1"] * 4096)
+    + "\nmap 1: "
+    + " ".join(f"{i}*1" for i in range(1, 4097))
+    + "\nrepeat: 1\n"
+)
+
+
+def _rank_one_cycle(period):
+    # the chain 1 -> 1 with multiplicity 1, cyclic with the given period
+    maps = "".join(f"map {t}: 1*1\n" for t in range(1, period + 1))
+    return f"bratteli v1\nsizes: {'1 ' * period}1\nunit: 1\n{maps}repeat: 1\n"
+
+
+def _one_gigabyte():
+    # a child's address space: 1 GB, or less where this process has less
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    cap = 2**30 if hard == resource.RLIM_INFINITY else min(2**30, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
 
 
 def _retired(key):
@@ -587,9 +611,10 @@ class TestHostileInput:
         assert capsys.readouterr() == ("", err)
 
     def in_child(self, argv):
-        # the command in a child process with a timeout, since composing
-        # what it refuses would take seconds to minutes; (exit code,
-        # stdout, stderr, seconds)
+        # the command in a child process under 1 GB of address space and
+        # with a timeout, since composing what it refuses would take
+        # seconds to minutes and gigabytes; (exit code, stdout, stderr,
+        # seconds)
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         start = time.perf_counter()
@@ -599,6 +624,7 @@ class TestHostileInput:
             capture_output=True,
             text=True,
             timeout=60,
+            preexec_fn=_one_gigabyte,
         )
         return done.returncode, done.stdout, done.stderr, time.perf_counter() - start
 
@@ -666,6 +692,65 @@ class TestHostileInput:
             "",
             "error: depth 1000000000 is more than 1048576 levels to list\n",
         )
+
+    LISTED = "error: the levels to list have more than 4194304 coordinates\n"
+
+    @pytest.mark.parametrize(
+        "texts, argv, err",
+        [
+            # 4096 x 4096 coordinates at the product's level 2
+            ((WIDE, WIDE), ["tensor", "{0}", "{1}"], LISTED),
+            # periods 2003 and 1999: 4 003 998 product levels
+            (
+                (_rank_one_cycle(2003), _rank_one_cycle(1999)),
+                ["tensor", "{0}", "{1}"],
+                "error: depth 4003998 is more than 1048576 levels to list\n",
+            ),
+            (
+                (RANK_4096,),
+                ["tensorq", "{0}", "--n", "2", "--depth", "1000000"],
+                LISTED,
+            ),
+            (
+                (RANK_4096,),
+                ["unit-change", "{0}", "--unit", ",".join(["1"] * 4096)]
+                + ["--depth", "1000000"],
+                LISTED,
+            ),
+            (
+                (RANK_4096,),
+                ["telescope", "{0}", "--keep", ",".join(map(str, range(1, 20001)))],
+                LISTED,
+            ),
+        ],
+        ids=["tensor-wide", "tensor-long", "tensorq", "unit-change", "telescope"],
+    )
+    def test_listing_past_the_budget_refused_at_once(self, texts, argv, err, doc):
+        # each of these ran out of memory, or ran for minutes
+        paths = [doc(f"d{i}.brat", text) for i, text in enumerate(texts)]
+        code, out, got, secs = self.in_child([a.format(*paths) for a in argv])
+        assert secs < 1
+        assert (code, out, got) == (1, "", err)
+
+    def test_rungs_past_the_budget_refused_at_once(self, tmp_path):
+        # 60 000 rungs of scalar 1 on 4096 parallel chains: every derived
+        # diagonal is all ones, 245 760 000 entries together
+        seq = parse_diagram(RANK_4096)
+        cert = replace(unit_change(seq, seq.base_unit, 1), rungs=(1,) * 60000)
+        path = tmp_path / "rungs.json"
+        path.write_text(certio.dumps(certio.unit_change_to_doc(cert)), encoding="utf-8")
+        code, out, err, secs = self.in_child(["verify", str(path)])
+        assert secs < 1
+        assert (code, out, err) == (1, "", self.LISTED)
+
+    def test_largest_listing_still_runs(self, doc):
+        # levels 1 and 21 of the binary tree, 1 + 2**20 coordinates: the
+        # deepest level the per-level budget admits
+        code, out, err, _ = self.in_child(
+            ["telescope", doc("t.brat", BINARY_TREE), "--keep", "1,21"]
+        )
+        assert (code, err) == (0, "")
+        assert out.startswith("bratteli v1\nsizes: 1 1048576\nunit: 1\n")
 
     def test_decimal_states_never_refused(self, doc, capsys):
         # past both thresholds of the exact refusal, floats still print

@@ -275,3 +275,20 @@ def test_retired_keys_are_refused_whatever_their_value(tmp_path, capsys):
                 assert (code, out) == (1, ""), what
                 # a bare number too long for int() stops the JSON reader
                 assert err == want or isinstance(value, _Bare), what
+
+
+def test_deep_nesting_is_one_error_line(tmp_path, capsys):
+    # 100 000 nested lists stop the JSON reader's recursion, as a whole
+    # file and as a value inside an otherwise valid equivalence document
+    nest = "[" * 100000 + "]" * 100000
+    valid = json.dumps(_claims(tmp_path, capsys)[0])
+    target = tmp_path / "nested.json"
+    for text in (nest, valid[:-1] + ', "extra": ' + nest + "}"):
+        target.write_text(text, encoding="utf-8")
+        called = time.perf_counter()
+        code = run(["verify", str(target)])
+        assert time.perf_counter() - called < 1
+        assert (code, capsys.readouterr()) == (
+            1,
+            ("", "error: the JSON nests too deeply to read\n"),
+        )

@@ -19,7 +19,8 @@ from pathlib import Path
 import pytest
 
 import bratteli
-from bratteli import cli
+from bratteli import cli, parse_diagram
+from corpus import valid_documents
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -61,8 +62,12 @@ COMMANDS = [
 ]
 
 
-def _python(*args):
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+# the corpus documents the hash-seed children read
+SEEDED = ("two-path-2-7", "binary-tree", "cyclic-late", "dead-branch", "wide-units")
+
+
+def _python(*args, **env):
+    env = dict(os.environ, PYTHONPATH=str(SRC), **env)
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
     )
@@ -177,6 +182,52 @@ class TestEntryPoint:
         loaded = _loaded_by([a.format(tree=tree, cert=cert) for a in argv])
         assert "bratteli.fileformat" in loaded
         assert loaded.isdisjoint({"dataclasses", "inspect"})
+
+    def test_output_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # the certificate contract relies on deterministic stdout: one
+        # child per PYTHONHASHSEED runs every writing command on a few
+        # corpus documents through cli.run, and both print the same bytes
+        docs = dict(valid_documents())
+        paths = []
+        for name in SEEDED:
+            path = tmp_path / f"{name}.brat"
+            path.write_text(docs[name], encoding="utf-8")
+            paths.append(str(path))
+        runs = []
+        for i, (name, path) in enumerate(zip(SEEDED, paths)):
+            other = paths[(i + 1) % len(paths)]
+            unit = ",".join(["2"] * parse_diagram(docs[name]).ranks[0])
+            runs += [
+                ["canon", path],
+                ["equiv", path, other],
+                ["equiv", path, path],
+                ["unit-change", path, "--unit", unit, "--depth", "2"],
+                ["injectivize", path],
+                ["telescope", path, "--keep", "1,2"],
+                ["tensor", path, other],
+                ["tensorq", path, "--n", "2^inf*3", "--depth", "2"],
+                ["states", path, "--level", "1", "--depth", "2"],
+            ]
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from bratteli.cli import run\n"
+            "done = []\n"
+            f"for argv in {runs!r}:\n"
+            "    out, err = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            "        done.append((run(argv), out.getvalue(), err.getvalue()))\n"
+            "sys.stdout.write(json.dumps(done))\n"
+        )
+        outputs = []
+        for seed in ("0", "1"):
+            child = _python("-c", code, PYTHONHASHSEED=seed)
+            assert child.returncode == 0, child.stderr
+            outputs.append(json.loads(child.stdout))
+        assert len(outputs[0]) == len(runs)
+        # the verdicts of unequal and untailed pairs exit 1 and 2
+        assert {code for code, _, _ in outputs[0]} == {0, 1, 2}
+        assert sum(code == 0 for code, _, _ in outputs[0]) > len(runs) * 3 // 4
+        assert outputs[0] == outputs[1]
 
     def test_every_subcommand_is_guarded(self):
         (sub,) = [

@@ -10,8 +10,8 @@ def sn(*pairs):
 
 
 class TestInfinity:
-    """INF as an exponent.  The token has no order or arithmetic of its
-    own, so these read it through the operations that take exponents."""
+    """INF as an exponent, read through the operations that take
+    exponents: it is math.inf, above every int and absorbing addition."""
 
     def test_orders_above_every_int(self):
         # the chain of 2^inf outgrows every finite power of 2
