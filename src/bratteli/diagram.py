@@ -33,11 +33,13 @@ unrolled level t descends from node n // rank_b of its period's start
 level, and a period start's node m from node m // rank_L of the one
 before, so the ancestors of a deep level at a shallow one come in
 contiguous runs that ancestor_runs gives without listing level t.
-A level is listed, by map_at or keep_at, only while it has at most
-_COORD_BUDGET coordinates; the first level past it is found from the
-copy counts before anything is built.  A command that lists a run of
-levels lists at most _LIST_BUDGET coordinates over all of them, counted
-from rank_at before the first is built.
+The listing budget is one check, _check_listing, run on the levels a
+caller will list before any is built.  It refuses a level of more than
+_COORD_BUDGET coordinates and, for a command, which passes every level
+it lists, more than _COORD_BUDGET levels or _LIST_BUDGET coordinates
+together.  map_at(t) checks level t+1, which its parent tuple lists,
+keep_at(t) level t, and _push, map_between and ancestor_runs the
+unrolled levels lo..hi-1: ancestor_runs streams level hi, unlisted.
 
 Every vector is pushed up by _push, which composes the maps onto it
 as above: the units u_t, both sides of a limit comparison, the log2
@@ -69,8 +71,8 @@ from .errors import (
 )
 from .simplicial import NonMixingMap, forall_n_leq, is_order_unit
 
-# the most coordinates an unrolled self-similar level may list, and
-# the most levels a command may list down to
+# the most coordinates one listed level may have, and the most levels
+# a command may list
 _COORD_BUDGET = 2**20
 
 # the most coordinates a command may list over all its levels together;
@@ -204,39 +206,21 @@ class BratteliSequence(Frozen):
     def _repeat(self, t: int, block: tuple) -> tuple:
         # block, places in the block level of t, once per copy level t
         # lists, shifted to that copy's coordinates
-        self._check_listable(t, t + 1)
         copies = self._copies(t)
         if copies == 1:
             return block
         width = self.ranks[self._block_position(t) - 1]
         return tuple(s + i for s in range(0, copies * width, width) for i in block)
 
-    def _check_listable(self, lo: int, hi: int):
-        # refuse the first level t in [lo, hi) that unrolls to more than
-        # _COORD_BUDGET coordinates.  Only a self-similar tail grows, by
-        # rank_L >= 2 each period, so from L the walk stops within about
-        # 20 periods; a level whose copy count alone is past the budget
-        # is refused by its exponent, before the power is computed
-        if hi <= self.length or self.tail_kind != "substitution":
-            return
-        p, L = self.periodic_tail, self.length
-        for t in range(max(lo, L), hi):
-            if (t - p) // (L - p) > _COORD_BUDGET.bit_length():
-                raise TooLarge(
-                    f"level {t} has more than {_COORD_BUDGET} coordinates to list"
-                )
-            rank = self.rank_at(t)
-            if rank > _COORD_BUDGET:
-                raise TooLarge(
-                    f"level {t} has {rank} coordinates, more than {_COORD_BUDGET} to list"
-                )
-
     def _check_span(self, lo: int, hi: int):
         self._require_level(lo)
         self._require_level(hi)
         if lo > hi:
             raise LevelOutOfRange(f"need lo <= hi, got {lo} > {hi}")
-        self._check_listable(lo, hi)
+        # only the levels a self-similar tail unrolls past L can outgrow
+        # the presented ones
+        if self.tail_kind == "substitution":
+            _check_listing((self,), range(max(lo, self.length + 1), hi))
 
     def _compose(
         self, f: tuple, lo: int, hi: int, log: bool = False, cap: int | None = None
@@ -305,7 +289,7 @@ class BratteliSequence(Frozen):
             raise LevelOutOfRange(f"level {t!r} not available")
         if t < self.length:
             return self.maps[t - 1]
-        self._require_level(t + 1)
+        _check_listing((self,), (t + 1,))
         a = self._block()[1][self._block_position(t) - self.periodic_tail]
         parent = self._repeat(t, a.parent)
         copies = len(parent) // len(a.parent)
@@ -330,8 +314,8 @@ class BratteliSequence(Frozen):
         first ancestor, the next from the second, and so on.  Only
         parents are read, composed as map_between composes them, except
         past L on a self-similar tail, where the runs come from the
-        closed form without listing level hi.  Level hi is refused by
-        the same coordinate budget as map_between(lo, hi).
+        closed form without listing level hi.  Levels lo..hi-1 are held
+        to the coordinate budget, level hi is not: it is never listed.
         """
         self._check_span(lo, hi)
         if self.tail_kind == "substitution" and hi > self.length:
@@ -417,21 +401,35 @@ def _refuse_unwritable(bits, written, what: str):
         )
 
 
-def _refuse_deep(depth: int):
-    # a command that lists every level down to `depth` is refused, before
-    # any is built, past _COORD_BUDGET levels
-    if depth > _COORD_BUDGET:
-        raise TooLarge(f"depth {depth} is more than {_COORD_BUDGET} levels to list")
-
-
-def _refuse_listing(ranks):
-    # a command that lists levels of these ranks, read one at a time, is
-    # refused past _LIST_BUDGET coordinates in total, before any is built
+def _check_listing(seqs, levels, what: str = "level", listing: str | None = None):
+    # raise TooLarge when the levels of the levelwise product of seqs are
+    # too many to list: one has more than _COORD_BUDGET coordinates, or,
+    # when a command names its listing, there are more than _COORD_BUDGET
+    # levels or _LIST_BUDGET coordinates.  A self-similar level past L
+    # with copy exponent k has at least 2**k coordinates, so a level
+    # whose exponent is past the budget is refused before the power is
+    # formed
+    if listing is not None and len(levels) > _COORD_BUDGET:
+        raise TooLarge(f"{listing} is more than {_COORD_BUDGET} levels to list")
+    grows = [s for s in seqs if s.tail_kind == "substitution"]
     total = 0
-    for rank in ranks:
+    for t in levels:
+        for s in grows:
+            p = s.periodic_tail
+            if (t - p) // (s.length - p) > _COORD_BUDGET.bit_length():
+                raise TooLarge(
+                    f"{what} {t} has more than {_COORD_BUDGET} coordinates to list"
+                )
+        rank = 1
+        for s in seqs:
+            rank *= s.rank_at(t)
+        if rank > _COORD_BUDGET:
+            raise TooLarge(
+                f"{what} {t} has {rank} coordinates, more than {_COORD_BUDGET} to list"
+            )
         total += rank
-        if total > _LIST_BUDGET:
-            raise TooLarge(f"the levels to list have more than {_LIST_BUDGET} coordinates")
+        if listing is not None and total > _LIST_BUDGET:
+            raise TooLarge(f"{listing} lists more than {_LIST_BUDGET} coordinates")
 
 
 def _most_bits_below(seq: BratteliSequence, t: int) -> int:
@@ -461,6 +459,7 @@ def keep_at(seq: BratteliSequence, t: int) -> tuple:
     seq._require_level(t)
     if t <= seq.length:
         return _keeps(seq)[t - 1]
+    _check_listing((seq,), (t,))
     b = seq._block_position(t)
     alive = set(_keeps(seq)[b - 1])
     order = seq._block()[0][b - seq.periodic_tail]
@@ -533,10 +532,9 @@ def telescope(seq: BratteliSequence, keep) -> BratteliSequence:
     multiple of the period; a self-similar tail is dropped, since the
     telescoped level sizes no longer follow a fixed block.
 
-    Three results are refused before anything is composed: one with a
-    level past the coordinate budget, one whose levels have more than
-    _LIST_BUDGET coordinates together, and one with a multiplicity that
-    a lower bound on its bits shows too long to write (_refuse_unwritable).
+    Two results are refused before anything is composed: kept levels
+    past the listing budget (_check_listing), and a multiplicity that a
+    lower bound on its bits shows too long to write (_refuse_unwritable).
     """
     keep = tuple(keep)
     if not keep or keep[0] != 1:
@@ -544,12 +542,9 @@ def telescope(seq: BratteliSequence, keep) -> BratteliSequence:
     for a, b in zip(keep, keep[1:]):
         if b <= a:
             raise NonAscending(f"kept levels not ascending at {a}, {b}")
-    for t in keep:
-        seq._require_level(t)
+    _check_listing((seq,), keep, "kept level", f"keeping {len(keep)} levels")
     if keep == tuple(range(1, seq.length + 1)):
         return seq
-    seq._check_listable(1, keep[-1])
-    _refuse_listing(map(seq.rank_at, keep))
     for i, (a, b) in enumerate(zip(keep, keep[1:]), start=1):
         # the log2 bounds of map i's multiplicities add up to at most
         # rank_at(b) times the sum, over its levels, of each level's

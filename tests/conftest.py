@@ -1,3 +1,10 @@
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 
@@ -18,3 +25,34 @@ def count_calls(monkeypatch):
         return calls
 
     return patch
+
+
+def _one_gigabyte():
+    # a child's address space: 1 GB, or less where this process has less
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    cap = 2**30 if hard == resource.RLIM_INFINITY else min(2**30, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+
+@pytest.fixture
+def in_child():
+    """in_child(argv) runs `bratteli argv` in a child process under 1 GB
+    of address space and with a timeout, since building what a refusal
+    stops would take seconds to minutes and gigabytes, and returns (exit
+    code, stdout, stderr, seconds)."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def run(argv):
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "bratteli.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=_one_gigabyte,
+        )
+        return done.returncode, done.stdout, done.stderr, time.perf_counter() - start
+
+    return run

@@ -8,7 +8,6 @@ error, 2 inconclusive, 64 usage, 65 malformed input.
 import json
 import os
 import random
-import resource
 import subprocess
 import sys
 import time
@@ -65,13 +64,6 @@ def _rank_one_cycle(period):
     # the chain 1 -> 1 with multiplicity 1, cyclic with the given period
     maps = "".join(f"map {t}: 1*1\n" for t in range(1, period + 1))
     return f"bratteli v1\nsizes: {'1 ' * period}1\nunit: 1\n{maps}repeat: 1\n"
-
-
-def _one_gigabyte():
-    # a child's address space: 1 GB, or less where this process has less
-    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-    cap = 2**30 if hard == resource.RLIM_INFINITY else min(2**30, hard)
-    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
 
 
 def _retired(key):
@@ -348,6 +340,19 @@ class TestStates:
             "error: level 22 has 2097152 coordinates, more than 1048576 to list\n",
         )
 
+    def test_listed_level_past_the_budget_refused(self, doc, in_child):
+        # every line lists --level: level 22 of the binary tree would give
+        # 2**21 lines of 2**21 values, and 43 GB were written in 30 s
+        # while map_at did not count the level its parent tuple lists
+        argv = ["states", doc("t.brat", BINARY_TREE), "--level", "22", "--depth", "22"]
+        code, out, err, secs = in_child(argv)
+        assert secs < 5
+        assert (code, out, err) == (
+            1,
+            "",
+            "error: level 22 has 2097152 coordinates, more than 1048576 to list\n",
+        )
+
 
 class TestCanon:
     def test_document_shape(self, doc, capsys):
@@ -585,7 +590,8 @@ class TestHostileInput:
             (
                 BINARY_TREE,
                 "1,1000000000",
-                "error: level 22 has 2097152 coordinates, more than 1048576 to list\n",
+                "error: kept level 1000000000 has more than 1048576 coordinates "
+                "to list\n",
             ),
             # squaring the period reaches 2**999999 at once, and the
             # writer names its size
@@ -610,30 +616,12 @@ class TestHostileInput:
         assert time.perf_counter() - start < 1
         assert capsys.readouterr() == ("", err)
 
-    def in_child(self, argv):
-        # the command in a child process under 1 GB of address space and
-        # with a timeout, since composing what it refuses would take
-        # seconds to minutes and gigabytes; (exit code, stdout, stderr,
-        # seconds)
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        start = time.perf_counter()
-        done = subprocess.run(
-            [sys.executable, "-m", "bratteli.cli", *argv],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-            preexec_fn=_one_gigabyte,
-        )
-        return done.returncode, done.stdout, done.stderr, time.perf_counter() - start
-
-    def test_largest_multiplicity_refused_at_once(self, doc):
+    def test_largest_multiplicity_refused_at_once(self, doc, in_child):
         # the smallest multiplicity of this two-path cycle stays 1, but the
         # other path triples every level, so the composite to level 10**7
         # has a multiplicity of 15 849 624 bits
         path = doc("t.brat", CYCLIC_TRIPLING)
-        code, out, err, secs = self.in_child(["telescope", path, "--keep", "1,10000000"])
+        code, out, err, secs = in_child(["telescope", path, "--keep", "1,10000000"])
         assert secs < 1
         assert (code, out, err) == (
             1,
@@ -667,9 +655,9 @@ class TestHostileInput:
         ],
         ids=["states", "telescope"],
     )
-    def test_unwritable_bound_refused_at_once(self, text, argv, err, doc):
+    def test_unwritable_bound_refused_at_once(self, text, argv, err, doc, in_child):
         path = doc("t.brat", text)
-        code, out, got, secs = self.in_child([a.format(path=path) for a in argv])
+        code, out, got, secs = in_child([a.format(path=path) for a in argv])
         assert secs < 1
         assert (code, out, got) == (1, "", err)
 
@@ -681,11 +669,11 @@ class TestHostileInput:
         ],
         ids=["tensorq", "unit-change"],
     )
-    def test_depth_past_the_budget_refused_at_once(self, argv, doc):
+    def test_depth_past_the_budget_refused_at_once(self, argv, doc, in_child):
         # every level down to --depth is listed, and on the doubling chain
         # 3 000 000 levels took 32-44 s and up to 1.1 GB
         path = doc("d.brat", DYADIC)
-        code, out, err, secs = self.in_child([a.format(path=path) for a in argv])
+        code, out, err, secs = in_child([a.format(path=path) for a in argv])
         assert secs < 1
         assert (code, out, err) == (
             1,
@@ -693,64 +681,102 @@ class TestHostileInput:
             "error: depth 1000000000 is more than 1048576 levels to list\n",
         )
 
-    LISTED = "error: the levels to list have more than 4194304 coordinates\n"
-
     @pytest.mark.parametrize(
         "texts, argv, err",
         [
             # 4096 x 4096 coordinates at the product's level 2
-            ((WIDE, WIDE), ["tensor", "{0}", "{1}"], LISTED),
+            (
+                (WIDE, WIDE),
+                ["tensor", "{0}", "{1}"],
+                "error: product level 2 has 16777216 coordinates, "
+                "more than 1048576 to list\n",
+            ),
             # periods 2003 and 1999: 4 003 998 product levels
             (
                 (_rank_one_cycle(2003), _rank_one_cycle(1999)),
                 ["tensor", "{0}", "{1}"],
-                "error: depth 4003998 is more than 1048576 levels to list\n",
+                "error: a product of length 4003998 is more than 1048576 "
+                "levels to list\n",
             ),
             (
                 (RANK_4096,),
                 ["tensorq", "{0}", "--n", "2", "--depth", "1000000"],
-                LISTED,
+                "error: depth 1000000 lists more than 4194304 coordinates\n",
             ),
             (
                 (RANK_4096,),
                 ["unit-change", "{0}", "--unit", ",".join(["1"] * 4096)]
                 + ["--depth", "1000000"],
-                LISTED,
+                "error: depth 1000000 lists more than 4194304 coordinates\n",
             ),
             (
                 (RANK_4096,),
                 ["telescope", "{0}", "--keep", ",".join(map(str, range(1, 20001)))],
-                LISTED,
+                "error: keeping 20000 levels lists more than 4194304 coordinates\n",
             ),
         ],
         ids=["tensor-wide", "tensor-long", "tensorq", "unit-change", "telescope"],
     )
-    def test_listing_past_the_budget_refused_at_once(self, texts, argv, err, doc):
+    def test_listing_past_the_budget_refused_at_once(
+        self, texts, argv, err, doc, in_child
+    ):
         # each of these ran out of memory, or ran for minutes
         paths = [doc(f"d{i}.brat", text) for i, text in enumerate(texts)]
-        code, out, got, secs = self.in_child([a.format(*paths) for a in argv])
+        code, out, got, secs = in_child([a.format(*paths) for a in argv])
         assert secs < 1
         assert (code, out, got) == (1, "", err)
 
-    def test_rungs_past_the_budget_refused_at_once(self, tmp_path):
+    def test_rungs_past_the_budget_refused_at_once(self, tmp_path, in_child):
         # 60 000 rungs of scalar 1 on 4096 parallel chains: every derived
         # diagonal is all ones, 245 760 000 entries together
         seq = parse_diagram(RANK_4096)
         cert = replace(unit_change(seq, seq.base_unit, 1), rungs=(1,) * 60000)
         path = tmp_path / "rungs.json"
         path.write_text(certio.dumps(certio.unit_change_to_doc(cert)), encoding="utf-8")
-        code, out, err, secs = self.in_child(["verify", str(path)])
+        code, out, err, secs = in_child(["verify", str(path)])
         assert secs < 1
-        assert (code, out, err) == (1, "", self.LISTED)
+        assert (code, out, err) == (
+            1,
+            "",
+            "error: a ladder of 60000 rungs lists more than 4194304 coordinates\n",
+        )
 
-    def test_largest_listing_still_runs(self, doc):
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["telescope", "{path}", "--keep", "1,22"], "kept level 22"),
+            (["tensorq", "{path}", "--n", "2", "--depth", "22"], "level 22"),
+            (["unit-change", "{path}", "--unit", "1", "--depth", "22"], "level 22"),
+        ],
+        ids=["telescope", "tensorq", "unit-change"],
+    )
+    def test_last_listed_level_is_budgeted(self, argv, what, doc, in_child):
+        # level 22 of the binary tree, 2**21 coordinates, is the last level
+        # each of these lists; it escaped the per-level budget, and they
+        # wrote 8 388 652 and 36 583 890 bytes and a 982-byte certificate
+        path = doc("t.brat", BINARY_TREE)
+        code, out, err, secs = in_child([a.format(path=path) for a in argv])
+        assert secs < 1
+        assert (code, out, err) == (
+            1,
+            "",
+            f"error: {what} has 2097152 coordinates, more than 1048576 to list\n",
+        )
+
+    def test_largest_listing_still_runs(self, doc, in_child):
         # levels 1 and 21 of the binary tree, 1 + 2**20 coordinates: the
         # deepest level the per-level budget admits
-        code, out, err, _ = self.in_child(
+        code, out, err, _ = in_child(
             ["telescope", doc("t.brat", BINARY_TREE), "--keep", "1,21"]
         )
         assert (code, err) == (0, "")
         assert out.startswith("bratteli v1\nsizes: 1 1048576\nunit: 1\n")
+
+    def test_streamed_level_is_not_budgeted(self, doc, in_child):
+        # states never lists its --depth level: 2**21 lines come in one run
+        argv = ["states", doc("t.brat", BINARY_TREE), "--level", "1", "--depth", "22"]
+        code, out, err, _ = in_child(argv)
+        assert (code, out, err) == (0, "1\n" * 2**21, "")
 
     def test_decimal_states_never_refused(self, doc, capsys):
         # past both thresholds of the exact refusal, floats still print
@@ -759,12 +785,12 @@ class TestHostileInput:
         assert run([*argv, "--decimal"]) == 0
         assert capsys.readouterr() == ("1.0 0.0\n0.0 0.0\n", "")
 
-    def test_deep_decimal_states_form_no_huge_unit(self, doc):
+    def test_deep_decimal_states_form_no_huge_unit(self, doc, in_child):
         # the unit entry 3**(10**7 - 1) has 15 849 624 bits and took
         # seconds to form; an entry past 2**1075 is formed only that far
         path = doc("t.brat", CYCLIC_TRIPLING)
         argv = ["states", path, "--level", "10000000", "--depth", "10000000"]
-        code, out, err, secs = self.in_child([*argv, "--decimal"])
+        code, out, err, secs = in_child([*argv, "--decimal"])
         assert secs < 1
         assert (code, out, err) == (0, "1.0 0.0\n0.0 0.0\n", "")
 

@@ -106,12 +106,13 @@ class TestTails:
 
     def test_unrolled_level_past_the_coordinate_budget(self):
         # level 21 of the binary tree lists 2^20 coordinates, the most
-        # an unrolled level may; level 22 has twice as many
+        # an unrolled level may; level 22 has twice as many, and map_at(21)
+        # lists them in its parent tuple
         tree = full_tree(2, 3)
         assert len(keep_at(tree, 21)) == 2**20
         too_many = "level 22 has 2097152 coordinates"
         with pytest.raises(TooLarge, match=too_many):
-            tree.map_at(22)
+            tree.map_at(21)
         with pytest.raises(TooLarge, match=too_many):
             keep_at(tree, 22)
         with pytest.raises(TooLarge, match=too_many):
@@ -120,6 +121,29 @@ class TestTails:
         # before its rank is computed
         with pytest.raises(TooLarge, match="level 1000000000 has more than"):
             tree.map_between(10**9, 10**9 + 1)
+
+    def test_listing_budget_edges(self):
+        # levels 1..21 of the binary tree, 2^21 - 1 coordinates, are the
+        # deepest a command lists; each rule refuses one step past its edge
+        tree = full_tree(2, 3)
+        check = diagram._check_listing
+        check((tree,), range(1, 22), "level", "depth 21")
+        with pytest.raises(TooLarge, match="^level 22 has 2097152 coordinates"):
+            check((tree,), range(1, 23), "level", "depth 22")
+        with pytest.raises(TooLarge, match="^level 1000000000 has more than 1048576"):
+            check((tree,), (1, 10**9))
+        with pytest.raises(TooLarge, match="^all is more than 1048576 levels to list$"):
+            check((scalar_chain(1),), range(1, 2**20 + 2), "level", "all")
+        # a product level of 2^10 times 2^11 coordinates
+        check((tree, tree), (11,), "product level")
+        with pytest.raises(TooLarge, match="^product level 12 has 4194304 coordinates"):
+            check((tree, tree), (12,), "product level")
+        # 1024 levels of 4096 parallel chains are 2^22 coordinates
+        ones = NonMixingMap(4096, tuple(range(4096)), (1,) * 4096)
+        chains = BratteliSequence((4096, 4096), (ones,), (1,) * 4096, 1)
+        check((chains,), range(1, 1025), "level", "all")
+        with pytest.raises(TooLarge, match="^all lists more than 4194304 coordinates$"):
+            check((chains,), range(1, 1026), "level", "all")
 
     def test_deep_ancestors_in_runs(self):
         # node n of level 22 descends from node n // 2^20 of level 2
