@@ -38,13 +38,18 @@ caller will list before any is built.  It refuses a level of more than
 _COORD_BUDGET coordinates and, for a command, which passes every level
 it lists, more than _COORD_BUDGET levels or _LIST_BUDGET coordinates
 together.  map_at(t) checks level t+1, which its parent tuple lists,
-keep_at(t) level t, and _push, map_between and ancestor_runs the
-unrolled levels lo..hi-1: ancestor_runs streams level hi, unlisted.
+keep_at(t) level t, _push and map_between the unrolled levels lo..hi,
+and ancestor_runs lo..hi-1: it streams level hi, unlisted.
 
 Every vector is pushed up by _push, which composes the maps onto it
-as above: the units u_t, both sides of a limit comparison, the log2
-bounds telescope and states refuse by, and the cut unit `states
---decimal` writes.
+as above: the units u_t, both sides of a limit comparison, and the
+units `states` writes.  A number too long to write is found by one
+rule: telescope and exact `states` compose with every product cut at
+the least number str() refuses (_write_cut), and refuse a written
+number that reaches it (_refuse_unwritable).  A product of positive
+integers never shrinks, so every number below the cut is exact.
+`states --decimal` cuts at 2**1075 instead, where 1/u becomes the
+float 0.0.
 
 keep_at lists the coordinates the limit sees.  Each coordinate has one
 parent, so they are found by one memoized walk of parents down to
@@ -58,7 +63,6 @@ single root always survives), and then goes on down from p.
 from __future__ import annotations
 
 import sys
-from itertools import accumulate
 
 from .errors import (
     BadRepeat,
@@ -79,10 +83,6 @@ _COORD_BUDGET = 2**20
 # four times the budget above, so the deepest listing of the binary tree
 # that budget admits, levels 1..21, still runs
 _LIST_BUDGET = 4 * _COORD_BUDGET
-
-# composites whose numbers have more bits than this together, one of
-# them too many digits to write, are refused before they are composed
-_MULT_BITS = 2**20
 
 
 class BratteliSequence(Frozen):
@@ -212,7 +212,9 @@ class BratteliSequence(Frozen):
         width = self.ranks[self._block_position(t) - 1]
         return tuple(s + i for s in range(0, copies * width, width) for i in block)
 
-    def _check_span(self, lo: int, hi: int):
+    def _check_span(self, lo: int, hi: int, listed: bool = True):
+        # levels lo..hi exist, and the ones that will be listed, lo..hi
+        # or lo..hi-1 when level hi is not, are held to the budget
         self._require_level(lo)
         self._require_level(hi)
         if lo > hi:
@@ -220,14 +222,11 @@ class BratteliSequence(Frozen):
         # only the levels a self-similar tail unrolls past L can outgrow
         # the presented ones
         if self.tail_kind == "substitution":
-            _check_listing((self,), range(max(lo, self.length + 1), hi))
+            _check_listing((self,), range(max(lo, self.length + 1), hi + listed))
 
-    def _compose(
-        self, f: tuple, lo: int, hi: int, log: bool = False, cap: int | None = None
-    ) -> tuple:
+    def _compose(self, f: tuple, lo: int, hi: int, cap: int | None = None) -> tuple:
         # f, a (parent, mult) composite ending at level lo, followed by
-        # the maps of levels lo..hi-1; mult None is carried as None, and
-        # with log each multiplicity k adds floor(log2 k) to it instead.
+        # the maps of levels lo..hi-1; mult None is carried as None.
         # With cap each product stops growing at cap, so a composite mult
         # is exact below cap and cap from there on.
         # On a cyclic tail the maps from any level s >= p on repeat every
@@ -238,42 +237,27 @@ class BratteliSequence(Frozen):
             start = max(lo, p)
             k = (hi - start) // period
             if k > 1:
-                f = self._compose(f, lo, start, log, cap)
+                f = self._compose(f, lo, start, cap)
                 rank = self.rank_at(start)
-                one = (range(rank), None if f[1] is None else (int(not log),) * rank)
-                power = self._compose(one, start, start + period, log, cap)
+                one = (range(rank), None if f[1] is None else (1,) * rank)
+                power = self._compose(one, start, start + period, cap)
                 while k:
                     if k & 1:
-                        f = _then(f, power, log, cap)
+                        f = _then(f, power, cap)
                     k >>= 1
                     if k:
-                        power = _then(power, power, log, cap)
+                        power = _then(power, power, cap)
                 lo = hi - (hi - start) % period
-        logs = {}
         for t in range(lo, hi):
             a = self.map_at(t)
-            mult = a.mult
-            if log and t < self.length:
-                mult = [k.bit_length() - 1 for k in mult]
-            elif log:
-                # past L, map_at(t) repeats one block map's mults once per
-                # copy; take that block's bounds once and repeat them too
-                b = self._block_position(t)
-                if b not in logs:
-                    block = self._block()[1][b - self.periodic_tail]
-                    logs[b] = [k.bit_length() - 1 for k in block.mult]
-                mult = logs[b] * self._copies(t)
-            f = _then(f, (a.parent, mult), log, cap)
+            f = _then(f, (a.parent, a.mult), cap)
         return f
 
-    def _push(self, x, lo: int, hi: int, log: bool = False, cap: int | None = None):
-        # x, a vector at level lo, pushed up to level hi along parents.
-        # With log, x and the result hold lower bounds on log2 of entries:
-        # from floor(log2) ones, each is at least log2 of its entry over
-        # log2 3, as floor(log2 k) >= log2(k) / log2(3).  With cap, each
-        # entry is cut down to cap
+    def _push(self, x, lo: int, hi: int, cap: int | None = None):
+        # x, a vector at level lo, pushed up to level hi along parents;
+        # with cap, each entry is cut down to cap
         self._check_span(lo, hi)
-        return self._compose((range(self.rank_at(lo)), x), lo, hi, log, cap)[1]
+        return self._compose((range(self.rank_at(lo)), x), lo, hi, cap)[1]
 
     # -- levels, maps, units ---------------------------------------------
 
@@ -317,7 +301,7 @@ class BratteliSequence(Frozen):
         closed form without listing level hi.  Levels lo..hi-1 are held
         to the coordinate budget, level hi is not: it is never listed.
         """
-        self._check_span(lo, hi)
+        self._check_span(lo, hi, listed=False)
         if self.tail_kind == "substitution" and hi > self.length:
             pieces = self._tail_ancestors(lo, hi)
         else:
@@ -370,34 +354,37 @@ class BratteliSequence(Frozen):
         return all(a.is_injective() for a in self.maps)
 
 
-def _then(f: tuple, g: tuple, log: bool = False, cap: int | None = None) -> tuple:
-    # the composite of (parent, mult) pairs f then g; mult may be None,
-    # with log it holds log2 bounds, which add where mults multiply, and
-    # with cap each product is cut down to cap
+def _then(f: tuple, g: tuple, cap: int | None = None) -> tuple:
+    # the composite of (parent, mult) pairs f then g; mult may be None.
+    # With cap each product is cut down to cap: a step whose largest
+    # product stays below cap cuts nothing, and an entry already at cap
+    # stays there without a multiplication
     (fp, fm), (gp, gm) = f, g
     parent = [fp[i] for i in gp]
     if fm is None:
         return parent, None
-    if log:
-        return parent, [k + fm[i] for i, k in zip(gp, gm)]
-    if cap is not None:
-        return parent, [min(k * fm[i], cap) for i, k in zip(gp, gm)]
-    return parent, [k * fm[i] for i, k in zip(gp, gm)]
+    if cap is None or max(fm) * max(gm) < cap:
+        return parent, [k * fm[i] for i, k in zip(gp, gm)]
+    return parent, [
+        cap if fm[i] == cap else min(k * fm[i], cap) for i, k in zip(gp, gm)
+    ]
 
 
-def _refuse_unwritable(bits, written, what: str):
-    # raise TooLarge, before a composite is formed, when composing it is
-    # costly (its log2 bounds `bits` add up to more than _MULT_BITS) and
-    # one of the numbers at the indices `written` could never be written
-    # (its bound means more digits than sys.get_int_max_str_digits())
+def _write_cut() -> int | None:
+    # the least number str() refuses to write, 10**limit for the limit
+    # sys.get_int_max_str_digits(), or None when that is 0 and str()
+    # writes every int
     limit = sys.get_int_max_str_digits()
-    if not limit or sum(bits) <= _MULT_BITS:
-        return
-    most = max(bits[i] for i in written)
-    # 2**most >= 10**limit, with 3.3220 > log2(10)
-    if most * 10000 >= limit * 33220:
+    return 10**limit if limit else None
+
+
+def _refuse_unwritable(values, cut: int | None, what: str):
+    # raise TooLarge when one of the written values, composed under
+    # cut = _write_cut(), reaches it: str() refuses that number
+    if cut is not None and max(values) >= cut:
         raise TooLarge(
-            f"{what} is too long to write in decimal (at least {most + 1} bits)"
+            f"{what} is too long to write in decimal "
+            f"(more than {sys.get_int_max_str_digits()} digits)"
         )
 
 
@@ -430,23 +417,6 @@ def _check_listing(seqs, levels, what: str = "level", listing: str | None = None
         total += rank
         if listing is not None and total > _LIST_BUDGET:
             raise TooLarge(f"{listing} lists more than {_LIST_BUDGET} coordinates")
-
-
-def _most_bits_below(seq: BratteliSequence, t: int) -> int:
-    # the sum over levels 1..t-1 of the largest floor(log2 k) over the
-    # multiplicities k of map_at(s).  Past L, map_at(s) repeats the map
-    # of its block position, so every period adds the same sum, that of
-    # levels p..L-1
-    sums = seq._memo(
-        ("most bits",),
-        lambda: (0, *accumulate(max(a.mult).bit_length() - 1 for a in seq.maps)),
-    )
-    L = seq.length
-    if t <= L:
-        return sums[t - 1]
-    p = seq.periodic_tail
-    k, r = divmod(t - L, L - p)
-    return sums[L - 1] + k * (sums[L - 1] - sums[p - 1]) + sums[p - 1 + r] - sums[p - 1]
 
 
 def keep_at(seq: BratteliSequence, t: int) -> tuple:
@@ -532,9 +502,11 @@ def telescope(seq: BratteliSequence, keep) -> BratteliSequence:
     multiple of the period; a self-similar tail is dropped, since the
     telescoped level sizes no longer follow a fixed block.
 
-    Two results are refused before anything is composed: kept levels
-    past the listing budget (_check_listing), and a multiplicity that a
-    lower bound on its bits shows too long to write (_refuse_unwritable).
+    Kept levels past the listing budget are refused before anything is
+    composed (_check_listing).  Each map is composed once, with every
+    product cut at the least number str() refuses (_write_cut), and a
+    multiplicity that reaches the cut is refused as too long to write
+    (_refuse_unwritable); below the cut every multiplicity is exact.
     """
     keep = tuple(keep)
     if not keep or keep[0] != 1:
@@ -545,18 +517,15 @@ def telescope(seq: BratteliSequence, keep) -> BratteliSequence:
     _check_listing((seq,), keep, "kept level", f"keeping {len(keep)} levels")
     if keep == tuple(range(1, seq.length + 1)):
         return seq
+    cut = _write_cut()
+    maps = []
     for i, (a, b) in enumerate(zip(keep, keep[1:]), start=1):
-        # the log2 bounds of map i's multiplicities add up to at most
-        # rank_at(b) times the sum, over its levels, of each level's
-        # largest bound; when that is at most _MULT_BITS there is nothing
-        # _refuse_unwritable could refuse, and no bound is composed
-        most = _most_bits_below(seq, b) - _most_bits_below(seq, a)
-        if seq.rank_at(b) * most <= _MULT_BITS:
-            continue
-        bits = seq._push((0,) * seq.rank_at(a), a, b, log=True)
-        _refuse_unwritable(bits, range(len(bits)), f"a multiplicity of map {i}")
+        seq._check_span(a, b)
+        rank = seq.rank_at(a)
+        parent, mult = seq._compose((range(rank), (1,) * rank), a, b, cut)
+        _refuse_unwritable(mult, cut, f"a multiplicity of map {i}")
+        maps.append(NonMixingMap(rank, tuple(parent), tuple(mult)))
     ranks = tuple(seq.rank_at(t) for t in keep)
-    maps = tuple(seq.map_between(a, b) for a, b in zip(keep, keep[1:]))
     tail = None
     if seq.tail_kind == "cyclic" and len(keep) >= 2:
         period = seq.length - seq.periodic_tail
@@ -568,7 +537,7 @@ def telescope(seq: BratteliSequence, keep) -> BratteliSequence:
                 t0 -= 1
             if t0 <= len(gaps) - 1:
                 tail = t0 + 1
-    return BratteliSequence(ranks, maps, tuple(seq.base_unit), tail)
+    return BratteliSequence(ranks, tuple(maps), tuple(seq.base_unit), tail)
 
 
 class LimitElement(Frozen):

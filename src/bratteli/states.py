@@ -14,12 +14,10 @@ gives.  No matrix is formed and no deep level is listed.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from itertools import chain, repeat
 
-from .diagram import BratteliSequence, _refuse_unwritable
-from .fileformat import _decimal
+from .diagram import BratteliSequence, _refuse_unwritable, _write_cut
 
 # 1 / u rounds to the float 0.0 from u = 2**1075 on: that quotient is
 # half the smallest subnormal 2**-1074, a tie that rounds to even
@@ -43,27 +41,19 @@ def float_image_runs(seq: BratteliSequence, level: int, depth: int) -> tuple:
 
 
 def exact_image_runs(seq: BratteliSequence, level: int, depth: int) -> tuple:
-    """(unit, runs) as float_image_runs gives them, with the unit exact,
-    refusing first a vertex whose value 1 / u_i is too long to write.
+    """(unit, runs) as float_image_runs gives them, with the unit exact
+    at every vertex the runs name, refusing first a vertex whose value
+    1 / u_i is too long to write.
 
-    Raises TooLarge, from lower bounds on the bits of every unit entry
-    at `level` and before any is formed, when the written vertices
-    would fail the test of diagram._refuse_unwritable; and otherwise,
-    before any vertex is written, at the first written unit entry with
-    more digits than str() writes.
+    The unit is composed once, with every product cut at the least
+    number str() refuses (diagram._write_cut), so each entry below the
+    cut is exact.  TooLarge is raised, before any vertex is written,
+    when the unit entry of a vertex the runs name reaches the cut.
     """
-    bits = seq._push([v.bit_length() - 1 for v in seq.base_unit], 1, level, log=True)
+    cut = _write_cut()
+    u = seq._push(seq.base_unit, 1, level, cut)
     runs = seq.ancestor_runs(level, depth)
-    _refuse_unwritable(bits, [i for i, _ in runs], "state value")
-    u = seq.unit_at(level)
-    limit = sys.get_int_max_str_digits()
-    if limit:
-        # u_i >= 10**limit has more digits than str() writes, and
-        # _decimal raises TooLarge on it, as it would on 1/u_i
-        top = 10**limit
-        for i, _ in runs:
-            if u[i] >= top:
-                _decimal(u[i], "state value")
+    _refuse_unwritable((u[i] for i, _ in runs), cut, "state value")
     return u, runs
 
 

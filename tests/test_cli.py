@@ -569,7 +569,7 @@ class TestHostileInput:
             (
                 ["telescope", "{dyadic}", "--keep", "1,15000"],
                 "error: a multiplicity of map 1 is too long to write in "
-                "decimal (15000 bits)\n",
+                "decimal (more than 4300 digits)\n",
             ),
             (
                 ["tensor", "{big}", "{big}"],
@@ -593,19 +593,19 @@ class TestHostileInput:
                 "error: kept level 1000000000 has more than 1048576 coordinates "
                 "to list\n",
             ),
-            # squaring the period reaches 2**999999 at once, and the
-            # writer names its size
+            # squaring the period under the cut at 10**4300 reaches the
+            # cut at once, however deep the kept level
             (
                 DYADIC,
                 "1,1000000",
                 "error: a multiplicity of map 1 is too long to write in "
-                "decimal (1000000 bits)\n",
+                "decimal (more than 4300 digits)\n",
             ),
             (
                 DYADIC,
                 "1,1000000000",
                 "error: a multiplicity of map 1 is too long to write in "
-                "decimal (at least 1000000000 bits)\n",
+                "decimal (more than 4300 digits)\n",
             ),
         ],
         ids=["level", "composite", "bound"],
@@ -619,7 +619,8 @@ class TestHostileInput:
     def test_largest_multiplicity_refused_at_once(self, doc, in_child):
         # the smallest multiplicity of this two-path cycle stays 1, but the
         # other path triples every level, so the composite to level 10**7
-        # has a multiplicity of 15 849 624 bits
+        # has a multiplicity of 15 849 624 bits; squared under the cut at
+        # 10**4300, it reaches the cut at once
         path = doc("t.brat", CYCLIC_TRIPLING)
         code, out, err, secs = in_child(["telescope", path, "--keep", "1,10000000"])
         assert secs < 1
@@ -627,30 +628,32 @@ class TestHostileInput:
             1,
             "",
             "error: a multiplicity of map 1 is too long to write in decimal "
-            "(at least 10000000 bits)\n",
+            "(more than 4300 digits)\n",
         )
 
     @pytest.mark.parametrize(
         "text, argv, err",
         [
             # the unit entry 3**(10**8 - 1) at level 10**8, whose inverse
-            # is a vertex, takes minutes to form
+            # is a vertex, takes minutes to form; composed under the cut
+            # it stops at 10**4300
             (
                 CYCLIC_TRIPLING,
                 ["states", "{path}", "--level", "100000000", "--depth", "100000000"],
                 "error: state value is too long to write in decimal "
-                "(at least 100000000 bits)\n",
+                "(more than 4300 digits)\n",
             ),
             # a self-similar tail whose rightmost path multiplies by a
             # 4001-digit number every level: 2**17 multiplicities of up
-            # to 17 * 13 288 bits, too many to hold in memory
+            # to 17 * 13 288 bits, too many to hold in memory; under the
+            # cut, every one that reaches it is the cut itself
             (
                 "bratteli v1\nsizes: 1 2\nunit: 1\nmap 1: 1*1 1*1"
                 + "0" * 4000
                 + "\nrepeat: 1\n",
                 ["telescope", "{path}", "--keep", "1,18"],
                 "error: a multiplicity of map 1 is too long to write in decimal "
-                "(at least 225880 bits)\n",
+                "(more than 4300 digits)\n",
             ),
         ],
         ids=["states", "telescope"],

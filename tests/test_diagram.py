@@ -1,8 +1,10 @@
 import random
+import sys
 
 import pytest
 
 from bratteli import diagram
+from bratteli.states import exact_image_runs
 from bratteli import (
     BadRepeat,
     BratteliSequence,
@@ -37,6 +39,51 @@ from genseq import (
 def _limit_eq(seq, a, b):
     # equality in the limit group is the order in both directions
     return limit_leq(seq, a, b) and limit_leq(seq, b, a)
+
+
+@pytest.fixture
+def digit_limit():
+    """sys.set_int_max_str_digits, with the limit restored after the test."""
+    old = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(old)
+
+
+def _behind_a_chain(rng, kind):
+    # a random sequence with a tail of that kind behind a rank-1 chain
+    # of 300 to 600 levels, multiplicities up to 99 throughout
+    body = random_sequence(rng, max_mult=99, tail=kind)
+    n = rng.randint(300, 600)
+    maps = [NonMixingMap(1, (0,), (rng.randint(1, 99),)) for _ in range(n)]
+    maps.append(random_map(rng, 1, body.ranks[0], 99))
+    return BratteliSequence(
+        (1,) * (n + 1) + body.ranks,
+        (*maps, *body.maps),
+        (rng.randint(1, 3),),
+        n + 1 + body.periodic_tail,
+    )
+
+
+def _stepped(seq, lo, hi):
+    # the oracle: (parent, mult) of the composite from level lo to level
+    # hi, exact, from map_at level by level
+    parent = list(range(seq.rank_at(lo)))
+    mult = [1] * len(parent)
+    for t in range(lo, hi):
+        a = seq.map_at(t)
+        parent = [parent[i] for i in a.parent]
+        mult = [k * mult[i] for i, k in zip(a.parent, a.mult)]
+    return parent, mult
+
+
+def _writable(numbers) -> bool:
+    # whether str() writes every one of the numbers
+    try:
+        for v in numbers:
+            str(v)
+    except ValueError:
+        return False
+    return True
 
 
 class TestConstruction:
@@ -121,6 +168,19 @@ class TestTails:
         # before its rank is computed
         with pytest.raises(TooLarge, match="level 1000000000 has more than"):
             tree.map_between(10**9, 10**9 + 1)
+
+    def test_pushed_level_budgeted_before_composing(self, count_calls):
+        # a pushed vector lists level hi, so level 22 of the binary tree
+        # is refused before any map is composed; `states --level 22
+        # --depth 22` built levels 1..21 first, 0.72 s and 106 MB
+        tree = full_tree(2, 2)
+        maps = count_calls(BratteliSequence, "map_at")
+        too_many = "^level 22 has 2097152 coordinates, more than 1048576 to list$"
+        with pytest.raises(TooLarge, match=too_many):
+            exact_image_runs(tree, 22, 22)
+        with pytest.raises(TooLarge, match=too_many):
+            tree.unit_at(22)
+        assert maps[0] == 0
 
     def test_listing_budget_edges(self):
         # levels 1..21 of the binary tree, 2^21 - 1 coordinates, are the
@@ -240,65 +300,47 @@ class TestTelescope:
         dropped = telescope(seq, (1, 3, 4))
         assert dropped.periodic_tail is None
 
-    def test_multiplicity_bounds_are_lower_bounds(self):
-        # the bounds telescope and states refuse by, against the composites
-        # and units they bound: b <= floor(log2 m), and 3**b >= 2**floor(log2 m)
-        # since each factor k of m adds floor(log2 k) >= log2(k) / log2(3)
-        def check(bounds, values):
-            for b, m in zip(bounds, values, strict=True):
-                n = m.bit_length() - 1
-                assert b <= n and 3**b >= 2**n
+    @pytest.mark.parametrize("kind", ["cyclic", "sub"])
+    def test_refused_exactly_when_str_refuses(self, kind, digit_limit):
+        # telescope and exact_image_runs against the oracle below: each
+        # refuses exactly when str() refuses a number it writes, and
+        # otherwise returns the exact numbers.  The chain in front of the
+        # tail brings them to about 640 digits, the least digit limit
+        rng = random.Random(38 if kind == "cyclic" else 39)
+        for k in range(300):
+            seq = _behind_a_chain(rng, kind)
+            if kind == "cyclic":
+                top = seq.length + rng.randint(0, 300)
+            else:
+                top = max_usable_level(seq, extra_periods=3)
+            # one case in four with no limit, where nothing is refused
+            limit = 640 if k % 4 else 0
+            digit_limit(limit)
+            too_long = rf"is too long to write in decimal \(more than {limit} digits\)$"
 
-        rng = random.Random(35)
-        for k in range(400):
-            tail = "maybe" if k < 300 else "sub"
-            seq = random_sequence(rng, max_rank=5, max_mult=9, tail=tail)
-            top = max_usable_level(seq, extra_periods=3)
-            for _ in range(5):
-                lo = rng.randint(1, top)
-                hi = rng.randint(lo, top)
-                bits = seq._push((0,) * seq.rank_at(lo), lo, hi, log=True)
-                check(bits, seq.map_between(lo, hi).mult)
-            start = [u.bit_length() - 1 for u in seq.base_unit]
-            check(seq._push(start, 1, hi, log=True), seq.unit_at(hi))
+            size = rng.randint(1, 2)
+            keep = (1, *sorted(rng.sample(range(top // 2, top + 1), size)))
+            maps = [_stepped(seq, a, b) for a, b in zip(keep, keep[1:])]
+            bad = [i for i, (_, mult) in enumerate(maps, 1) if not _writable(mult)]
+            if bad:
+                refused = f"^a multiplicity of map {bad[0]} {too_long}"
+                with pytest.raises(TooLarge, match=refused):
+                    telescope(seq, keep)
+            else:
+                out = telescope(seq, keep)
+                assert [(list(a.parent), list(a.mult)) for a in out.maps] == maps
 
-    def test_most_bits_sums_the_unrolled_levels(self):
-        # the closed form per period, against map_at level by level
-        rng = random.Random(36)
-        for _ in range(300):
-            seq = random_sequence(rng, max_rank=5, max_mult=9, tail="maybe")
-            top = max_usable_level(seq, extra_periods=3)
-            total = 0
-            for t in range(1, top + 1):
-                assert diagram._most_bits_below(seq, t) == total
-                if t < top:
-                    total += max(seq.map_at(t).mult).bit_length() - 1
-
-    def test_most_bits_bound_the_refusal_pass(self):
-        # what telescope skips the pass by is an upper bound on the sum
-        # of the pass's bounds
-        rng = random.Random(37)
-        for _ in range(300):
-            seq = random_sequence(rng, max_rank=5, max_mult=9, tail="maybe")
-            top = max_usable_level(seq, extra_periods=3)
-            lo = rng.randint(1, top)
-            hi = rng.randint(lo, top)
-            most = diagram._most_bits_below(seq, hi) - diagram._most_bits_below(seq, lo)
-            bits = seq._push((0,) * seq.rank_at(lo), lo, hi, log=True)
-            assert sum(bits) <= seq.rank_at(hi) * most
-
-    def test_no_refusal_pass_when_nothing_can_be_refused(self, count_calls):
-        # every multiplicity of the binary tree is 1, so no composite of it
-        # can be refused, and no log2 bound is composed; the tripling
-        # cycle to level 2**21 could be, and is
-        passes = count_calls(BratteliSequence, "_push")
-        out = telescope(full_tree(2, 2), (1, 4, 12))
-        assert passes[0] == 0
-        assert out.ranks == (1, 8, 2048)
-        tripling = two_path(1, 3, levels=2)
-        with pytest.raises(TooLarge, match="at least 2097153 bits"):
-            telescope(tripling, (1, 2**21 + 1))
-        assert passes[0] == 1
+            level = rng.randint(top // 2, top)
+            depth = rng.randint(level, top)
+            parent, mult = _stepped(seq, 1, level)
+            unit = [seq.base_unit[i] * m for i, m in zip(parent, mult)]
+            written = sorted(set(_stepped(seq, level, depth)[0]))
+            if not _writable(unit[i] for i in written):
+                with pytest.raises(TooLarge, match=f"^state value {too_long}"):
+                    exact_image_runs(seq, level, depth)
+            else:
+                got, _ = exact_image_runs(seq, level, depth)
+                assert [got[i] for i in written] == [unit[i] for i in written]
 
     def test_soundness_for_limit_verdicts(self):
         # comparisons at kept levels agree before and after telescoping,
