@@ -4,21 +4,26 @@ Integers travel as decimal strings so that arbitrarily large scalars
 survive any JSON implementation unchanged; supernatural numbers in their
 text form; sequences embedded as diagram documents.  Encoding is
 deterministic: sorted keys, two-space indent, trailing newline, the
-bytes of json.dumps(doc, indent=2, sort_keys=True) + "\n".  dumps
-writes them itself, because with an indent json.dumps runs its encoder
-in pure Python; each string is quoted by json's C quoting function, and
-each list of strings, the bulk of every document, is put together by
-one join.
+bytes of json.dumps(doc, indent=2, sort_keys=True) + "\n".
+
+dump writes those bytes itself, piece by piece through a write
+function, because with an indent json.dumps runs its encoder in pure
+Python and returns the whole document as one string.  Each string is
+quoted by json's C quoting function, and each list of strings, the
+bulk of every document, is put together by one join and written as
+one piece.  Any list of a document may be a lazy iterable instead,
+such as a generator of rows: it is written row by row as it is drawn,
+so a command that streams its rows never holds them all, nor the
+document's text.  dumps is dump into one string.
 """
 
 from __future__ import annotations
 
-import re
+from collections.abc import Iterator
 from json import dumps as _json_dumps
 from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING
 
-from .errors import DIGITS
 from .fileformat import INTEGER, _decimal, parse_diagram, serialize_diagram
 
 # Each codec imports the types it builds or tests when it runs, so
@@ -28,42 +33,84 @@ if TYPE_CHECKING:
     from .equiv import Cardinality, EquivalenceCertificate
     from .intertwine import UnitChangeCertificate
 
-_INTEGERS = re.compile(f"-?{DIGITS}(?: -?{DIGITS})*")
+_SIGNED = b"-0123456789"
+
+
+def dump(doc, write) -> None:
+    """write(piece) for each piece of json.dumps(doc, indent=2,
+    sort_keys=True) + "\n", in order; a list may be any iterator."""
+    _dump(doc, "\n", write)
+    write("\n")
 
 
 def dumps(doc) -> str:
     """json.dumps(doc, indent=2, sort_keys=True) + "\n", byte for byte."""
-    return _write(doc, "\n") + "\n"
+    pieces = []
+    dump(doc, pieces.append)
+    return "".join(pieces)
 
 
-def _write(value, newline: str) -> str:
+def _dump(value, newline: str, write):
     # value as json.dumps(indent=2, sort_keys=True) writes it on a line
-    # that `newline` ("\n" and the line's indent) starts.  What this does
-    # not take apart (a number or bool, which no document holds since its
-    # numbers are decimal strings, a key that is not a str, a type JSON
-    # has no form for) json.dumps writes or refuses, its line breaks indented
-    # to match: it breaks lines nowhere else, since it escapes "\n" in
-    # every string.  An empty list or dict takes that way too
+    # that `newline` ("\n" and the line's indent) starts.  A scalar goes
+    # to json.dumps, which writes a number or bool (no document holds
+    # one, since its numbers are decimal strings) and refuses a type
+    # JSON has no form for
     if isinstance(value, str):
-        return _quote(value)
-    inner = newline + "  "
-    if isinstance(value, (list, tuple)) and value:
-        try:
-            body = ("," + inner).join(map(_quote, value))
-        except TypeError:  # not only strings
-            body = ("," + inner).join([_write(v, inner) for v in value])
-        return "[" + inner + body + newline + "]"
-    if isinstance(value, dict) and value:
-        try:
-            body = ("," + inner).join(
-                [_quote(k) + ": " + _write(value[k], inner) for k in sorted(value)]
-            )
-            return "{" + inner + body + newline + "}"
-        except TypeError:  # a key not a str, or a value JSON has no form for
-            pass
+        write(_quote(value))
+    elif isinstance(value, dict):
+        inner = newline + "  "
+        sep = "{" + inner
+        for k in sorted(value):
+            write(sep + _key(k) + ": ")
+            _dump(value[k], inner, write)
+            sep = "," + inner
+        write("{}" if sep[0] == "{" else newline + "}")
     elif value is None:
-        return "null"
-    return _json_dumps(value, indent=2, sort_keys=True).replace("\n", newline)
+        write("null")
+    elif isinstance(value, (list, tuple, Iterator)):
+        text = _strings(value, newline)
+        if text is not None:
+            write(text)
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for v in value:
+            text = _quote(v) if isinstance(v, str) else _strings(v, inner)
+            if text is None:
+                write(sep)
+                _dump(v, inner, write)
+            else:
+                write(sep + text)
+            sep = "," + inner
+        write("[]" if sep[0] == "[" else newline + "]")
+    else:
+        write(_json_dumps(value))
+
+
+def _strings(value, newline: str) -> str | None:
+    # a list or tuple of strings as one piece, by one join; None for
+    # anything else
+    if not isinstance(value, (list, tuple)):
+        return None
+    if not value:
+        return "[]"
+    inner = newline + "  "
+    try:
+        return "[" + inner + ("," + inner).join(map(_quote, value)) + newline + "]"
+    except TypeError:  # not only strings
+        return None
+
+
+def _key(k) -> str:
+    # a dict key as json.dumps writes it: a str quoted, a number, bool
+    # or None as its JSON text, quoted; sorted() has already refused
+    # keys that do not compare
+    if isinstance(k, str):
+        return _quote(k)
+    if isinstance(k, (int, float)) or k is None:
+        return _quote(_json_dumps(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
 def _need(doc, key, kind=object):
@@ -88,15 +135,16 @@ def _int(value, what: str) -> int:
 
 
 def _ints(values, what: str) -> tuple:
-    # one pattern over the values joined by spaces and one int() pass;
-    # the per-value loop runs only to name the first fault
+    # the values joined by spaces: deleting their digits and signs must
+    # leave only the spaces between them, and then int() takes each
+    # exactly when it is -?[0-9]+, in one pass that keeps nothing per
+    # value.  The per-value loop runs only to name the first fault
     values = _typed(values, list, what)
     try:
         joined = " ".join(values)
-        parts = joined.split(" ")
-        if _INTEGERS.fullmatch(joined) and len(parts) == len(values):
-            return tuple(map(int, parts))
-    except (TypeError, ValueError):  # a value not a str, or past int()'s limit
+        if joined.encode("ascii").translate(None, _SIGNED) == b" " * (len(values) - 1):
+            return tuple(map(int, joined.split(" ")))
+    except (TypeError, ValueError):  # a value not a str, not ASCII, or not an integer
         pass
     return tuple(_int(v, what) for v in values)
 

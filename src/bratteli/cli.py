@@ -1,9 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 for success (including Equivalent verdicts), 1 for failed
-checks, library errors, and NotEquivalent, 2 for inconclusive results
-(Unknown verdicts, or verifying a document that only records one),
-64 for usage problems, 65 for malformed input files.
+checks, library errors, running out of memory, and NotEquivalent, 2 for
+inconclusive results (Unknown verdicts, or verifying a document that
+only records one), 64 for usage problems, 65 for malformed input files.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ def _cmd_unit_change(args):
     seq = _load(args.file)
     unit = tuple(_int_list(args.unit, "--unit"))
     cert = unit_change(seq, unit, args.depth, args.strategy)
-    sys.stdout.write(certio.dumps(certio.unit_change_to_doc(cert)))
+    certio.dump(certio.unit_change_to_doc(cert), sys.stdout.write)
     return 0
 
 
@@ -185,22 +185,26 @@ def _cmd_states(args):
 
 def _cmd_canon(args):
     from . import certio
+    from .diagram import _write_cut
     from .equiv import canonicalize_q
 
     seq = _load(args.file)
     system, units = canonicalize_q(seq)
+    # the rows are written as they are formed, so a diagonal entry too
+    # long to write is refused before the first byte: str() refuses
+    # exactly the entries at or past the cut
+    cut = _write_cut()
+    if cut is not None and max(map(max, units)) >= cut:
+        _decimal(next(v for u in units for v in u if v >= cut), "diagonal entry")
     # the diagonal entry 1/u is written as str(Fraction(1, u)) reads
     doc = {
         "kind": "canonical-form",
         "sizes": [str(v) for v in system.sizes],
-        "parents": [[str(p + 1) for p in ps] for ps in system.parents],
+        "parents": ([str(p + 1) for p in ps] for ps in system.parents),
         "repeat": None if system.periodic_tail is None else str(system.periodic_tail),
-        "diagonals": [
-            ["1" if v == 1 else "1/" + _decimal(v, "diagonal entry") for v in u]
-            for u in units
-        ],
+        "diagonals": (["1" if v == 1 else f"1/{v}" for v in u] for u in units),
     }
-    sys.stdout.write(certio.dumps(doc))
+    certio.dump(doc, sys.stdout.write)
     return 0
 
 
@@ -211,7 +215,7 @@ def _cmd_equiv(args):
     left = _load(args.left)
     right = _load(args.right)
     verdict = equivalent_q(left, right, args.depth)
-    sys.stdout.write(certio.dumps(certio.verdict_to_doc(verdict, left, right)))
+    certio.dump(certio.verdict_to_doc(verdict, left, right), sys.stdout.write)
     if isinstance(verdict, Equivalent):
         return 0
     if isinstance(verdict, NotEquivalent):
@@ -399,6 +403,9 @@ def run(argv) -> int:
         return 1
     except BratteliError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -228,7 +228,14 @@ class BratteliSequence(Frozen):
         # f, a (parent, mult) composite ending at level lo, followed by
         # the maps of levels lo..hi-1; mult None is carried as None.
         # With cap each product stops growing at cap, so a composite mult
-        # is exact below cap and cap from there on.
+        # is exact below cap and cap from there on
+        parent, mult = f
+        top = None if cap is None or mult is None else max(mult)
+        return self._steps((parent, mult, top), lo, hi, cap)[:2]
+
+    def _steps(self, f: tuple, lo: int, hi: int, cap: int | None) -> tuple:
+        # _compose on (parent, mult, top) triples, top an upper bound on
+        # mult's entries that is carried only with cap (see _then).
         # On a cyclic tail the maps from any level s >= p on repeat every
         # period, so the whole periods from max(lo, p) are one period's
         # composite raised to a power, by repeated squaring
@@ -237,10 +244,10 @@ class BratteliSequence(Frozen):
             start = max(lo, p)
             k = (hi - start) // period
             if k > 1:
-                f = self._compose(f, lo, start, cap)
+                f = self._steps(f, lo, start, cap)
                 rank = self.rank_at(start)
-                one = (range(rank), None if f[1] is None else (1,) * rank)
-                power = self._compose(one, start, start + period, cap)
+                one = (range(rank), None if f[1] is None else (1,) * rank, 1)
+                power = self._steps(one, start, start + period, cap)
                 while k:
                     if k & 1:
                         f = _then(f, power, cap)
@@ -250,8 +257,14 @@ class BratteliSequence(Frozen):
                 lo = hi - (hi - start) % period
         for t in range(lo, hi):
             a = self.map_at(t)
-            f = _then(f, (a.parent, a.mult), cap)
+            f = _then(f, (a.parent, a.mult, None if cap is None else self._top(t)), cap)
         return f
+
+    def _top(self, t: int) -> int:
+        # the largest multiplicity of map_at(t), which is its presented or
+        # block map relabelled and repeated: read once per presented map
+        b = t if t < self.length else self._block_position(t)
+        return self._memo(("top", b), lambda: max(self.maps[b - 1].mult))
 
     def _push(self, x, lo: int, hi: int, cap: int | None = None):
         # x, a vector at level lo, pushed up to level hi along parents;
@@ -355,19 +368,21 @@ class BratteliSequence(Frozen):
 
 
 def _then(f: tuple, g: tuple, cap: int | None = None) -> tuple:
-    # the composite of (parent, mult) pairs f then g; mult may be None.
-    # With cap each product is cut down to cap: a step whose largest
-    # product stays below cap cuts nothing, and an entry already at cap
-    # stays there without a multiplication
-    (fp, fm), (gp, gm) = f, g
+    # the composite of (parent, mult, top) triples f then g; mult may be
+    # None, and top, read only with cap, bounds mult's entries.  With cap
+    # each product is cut down to cap: a step whose bounds multiply to
+    # less than cap cuts nothing and carries that product as its bound,
+    # and a step that may cut keeps an entry already at cap without a
+    # multiplication and reads its bound off the entries it made
+    (fp, fm, ft), (gp, gm, gt) = f, g
     parent = [fp[i] for i in gp]
     if fm is None:
-        return parent, None
-    if cap is None or max(fm) * max(gm) < cap:
-        return parent, [k * fm[i] for i, k in zip(gp, gm)]
-    return parent, [
-        cap if fm[i] == cap else min(k * fm[i], cap) for i, k in zip(gp, gm)
-    ]
+        return parent, None, None
+    top = None if cap is None else ft * gt
+    if top is None or top < cap:
+        return parent, [k * fm[i] for i, k in zip(gp, gm)], top
+    mult = [cap if fm[i] == cap else min(k * fm[i], cap) for i, k in zip(gp, gm)]
+    return parent, mult, max(mult)
 
 
 def _write_cut() -> int | None:

@@ -34,7 +34,7 @@ from __future__ import annotations
 from operator import mul
 
 from .diagram import BratteliSequence, _keeps
-from .errors import Frozen
+from .errors import Frozen, _set
 from .simplicial import NonMixingMap
 
 
@@ -44,6 +44,8 @@ class IndexSystem(Frozen):
     parents[i][j] names the level-(i+1) coordinate that level-(i+2)
     coordinate j descends from (everything 0-based).  A periodic tail
     means the same as for a full sequence.  This is what `canon` prints.
+    The constructor checks the shape as a sequence of all-ones maps and
+    unit; proj composes on that sequence.
     """
 
     __slots__ = ("sizes", "parents", "periodic_tail", "_seq")
@@ -51,16 +53,28 @@ class IndexSystem(Frozen):
     def __init__(self, sizes, parents, periodic_tail: int | None = None):
         sizes = tuple(sizes)
         parents = tuple(tuple(p) for p in parents)
-        maps = tuple(
-            NonMixingMap(sizes[i], parents[i], (1,) * len(parents[i]))
-            for i in range(len(parents))
-        )
-        seq = BratteliSequence(sizes, maps, (1,) * sizes[0], periodic_tail)
-        self._freeze(sizes, parents, periodic_tail, seq)
+        self._freeze(sizes, parents, periodic_tail, _ones(sizes, parents, periodic_tail))
+
+    @classmethod
+    def _of(cls, seq: BratteliSequence) -> "IndexSystem":
+        """The shape of seq, unchecked, since seq is; its sequence of
+        all-ones maps is built when proj first asks for it."""
+        self = cls.__new__(cls)
+        parents = tuple(a.parent for a in seq.maps)
+        self._freeze(seq.ranks, parents, seq.periodic_tail, None)
+        return self
 
     def proj(self, lo: int, hi: int) -> tuple:
         """Ancestor function from level hi coordinates down to level lo."""
+        if self._seq is None:
+            _set(self, "_seq", _ones(self.sizes, self.parents, self.periodic_tail))
         return self._seq.map_between(lo, hi).parent
+
+
+def _ones(sizes: tuple, parents: tuple, periodic_tail) -> BratteliSequence:
+    # the shape as a sequence whose multiplicities and unit are all ones
+    maps = tuple(NonMixingMap(src, p, (1,) * len(p)) for src, p in zip(sizes, parents))
+    return BratteliSequence(sizes, maps, (1,) * sizes[0], periodic_tail)
 
 
 def canonicalize_q(seq: BratteliSequence):
@@ -75,7 +89,7 @@ def canonicalize_q(seq: BratteliSequence):
     its verifiers read the shape off the sequence itself and build
     neither.
     """
-    shape = IndexSystem(seq.ranks, tuple(a.parent for a in seq.maps), seq.periodic_tail)
+    shape = IndexSystem._of(seq)
     u = seq.base_unit
     units = [u]
     for a in seq.maps:

@@ -13,9 +13,10 @@ level, parents 1-based.  `#` starts a comment, full-line or trailing,
 and blank lines are ignored.  serialize_diagram writes the canonical
 form (this exact line order, single spaces, no comments, trailing
 newline), and parsing it back returns an equal sequence.  Numerals are
-ASCII digits only.  The sizes, and all map cells, are checked by one
-pattern and one int() pass; only a part that fails them is scanned token
-by token, to name its first fault.
+ASCII digits only.  The sizes, and all map cells, are checked in one
+pass that deletes their digits and compares the separators left with
+the one sequence they may form, and read by one int() pass; only a part
+that fails them is scanned token by token, to name its first fault.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from .simplicial import NonMixingMap
 
 INTEGER = re.compile(f"-?{DIGITS}")
 _TOKEN = re.compile(r"\S+")
-_NATURALS = re.compile(f"{DIGITS}(?: {DIGITS})*")
-_CELLS = re.compile(rf"{DIGITS}\*{DIGITS}(?: {DIGITS}\*{DIGITS})*")
+_DIGITS = b"0123456789"
 
 
 def _logical_lines(text: str):
@@ -57,7 +57,7 @@ def _too_long(numeral: str, lineno: int, col: int) -> ParseError:
 
 
 def _int(tok: str, lineno: int, col: int, what: str, minimum: int = 1) -> int:
-    if not _NATURALS.fullmatch(tok):  # one numeral, since a token has no space
+    if not (tok.isascii() and tok.isdigit()):  # isdigit() alone also takes "²"
         raise ParseError(f"expected {what}, got {tok!r}", lineno, col)
     try:
         value = int(tok)
@@ -68,26 +68,39 @@ def _int(tok: str, lineno: int, col: int, what: str, minimum: int = 1) -> int:
     return value
 
 
-def _bulk(pattern, toks: list):
-    # toks' numerals if pattern takes them joined by spaces and all are >= 1
-    joined = " ".join(toks)
+def _bulk(joined: str, seps: bytes):
+    # the numerals of joined, when deleting its digits leaves exactly
+    # seps, the separators in the one order they may come in, and every
+    # numeral is >= 1; else None.  Nothing is kept per numeral, where a
+    # pattern with a repeated group keeps backtracking state per repeat
     try:
+        if joined.encode("ascii").translate(None, _DIGITS) != seps:
+            return None
         nums = [*map(int, joined.replace("*", " ").split(" "))]
-    except ValueError:  # not numerals, or past int()'s digit limit
+    except ValueError:  # not ASCII, an empty numeral, or past int()'s digit limit
         return None
-    return nums if pattern.fullmatch(joined) and min(nums) >= 1 else None
+    return nums if min(nums) >= 1 else None
 
 
 def _bulk_maps(block: list, sizes: list):
-    # the maps of a well-formed map section, else None
-    cells = []
+    # the maps of a well-formed map section, else None.  Each line's
+    # cells are taken as one string, its whitespace made single spaces
+    # only when the count of spaces is off, so no token is formed
+    if len(block) < len(sizes) - 1:
+        return None
+    rows = []
     for i, (_, body) in enumerate(block, start=1):
-        toks = body.split()
-        if toks[:2] != ["map", f"{i}:"] or len(toks) - 2 != sizes[i]:
+        head = body.split(None, 2)
+        if head[:2] != ["map", f"{i}:"] or len(head) < 3:
             return None
-        cells += toks[2:]
-    nums = _bulk(_CELLS, cells)
-    if len(block) < len(sizes) - 1 or not nums:
+        row = head[2].rstrip()
+        if row.count(" ") != sizes[i] - 1:
+            row = " ".join(row.split())
+            if row.count(" ") != sizes[i] - 1:
+                return None
+        rows.append(row)
+    nums = _bulk(" ".join(rows), (b"* " * sum(sizes[1:]))[:-1])
+    if not nums:
         return None
     maps, at, parent, mult = [], 0, tuple([p - 1 for p in nums[0::2]]), tuple(nums[1::2])
     for src, n in zip(sizes, sizes[1:]):
@@ -134,7 +147,7 @@ def parse_diagram(text: str) -> BratteliSequence:
         raise ParseError(f"expected 'sizes:', got {head!r}", lineno, _column(body, 0))
     if not nums:
         raise ParseError("need at least one size", lineno, _column(body, 0))
-    sizes = _bulk(_NATURALS, nums)
+    sizes = _bulk(" ".join(nums), b" " * (len(nums) - 1))
     if sizes is None:  # scan the line to name its first fault
         sizes = [_int(t, lineno, c, "a size") for c, t in _tokens(body)[1:]]
 

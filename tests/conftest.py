@@ -27,23 +27,26 @@ def count_calls(monkeypatch):
     return patch
 
 
-def _one_gigabyte():
-    # a child's address space: 1 GB, or less where this process has less
-    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-    cap = 2**30 if hard == resource.RLIM_INFINITY else min(2**30, hard)
-    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+def _address_space(cap):
+    # a child's address space: cap bytes, or less where this process has less
+    def limit():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        soft = cap if hard == resource.RLIM_INFINITY else min(cap, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+    return limit
 
 
 @pytest.fixture
 def in_child():
     """in_child(argv) runs `bratteli argv` in a child process under 1 GB
-    of address space and with a timeout, since building what a refusal
-    stops would take seconds to minutes and gigabytes, and returns (exit
-    code, stdout, stderr, seconds)."""
+    of address space (or `address_space` bytes) and with a timeout, since
+    building what a refusal stops would take seconds to minutes and
+    gigabytes, and returns (exit code, stdout, stderr, seconds)."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
 
-    def run(argv):
+    def run(argv, address_space=2**30):
         start = time.perf_counter()
         done = subprocess.run(
             [sys.executable, "-m", "bratteli.cli", *argv],
@@ -51,7 +54,7 @@ def in_child():
             capture_output=True,
             text=True,
             timeout=60,
-            preexec_fn=_one_gigabyte,
+            preexec_fn=_address_space(address_space),
         )
         return done.returncode, done.stdout, done.stderr, time.perf_counter() - start
 

@@ -775,6 +775,23 @@ class TestHostileInput:
         assert (code, err) == (0, "")
         assert out.startswith("bratteli v1\nsizes: 1 1048576\nunit: 1\n")
 
+    def test_wide_map_line_reads(self, doc, in_child):
+        # one map line of 2**22 cells, 16 MB: its check kept about 176
+        # bytes per cell and ended in a MemoryError traceback under 1 GB
+        n = 2**22
+        cells = " ".join(["1*1"] * n)
+        path = doc("w.brat", f"bratteli v1\nsizes: 1 {n}\nunit: 1\nmap 1: {cells}\n")
+        code, out, err, _ = in_child(["validate", path])
+        assert (code, err) == (0, "")
+        assert out == f"levels: 2\nranks: 1 {n}\ntail: none\ninjective: yes\n"
+
+    def test_out_of_memory_is_one_line(self, doc, in_child):
+        # levels 1 and 21 of the binary tree take about 100 MB to
+        # telescope, more than a child given 64 MB of address space has
+        argv = ["telescope", doc("t.brat", BINARY_TREE), "--keep", "1,21"]
+        code, out, err, _ = in_child(argv, address_space=2**26)
+        assert (code, out, err) == (1, "", "error: out of memory\n")
+
     def test_streamed_level_is_not_budgeted(self, doc, in_child):
         # states never lists its --depth level: 2**21 lines come in one run
         argv = ["states", doc("t.brat", BINARY_TREE), "--level", "1", "--depth", "22"]

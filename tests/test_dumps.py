@@ -4,6 +4,10 @@ against the standard-library code it replaced.
 * certio.dumps against json.dumps(doc, indent=2, sort_keys=True) + "\\n",
   on seeded random documents and on every document that `canon`,
   `equiv` and `unit-change` print for the corpus;
+* certio.dump, piece by piece, on the same documents with their lists
+  turned into tuples and one-shot generators, against json.dumps of
+  the lists;
+* the memory `canon` takes to stream a 400-level chain;
 * `canon` against the Fraction diagonals it used to write;
 * `states --decimal` against the floats of the exact units.
 
@@ -17,13 +21,14 @@ import io
 import json
 import random
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 from bratteli import TooLarge, certio, parse_diagram, serialize_diagram
 from bratteli.cli import run
 from corpus import valid_documents
-from genseq import max_usable_level, random_sequence
+from genseq import long_chain, max_usable_level, random_sequence
 
 # quotes, backslashes, control characters, DEL, non-ASCII text, a
 # character past the BMP, a line separator and a lone surrogate
@@ -77,6 +82,37 @@ def test_dumps_refuses_what_json_refuses():
             except TypeError:
                 continue
             raise AssertionError(f"{write.__name__} wrote {doc!r}")
+
+
+def _lazy(rng, value):
+    # value with each list or tuple, at any depth, made a list, a tuple
+    # or a generator that can be drawn once
+    if isinstance(value, dict):
+        return {k: _lazy(rng, v) for k, v in value.items()}
+    if not isinstance(value, (list, tuple)):
+        return value
+    items = [_lazy(rng, v) for v in value]
+    kind = rng.randrange(3)
+    if kind == 0:
+        return items
+    if kind == 1:
+        return tuple(items)
+    return (v for v in items)
+
+
+def test_dump_takes_lazy_lists():
+    rng = random.Random(23)
+    empty = 0
+    for _ in range(3000):
+        doc = _value(rng)
+        pieces = []
+        certio.dump(_lazy(rng, doc), pieces.append)
+        assert "".join(pieces) == _json(doc), doc
+        assert certio.dumps(_lazy(rng, doc)) == _json(doc), doc
+        empty += doc in ([], ())
+    assert empty > 50
+    rows = ([str(i)] * i for i in range(4))
+    assert certio.dumps({"rows": rows}) == _json({"rows": [[str(i)] * i for i in range(4)]})
 
 
 def _cli(argv):
@@ -178,6 +214,35 @@ def test_canon_refuses_as_the_fraction_path():
         path = Path(tmp, "d.brat")
         path.write_text(text, encoding="utf-8")
         assert _cli(["canon", str(path)]) == (1, "", want)
+
+
+class _Count:
+    # a stdout that keeps only the number of characters written to it
+    chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+def test_canon_streams_its_rows():
+    # a rank-8 chain of 400 levels, like the benchmark's: its 311 KB
+    # document took 1.9 MB to write as one string, and streamed takes
+    # less than twice its length, parsing and the units included
+    seq = long_chain(random.Random(400), 400, max_mult=4)
+    out = _Count()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
+        path = Path(tmp, "chain400.brat")
+        path.write_text(serialize_diagram(seq), encoding="utf-8")
+        assert run(["canon", str(path)]) == 0  # imports what canon imports
+        out.chars = 0
+        tracemalloc.start()
+        try:
+            assert run(["canon", str(path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert out.chars > 200_000
+    assert peak < 2 * out.chars, (peak, out.chars)
 
 
 def _old_decimal_states(seq, level, depth):

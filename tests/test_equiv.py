@@ -4,6 +4,7 @@ import time
 import pytest
 
 from bratteli import (
+    BadRepeat,
     BratteliSequence,
     Cardinality,
     Equivalent,
@@ -11,6 +12,7 @@ from bratteli import (
     Intertwining,
     NonMixingMap,
     NotEquivalent,
+    RankMismatch,
     Unknown,
     canonicalize_q,
     equivalence_certificate_failures,
@@ -68,6 +70,31 @@ class TestCanonicalize:
         assert sys.periodic_tail == 1
         assert sys.proj(2, 3) == (0, 0, 1, 1)
         assert sys.proj(1, 3) == (0, 0, 0, 0)
+
+    def test_shape_builds_its_sequence_at_the_first_proj(self):
+        # canonicalize_q takes the shape off a sequence it need not
+        # check; the all-ones sequence that proj composes on comes later
+        shape, _ = canonicalize_q(full_tree(2, 2))
+        assert shape._seq is None
+        direct = IndexSystem(shape.sizes, shape.parents, shape.periodic_tail)
+        assert shape.proj(2, 4) == direct.proj(2, 4)
+        built = shape._seq
+        assert shape.proj(1, 3) == (0, 0, 0, 0) and shape._seq is built
+
+    @pytest.mark.parametrize(
+        "sizes, parents, tail, error",
+        [
+            ((1, 2), ((0, 1),), None, RankMismatch),
+            ((1, 2), ((0,),), None, RankMismatch),
+            ((1, 2), (), None, RankMismatch),
+            ((0,), (), None, RankMismatch),
+            ((2, 3), ((0, 1, 1),), 1, BadRepeat),
+        ],
+        ids=["parent", "row", "rows", "size", "tail"],
+    )
+    def test_direct_shape_is_checked(self, sizes, parents, tail, error):
+        with pytest.raises(error):
+            IndexSystem(sizes, parents, tail)
 
     def test_diagonals_are_inverse_unit_images(self):
         # the units u_t behind the diagonals 1/u_t, at every presented
@@ -364,6 +391,7 @@ class TestOnePruning:
     def test_two_prunings_each(self, left, right, kind, count_calls, monkeypatch):
         prunings = count_calls(diagram, "injectivize")
         shapes = count_calls(IndexSystem, "__init__")
+        unchecked = count_calls(IndexSystem, "_of")
         walked = []
         memo = BratteliSequence._memo
 
@@ -382,9 +410,9 @@ class TestOnePruning:
         assert prunings[0] == 0
         assert len(walked) <= 2 and len({id(s) for s in walked}) == len(walked)
         assert all(s is left or s is right for s in walked)
-        assert shapes[0] == 0
+        assert shapes[0] == unchecked[0] == 0
         canonicalize_q(left)
-        assert shapes[0] == 1
+        assert shapes[0] + unchecked[0] == 1
 
 
 class TestCertificateTampering:
