@@ -223,6 +223,22 @@ def _cmd_equiv(args):
     return 2
 
 
+def _draw_ranks(seq):
+    # the ranks of the levels arch-check draws from: 1..L untailed, else
+    # on to the last of L+1..L+2*period before the first one past rank
+    # 1000.  Level t >= p has rank g**k * ranks[b - 1], b and k as
+    # diagram's module docstring reads them and g = rank_L // rank_p, so
+    # those levels are block levels p+1..L-1 at k = 1, p..L-1 at k = 2
+    # and p at k = 3
+    L, p = seq.length, seq.periodic_tail
+    if p is None:
+        return seq.ranks
+    block, g = seq.ranks[p - 1 : L - 1], seq.ranks[-1] // seq.ranks[p - 1]
+    past = [*(g * r for r in block[1:]), *(g * g * r for r in block), g**3 * block[0]]
+    end = next((i for i, r in enumerate(past) if r > 1000), len(past))
+    return seq.ranks + tuple(past[:end])
+
+
 def _cmd_arch_check(args):
     import random
 
@@ -230,22 +246,18 @@ def _cmd_arch_check(args):
 
     seq = _load(args.file)
     rng = random.Random(args.seed)
-    max_level = seq.length
-    if seq.is_tailed:
-        horizon = seq.length + 2 * max(1, seq.length - seq.periodic_tail)
-        while max_level < horizon and seq.rank_at(max_level + 1) <= 1000:
-            max_level += 1
+    ranks = _draw_ranks(seq)
+    entries = range(-4, 5)
 
     def draw():
-        t = rng.randint(1, max_level)
-        vec = tuple(rng.randint(-4, 4) for _ in range(seq.rank_at(t)))
-        return LimitElement(t, vec)
+        t = rng.randint(1, len(ranks))
+        return LimitElement(t, rng.choices(entries, k=ranks[t - 1]))
 
     for _ in range(args.samples):
         x = draw()
         y = draw()
         if forall_n_leq_limit(seq, x, y):
-            zero = LimitElement(x.level, (0,) * seq.rank_at(x.level))
+            zero = LimitElement(x.level, (0,) * len(x.vec))
             if not limit_leq(seq, x, zero):
                 print(
                     f"counterexample: x at level {x.level} = {x.vec}, "

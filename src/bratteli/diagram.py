@@ -63,6 +63,7 @@ single root always survives), and then goes on down from p.
 from __future__ import annotations
 
 import sys
+from itertools import cycle, islice
 
 from .errors import (
     BadRepeat,
@@ -275,9 +276,9 @@ class BratteliSequence(Frozen):
     # -- levels, maps, units ---------------------------------------------
 
     def rank_at(self, t: int) -> int:
-        self._require_level(t)
-        if t <= self.length:
+        if isinstance(t, int) and 0 < t <= len(self.ranks):
             return self.ranks[t - 1]
+        self._require_level(t)
         return self._copies(t) * self.ranks[self._block_position(t) - 1]
 
     def map_at(self, t: int) -> NonMixingMap:
@@ -293,6 +294,20 @@ class BratteliSequence(Frozen):
         if copies == 1:
             return a
         return NonMixingMap._of(copies * a.source_rank, parent, a.mult * copies)
+
+    def _levels_to(self, n: int) -> tuple:
+        # (ranks, maps): rank_at(t) for t in 1..n and map_at(t) for t in
+        # 1..n-1.  A cyclic tail's block repeats as it stands, so past L
+        # they are the block's ranks and maps, cycled
+        p = self.periodic_tail
+        if n <= self.length:
+            return self.ranks[:n], self.maps[: n - 1]
+        if self.tail_kind != "cyclic":
+            levels = range(1, n + 1)
+            return tuple(map(self.rank_at, levels)), tuple(map(self.map_at, levels[:-1]))
+        ranks = islice(cycle(self.ranks[p - 1 : -1]), n - p + 1)
+        maps = islice(cycle(self.maps[p - 1 :]), n - p)
+        return self.ranks[: p - 1] + tuple(ranks), self.maps[: p - 1] + tuple(maps)
 
     def map_between(self, lo: int, hi: int) -> NonMixingMap:
         """Composite map from level lo to level hi (identity when equal)."""
@@ -446,9 +461,14 @@ def keep_at(seq: BratteliSequence, t: int) -> tuple:
         return _keeps(seq)[t - 1]
     _check_listing((seq,), (t,))
     b = seq._block_position(t)
-    alive = set(_keeps(seq)[b - 1])
-    order = seq._block()[0][b - seq.periodic_tail]
-    return seq._repeat(t, tuple(k for k, c in enumerate(order) if c in alive))
+
+    def places():
+        # the places in block level b's order of its kept coordinates
+        alive = set(_keeps(seq)[b - 1])
+        order = seq._block()[0][b - seq.periodic_tail]
+        return tuple(k for k, c in enumerate(order) if c in alive)
+
+    return seq._repeat(t, seq._memo(("kept places", b), places))
 
 
 def _keeps_below(seq: BratteliSequence, keep: tuple, top: int, lo: int) -> list:
@@ -500,7 +520,8 @@ def injectivize(seq: BratteliSequence):
         src = {c: i for i, c in enumerate(keeps[t - 1])}
         parent = tuple(src[old.parent[j]] for j in keeps[t])
         mult = tuple(old.mult[j] for j in keeps[t])
-        new_maps.append(NonMixingMap(len(keeps[t - 1]), parent, mult))
+        # a kept coordinate's parent is kept, so the pruned map is valid
+        new_maps.append(NonMixingMap._of(len(keeps[t - 1]), parent, mult))
     unit = tuple(seq.base_unit[c] for c in keeps[0])
     pruned = BratteliSequence(
         tuple(len(k) for k in keeps), tuple(new_maps), unit, seq.periodic_tail
@@ -539,7 +560,8 @@ def telescope(seq: BratteliSequence, keep) -> BratteliSequence:
         rank = seq.rank_at(a)
         parent, mult = seq._compose((range(rank), (1,) * rank), a, b, cut)
         _refuse_unwritable(mult, cut, f"a multiplicity of map {i}")
-        maps.append(NonMixingMap(rank, tuple(parent), tuple(mult)))
+        # a composite of valid maps is valid: no entry needs checking again
+        maps.append(NonMixingMap._of(rank, tuple(parent), tuple(mult)))
     ranks = tuple(seq.rank_at(t) for t in keep)
     tail = None
     if seq.tail_kind == "cyclic" and len(keep) >= 2:

@@ -15,8 +15,12 @@ form (this exact line order, single spaces, no comments, trailing
 newline), and parsing it back returns an equal sequence.  Numerals are
 ASCII digits only.  The sizes, and all map cells, are checked in one
 pass that deletes their digits and compares the separators left with
-the one sequence they may form, and read by one int() pass; only a part
-that fails them is scanned token by token, to name its first fault.
+the one sequence they may form, and read by one json.loads of the same
+text with every separator made a comma, which forms each int straight
+from the text, never a str per numeral.  A part that fails the check,
+holds a numeral that starts with 0 (a 0, or a leading zero JSON
+refuses) or one past int()'s digit limit, is scanned token by token
+instead: that scan reads "01" as 1 and names the first fault.
 """
 
 from __future__ import annotations
@@ -70,16 +74,23 @@ def _int(tok: str, lineno: int, col: int, what: str, minimum: int = 1) -> int:
 
 def _bulk(joined: str, seps: bytes):
     # the numerals of joined, when deleting its digits leaves exactly
-    # seps, the separators in the one order they may come in, and every
-    # numeral is >= 1; else None.  Nothing is kept per numeral, where a
-    # pattern with a repeated group keeps backtracking state per repeat
+    # seps, the separators in the one order they may come in, and no
+    # numeral starts with 0 (so is 0 or has a leading zero); else None.
+    # Nothing is kept per numeral but its int, where a pattern with a
+    # repeated group keeps backtracking state per repeat
+    import json
+
     try:
         if joined.encode("ascii").translate(None, _DIGITS) != seps:
             return None
-        nums = [*map(int, joined.replace("*", " ").split(" "))]
-    except ValueError:  # not ASCII, an empty numeral, or past int()'s digit limit
+    except ValueError:  # not ASCII
         return None
-    return nums if min(nums) >= 1 else None
+    if joined.startswith("0") or " 0" in joined or "*0" in joined:
+        return None
+    try:
+        return json.loads("[" + joined.replace("*", ",").replace(" ", ",") + "]") or None
+    except ValueError:  # an empty numeral, or one past int()'s digit limit
+        return None
 
 
 def _bulk_maps(block: list, sizes: list):
@@ -198,7 +209,7 @@ def parse_diagram(text: str) -> BratteliSequence:
                     )
                 parent.append(p - 1)
                 mult.append(k)
-            maps.append(NonMixingMap(src, tuple(parent), tuple(mult)))
+            maps.append(NonMixingMap._of(src, tuple(parent), tuple(mult)))
 
     tail = None
     tail_line = 1
@@ -234,8 +245,11 @@ def serialize_diagram(seq: BratteliSequence) -> str:
     except ValueError:  # so the largest entry is too long: TooLarge names it
         _decimal(max(seq.base_unit), "a unit entry")
     for i, a in enumerate(seq.maps, start=1):
+        # each line's cells are formatted by one % over its numbers
+        nums = [*a.parent, *a.mult]
+        nums[0::2], nums[1::2] = [p + 1 for p in a.parent], a.mult
         try:
-            cells = " ".join(f"{p + 1}*{k}" for p, k in zip(a.parent, a.mult))
+            cells = " ".join(["%d*%d"] * len(a.parent)) % tuple(nums)
         except ValueError:
             _decimal(max(a.mult), f"a multiplicity of map {i}")
         out.append(f"map {i}: {cells}")

@@ -14,6 +14,7 @@ own block order, which can permute the row-major pairs.
 from __future__ import annotations
 
 from math import lcm
+from operator import mul
 
 from .diagram import BratteliSequence, _check_listing
 from .errors import BadRepeat
@@ -28,12 +29,10 @@ def tensor_vec(u, v) -> tuple:
 
 def tensor_map(f: NonMixingMap, g: NonMixingMap) -> NonMixingMap:
     """Kronecker product of non-mixing maps, again non-mixing."""
-    parent, mult = [], []
-    for j in range(f.target_rank):
-        for k in range(g.target_rank):
-            parent.append(f.parent[j] * g.source_rank + g.parent[k])
-            mult.append(f.mult[j] * g.mult[k])
-    return NonMixingMap._of(f.source_rank * g.source_rank, tuple(parent), tuple(mult))
+    width = g.source_rank
+    parent = tuple([i * width + j for i in f.parent for j in g.parent])
+    mult = tuple([a * b for a in f.mult for b in g.mult])
+    return NonMixingMap._of(f.source_rank * width, parent, mult)
 
 
 def tensor_seq(A: BratteliSequence, B: BratteliSequence) -> BratteliSequence:
@@ -59,8 +58,9 @@ def tensor_seq(A: BratteliSequence, B: BratteliSequence) -> BratteliSequence:
     _check_listing(
         (A, B), range(1, length + 1), "product level", f"a product of length {length}"
     )
-    ranks = tuple(A.rank_at(t) * B.rank_at(t) for t in range(1, length + 1))
-    maps = tuple(tensor_map(A.map_at(t), B.map_at(t)) for t in range(1, length))
+    (ranks_a, maps_a), (ranks_b, maps_b) = A._levels_to(length), B._levels_to(length)
+    ranks = tuple(map(mul, ranks_a, ranks_b))
+    maps = tuple(map(tensor_map, maps_a, maps_b))
     unit = tensor_vec(A.base_unit, B.base_unit)
     if tail is not None:
         # a factor's rank never shrinks from P to P + M, so the product
@@ -88,10 +88,10 @@ def tensor_qn(seq: BratteliSequence, n, depth: int) -> BratteliSequence:
     seq._require_level(depth)
     _check_listing((seq,), range(1, depth + 1), listing=f"depth {depth}")
     ratios = n.associated_ratios(depth)
-    ranks = tuple(seq.rank_at(t) for t in range(1, depth + 1))
+    ranks, plain = seq._levels_to(depth)
     maps = []
-    for i, k in enumerate(ratios[1:], start=1):
-        a = seq.map_at(i)
-        maps.append(NonMixingMap(a.source_rank, a.parent, tuple(m * k for m in a.mult)))
+    for a, k in zip(plain, ratios[1:]):
+        mult = tuple([m * k for m in a.mult])
+        maps.append(NonMixingMap._of(a.source_rank, a.parent, mult))
     unit = tuple(ratios[0] * u for u in seq.base_unit)
     return BratteliSequence(ranks, tuple(maps), unit, None)

@@ -994,9 +994,156 @@ class TestHostileInput:
         assert time.perf_counter() - start < 10
 
 
+_COMMANDS = (
+    "{validate,telescope,injectivize,tensor,tensorq,unit-change,states,canon,equiv,"
+    "arch-check,verify}"
+)
+_HELP_BODY = (
+    "\n\nExact Bratteli diagram toolkit.\n\npositional arguments:\n"
+    f"  {_COMMANDS}\n"
+    "    validate            parse a diagram and report its shape\n"
+    "    telescope           restrict a diagram to chosen levels\n"
+    "    injectivize         prune coordinates the limit never sees\n"
+    "    tensor              tensor two diagrams levelwise\n"
+    "    tensorq             tensor a diagram with Q_n\n"
+    "    unit-change         ladder between two order units\n"
+    "    states              extreme states of a deep level, pulled back\n"
+    "    canon               canonical form: shape plus rational diagonals\n"
+    "    equiv               decide equivalence up to rational scaling\n"
+    "    arch-check          sample the archimedean property\n"
+    "    verify              recheck a certificate document\n"
+    "\noptions:\n  -h, --help            show this help message and exit\n"
+)
+# argparse 3.13 keeps "..." on the line of the choices
+_HELP = {
+    f"usage: bratteli [-h]\n                {_COMMANDS}\n                ...{_HELP_BODY}",
+    f"usage: bratteli [-h]\n                {_COMMANDS} ...{_HELP_BODY}",
+}
+_FILE_ONLY = (
+    "\n\npositional arguments:\n  file\n\n"
+    "options:\n  -h, --help  show this help message and exit\n"
+)
+_TWO_FILES = (
+    "\n\npositional arguments:\n  left\n  right\n\n"
+    "options:\n  -h, --help  show this help message and exit\n"
+)
+_SUBCOMMAND_HELP = {
+    "validate": "usage: bratteli validate [-h] file" + _FILE_ONLY,
+    "telescope": (
+        "usage: bratteli telescope [-h] --keep KEEP file\n\n"
+        "positional arguments:\n  file\n\n"
+        "options:\n  -h, --help   show this help message and exit\n"
+        "  --keep KEEP  comma-separated levels, from 1\n"
+    ),
+    "injectivize": "usage: bratteli injectivize [-h] file" + _FILE_ONLY,
+    "tensor": "usage: bratteli tensor [-h] left right" + _TWO_FILES,
+    "tensorq": (
+        "usage: bratteli tensorq [-h] --n N --depth DEPTH file\n\n"
+        "positional arguments:\n  file\n\n"
+        "options:\n  -h, --help     show this help message and exit\n"
+        "  --n N          supernatural number, e.g. 2^inf*3\n"
+        "  --depth DEPTH\n"
+    ),
+    "unit-change": (
+        "usage: bratteli unit-change [-h] --unit UNIT --depth DEPTH\n"
+        "                            [--strategy {minimal,paper}]\n"
+        "                            file\n\n"
+        "positional arguments:\n  file\n\n"
+        "options:\n  -h, --help            show this help message and exit\n"
+        "  --unit UNIT           comma-separated entries\n"
+        "  --depth DEPTH\n"
+        "  --strategy {minimal,paper}\n"
+    ),
+    "states": (
+        "usage: bratteli states [-h] --level LEVEL --depth DEPTH [--decimal] file\n\n"
+        "positional arguments:\n  file\n\n"
+        "options:\n  -h, --help     show this help message and exit\n"
+        "  --level LEVEL\n  --depth DEPTH\n"
+        "  --decimal      print floats instead of fractions (lossy)\n"
+    ),
+    "canon": "usage: bratteli canon [-h] file" + _FILE_ONLY,
+    "equiv": (
+        "usage: bratteli equiv [-h] [--depth DEPTH] left right\n\n"
+        "positional arguments:\n  left\n  right\n\n"
+        "options:\n  -h, --help     show this help message and exit\n"
+        "  --depth DEPTH  does not affect the verdict; only echoed in Unknown documents\n"
+    ),
+    "arch-check": (
+        "usage: bratteli arch-check [-h] [--samples SAMPLES] --seed SEED file\n\n"
+        "positional arguments:\n  file\n\n"
+        "options:\n  -h, --help         show this help message and exit\n"
+        "  --samples SAMPLES\n  --seed SEED\n"
+    ),
+    "verify": "usage: bratteli verify [-h] file" + _FILE_ONLY,
+}
+_NAMES = _COMMANDS.strip("{}").split(",")
+# newer argparse releases list the choices without quotes
+_UNKNOWN = {
+    "usage error: argument command: invalid choice: 'frobnicate' (choose from "
+    + ", ".join(quoted)
+    + ")\n"
+    for quoted in ([f"'{c}'" for c in _NAMES], _NAMES)
+}
+# what each subcommand says when given nothing, and when given its
+# positionals but none of its required flags
+_MISSING = [
+    (["validate"], "file"),
+    (["telescope"], "file, --keep"),
+    (["telescope", "x"], "--keep"),
+    (["injectivize"], "file"),
+    (["tensor"], "left, right"),
+    (["tensor", "x"], "right"),
+    (["tensorq"], "file, --n, --depth"),
+    (["tensorq", "x", "--n", "2"], "--depth"),
+    (["unit-change"], "file, --unit, --depth"),
+    (["unit-change", "x", "--unit", "1"], "--depth"),
+    (["states"], "file, --level, --depth"),
+    (["states", "x", "--level", "1"], "--depth"),
+    (["canon"], "file"),
+    (["equiv"], "left, right"),
+    (["arch-check"], "file, --seed"),
+    (["arch-check", "x"], "--seed"),
+    (["verify"], "file"),
+]
+
+
 class TestUsage:
+    """The usage texts, word for word, so a change to how the parser is
+    built shows in them; argparse wraps to $COLUMNS, so it is fixed."""
+
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
     def test_no_arguments(self, capsys):
         assert run([]) == 64
+        err = "usage error: the following arguments are required: command\n"
+        assert capsys.readouterr() == ("", err)
 
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and err in _UNKNOWN
+
+    def test_help(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(["--help"])
+        assert info.value.code == 0
+        out, err = capsys.readouterr()
+        assert out in _HELP and err == ""
+
+    def test_every_subcommand_has_help(self):
+        assert sorted(_SUBCOMMAND_HELP) == sorted(_NAMES)
+
+    @pytest.mark.parametrize("command", sorted(_SUBCOMMAND_HELP))
+    def test_subcommand_help(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            run([command, "--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr() == (_SUBCOMMAND_HELP[command], "")
+
+    @pytest.mark.parametrize("argv, missing", _MISSING)
+    def test_missing_arguments(self, argv, missing, capsys):
+        assert run(argv) == 64
+        err = f"usage error: the following arguments are required: {missing}\n"
+        assert capsys.readouterr() == ("", err)
