@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import sys
 from itertools import cycle, islice
+from math import lcm
 
 from .errors import (
     BadRepeat,
@@ -449,6 +450,27 @@ def _check_listing(seqs, levels, what: str = "level", listing: str | None = None
             raise TooLarge(f"{listing} lists more than {_LIST_BUDGET} coordinates")
 
 
+def _tail_start(seqs, keep, ranks, lo: int = 1) -> int | None:
+    # the one rule for which level of an output starts a tail, when level
+    # i reads level keep[i - 1] of every seq and has rank ranks[i - 1]:
+    # the least i from which the kept levels are at or past lo and every
+    # tail start, step evenly by h, span whole periods of every seq, and
+    # ranks[i - 1] is 1 or ranks[-1], so that the output repeats below
+    # every node of level i + k * (m - i).  Only those i, E apart, are read
+    m = len(keep)
+    if m < 2 or not all(s.is_tailed for s in seqs):
+        return None
+    h, first = keep[-1] - keep[-2], 1 if isinstance(keep, range) else m - 1
+    while first > 1 and keep[first - 1] - keep[first - 2] == h:
+        first -= 1
+    floor = max(lo, *(s.periodic_tail for s in seqs))
+    start = first + max(0, -((keep[first - 1] - floor) // h))
+    E = lcm(h, *(s.length - s.periodic_tail for s in seqs)) // h
+    for i in range(start + (m - start) % E, m, E):
+        if ranks[i - 1] in (1, ranks[-1]):
+            return i
+
+
 def keep_at(seq: BratteliSequence, t: int) -> tuple:
     """The level-t coordinates the limit actually sees, ascending.
 
@@ -533,10 +555,9 @@ def telescope(seq: BratteliSequence, keep) -> BratteliSequence:
     """Restrict the presentation to the listed levels (1-based, from 1).
 
     Maps of the result are the composites between consecutive kept
-    levels.  A cyclic tail survives when the kept levels end in an
-    arithmetic progression lying inside the tail whose step is a
-    multiple of the period; a self-similar tail is dropped, since the
-    telescoped level sizes no longer follow a fixed block.
+    levels.  The tail, of either kind, survives when the kept levels
+    end in an even run inside it that spans whole periods and meets a
+    level of rank 1 or of the last kept rank (_tail_start).
 
     Kept levels past the listing budget are refused before anything is
     composed (_check_listing).  Each map is composed once, with every
@@ -563,18 +584,7 @@ def telescope(seq: BratteliSequence, keep) -> BratteliSequence:
         # a composite of valid maps is valid: no entry needs checking again
         maps.append(NonMixingMap._of(rank, tuple(parent), tuple(mult)))
     ranks = tuple(seq.rank_at(t) for t in keep)
-    tail = None
-    if seq.tail_kind == "cyclic" and len(keep) >= 2:
-        period = seq.length - seq.periodic_tail
-        gaps = [b - a for a, b in zip(keep, keep[1:])]
-        h = gaps[-1]
-        if h % period == 0:
-            t0 = len(gaps)
-            while t0 > 0 and gaps[t0 - 1] == h and keep[t0 - 1] >= seq.periodic_tail:
-                t0 -= 1
-            if t0 <= len(gaps) - 1:
-                tail = t0 + 1
-    return BratteliSequence(ranks, tuple(maps), tuple(seq.base_unit), tail)
+    return BratteliSequence(ranks, maps, seq.base_unit, _tail_start((seq,), keep, ranks))
 
 
 class LimitElement(Frozen):

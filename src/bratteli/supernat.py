@@ -169,6 +169,10 @@ class SupernaturalNumber(Frozen):
             out.append(r)
         return tuple(out)
 
+    def _steady_step(self) -> int:
+        # the least step i from which ratio i is the infinite primes' product
+        return max([len(self.factors), *(e for _, e in self.factors if e != INF)])
+
     @classmethod
     def parse(cls, text: str) -> "SupernaturalNumber":
         """Read the textual form, e.g. ``2^inf*3^2*5`` or ``1``."""

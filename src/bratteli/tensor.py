@@ -3,12 +3,10 @@
 Everything here is Kronecker-style bookkeeping: coordinates of a tensor
 level are pairs (a, b) flattened row-major, so pair (a, b) sits at index
 a * rank_B + b.  That holds on every presented level, and at every level
-when both factors have cyclic tails.  Past the presented levels of a
-kept tail with a self-similar factor the product diagram is still
-exact: it is isomorphic, by a relabelling that fixes the presented
-levels, to the row-major product of the factors' unrollings.  Only the
-row order differs, since the unrolled coordinates follow the result's
-own block order, which can permute the row-major pairs.
+of a kept cyclic tail.  Past the presented levels of a kept self-similar
+tail the result is isomorphic to the product of the unrollings, by a
+relabelling that fixes the presented levels: the unrolled coordinates
+follow the result's own block order, which can permute the pairs.
 """
 
 from __future__ import annotations
@@ -16,8 +14,7 @@ from __future__ import annotations
 from math import lcm
 from operator import mul
 
-from .diagram import BratteliSequence, _check_listing
-from .errors import BadRepeat
+from .diagram import BratteliSequence, _check_listing, _tail_start
 from .simplicial import NonMixingMap
 
 
@@ -40,21 +37,16 @@ def tensor_seq(A: BratteliSequence, B: BratteliSequence) -> BratteliSequence:
 
     When both factors have tails the result presents one combined
     period, from max(p_A, p_B) through the lcm of the two period
-    lengths, and keeps a tail whenever the combined pattern provably
-    closes up again; otherwise the tail is dropped.  With at most one
-    tail the result is truncated to the shortest untailed presentation.
+    lengths, and keeps the tail diagram._tail_start finds there.  With
+    at most one tail it is truncated to the shortest untailed factor.
     A result past the listing budget (diagram._check_listing) raises
     TooLarge before any map is built.
     """
-    tail = None
     if A.is_tailed and B.is_tailed:
         P = max(A.periodic_tail, B.periodic_tail)
-        M = lcm(A.length - A.periodic_tail, B.length - B.periodic_tail)
-        length, tail = P + M, P
+        length = P + lcm(A.length - A.periodic_tail, B.length - B.periodic_tail)
     else:
-        length = min(
-            [s.length for s in (A, B) if not s.is_tailed]
-        )
+        length = min(s.length for s in (A, B) if not s.is_tailed)
     _check_listing(
         (A, B), range(1, length + 1), "product level", f"a product of length {length}"
     )
@@ -62,16 +54,8 @@ def tensor_seq(A: BratteliSequence, B: BratteliSequence) -> BratteliSequence:
     ranks = tuple(map(mul, ranks_a, ranks_b))
     maps = tuple(map(tensor_map, maps_a, maps_b))
     unit = tensor_vec(A.base_unit, B.base_unit)
-    if tail is not None:
-        # a factor's rank never shrinks from P to P + M, so the product
-        # takes a tail shape only when both factors keep their rank or
-        # both have rank 1 at P; either way each factor's diagram from P
-        # on repeats below every node of P, P + M, P + 2M, ...
-        try:
-            return BratteliSequence(ranks, maps, unit, tail)
-        except BadRepeat:
-            pass
-    return BratteliSequence(ranks, maps, unit, None)
+    tail = _tail_start((A, B), range(1, length + 1), ranks)
+    return BratteliSequence(ranks, maps, unit, tail)
 
 
 def tensor_qn(seq: BratteliSequence, n, depth: int) -> BratteliSequence:
@@ -81,9 +65,10 @@ def tensor_qn(seq: BratteliSequence, n, depth: int) -> BratteliSequence:
     n_1 | n_2 | ... associated with n is folded into the presentation
     instead.  The unit becomes n_1 times the old one and the map out of
     level i picks up the integer factor n_{i+1}/n_i, read off in closed
-    form without forming the chain.  The result presents `depth` levels
-    and carries no tail; levels 1..depth past the listing budget
-    (diagram._check_listing) raise TooLarge before any map is built.
+    form without forming the chain.  The result presents `depth` levels,
+    keeping the input's tail past n._steady_step(), from where every map
+    picks up one factor (diagram._tail_start); levels 1..depth past the
+    listing budget (diagram._check_listing) raise TooLarge up front.
     """
     seq._require_level(depth)
     _check_listing((seq,), range(1, depth + 1), listing=f"depth {depth}")
@@ -94,4 +79,5 @@ def tensor_qn(seq: BratteliSequence, n, depth: int) -> BratteliSequence:
         mult = tuple([m * k for m in a.mult])
         maps.append(NonMixingMap._of(a.source_rank, a.parent, mult))
     unit = tuple(ratios[0] * u for u in seq.base_unit)
-    return BratteliSequence(ranks, tuple(maps), unit, None)
+    tail = _tail_start((seq,), range(1, depth + 1), ranks, n._steady_step())
+    return BratteliSequence(ranks, tuple(maps), unit, tail)

@@ -169,7 +169,7 @@ class TestTensorQ:
         assert time.perf_counter() - start < 3
         lines = capsys.readouterr().out.splitlines()
         assert lines[2] == "unit: 2"
-        assert lines[3:] == [f"map {i}: 1*4" for i in range(1, 80000)]
+        assert lines[3:] == [f"map {i}: 1*4" for i in range(1, 80000)] + ["repeat: 1"]
 
     def test_bad_supernatural(self, doc, capsys):
         assert run(["tensorq", doc("d.brat", DYADIC), "--n", "x", "--depth", "2"]) == 64

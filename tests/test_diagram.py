@@ -366,6 +366,67 @@ class TestTelescope:
                 assert _limit_eq(seq, a, b) == _limit_eq(tel, ta, tb)
                 assert limit_leq(seq, a, b) == limit_leq(tel, ta, tb)
 
+    def test_same_tail_wherever_the_progression_rule_kept_one(self):
+        # telescope used to keep only a cyclic tail, from the least kept
+        # level past the tail start where the kept levels step by one
+        # multiple of the period to the end; the one tail rule keeps that
+        # same tail wherever it did, and more
+        def progression(seq, keep):
+            if seq.tail_kind != "cyclic" or len(keep) < 2:
+                return None
+            period = seq.length - seq.periodic_tail
+            gaps = [b - a for a, b in zip(keep, keep[1:])]
+            h = gaps[-1]
+            if h % period:
+                return None
+            t0 = len(gaps)
+            while t0 > 0 and gaps[t0 - 1] == h and keep[t0 - 1] >= seq.periodic_tail:
+                t0 -= 1
+            return t0 + 1 if t0 <= len(gaps) - 1 else None
+
+        rng = random.Random(35)
+        same = more = 0
+        for _ in range(1500):
+            seq = random_sequence(rng, tail=rng.choice(("cyclic", "sub")))
+            period = seq.length - seq.periodic_tail
+            top = max_usable_level(seq, extra_periods=4)
+            start = rng.randint(2, max(2, top - 1))
+            step = rng.randint(1, 2 * period)
+            run = range(start, top + 1, step)[: rng.randint(1, 4)]
+            head = rng.sample(range(2, start), min(start - 2, rng.randint(0, 2)))
+            keep = (1, *sorted(head), *run)
+            out = telescope(seq, keep)
+            old = progression(seq, keep)
+            if old is not None:
+                assert out.periodic_tail == old, (seq, keep)
+                same += 1
+            else:
+                more += out.is_tailed
+        assert same > 500 and more > 200
+
+    def test_self_similar_tail_kept(self):
+        # every other level of the binary tree is the branching-4 tree
+        assert telescope(full_tree(2, 2), (1, 3, 5)) == full_tree(4, 3)
+        # from level 2, which has rank 2, no later tree level repeats
+        assert telescope(full_tree(2, 2), (1, 2, 4)).periodic_tail is None
+
+    def test_cyclic_tail_kept_across_part_periods(self):
+        # steps of one level on a period-2 cycle: whole periods from level 2
+        seq = two_path(2, 3, levels=3)
+        out = telescope(seq, (1, 2, 3, 4))
+        assert out.periodic_tail == 2
+        assert out.map_at(9) == seq.map_at(9)
+
+    @pytest.mark.parametrize(
+        "seq, keep",
+        [
+            (full_tree(2, 2), (1,)),  # one kept level: nothing to repeat
+            (scalar_chain(2, levels=5, tailed=False), (1, 3, 5)),  # no tail
+        ],
+    )
+    def test_no_tail(self, seq, keep):
+        assert telescope(seq, keep).periodic_tail is None
+
 
 class TestInjectivize:
     def test_injective_input_unchanged(self):

@@ -8,6 +8,16 @@ the matching, and no rescaling, so three relations must hold:
 * changing one embedded sequence so that its path count changes makes
   `verify` exit 1 with `fail:` lines;
 * a sequence is Equivalent to its own pruning (`injectivize`).
+
+The classification, T(A) = T(B) iff A x Q ~ B x Q, adds the relations
+the diagram commands must keep whenever their output keeps a tail:
+
+* A is Equivalent to `tensorq A` and to `telescope A`;
+* if A ~ B then `tensor A C` ~ `tensor B C`;
+* the `unit:` line never changes a verdict.
+
+Each test counts the cases whose output keeps a tail, so none passes
+on outputs that all drop it.
 """
 
 import json
@@ -17,7 +27,8 @@ import pytest
 
 from bratteli import BratteliSequence, NonMixingMap, serialize_diagram
 from bratteli.cli import run
-from genseq import random_sequence
+from genseq import max_usable_level, random_sequence
+from test_acceptance import SUPERNATURALS
 
 SEED = 16
 COUNT = 60
@@ -118,3 +129,80 @@ def test_sequence_is_equivalent_to_its_pruning(cli):
         code, out = cli(["equiv", "{a}", "{b}"], a=text, b=pruned)
         assert code == 0, text
         assert _verify(cli, json.loads(out)) == (0, "ok: certificate verified\n")
+
+
+def _equivalent_if_tailed(cli, a, b):
+    # equiv a b exits 0 with a verified document when b keeps a tail, and
+    # 2 (Unknown) when it does not; True when b keeps one
+    tailed = "repeat:" in b
+    code, out = cli(["equiv", "{a}", "{b}"], a=a, b=b)
+    assert code == (0 if tailed else 2), (a, b)
+    if tailed:
+        assert _verify(cli, json.loads(out)) == (0, "ok: certificate verified\n")
+    return tailed
+
+
+def test_tensorq_is_equivalent_to_its_input(cli):
+    rng = random.Random(SEED + 3)
+    kept = 0
+    for seq in _tailed(rng):
+        text = serialize_diagram(seq)
+        n = rng.choice(SUPERNATURALS)
+        depth = rng.randint(seq.length, max_usable_level(seq, extra_periods=2))
+        code, out = cli(["tensorq", "{a}", "--n", n, "--depth", str(depth)], a=text)
+        assert code == 0
+        kept += _equivalent_if_tailed(cli, text, out)
+    assert kept >= COUNT * 2 // 3
+
+
+def test_telescope_is_equivalent_to_its_input(cli):
+    rng = random.Random(SEED + 4)
+    kept = 0
+    for seq in _tailed(rng):
+        text = serialize_diagram(seq)
+        period = seq.length - seq.periodic_tail
+        step = rng.randint(1, 2 * period)
+        start = rng.randint(2, seq.length + period)
+        run = range(start, max_usable_level(seq, extra_periods=3) + 1, step)
+        keep = ",".join(map(str, (1, *run[: rng.randint(1, 4)])))
+        code, out = cli(["telescope", "{a}", "--keep", keep], a=text)
+        assert code == 0
+        kept += _equivalent_if_tailed(cli, text, out)
+    assert kept >= COUNT // 2
+
+
+def test_tensor_keeps_equivalence(cli):
+    # pairs of neighbours found Equivalent, and each sequence with its own
+    # pruning, each tensored on the right with a third sequence
+    seqs = _tailed(random.Random(SEED + 5))
+    texts = [serialize_diagram(seq) for seq in seqs]
+    pairs = [(a, cli(["injectivize", "{a}"], a=a)[1]) for a in texts]
+    for a, b in zip(texts, texts[1:]):
+        if cli(["equiv", "{a}", "{b}"], a=a, b=b)[0] == 0:
+            pairs.append((a, b))
+    both = 0
+    for (a, b), c in zip(pairs, texts[7:] + texts):
+        ac = cli(["tensor", "{a}", "{c}"], a=a, c=c)[1]
+        bc = cli(["tensor", "{b}", "{c}"], b=b, c=c)[1]
+        if "repeat:" in ac and "repeat:" in bc:
+            code, out = cli(["equiv", "{a}", "{b}"], a=ac, b=bc)
+            assert code == 0, (a, b, c)
+            assert _verify(cli, json.loads(out)) == (0, "ok: certificate verified\n")
+            both += 1
+    assert both >= COUNT // 2
+
+
+def test_unit_never_changes_the_verdict(cli):
+    rng = random.Random(SEED + 6)
+    texts = [serialize_diagram(seq) for seq in _tailed(rng)]
+    codes = []
+    for a, b in [*zip(texts, texts[1:]), *zip(texts, texts[2:])]:
+        lines = a.splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines) if line.startswith("unit:"))
+        rank = len(lines[at].split()) - 1
+        unit = " ".join(str(rng.randint(1, 9)) for _ in range(rank))
+        edited = "".join(lines[:at] + [f"unit: {unit}\n"] + lines[at + 1 :])
+        code = cli(["equiv", "{a}", "{b}"], a=a, b=b)[0]
+        assert cli(["equiv", "{a}", "{b}"], a=edited, b=b)[0] == code, (a, b, unit)
+        codes.append(code)
+    assert min(codes.count(0), codes.count(1)) >= COUNT // 2

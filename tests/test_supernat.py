@@ -227,6 +227,29 @@ class TestAssociatedSequence:
                 for p, k in exps.items():
                     assert k == 0 or fac[p] is INF or k <= fac[p], (n, ratios)
 
+    def test_steady_step(self):
+        # from step _steady_step() on every ratio is the product of the
+        # infinite-exponent primes; 2^inf*3^2*5 settles at step 3, the
+        # last step 3 and 5 still gain (see test_capped_exponents)
+        assert SupernaturalNumber.parse("2^inf*3^2*5")._steady_step() == 3
+        assert SupernaturalNumber.from_natural(2**7)._steady_step() == 7
+        assert SupernaturalNumber.one()._steady_step() == 0
+        rng = random.Random(16)
+        pool = [2, 3, 5, 7, 11]
+        for _ in range(300):
+            picked = rng.sample(pool, rng.randint(0, 5))
+            n = SupernaturalNumber({p: rng.choice([1, 2, 3, 5, INF]) for p in picked})
+            s0 = n._steady_step()
+            eventual = 1
+            for p, e in n.factors:
+                eventual *= p if e is INF else 1
+            ratios = n.associated_ratios(s0 + 4)
+            assert ratios[s0:] == (eventual,) * 4, n
+            # and not from the step before, but for p^inf, whose step-0
+            # ratio p already is (it scales the unit, not a map)
+            if s0 and not (len(n.factors) == 1 and n.factors[0][1] is INF):
+                assert ratios[s0 - 1] != eventual, n
+
 
 class TestText:
     def test_parse_round_trip(self):

@@ -5,6 +5,7 @@ from math import lcm
 import pytest
 
 from bratteli import (
+    BadRepeat,
     BratteliSequence,
     LevelOutOfRange,
     NonMixingMap,
@@ -14,6 +15,7 @@ from bratteli import (
     tensor_seq,
     tensor_vec,
 )
+from bratteli.fileformat import serialize_diagram
 
 from genseq import full_tree, random_map, random_sequence, scalar_chain, two_path
 
@@ -188,7 +190,69 @@ class TestTensorSeq:
         assert min(seen[True, True], seen[True, False], seen[False, False]) > 200
 
 
+    def test_same_bytes_as_the_rule_tried_by_construction(self):
+        # tensor_seq used to give the product the tail start max(p_A, p_B)
+        # whenever BratteliSequence accepted it there; the one tail rule
+        # must keep every product byte for byte
+        def tried(a, b, out):
+            if not (a.is_tailed and b.is_tailed):
+                return out
+            P = max(a.periodic_tail, b.periodic_tail)
+            try:
+                return BratteliSequence(out.ranks, out.maps, out.base_unit, P)
+            except BadRepeat:
+                return BratteliSequence(out.ranks, out.maps, out.base_unit)
+
+        rng = random.Random(13)
+        kept = 0
+        for _ in range(1500):
+            a, b = random_sequence(rng), random_sequence(rng)
+            out = tensor_seq(a, b)
+            want = tried(a, b, BratteliSequence(out.ranks, out.maps, out.base_unit))
+            assert serialize_diagram(out) == serialize_diagram(want), (a, b)
+            kept += out.is_tailed
+        assert kept > 500
+
+
 class TestTensorQn:
+    def test_tail_kept_from_the_steady_step(self):
+        # 12 = 2^2*3 gives the maps the factors 6, 1, 1, ...: constant
+        # from the map out of level 2 on, so the tail starts there
+        out = tensor_qn(scalar_chain(5), SupernaturalNumber.from_natural(12), 4)
+        assert out.periodic_tail == 2
+        assert out.map_at(7).mult == (5,)
+        # 2^inf*3 settles at step 2 too, on a period-2 cycle whose tail
+        # starts at level 1: the least start past both with whole periods
+        # to level 7 is level 3
+        seq = BratteliSequence(
+            (2, 2, 2),
+            (NonMixingMap(2, (1, 0), (1, 2)), NonMixingMap(2, (0, 1), (3, 1))),
+            (1, 1),
+            periodic_tail=1,
+        )
+        out = tensor_qn(seq, SupernaturalNumber.parse("2^inf*3"), 7)
+        assert out.periodic_tail == 3
+        assert out.map_at(9) == NonMixingMap(2, (1, 0), (2, 4))
+
+    def test_self_similar_tail_kept_at_its_start(self):
+        out = tensor_qn(full_tree(2, 2), SupernaturalNumber.parse("3^inf"), 5)
+        assert out.periodic_tail == 1
+        assert out.ranks == (1, 2, 4, 8, 16)
+        assert out.map_at(6).mult == (3,) * 64
+
+    @pytest.mark.parametrize(
+        "seq, depth",
+        [
+            (two_path(2, 3), 1),  # one level: nothing to repeat
+            (scalar_chain(3, levels=4, tailed=False), 4),  # no tail to keep
+            # 2^inf*3 settles at step 2, past the tree's one rank-1 level
+            (full_tree(2, 2), 5),
+        ],
+    )
+    def test_no_tail(self, seq, depth):
+        out = tensor_qn(seq, SupernaturalNumber.parse("2^inf*3"), depth)
+        assert out.periodic_tail is None
+
     def test_one_changes_nothing(self):
         seq = scalar_chain(3, levels=4, tailed=False)
         out = tensor_qn(seq, SupernaturalNumber.one(), 4)

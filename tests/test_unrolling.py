@@ -23,6 +23,7 @@ from bratteli import (
     tensor_vec,
 )
 from genseq import max_usable_level, random_sequence
+from test_acceptance import SUPERNATURALS
 
 TAILS = ("cyclic", "sub")
 
@@ -242,3 +243,124 @@ def test_tensor_seq_unrolls_to_the_product_of_the_unrollings():
         )
         assert got == want, (a, b)
     assert seen["cyclic"] > 600 and seen["substitution"] > 250
+
+
+def _scaled(a, k):
+    return NonMixingMap(a.source_rank, a.parent, tuple(m * k for m in a.mult))
+
+
+def _horizon(out, cap, periods=3):
+    # the deepest level up to `periods` periods past out's presented ones
+    # whose rank is at most cap, but at least one level past them
+    L, period = out.length, out.length - out.periodic_tail
+    horizon = L + periods * period
+    while horizon > L + 1 and out.rank_at(horizon) > cap:
+        horizon -= 1
+    return horizon
+
+
+def test_tensor_qn_kept_cyclic_tails_unroll_to_the_scaled_maps():
+    # three periods past the presented levels, the map out of level t is
+    # the input's times ratios[t], the factor the chain gives it there
+    rng = random.Random("tensor-qn-kept-cyclic")
+    kept = 0
+    for _ in range(400):
+        seq = random_sequence(rng, tail="cyclic")
+        n = SupernaturalNumber.parse(rng.choice(SUPERNATURALS))
+        period = seq.length - seq.periodic_tail
+        out = tensor_qn(seq, n, rng.randint(seq.length, seq.length + 2 * period + 3))
+        if not out.is_tailed:
+            continue
+        kept += 1
+        horizon = out.length + 3 * (out.length - out.periodic_tail)
+        ratios = n.associated_ratios(horizon)
+        for t in range(out.length, horizon):
+            assert out.map_at(t) == _scaled(seq.map_at(t), ratios[t]), (seq, n, t)
+    assert kept > 300
+
+
+def test_tensor_qn_kept_self_similar_tails_unroll_to_the_scaled_maps():
+    # a kept self-similar tail unrolls in the result's own block order, so
+    # below every node of the last presented level the subtree, with its
+    # multiplicities, is the input's scaled one, to three periods further
+    # where that many coordinates can be listed
+    rng = random.Random("tensor-qn-kept-sub")
+    kept = 0
+    for _ in range(300):
+        seq = random_sequence(rng, tail="sub")
+        n = SupernaturalNumber.parse(rng.choice(SUPERNATURALS))
+        depth = rng.randint(seq.length, max_usable_level(seq, extra_periods=2))
+        out = tensor_qn(seq, n, depth)
+        if not out.is_tailed:
+            continue
+        kept += 1
+        horizon = _horizon(out, cap=20_000)
+        ratios = n.associated_ratios(horizon)
+        ids = {}
+        got = _subtrees(out.map_at, depth, horizon, ids)
+        want = _subtrees(lambda t: _scaled(seq.map_at(t), ratios[t]), depth, horizon, ids)
+        assert got == want, (seq, n, depth)
+    assert kept > 150
+
+
+def _telescoped(seq, keep, step, horizon):
+    # map_at(i) of telescope(seq, keep) continued past keep[-1] by step,
+    # for i up to horizon - 1: the composite between its two input levels
+    levels = list(keep)
+    while len(levels) <= horizon:
+        levels.append(levels[-1] + step)
+
+    def map_at(i):
+        parent, mult = _composed(seq, levels[i - 1], levels[i])
+        return NonMixingMap(seq.rank_at(levels[i - 1]), parent, mult)
+
+    return map_at
+
+
+def test_telescope_kept_self_similar_tails_unroll_to_the_input_composites():
+    rng = random.Random("telescope-sub")
+    kept = 0
+    while kept < 200:
+        seq = random_sequence(rng, tail="sub", max_mult=3)
+        p, period = seq.periodic_tail, seq.length - seq.periodic_tail
+        step = rng.randint(1, 2 * period)
+        start = p + rng.randint(0, period - 1)
+        keep = (1, *(t for t in range(start, start + 3 * step, step) if t > 1))
+        if len(keep) < 2 or seq.rank_at(keep[-1]) > 1000:
+            continue
+        out = telescope(seq, keep)
+        if not out.is_tailed:
+            continue
+        kept += 1
+        horizon = _horizon(out, cap=5_000)
+        ids = {}
+        got = _subtrees(out.map_at, out.length, horizon, ids)
+        want = _subtrees(_telescoped(seq, keep, step, horizon), out.length, horizon, ids)
+        assert got == want, (seq, keep)
+
+
+def test_telescope_part_period_steps_unroll_to_the_input_composites():
+    # a cyclic tail kept across steps that are not whole periods: the
+    # kept run spans whole periods from its tail start, so the result's
+    # levels past its presented ones still read the input's composites
+    rng = random.Random("telescope-part-period")
+    kept = checked = 0
+    while kept < 300:
+        seq = random_sequence(rng, tail="cyclic", max_mult=3)
+        p, period = seq.periodic_tail, seq.length - seq.periodic_tail
+        if period < 2:
+            continue
+        step = rng.choice([s for s in range(1, 2 * period) if s % period])
+        start = p + rng.randint(0, period)
+        run = range(start, start + rng.randint(2, 2 * period + 1) * step, step)
+        keep = (1, *(t for t in run if t > 1))
+        out = telescope(seq, keep)
+        if not out.is_tailed:
+            continue
+        kept += 1
+        horizon = out.length + 3 * (out.length - out.periodic_tail)
+        want = _telescoped(seq, keep, step, horizon)
+        for i in range(1, horizon):
+            assert out.map_at(i) == want(i), (seq, keep, i)
+            checked += 1
+    assert checked > 3000
