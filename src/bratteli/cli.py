@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from gettext import gettext
 
 from .errors import BratteliError, ParseError
 from .fileformat import INTEGER, _decimal, parse_diagram
@@ -29,6 +30,29 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # a subcommand's parser adds its arguments, -h first as
+    # ArgumentParser.__init__ adds it, when it is handed a command line.
+    # This leans on two things argparse does: _SubParsersAction hands the
+    # chosen subparser its words through that parser's parse_known_args,
+    # and __init__ adds -h/--help with these flags (for prefix_chars "-",
+    # the only prefix used here), action, default and gettext text.
+    # TestUsage compares every subcommand's help with an eagerly built
+    # parser's, so a release that changes either one fails there
+    _arguments = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        arguments, self._arguments = self._arguments, None
+        if arguments is not None:
+            self.add_argument(
+                "-h",
+                "--help",
+                action="help",
+                default=argparse.SUPPRESS,
+                help=gettext("show this help message and exit"),
+            )
+            arguments(self)
+        return super().parse_known_args(args, namespace)
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -249,15 +273,17 @@ def _cmd_arch_check(args):
     ranks = _draw_ranks(seq)
     entries = range(-4, 5)
 
+    # every level drawn is at least 1 and every entry an int of entries,
+    # so the elements are built without LimitElement's checks
     def draw():
         t = rng.randint(1, len(ranks))
-        return LimitElement(t, rng.choices(entries, k=ranks[t - 1]))
+        return LimitElement._of(t, tuple(rng.choices(entries, k=ranks[t - 1])))
 
     for _ in range(args.samples):
         x = draw()
         y = draw()
         if forall_n_leq_limit(seq, x, y):
-            zero = LimitElement(x.level, (0,) * len(x.vec))
+            zero = LimitElement._of(x.level, (0,) * len(x.vec))
             if not limit_leq(seq, x, zero):
                 print(
                     f"counterexample: x at level {x.level} = {x.vec}, "
@@ -325,75 +351,103 @@ def _cmd_verify(args):
     return 0
 
 
-def _build_parser():
-    parser = _Parser(prog="bratteli", description="Exact Bratteli diagram toolkit.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="parse a diagram and report its shape")
+def _file(p):
     p.add_argument("file")
-    p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("telescope", help="restrict a diagram to chosen levels")
-    p.add_argument("file")
-    p.add_argument("--keep", required=True, help="comma-separated levels, from 1")
-    p.set_defaults(func=_cmd_telescope)
 
-    p = sub.add_parser("injectivize", help="prune coordinates the limit never sees")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_injectivize)
-
-    p = sub.add_parser("tensor", help="tensor two diagrams levelwise")
+def _two_files(p):
     p.add_argument("left")
     p.add_argument("right")
-    p.set_defaults(func=_cmd_tensor)
 
-    p = sub.add_parser("tensorq", help="tensor a diagram with Q_n")
-    p.add_argument("file")
+
+def _telescope_args(p):
+    _file(p)
+    p.add_argument("--keep", required=True, help="comma-separated levels, from 1")
+
+
+def _tensorq_args(p):
+    _file(p)
     p.add_argument("--n", required=True, help="supernatural number, e.g. 2^inf*3")
     p.add_argument("--depth", required=True, type=_positive_int)
-    p.set_defaults(func=_cmd_tensorq)
 
-    p = sub.add_parser("unit-change", help="ladder between two order units")
-    p.add_argument("file")
+
+def _unit_change_args(p):
+    _file(p)
     p.add_argument("--unit", required=True, help="comma-separated entries")
     p.add_argument("--depth", required=True, type=_positive_int)
     p.add_argument("--strategy", choices=("minimal", "paper"), default="minimal")
-    p.set_defaults(func=_cmd_unit_change)
 
-    p = sub.add_parser("states", help="extreme states of a deep level, pulled back")
-    p.add_argument("file")
+
+def _states_args(p):
+    _file(p)
     p.add_argument("--level", required=True, type=_positive_int)
     p.add_argument("--depth", required=True, type=_positive_int)
     p.add_argument(
         "--decimal", action="store_true", help="print floats instead of fractions (lossy)"
     )
-    p.set_defaults(func=_cmd_states)
 
-    p = sub.add_parser("canon", help="canonical form: shape plus rational diagonals")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_canon)
 
-    p = sub.add_parser("equiv", help="decide equivalence up to rational scaling")
-    p.add_argument("left")
-    p.add_argument("right")
+def _equiv_args(p):
+    _two_files(p)
     p.add_argument(
         "--depth",
         type=_positive_int,
         default=5,
         help="does not affect the verdict; only echoed in Unknown documents",
     )
-    p.set_defaults(func=_cmd_equiv)
 
-    p = sub.add_parser("arch-check", help="sample the archimedean property")
-    p.add_argument("file")
+
+def _arch_check_args(p):
+    _file(p)
     p.add_argument("--samples", type=_positive_int, default=100)
     p.add_argument("--seed", required=True, type=_integer)
-    p.set_defaults(func=_cmd_arch_check)
 
-    p = sub.add_parser("verify", help="recheck a certificate document")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_verify)
 
+# (name, help, command, arguments) of every subcommand, in listed order
+_COMMANDS = (
+    ("validate", "parse a diagram and report its shape", _cmd_validate, _file),
+    (
+        "telescope",
+        "restrict a diagram to chosen levels",
+        _cmd_telescope,
+        _telescope_args,
+    ),
+    ("injectivize", "prune coordinates the limit never sees", _cmd_injectivize, _file),
+    ("tensor", "tensor two diagrams levelwise", _cmd_tensor, _two_files),
+    ("tensorq", "tensor a diagram with Q_n", _cmd_tensorq, _tensorq_args),
+    (
+        "unit-change",
+        "ladder between two order units",
+        _cmd_unit_change,
+        _unit_change_args,
+    ),
+    (
+        "states",
+        "extreme states of a deep level, pulled back",
+        _cmd_states,
+        _states_args,
+    ),
+    ("canon", "canonical form: shape plus rational diagonals", _cmd_canon, _file),
+    ("equiv", "decide equivalence up to rational scaling", _cmd_equiv, _equiv_args),
+    (
+        "arch-check",
+        "sample the archimedean property",
+        _cmd_arch_check,
+        _arch_check_args,
+    ),
+    ("verify", "recheck a certificate document", _cmd_verify, _file),
+)
+
+
+def _build_parser():
+    # every subcommand's parser is built bare: argparse hands the command
+    # line to one of them, and only that one adds -h and its arguments
+    parser = _Parser(prog="bratteli", description="Exact Bratteli diagram toolkit.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, text, func, arguments in _COMMANDS:
+        p = sub.add_parser(name, help=text, add_help=False)
+        p.set_defaults(func=func)
+        p._arguments = arguments
     return parser
 
 

@@ -63,6 +63,7 @@ single root always survives), and then goes on down from p.
 from __future__ import annotations
 
 import sys
+from functools import lru_cache
 from itertools import cycle, islice
 from math import lcm
 
@@ -404,8 +405,12 @@ def _then(f: tuple, g: tuple, cap: int | None = None) -> tuple:
 def _write_cut() -> int | None:
     # the least number str() refuses to write, 10**limit for the limit
     # sys.get_int_max_str_digits(), or None when that is 0 and str()
-    # writes every int
-    limit = sys.get_int_max_str_digits()
+    # writes every int; formed once per limit
+    return _cut_for(sys.get_int_max_str_digits())
+
+
+@lru_cache(maxsize=1)
+def _cut_for(limit: int) -> int | None:
     return 10**limit if limit else None
 
 
@@ -427,7 +432,7 @@ def _check_listing(seqs, levels, what: str = "level", listing: str | None = None
     # with copy exponent k has at least 2**k coordinates, so a level
     # whose exponent is past the budget is refused before the power is
     # formed
-    if listing is not None and len(levels) > _COORD_BUDGET:
+    if listing is not None and levels[_COORD_BUDGET:]:  # len() overflows past maxsize
         raise TooLarge(f"{listing} is more than {_COORD_BUDGET} levels to list")
     grows = [s for s in seqs if s.tail_kind == "substitution"]
     total = 0
@@ -600,6 +605,13 @@ class LimitElement(Frozen):
             if not isinstance(v, int):
                 raise TypeError(f"entries must be ints, got {v!r}")
         self._freeze(level, vec)
+
+    @classmethod
+    def _of(cls, level: int, vec: tuple) -> "LimitElement":
+        """Unchecked: the caller has already made the checks of __init__."""
+        self = cls.__new__(cls)
+        self._freeze(level, vec)
+        return self
 
 
 def _check_elements(seq, a, b):

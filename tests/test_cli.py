@@ -5,6 +5,7 @@ captured output.  Exit codes: 0 success, 1 failed check or library
 error, 2 inconclusive, 64 usage, 65 malformed input.
 """
 
+import argparse
 import json
 import os
 import random
@@ -26,7 +27,7 @@ from bratteli import (
     tensor_qn,
     tensor_seq,
 )
-from bratteli import certio, diagram, unit_change
+from bratteli import certio, cli, diagram, unit_change
 from bratteli.cli import run
 from genseq import long_chain, random_map, replace, scalar_chain, two_path
 
@@ -685,6 +686,21 @@ class TestHostileInput:
         )
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tensorq", "{path}", "--n", "2", "--depth", "{depth}"],
+            ["unit-change", "{path}", "--unit", "1", "--depth", "{depth}"],
+        ],
+        ids=["tensorq", "unit-change"],
+    )
+    def test_depth_past_maxsize_refused(self, argv, doc, capsys):
+        # len() of levels 1..depth overflows there; it raised OverflowError
+        depth, path = 10**30, doc("d.brat", DYADIC)
+        assert run([a.format(path=path, depth=depth) for a in argv]) == 1
+        err = f"error: depth {depth} is more than 1048576 levels to list\n"
+        assert capsys.readouterr() == ("", err)
+
+    @pytest.mark.parametrize(
         "texts, argv, err",
         [
             # 4096 x 4096 coordinates at the product's level 2
@@ -1107,6 +1123,65 @@ _MISSING = [
 ]
 
 
+# argv whose first word is not the command, or whose words after the
+# command are not its own, and a bad value in each typed flag, with what
+# each argparse form says: (stdout, stderr, exit code) for every form
+_NOT_INTEGER = "usage error: argument {}: not an integer: {!r}\n"
+_NOT_POSITIVE = "usage error: argument {}: must be >= 1, got {}\n"
+_UNRECOGNIZED = "usage error: unrecognized arguments: --bogus\n"
+_BAD_STRATEGY = "usage error: argument --strategy: invalid choice: 'best' "
+_DISPATCH = [
+    (["--bogus", "validate", "x"], {("", _UNRECOGNIZED, 64)}),
+    (["-h", "validate"], {(text, "", 0) for text in _HELP}),
+    # newer argparse releases drop the "--" before the command
+    (
+        ["--", "validate", "x"],
+        {("", err.replace("'frobnicate'", "'--'"), 64) for err in _UNKNOWN}
+        | {("", "error: [Errno 2] No such file or directory: 'x'\n", 1)},
+    ),
+    (["validate", "x", "--bogus"], {("", _UNRECOGNIZED, 64)}),
+    (
+        ["validate", "--", "-x"],
+        {("", "error: [Errno 2] No such file or directory: '-x'\n", 1)},
+    ),
+    (
+        ["tensorq", "x", "--n", "2", "--depth", "0"],
+        {("", _NOT_POSITIVE.format("--depth", 0), 64)},
+    ),
+    (
+        ["unit-change", "x", "--unit", "1", "--depth", "one"],
+        {("", _NOT_INTEGER.format("--depth", "one"), 64)},
+    ),
+    (
+        ["unit-change", "x", "--unit", "1", "--depth", "1", "--strategy", "best"],
+        {
+            ("", f"{_BAD_STRATEGY}(choose from {choices})\n", 64)
+            for choices in ("'minimal', 'paper'", "minimal, paper")
+        },
+    ),
+    (
+        ["states", "x", "--level", "0", "--depth", "1"],
+        {("", _NOT_POSITIVE.format("--level", 0), 64)},
+    ),
+    (
+        ["states", "x", "--level", "1", "--depth", "2x"],
+        {("", _NOT_INTEGER.format("--depth", "2x"), 64)},
+    ),
+    (
+        ["equiv", "x", "y", "--depth", "-1"],
+        {("", _NOT_POSITIVE.format("--depth", -1), 64)},
+    ),
+    (
+        ["arch-check", "x", "--samples", "0", "--seed", "1"],
+        {("", _NOT_POSITIVE.format("--samples", 0), 64)},
+    ),
+    (
+        ["arch-check", "x", "--seed", "1.5"],
+        {("", _NOT_INTEGER.format("--seed", "1.5"), 64)},
+    ),
+]
+
+
 class TestUsage:
     """The usage texts, word for word, so a change to how the parser is
     built shows in them; argparse wraps to $COLUMNS, so it is fixed."""
@@ -1147,3 +1222,52 @@ class TestUsage:
         assert run(argv) == 64
         err = f"usage error: the following arguments are required: {missing}\n"
         assert capsys.readouterr() == ("", err)
+
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    @pytest.mark.parametrize("name, text, func, arguments", cli._COMMANDS)
+    def test_help_matches_an_eagerly_built_parser(
+        self, name, text, func, arguments, flag, capsys
+    ):
+        # the same table built the plain argparse way, every subparser with
+        # add_help=True and its arguments added at once: any argparse
+        # release where the hook adds -h differently, or is not reached,
+        # prints another help here
+        eager = argparse.ArgumentParser(
+            prog="bratteli", description="Exact Bratteli diagram toolkit."
+        )
+        sub = eager.add_subparsers(dest="command", required=True)
+        for other, other_text, _, other_arguments in cli._COMMANDS:
+            other_arguments(sub.add_parser(other, help=other_text))
+        said = []
+        for parse in (eager.parse_args, run):
+            with pytest.raises(SystemExit) as info:
+                parse([name, flag])
+            said.append((*capsys.readouterr(), info.value.code))
+        assert said[0] == said[1]
+        assert said[1][0].startswith(f"usage: bratteli {name} [-h]")
+
+    @pytest.mark.parametrize("argv, said", _DISPATCH)
+    def test_dispatch(self, argv, said, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # where no file x or -x exists
+        try:
+            code = run(argv)
+        except SystemExit as e:
+            code = e.code
+        assert (*capsys.readouterr(), code) in said
+
+    def test_only_the_dispatched_parser_gets_arguments(self, doc, monkeypatch, capsys):
+        seen = []
+        add = cli._Parser.add_argument
+
+        def record(parser, *flags, **kwargs):
+            seen.append((parser.prog, flags))
+            return add(parser, *flags, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "add_argument", record)
+        assert run(["validate", doc("d.brat", DYADIC)]) == 0
+        assert capsys.readouterr().err == ""
+        assert seen == [
+            ("bratteli", ("-h", "--help")),
+            ("bratteli validate", ("-h", "--help")),
+            ("bratteli validate", ("file",)),
+        ]

@@ -205,6 +205,14 @@ class TestTails:
         with pytest.raises(TooLarge, match="^all lists more than 4194304 coordinates$"):
             check((chains,), range(1, 1026), "level", "all")
 
+    def test_range_past_maxsize_refused_by_its_count(self):
+        # len() of such a range overflows; its count is refused
+        too_many = "^depth 10\\*\\*30 is more than 1048576 levels to list$"
+        with pytest.raises(TooLarge, match=too_many):
+            diagram._check_listing(
+                (scalar_chain(2),), range(1, 10**30), listing="depth 10**30"
+            )
+
     def test_deep_ancestors_in_runs(self):
         # node n of level 22 descends from node n // 2^20 of level 2
         tree = full_tree(2, 3)
@@ -299,6 +307,16 @@ class TestTelescope:
         assert kept.maps[-1] == seq.map_between(2, 4)
         dropped = telescope(seq, (1, 3, 4))
         assert dropped.periodic_tail is None
+
+    def test_write_cut_follows_the_digit_limit(self, digit_limit):
+        # the cut is formed once per limit, and read again when it changes
+        default = sys.get_int_max_str_digits()
+        digit_limit(640)
+        assert diagram._write_cut() == 10**640
+        digit_limit(default)
+        assert diagram._write_cut() == 10**default
+        digit_limit(0)
+        assert diagram._write_cut() is None
 
     @pytest.mark.parametrize("kind", ["cyclic", "sub"])
     def test_refused_exactly_when_str_refuses(self, kind, digit_limit):
@@ -583,6 +601,10 @@ class TestLimitComparisons:
     def test_pushed_image_is_equal(self):
         seq = scalar_chain(2)
         assert _limit_eq(seq, LimitElement(1, (1,)), LimitElement(2, (2,)))
+
+    def test_unchecked_element_is_the_same_value(self):
+        a, b = LimitElement._of(3, (1, -2, 0)), LimitElement(3, (1, -2, 0))
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
 
     def test_same_level_distinct(self):
         seq = scalar_chain(2)
