@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from gettext import gettext
 
 from .errors import BratteliError, ParseError
 from .fileformat import INTEGER, _decimal, parse_diagram
@@ -30,31 +29,25 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    # a subcommand's parser adds its arguments, -h first as
-    # ArgumentParser.__init__ adds it, when it is handed a command line.
-    # This leans on two things argparse does: _SubParsersAction hands the
-    # chosen subparser its words through that parser's parse_known_args,
-    # and __init__ adds -h/--help with these flags (for prefix_chars "-",
-    # the only prefix used here), action, default and gettext text.
-    # TestUsage compares every subcommand's help with an eagerly built
-    # parser's, so a release that changes either one fails there
-    _arguments = None
-
-    def parse_known_args(self, args=None, namespace=None):
-        arguments, self._arguments = self._arguments, None
-        if arguments is not None:
-            self.add_argument(
-                "-h",
-                "--help",
-                action="help",
-                default=argparse.SUPPRESS,
-                help=gettext("show this help message and exit"),
-            )
-            arguments(self)
-        return super().parse_known_args(args, namespace)
-
     def error(self, message):
         raise _UsageError(message)
+
+
+class _Command:
+    # what argparse holds for a subcommand: argparse hands a subparser its
+    # words only through parse_known_args, and reads nothing else of it
+    # (help, the choices and "invalid choice" read the names and help
+    # texts add_parser keeps), so the real parser is built there, for the
+    # one subcommand a command line names.  TestUsage compares every
+    # subcommand's help with an eagerly built parser's
+    def __init__(self, func, arguments, **kwargs):
+        self.func, self.arguments, self.kwargs = func, arguments, kwargs
+
+    def parse_known_args(self, args=None, namespace=None):
+        parser = _Parser(**self.kwargs)
+        parser.set_defaults(func=self.func)
+        self.arguments(parser)
+        return parser.parse_known_args(args, namespace)
 
 
 def _integer(text):
@@ -440,14 +433,10 @@ _COMMANDS = (
 
 
 def _build_parser():
-    # every subcommand's parser is built bare: argparse hands the command
-    # line to one of them, and only that one adds -h and its arguments
     parser = _Parser(prog="bratteli", description="Exact Bratteli diagram toolkit.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
     for name, text, func, arguments in _COMMANDS:
-        p = sub.add_parser(name, help=text, add_help=False)
-        p.set_defaults(func=func)
-        p._arguments = arguments
+        sub.add_parser(name, help=text, func=func, arguments=arguments)
     return parser
 
 

@@ -269,6 +269,39 @@ class BratteliSequence(Frozen):
         b = t if t < self.length else self._block_position(t)
         return self._memo(("top", b), lambda: max(self.maps[b - 1].mult))
 
+    def _bottom(self, t: int) -> int:
+        # the smallest multiplicity of map_at(t), read as _top reads the
+        # largest
+        b = t if t < self.length else self._block_position(t)
+        return self._memo(("bottom", b), lambda: min(self.maps[b - 1].mult))
+
+    def _least(self, lo: int, hi: int, cap: int) -> int:
+        # a lower bound on every multiplicity of the composite from level
+        # lo to level hi: the product of each map's smallest multiplicity,
+        # cut down to cap.  From the tail start on, the maps' smallest
+        # multiplicities repeat every period, for either kind of tail, so
+        # the whole periods are one period's product raised to a power
+        bound, t = 1, lo
+        if self.is_tailed:
+            p, period = self.periodic_tail, self.length - self.periodic_tail
+            start = max(lo, p)
+            k = (hi - start) // period
+            if k > 1:
+                bound = self._least(lo, start, cap)
+                power = self._least(start, start + period, cap)
+                while k:
+                    if k & 1:
+                        bound = min(bound * power, cap)
+                    k >>= 1
+                    if k:
+                        power = min(power * power, cap)
+                t = hi - (hi - start) % period
+        for t in range(t, hi):
+            if bound >= cap:
+                break
+            bound = min(bound * self._bottom(t), cap)
+        return bound
+
     def _push(self, x, lo: int, hi: int, cap: int | None = None):
         # x, a vector at level lo, pushed up to level hi along parents;
         # with cap, each entry is cut down to cap
@@ -569,6 +602,8 @@ def telescope(seq: BratteliSequence, keep) -> BratteliSequence:
     product cut at the least number str() refuses (_write_cut), and a
     multiplicity that reaches the cut is refused as too long to write
     (_refuse_unwritable); below the cut every multiplicity is exact.
+    A map whose smallest multiplicities multiply to the cut (_least) is
+    refused before it is composed: every multiplicity it has reaches it.
     """
     keep = tuple(keep)
     if not keep or keep[0] != 1:
@@ -583,9 +618,12 @@ def telescope(seq: BratteliSequence, keep) -> BratteliSequence:
     maps = []
     for i, (a, b) in enumerate(zip(keep, keep[1:]), start=1):
         seq._check_span(a, b)
+        what = f"a multiplicity of map {i}"
+        if cut is not None:
+            _refuse_unwritable((seq._least(a, b, cut),), cut, what)
         rank = seq.rank_at(a)
         parent, mult = seq._compose((range(rank), (1,) * rank), a, b, cut)
-        _refuse_unwritable(mult, cut, f"a multiplicity of map {i}")
+        _refuse_unwritable(mult, cut, what)
         # a composite of valid maps is valid: no entry needs checking again
         maps.append(NonMixingMap._of(rank, tuple(parent), tuple(mult)))
     ranks = tuple(seq.rank_at(t) for t in keep)

@@ -632,6 +632,26 @@ class TestHostileInput:
             "(more than 4300 digits)\n",
         )
 
+    def test_tripling_cycle_refused_before_composing(self, doc, in_child):
+        # every coordinate of this rank-65,536 cycle triples every level,
+        # so the smallest multiplicity of the composite to level 12000
+        # passes the cut at 10**4300 already; composing it to the end
+        # squared 65,536 numbers of up to 4,300 digits, 8.6-11.7 s.  The
+        # address space is the CI step's, `ulimit -v 1000000`
+        n = 2**16
+        unit = " ".join(["1"] * n)
+        cells = " ".join(f"{i}*3" for i in range(1, n + 1))
+        text = f"bratteli v1\nsizes: {n} {n}\nunit: {unit}\nmap 1: {cells}\nrepeat: 1\n"
+        argv = ["telescope", doc("t.brat", text), "--keep", "1,12000"]
+        code, out, err, secs = in_child(argv, address_space=1000000 * 1024)
+        assert secs < 1
+        assert (code, out, err) == (
+            1,
+            "",
+            "error: a multiplicity of map 1 is too long to write in decimal "
+            "(more than 4300 digits)\n",
+        )
+
     @pytest.mark.parametrize(
         "text, argv, err",
         [
@@ -1230,8 +1250,8 @@ class TestUsage:
     ):
         # the same table built the plain argparse way, every subparser with
         # add_help=True and its arguments added at once: any argparse
-        # release where the hook adds -h differently, or is not reached,
-        # prints another help here
+        # release that builds the parser behind a stand-in differently, or
+        # never reaches it, prints another help here
         eager = argparse.ArgumentParser(
             prog="bratteli", description="Exact Bratteli diagram toolkit."
         )
@@ -1271,3 +1291,61 @@ class TestUsage:
             ("bratteli validate", ("-h", "--help")),
             ("bratteli validate", ("file",)),
         ]
+
+
+class TestParsers:
+    """Argparse holds a stand-in, cli._Command, for every subcommand, and
+    the real parser is built only for the one a command line names."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        # the prog of every cli._Parser constructed, in order
+        progs = []
+        init = cli._Parser.__init__
+
+        def record(parser, *args, **kwargs):
+            init(parser, *args, **kwargs)
+            progs.append(parser.prog)
+
+        monkeypatch.setattr(cli._Parser, "__init__", record)
+        return progs
+
+    @pytest.mark.parametrize("name", [command[0] for command in cli._COMMANDS])
+    def test_two_parsers_a_call(self, name, built, capsys):
+        # every command has a required positional, so this is refused
+        # by the dispatched parser
+        assert run([name]) == 64
+        assert capsys.readouterr().err.startswith("usage error: the following")
+        assert built == ["bratteli", f"bratteli {name}"]
+
+    @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["frobnicate"], 64)])
+    def test_one_parser_without_a_command(self, argv, code, built, capsys):
+        try:
+            said = run(argv)
+        except SystemExit as e:
+            said = e.code
+        capsys.readouterr()
+        assert said == code
+        assert built == ["bratteli"]
+
+    def test_no_state_between_calls(self, doc, built, monkeypatch, capsys):
+        commands = []
+        init = cli._Command.__init__
+
+        def record(command, *args, **kwargs):
+            init(command, *args, **kwargs)
+            commands.append(command)
+
+        def holds_a_parser(value):
+            if isinstance(value, dict):
+                return any(map(holds_a_parser, value.values()))
+            return isinstance(value, argparse.ArgumentParser)
+
+        monkeypatch.setattr(cli._Command, "__init__", record)
+        path = doc("d.brat", DYADIC)
+        assert run(["validate", path]) == 0
+        assert run(["canon", path]) == 0
+        assert capsys.readouterr().err == ""
+        assert built == ["bratteli", "bratteli validate", "bratteli", "bratteli canon"]
+        assert len(commands) == 2 * len(cli._COMMANDS)
+        assert not any(holds_a_parser(vars(command)) for command in commands)

@@ -360,6 +360,54 @@ class TestTelescope:
                 got, _ = exact_image_runs(seq, level, depth)
                 assert [got[i] for i in written] == [unit[i] for i in written]
 
+    def test_least_bound_refuses_as_composing_does(self, digit_limit):
+        # the bound telescope refuses a map on before composing it
+        # (_least) against the oracle: it is the product of each map's
+        # smallest multiplicity, cut at 10**640, so never more than the
+        # smallest composed one, and telescope refuses the same map that
+        # composing every map in full refuses first
+        digit_limit(640)
+        cut = 10**640
+        rng = random.Random(40)
+        bounded = composed = 0
+        for _ in range(240):
+            kind = rng.choice(("cyclic", "sub"))
+            if kind == "sub" or rng.random() < 0.3:
+                seq = _behind_a_chain(rng, kind)
+                top = max_usable_level(seq, extra_periods=3)
+            else:
+                seq = rng.choice(
+                    (
+                        scalar_chain(rng.randint(2, 9), levels=rng.randint(2, 4)),
+                        two_path(rng.randint(1, 9), rng.randint(2, 9)),
+                        long_chain(rng, rng.randint(2, 4), rank=3, max_mult=9),
+                        random_sequence(rng, max_mult=9, tail="cyclic"),
+                    )
+                )
+                top = rng.randint(seq.length, 3000)
+            size = rng.randint(1, min(3, top - 1))
+            keep = (1, *sorted(rng.sample(range(2, top + 1), size)))
+            spans = list(zip(keep, keep[1:]))
+            maps = [_stepped(seq, a, b) for a, b in spans]
+            for (a, b), (_, mult) in zip(spans, maps):
+                least = 1
+                for t in range(a, b):
+                    least = min(least * min(seq.map_at(t).mult), cut)
+                assert seq._least(a, b, cut) == least <= min(mult)
+            bad = [i for i, (_, mult) in enumerate(maps, 1) if not _writable(mult)]
+            if bad:
+                refused = f"^a multiplicity of map {bad[0]} is too long to write"
+                with pytest.raises(TooLarge, match=refused):
+                    telescope(seq, keep)
+                if seq._least(*spans[bad[0] - 1], cut) == cut:
+                    bounded += 1
+                else:
+                    composed += 1
+            else:
+                out = telescope(seq, keep)
+                assert [(list(a.parent), list(a.mult)) for a in out.maps] == maps
+        assert bounded > 20 and composed > 5
+
     def test_soundness_for_limit_verdicts(self):
         # comparisons at kept levels agree before and after telescoping,
         # provided the last presented level stays (dropping it would
