@@ -24,7 +24,8 @@ from json import dumps as _json_dumps
 from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING
 
-from .fileformat import INTEGER, _decimal, parse_diagram, serialize_diagram
+from .diagram import _refuse_unwritable
+from .fileformat import INTEGER, parse_diagram, serialize_diagram
 
 # Each codec imports the types it builds or tests when it runs, so
 # `canon`, which takes only dumps, loads none of equiv, intertwine or
@@ -161,15 +162,14 @@ def _supernatural(value, what: str):
 
 
 def unit_change_to_doc(cert: UnitChangeCertificate) -> dict:
+    for t, s in enumerate(cert.rungs, start=1):
+        _refuse_unwritable((s,), f"rung {t} scalar")
     return {
         "kind": "unit-change",
         "sequence": serialize_diagram(cert.seq),
         "alt_unit": [str(v) for v in cert.alt_unit],
         "strategy": cert.strategy,
-        "rungs": [
-            {"scalar": _decimal(s, f"rung {t} scalar")}
-            for t, s in enumerate(cert.rungs, start=1)
-        ],
+        "rungs": [{"scalar": str(s)} for s in cert.rungs],
         "partial_n": str(cert.partial_n),
         "partial_m": str(cert.partial_m),
         "exact_n": None if cert.exact_n is None else str(cert.exact_n),

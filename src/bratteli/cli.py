@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .errors import BratteliError, ParseError
-from .fileformat import INTEGER, _decimal, parse_diagram
+from .fileformat import INTEGER, parse_diagram
 
 # Each command imports what it calls when it runs, so a process loads
 # only the modules of its own command (`validate` loads none of them).
@@ -202,17 +202,12 @@ def _cmd_states(args):
 
 def _cmd_canon(args):
     from . import certio
-    from .diagram import _write_cut
     from .equiv import canonicalize_q
 
     seq = _load(args.file)
+    # a diagonal entry too long to write is refused as its level is
+    # formed, before the first row is written
     system, units = canonicalize_q(seq)
-    # the rows are written as they are formed, so a diagonal entry too
-    # long to write is refused before the first byte: str() refuses
-    # exactly the entries at or past the cut
-    cut = _write_cut()
-    if cut is not None and max(map(max, units)) >= cut:
-        _decimal(next(v for u in units for v in u if v >= cut), "diagonal entry")
     # the diagonal entry 1/u is written as str(Fraction(1, u)) reads
     doc = {
         "kind": "canonical-form",

@@ -43,13 +43,13 @@ and ancestor_runs lo..hi-1: it streams level hi, unlisted.
 
 Every vector is pushed up by _push, which composes the maps onto it
 as above: the units u_t, both sides of a limit comparison, and the
-units `states` writes.  A number too long to write is found by one
-rule: telescope and exact `states` compose with every product cut at
-the least number str() refuses (_write_cut), and refuse a written
-number that reaches it (_refuse_unwritable).  A product of positive
-integers never shrinks, so every number below the cut is exact.
-`states --decimal` cuts at 2**1075 instead, where 1/u becomes the
-float 0.0.
+units `states` writes.  A number too long to write is refused by one
+rule, _refuse_unwritable: it reaches the least number str() refuses
+(_write_cut).  telescope and exact `states` compose through _written,
+every product cut there, and a span whose smallest multiplicities
+multiply to the cut (_least) is refused before it is composed.  A
+product of positive integers never shrinks, so every number below the
+cut is exact.  `states --decimal` cuts at 2**1075 instead.
 
 keep_at lists the coordinates the limit sees.  Each coordinate has one
 parent, so they are found by one memoized walk of parents down to
@@ -308,6 +308,16 @@ class BratteliSequence(Frozen):
         self._check_span(lo, hi)
         return self._compose((range(self.rank_at(lo)), x), lo, hi, cap)[1]
 
+    def _written(self, x, lo: int, hi: int, what: str) -> tuple:
+        # (parent, mult): x pushed up as _push does, cut at _write_cut().
+        # Every entry is at least min(x) times _least, so when that bound
+        # reaches the cut every entry does: `what` is refused at once
+        self._check_span(lo, hi)
+        cut = _write_cut()
+        if cut is not None:
+            _refuse_unwritable((min(x) * self._least(lo, hi, cut),), what)
+        return self._compose((range(self.rank_at(lo)), x), lo, hi, cut)
+
     # -- levels, maps, units ---------------------------------------------
 
     def rank_at(self, t: int) -> int:
@@ -447,9 +457,11 @@ def _cut_for(limit: int) -> int | None:
     return 10**limit if limit else None
 
 
-def _refuse_unwritable(values, cut: int | None, what: str):
-    # raise TooLarge when one of the written values, composed under
-    # cut = _write_cut(), reaches it: str() refuses that number
+def _refuse_unwritable(values, what: str):
+    # the one rule for a number too long to write: raise TooLarge when
+    # one of the values, exact or cut at _write_cut(), reaches the cut,
+    # since str() refuses exactly the numbers that do
+    cut = _write_cut()
     if cut is not None and max(values) >= cut:
         raise TooLarge(
             f"{what} is too long to write in decimal "
@@ -599,7 +611,7 @@ def telescope(seq: BratteliSequence, keep) -> BratteliSequence:
 
     Kept levels past the listing budget are refused before anything is
     composed (_check_listing).  Each map is composed once, with every
-    product cut at the least number str() refuses (_write_cut), and a
+    product cut at the least number str() refuses (_written), and a
     multiplicity that reaches the cut is refused as too long to write
     (_refuse_unwritable); below the cut every multiplicity is exact.
     A map whose smallest multiplicities multiply to the cut (_least) is
@@ -614,16 +626,12 @@ def telescope(seq: BratteliSequence, keep) -> BratteliSequence:
     _check_listing((seq,), keep, "kept level", f"keeping {len(keep)} levels")
     if keep == tuple(range(1, seq.length + 1)):
         return seq
-    cut = _write_cut()
     maps = []
     for i, (a, b) in enumerate(zip(keep, keep[1:]), start=1):
-        seq._check_span(a, b)
         what = f"a multiplicity of map {i}"
-        if cut is not None:
-            _refuse_unwritable((seq._least(a, b, cut),), cut, what)
         rank = seq.rank_at(a)
-        parent, mult = seq._compose((range(rank), (1,) * rank), a, b, cut)
-        _refuse_unwritable(mult, cut, what)
+        parent, mult = seq._written((1,) * rank, a, b, what)
+        _refuse_unwritable(mult, what)
         # a composite of valid maps is valid: no entry needs checking again
         maps.append(NonMixingMap._of(rank, tuple(parent), tuple(mult)))
     ranks = tuple(seq.rank_at(t) for t in keep)

@@ -26,14 +26,15 @@ plays no part in the verdict, so a certificate carries none of it: only
 the two sequences, their path counts, the closure and the levels it
 names.  IndexSystem, the shape on its own, and the units, whose
 reciprocals are the rescaling diagonals, are only what canonicalize_q
-returns for `canon` to print.
+returns for `canon` to print; it refuses a level whose units are too
+long to write as it forms that level (diagram._refuse_unwritable).
 """
 
 from __future__ import annotations
 
 from operator import mul
 
-from .diagram import BratteliSequence, _keeps
+from .diagram import BratteliSequence, _keeps, _refuse_unwritable
 from .errors import Frozen, _set
 from .simplicial import NonMixingMap
 
@@ -85,9 +86,10 @@ def canonicalize_q(seq: BratteliSequence):
     parent map and every unit the all-ones vector.  Returns (IndexSystem,
     units), where units[t-1] is u_t for each presented level, pushed up
     one level at a time; `canon` writes each diagonal entry from it as
-    the text "1/u" (or "1"), and no Fraction is formed.  equivalent_q and
-    its verifiers read the shape off the sequence itself and build
-    neither.
+    the text "1/u" (or "1"), and no Fraction is formed.  TooLarge stops
+    the push at the first level with an entry too long to write.
+    equivalent_q and its verifiers read the shape off the sequence
+    itself and build neither.
     """
     shape = IndexSystem._of(seq)
     u = seq.base_unit
@@ -95,6 +97,7 @@ def canonicalize_q(seq: BratteliSequence):
     for a in seq.maps:
         # a.apply(u), without its checks: u is a unit of seq itself
         u = tuple(map(mul, a.mult, map(u.__getitem__, a.parent)))
+        _refuse_unwritable(u, "diagonal entry")
         units.append(u)
     return shape, tuple(units)
 

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import re
 
-from .diagram import BratteliSequence
-from .errors import DIGITS, BratteliError, ParseError, TooLarge
+from .diagram import BratteliSequence, _refuse_unwritable
+from .errors import DIGITS, BratteliError, ParseError
 from .simplicial import NonMixingMap
 
 INTEGER = re.compile(f"-?{DIGITS}")
@@ -121,16 +121,6 @@ def _bulk_maps(block: list, sizes: list):
         maps.append(NonMixingMap._of(src, row, mult[at : at + n]))
         at += n
     return maps
-
-
-def _decimal(value: int, what: str) -> str:
-    # str() refuses an int longer than sys.get_int_max_str_digits() digits
-    try:
-        return str(value)
-    except ValueError:
-        raise TooLarge(
-            f"{what} is too long to write in decimal ({value.bit_length()} bits)"
-        ) from None
 
 
 def parse_diagram(text: str) -> BratteliSequence:
@@ -242,8 +232,8 @@ def serialize_diagram(seq: BratteliSequence) -> str:
     out.append("sizes: " + " ".join(str(r) for r in seq.ranks))
     try:
         out.append("unit: " + " ".join(str(v) for v in seq.base_unit))
-    except ValueError:  # so the largest entry is too long: TooLarge names it
-        _decimal(max(seq.base_unit), "a unit entry")
+    except ValueError:  # str() refuses what _refuse_unwritable refuses
+        _refuse_unwritable(seq.base_unit, "a unit entry")
     for i, a in enumerate(seq.maps, start=1):
         # each line's cells are formatted by one % over its numbers
         nums = [*a.parent, *a.mult]
@@ -251,7 +241,7 @@ def serialize_diagram(seq: BratteliSequence) -> str:
         try:
             cells = " ".join(["%d*%d"] * len(a.parent)) % tuple(nums)
         except ValueError:
-            _decimal(max(a.mult), f"a multiplicity of map {i}")
+            _refuse_unwritable(a.mult, f"a multiplicity of map {i}")
         out.append(f"map {i}: {cells}")
     if seq.periodic_tail is not None:
         out.append(f"repeat: {seq.periodic_tail}")

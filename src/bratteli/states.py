@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, repeat
 
-from .diagram import BratteliSequence, _refuse_unwritable, _write_cut
+from .diagram import BratteliSequence, _refuse_unwritable
 
 # 1 / u rounds to the float 0.0 from u = 2**1075 on: that quotient is
 # half the smallest subnormal 2**-1074, a tie that rounds to even
@@ -46,14 +46,16 @@ def exact_image_runs(seq: BratteliSequence, level: int, depth: int) -> tuple:
     1 / u_i is too long to write.
 
     The unit is composed once, with every product cut at the least
-    number str() refuses (diagram._write_cut), so each entry below the
-    cut is exact.  TooLarge is raised, before any vertex is written,
-    when the unit entry of a vertex the runs name reaches the cut.
+    number str() refuses (BratteliSequence._written), so each entry
+    below the cut is exact.  TooLarge is raised, before any vertex is
+    written, when the unit entry of a vertex the runs name reaches the
+    cut, and before the unit is composed when every entry will.  A bad
+    span is reported first, in the order the unit and the runs read it.
     """
-    cut = _write_cut()
-    u = seq._push(seq.base_unit, 1, level, cut)
+    seq._check_span(1, level)
     runs = seq.ancestor_runs(level, depth)
-    _refuse_unwritable((u[i] for i, _ in runs), cut, "state value")
+    u = seq._written(seq.base_unit, 1, level, "state value")[1]
+    _refuse_unwritable((u[i] for i, _ in runs), "state value")
     return u, runs
 
 

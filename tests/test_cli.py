@@ -563,26 +563,47 @@ class TestHostileInput:
         assert "5001 digits" in err
 
     @pytest.mark.parametrize(
-        "command, err",
+        "command, what",
         [
             # level 15000 of the doubling chain multiplies by 2**14999,
             # which has 4516 decimal digits
+            (["telescope", "{dyadic}", "--keep", "1,15000"], "a multiplicity of map 1"),
+            (["tensor", "{big}", "{big}"], "a unit entry"),
+            # twice the widest unit entry a document can hold
+            (["tensorq", "{widest}", "--n", "2", "--depth", "1"], "a unit entry"),
+            # the level-3 unit has about 6 000 digits
+            (["canon", "{deep}"], "diagonal entry"),
+            # the paper strategy's rung 6 has about 13 800 digits
             (
-                ["telescope", "{dyadic}", "--keep", "1,15000"],
-                "error: a multiplicity of map 1 is too long to write in "
-                "decimal (more than 4300 digits)\n",
+                ["unit-change", "{chain}", "--unit", "1,2,3,4,5,1,2,3", "--depth", "6"]
+                + ["--strategy", "paper"],
+                "rung 6 scalar",
             ),
+            # the unit entry 3**9999 at level 10000 has 4771 digits
             (
-                ["tensor", "{big}", "{big}"],
-                "error: a unit entry is too long to write in decimal (19932 bits)\n",
+                ["states", "{tripling}", "--level", "10000", "--depth", "10000"],
+                "state value",
             ),
         ],
-        ids=["telescope", "tensor"],
+        ids=["telescope", "tensor", "tensorq", "canon", "unit-change", "states"],
     )
-    def test_written_numeral_past_digit_limit(self, command, err, doc, capsys):
-        paths = {"dyadic": doc("d.brat", DYADIC), "big": doc("b.brat", BIG_UNIT)}
+    def test_written_numeral_past_digit_limit(self, command, what, doc, capsys):
+        # every writer refuses by one rule, with one message
+        big = "9" * 3000
+        paths = {
+            "dyadic": doc("d.brat", DYADIC),
+            "big": doc("b.brat", BIG_UNIT),
+            "widest": doc("w.brat", "bratteli v1\nsizes: 1\nunit: " + "9" * 4300 + "\n"),
+            "deep": doc(
+                "u.brat",
+                f"bratteli v1\nsizes: 1 1 1\nunit: 1\nmap 1: 1*{big}\nmap 2: 1*{big}\n",
+            ),
+            "chain": self.paper_chain(doc),
+            "tripling": doc("t.brat", CYCLIC_TRIPLING),
+        }
         assert run([a.format(**paths) for a in command]) == 1
         captured = capsys.readouterr()
+        err = f"error: {what} is too long to write in decimal (more than 4300 digits)\n"
         assert (captured.out, captured.err) == ("", err)
 
     @pytest.mark.parametrize(
@@ -634,21 +655,43 @@ class TestHostileInput:
 
     def test_tripling_cycle_refused_before_composing(self, doc, in_child):
         # every coordinate of this rank-65,536 cycle triples every level,
-        # so the smallest multiplicity of the composite to level 12000
-        # passes the cut at 10**4300 already; composing it to the end
-        # squared 65,536 numbers of up to 4,300 digits, 8.6-11.7 s.  The
-        # address space is the CI step's, `ulimit -v 1000000`
+        # so the smallest multiplicity of the composite to level 12000,
+        # and every unit entry there, passes the cut at 10**4300 already;
+        # composing it to the end squared 65,536 numbers of up to 4,300
+        # digits, 8.6-11.7 s for telescope and 10-11 s for states.  A span
+        # states cannot read is still reported first.  The address space
+        # is the CI step's, `ulimit -v 1000000`
         n = 2**16
         unit = " ".join(["1"] * n)
         cells = " ".join(f"{i}*3" for i in range(1, n + 1))
-        text = f"bratteli v1\nsizes: {n} {n}\nunit: {unit}\nmap 1: {cells}\nrepeat: 1\n"
-        argv = ["telescope", doc("t.brat", text), "--keep", "1,12000"]
-        code, out, err, secs = in_child(argv, address_space=1000000 * 1024)
-        assert secs < 1
+        path = doc(
+            "t.brat", f"bratteli v1\nsizes: {n} {n}\nunit: {unit}\nmap 1: {cells}\nrepeat: 1\n"
+        )
+        too_long = "is too long to write in decimal (more than 4300 digits)\n"
+        for argv, want in (
+            (["telescope", path, "--keep", "1,12000"], f"a multiplicity of map 1 {too_long}"),
+            (["states", path, "--level", "12000", "--depth", "12000"], f"state value {too_long}"),
+            (["states", path, "--level", "12000", "--depth", "5"], "need lo <= hi, got 12000 > 5\n"),
+        ):
+            code, out, err, secs = in_child(argv, address_space=1000000 * 1024)
+            assert secs < 1, argv
+            assert (code, out, err) == (1, "", f"error: {want}"), argv
+
+    def test_tripling_chain_canon_refused_as_formed(self, doc, in_child):
+        # a rank-32 chain of 16,000 levels, each tripling every coordinate:
+        # its diagonal entries pass 4300 digits near level 9000, and the
+        # units of all 16,000 levels ran out of 500 MB before the first was
+        # refused
+        n, levels = 32, 16000
+        cells = " ".join(f"{i}*3" for i in range(1, n + 1))
+        maps = "".join(f"map {t}: {cells}\n" for t in range(1, levels))
+        unit = " ".join(["1"] * n)
+        text = f"bratteli v1\nsizes: {f'{n} ' * (levels - 1)}{n}\nunit: {unit}\n{maps}"
+        code, out, err, secs = in_child(["canon", doc("c.brat", text)], 500000 * 1024)
         assert (code, out, err) == (
             1,
             "",
-            "error: a multiplicity of map 1 is too long to write in decimal "
+            "error: diagonal entry is too long to write in decimal "
             "(more than 4300 digits)\n",
         )
 
@@ -855,11 +898,14 @@ class TestHostileInput:
         err = self.check(argv, 64, capsys)
         assert err.startswith("usage error: --n:")
 
-    def paper_ladder(self, doc, depth):
+    def paper_chain(self, doc):
         rng = random.Random(0)
         maps = [random_map(rng, 8, 8, max_mult=3, onto=True) for _ in range(7)]
         chain = BratteliSequence((8,) * 8, tuple(maps), (1,) * 8, 1)
-        path = doc("c.brat", serialize_diagram(chain))
+        return doc("c.brat", serialize_diagram(chain))
+
+    def paper_ladder(self, doc, depth):
+        path = self.paper_chain(doc)
         argv = ["unit-change", path, "--unit", "1,2,3,4,5,1,2,3", "--depth", str(depth)]
         return argv + ["--strategy", "paper"]
 

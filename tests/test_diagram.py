@@ -365,11 +365,15 @@ class TestTelescope:
         # (_least) against the oracle: it is the product of each map's
         # smallest multiplicity, cut at 10**640, so never more than the
         # smallest composed one, and telescope refuses the same map that
-        # composing every map in full refuses first
+        # composing every map in full refuses first.  exact_image_runs,
+        # which refuses on the same bound times the least unit entry,
+        # refuses exactly when the uncapped unit reaches the cut at a
+        # vertex the runs name, and otherwise returns those entries
         digit_limit(640)
         cut = 10**640
-        rng = random.Random(40)
+        rng, pick = random.Random(40), random.Random(41)
         bounded = composed = 0
+        states = {"bounded": 0, "composed": 0, "written": 0}
         for _ in range(240):
             kind = rng.choice(("cyclic", "sub"))
             if kind == "sub" or rng.random() < 0.3:
@@ -406,7 +410,50 @@ class TestTelescope:
             else:
                 out = telescope(seq, keep)
                 assert [(list(a.parent), list(a.mult)) for a in out.maps] == maps
+
+            level = pick.randint(1, top)
+            depth = pick.randint(level, top)
+            parent, mult = _stepped(seq, 1, level)
+            unit = [seq.base_unit[i] * m for i, m in zip(parent, mult)]
+            named = sorted(set(_stepped(seq, level, depth)[0]))
+            if any(unit[i] >= cut for i in named):
+                with pytest.raises(TooLarge, match="^state value is too long to write"):
+                    exact_image_runs(seq, level, depth)
+                bound = min(seq.base_unit) * seq._least(1, level, cut)
+                states["bounded" if bound >= cut else "composed"] += 1
+            else:
+                got, _ = exact_image_runs(seq, level, depth)
+                assert [got[i] for i in named] == [unit[i] for i in named]
+                states["written"] += 1
         assert bounded > 20 and composed > 5
+        assert min(states.values()) > 5, states
+
+    def test_unit_bound_reads_the_least_entry(self, digit_limit, monkeypatch):
+        # exact_image_runs refuses on the least base unit entry times
+        # _least before composing anything under the cut: the largest
+        # entry would refuse a writable unit, and the bound alone would
+        # compose a unit that is refused
+        digit_limit(640)
+        cut, big = 10**640, 10**630
+        caps = []
+        steps = BratteliSequence._steps
+
+        def record(self, f, lo, hi, cap):
+            caps.append(cap)
+            return steps(self, f, lo, hi, cap)
+
+        monkeypatch.setattr(BratteliSequence, "_steps", record)
+        # vertex 2 of level 1 has no descendants, so no unit entry past
+        # level 1 reads its 631 digits
+        first = NonMixingMap(2, (0, 0), (2, 2))
+        dropped = BratteliSequence((2, 2, 2), (first, NonMixingMap(2, (0, 1), (2, 2))), (1, big), 2)
+        assert tuple(exact_image_runs(dropped, 40, 40)[0]) == (2**39, 2**39)
+        # every unit entry of this chain is at least 10**630 * 2**39
+        chain = BratteliSequence((1, 1), (NonMixingMap(1, (0,), (2,)),), (big,), 1)
+        caps.clear()
+        with pytest.raises(TooLarge, match="^state value is too long to write"):
+            exact_image_runs(chain, 40, 40)
+        assert cut not in caps
 
     def test_soundness_for_limit_verdicts(self):
         # comparisons at kept levels agree before and after telescoping,

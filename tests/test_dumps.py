@@ -189,27 +189,41 @@ def _canon_cases():
             max_mult=rng.choice((1, 4, 1000, 10**30)),
             tail=("none", "cyclic", "sub")[i % 3],
         )
+    # units on both sides of str()'s limit of 4300 digits
+    rng = random.Random(1804)
+    for i in range(60):
+        yield random_sequence(rng, max_levels=40, max_mult=10**400, tail="none")
 
 
 def test_canon_matches_the_fraction_path():
+    # the same bytes, or the same refusal, named by the one rule
+    refused = "error: diagonal entry is too long to write in decimal (more than 4300 digits)\n"
+    refusals = 0
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "d.brat")
         for seq in _canon_cases():
             path.write_text(serialize_diagram(seq), encoding="utf-8")
-            assert _cli(["canon", str(path)]) == (0, _old_canon(seq), "")
+            try:
+                want = (0, _old_canon(seq), "")
+            except TooLarge:
+                want = (1, "", refused)
+                refusals += 1
+            assert _cli(["canon", str(path)]) == want
+    assert 10 < refusals < 50
 
 
 def test_canon_refuses_as_the_fraction_path():
-    # the level-3 unit has about 6 000 digits, past str()'s limit
+    # the level-3 unit has about 6 000 digits, past str()'s limit; the
+    # Fraction path refused it with its bit count, canon names the limit
     big = "9" * 3000
     text = f"bratteli v1\nsizes: 1 1 1\nunit: 1\nmap 1: 1*{big}\nmap 2: 1*{big}\n"
     try:
         _old_canon(parse_diagram(text))
     except TooLarge as e:
-        want = f"error: {e}\n"
+        assert str(e).startswith("diagonal entry is too long to write in decimal")
     else:
         raise AssertionError("the Fraction path wrote the document")
-    assert want == "error: diagonal entry is too long to write in decimal (19932 bits)\n"
+    want = "error: diagonal entry is too long to write in decimal (more than 4300 digits)\n"
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "d.brat")
         path.write_text(text, encoding="utf-8")
