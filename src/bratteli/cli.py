@@ -238,17 +238,14 @@ def _cmd_equiv(args):
 def _draw_ranks(seq):
     # the ranks of the levels arch-check draws from: 1..L untailed, else
     # on to the last of L+1..L+2*period before the first one past rank
-    # 1000.  Level t >= p has rank g**k * ranks[b - 1], b and k as
-    # diagram's module docstring reads them and g = rank_L // rank_p, so
-    # those levels are block levels p+1..L-1 at k = 1, p..L-1 at k = 2
-    # and p at k = 3
+    # 1000
+    from itertools import takewhile
+
     L, p = seq.length, seq.periodic_tail
     if p is None:
         return seq.ranks
-    block, g = seq.ranks[p - 1 : L - 1], seq.ranks[-1] // seq.ranks[p - 1]
-    past = [*(g * r for r in block[1:]), *(g * g * r for r in block), g**3 * block[0]]
-    end = next((i for i, r in enumerate(past) if r > 1000), len(past))
-    return seq.ranks + tuple(past[:end])
+    past = map(seq.rank_at, range(L + 1, 3 * L - 2 * p + 1))
+    return seq.ranks + tuple(takewhile(lambda r: r <= 1000, past))
 
 
 def _cmd_arch_check(args):

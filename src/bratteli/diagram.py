@@ -46,10 +46,12 @@ as above: the units u_t, both sides of a limit comparison, and the
 units `states` writes.  A number too long to write is refused by one
 rule, _refuse_unwritable: it reaches the least number str() refuses
 (_write_cut).  telescope and exact `states` compose through _written,
-every product cut there, and a span whose smallest multiplicities
-multiply to the cut (_least) is refused before it is composed.  A
-product of positive integers never shrinks, so every number below the
-cut is exact.  `states --decimal` cuts at 2**1075 instead.
+every product cut there.  One bound pass, _bound, multiplies each map's
+smallest or largest multiplicity, whole periods in closed form: a span
+whose smallest ones multiply to the cut is refused before it is
+composed, and one whose largest ones stay below it is composed without
+the cut.  A product of positive integers never shrinks, so every number
+below the cut is exact.  `states --decimal` cuts at 2**1075 instead.
 
 keep_at lists the coordinates the limit sees.  Each coordinate has one
 parent, so they are found by one memoized walk of parents down to
@@ -227,18 +229,18 @@ class BratteliSequence(Frozen):
         if self.tail_kind == "substitution":
             _check_listing((self,), range(max(lo, self.length + 1), hi + listed))
 
-    def _compose(self, f: tuple, lo: int, hi: int, cap: int | None = None) -> tuple:
-        # f, a (parent, mult) composite ending at level lo, followed by
-        # the maps of levels lo..hi-1; mult None is carried as None.
-        # With cap each product stops growing at cap, so a composite mult
-        # is exact below cap and cap from there on
-        parent, mult = f
-        top = None if cap is None or mult is None else max(mult)
-        return self._steps((parent, mult, top), lo, hi, cap)[:2]
+    def _compose(self, x, lo: int, hi: int, cap: int | None = None) -> tuple:
+        # (parent, mult): x, a vector at level lo or None, followed by the
+        # maps of levels lo..hi-1; mult None is carried as None.  With cap
+        # each product stops growing at cap, so a composite mult is exact
+        # below cap and cap from there on; a span whose largest entries
+        # multiply to less than cap (_bound) cuts nothing and drops it
+        if cap is not None and x is not None:
+            cap = None if max(x) * self._bound(lo, hi, cap, max) < cap else cap
+        return self._steps((range(self.rank_at(lo)), x), lo, hi, cap)
 
     def _steps(self, f: tuple, lo: int, hi: int, cap: int | None) -> tuple:
-        # _compose on (parent, mult, top) triples, top an upper bound on
-        # mult's entries that is carried only with cap (see _then).
+        # _compose on a (parent, mult) pair f ending at level lo (_then).
         # On a cyclic tail the maps from any level s >= p on repeat every
         # period, so the whole periods from max(lo, p) are one period's
         # composite raised to a power, by repeated squaring
@@ -248,9 +250,8 @@ class BratteliSequence(Frozen):
             k = (hi - start) // period
             if k > 1:
                 f = self._steps(f, lo, start, cap)
-                rank = self.rank_at(start)
-                one = (range(rank), None if f[1] is None else (1,) * rank, 1)
-                power = self._steps(one, start, start + period, cap)
+                one = None if f[1] is None else (1,) * self.rank_at(start)
+                power = self._compose(one, start, start + period, cap)
                 while k:
                     if k & 1:
                         f = _then(f, power, cap)
@@ -260,35 +261,25 @@ class BratteliSequence(Frozen):
                 lo = hi - (hi - start) % period
         for t in range(lo, hi):
             a = self.map_at(t)
-            f = _then(f, (a.parent, a.mult, None if cap is None else self._top(t)), cap)
+            f = _then(f, (a.parent, a.mult), cap)
         return f
 
-    def _top(self, t: int) -> int:
-        # the largest multiplicity of map_at(t), which is its presented or
-        # block map relabelled and repeated: read once per presented map
-        b = t if t < self.length else self._block_position(t)
-        return self._memo(("top", b), lambda: max(self.maps[b - 1].mult))
-
-    def _bottom(self, t: int) -> int:
-        # the smallest multiplicity of map_at(t), read as _top reads the
-        # largest
-        b = t if t < self.length else self._block_position(t)
-        return self._memo(("bottom", b), lambda: min(self.maps[b - 1].mult))
-
-    def _least(self, lo: int, hi: int, cap: int) -> int:
-        # a lower bound on every multiplicity of the composite from level
-        # lo to level hi: the product of each map's smallest multiplicity,
-        # cut down to cap.  From the tail start on, the maps' smallest
-        # multiplicities repeat every period, for either kind of tail, so
-        # the whole periods are one period's product raised to a power
+    def _bound(self, lo: int, hi: int, cap: int, end) -> int:
+        # with end min (max), a lower (upper) bound on every multiplicity
+        # of the composite from level lo to level hi: the product of each
+        # map's end multiplicity, cut down to cap.  map_at(t) is a
+        # presented or block map relabelled and repeated, so its end one
+        # is read once per presented map; from the tail start on they
+        # repeat every period, for either kind of tail, so the whole
+        # periods are one period's product raised to a power
         bound, t = 1, lo
         if self.is_tailed:
             p, period = self.periodic_tail, self.length - self.periodic_tail
             start = max(lo, p)
             k = (hi - start) // period
             if k > 1:
-                bound = self._least(lo, start, cap)
-                power = self._least(start, start + period, cap)
+                bound = self._bound(lo, start, cap, end)
+                power = self._bound(start, start + period, cap, end)
                 while k:
                     if k & 1:
                         bound = min(bound * power, cap)
@@ -299,24 +290,26 @@ class BratteliSequence(Frozen):
         for t in range(t, hi):
             if bound >= cap:
                 break
-            bound = min(bound * self._bottom(t), cap)
+            b = t if t < self.length else self._block_position(t)
+            m = self._memo((end, b), lambda: end(self.maps[b - 1].mult))
+            bound = min(bound * m, cap)
         return bound
 
     def _push(self, x, lo: int, hi: int, cap: int | None = None):
         # x, a vector at level lo, pushed up to level hi along parents;
         # with cap, each entry is cut down to cap
         self._check_span(lo, hi)
-        return self._compose((range(self.rank_at(lo)), x), lo, hi, cap)[1]
+        return self._compose(x, lo, hi, cap)[1]
 
     def _written(self, x, lo: int, hi: int, what: str) -> tuple:
         # (parent, mult): x pushed up as _push does, cut at _write_cut().
-        # Every entry is at least min(x) times _least, so when that bound
-        # reaches the cut every entry does: `what` is refused at once
+        # Every entry is at least min(x) times _bound(..., min), so when
+        # that reaches the cut every entry does: `what` is refused at once
         self._check_span(lo, hi)
         cut = _write_cut()
         if cut is not None:
-            _refuse_unwritable((min(x) * self._least(lo, hi, cut),), what)
-        return self._compose((range(self.rank_at(lo)), x), lo, hi, cut)
+            _refuse_unwritable((min(x) * self._bound(lo, hi, cut, min),), what)
+        return self._compose(x, lo, hi, cut)
 
     # -- levels, maps, units ---------------------------------------------
 
@@ -360,7 +353,7 @@ class BratteliSequence(Frozen):
         # every map_at(t) is already valid, so compose the parent and
         # mult lists directly and validate only the finished composite
         rank = self.rank_at(lo)
-        parent, mult = self._compose((range(rank), (1,) * rank), lo, hi)
+        parent, mult = self._compose((1,) * rank, lo, hi)
         return NonMixingMap(rank, tuple(parent), tuple(mult))
 
     def ancestor_runs(self, lo: int, hi: int) -> tuple:
@@ -378,7 +371,7 @@ class BratteliSequence(Frozen):
         if self.tail_kind == "substitution" and hi > self.length:
             pieces = self._tail_ancestors(lo, hi)
         else:
-            parent = self._compose((range(self.rank_at(lo)), None), lo, hi)[0]
+            parent = self._compose(None, lo, hi)[0]
             pieces = ((a, 1) for a in parent)
         runs = []
         for a, n in pieces:
@@ -403,7 +396,7 @@ class BratteliSequence(Frozen):
         b, k = self._block_position(hi), (hi - p) // period
         if lo <= L:
             k_lo, w = 0, 0
-            g = self._compose((range(self.rank_at(lo)), None), lo, L)[0]
+            g = self._compose(None, lo, L)[0]
         else:
             b_lo, k_lo = self._block_position(lo), (lo - p) // period
             w = self.ranks[b_lo - 1]
@@ -428,21 +421,16 @@ class BratteliSequence(Frozen):
 
 
 def _then(f: tuple, g: tuple, cap: int | None = None) -> tuple:
-    # the composite of (parent, mult, top) triples f then g; mult may be
-    # None, and top, read only with cap, bounds mult's entries.  With cap
-    # each product is cut down to cap: a step whose bounds multiply to
-    # less than cap cuts nothing and carries that product as its bound,
-    # and a step that may cut keeps an entry already at cap without a
-    # multiplication and reads its bound off the entries it made
-    (fp, fm, ft), (gp, gm, gt) = f, g
+    # the composite of (parent, mult) pairs f then g; mult may be None.
+    # With cap each product is cut down to cap, and an entry already at
+    # cap is kept without a multiplication
+    (fp, fm), (gp, gm) = f, g
     parent = [fp[i] for i in gp]
     if fm is None:
-        return parent, None, None
-    top = None if cap is None else ft * gt
-    if top is None or top < cap:
-        return parent, [k * fm[i] for i, k in zip(gp, gm)], top
-    mult = [cap if fm[i] == cap else min(k * fm[i], cap) for i, k in zip(gp, gm)]
-    return parent, mult, max(mult)
+        return parent, None
+    if cap is None:
+        return parent, [k * fm[i] for i, k in zip(gp, gm)]
+    return parent, [cap if fm[i] == cap else min(k * fm[i], cap) for i, k in zip(gp, gm)]
 
 
 def _write_cut() -> int | None:
@@ -614,8 +602,9 @@ def telescope(seq: BratteliSequence, keep) -> BratteliSequence:
     product cut at the least number str() refuses (_written), and a
     multiplicity that reaches the cut is refused as too long to write
     (_refuse_unwritable); below the cut every multiplicity is exact.
-    A map whose smallest multiplicities multiply to the cut (_least) is
-    refused before it is composed: every multiplicity it has reaches it.
+    A map whose smallest multiplicities multiply to the cut
+    (_bound(..., min)) is refused before it is composed: every
+    multiplicity it has reaches it.
     """
     keep = tuple(keep)
     if not keep or keep[0] != 1:

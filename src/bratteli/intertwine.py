@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from math import lcm, prod
 
-from .diagram import BratteliSequence, _check_listing
+from .diagram import BratteliSequence, _check_listing, _refuse_unwritable
 from .errors import Frozen, NotOrderUnit, NotPositive, RankMismatch, TooLarge
 from .simplicial import NonMixingMap, is_order_unit
 from .supernat import INF, SupernaturalNumber
@@ -225,7 +225,9 @@ def unit_change(
 ) -> UnitChangeCertificate:
     """Build the ladder between the base unit and alt_unit, depth rungs
     deep; levels 1..depth past the listing budget
-    (diagram._check_listing) raise TooLarge before any rung is built."""
+    (diagram._check_listing) raise TooLarge before any rung is built, and
+    a rung scalar too long to write (diagram._refuse_unwritable) as it
+    is formed, before a longer one is built on it."""
     alt_unit = tuple(alt_unit)
     if len(alt_unit) != seq.ranks[0]:
         raise RankMismatch(
@@ -242,11 +244,13 @@ def unit_change(
     if depth >= 1:
         u1 = seq.base_unit
         m1 = prod(u1)
+        _refuse_unwritable((m1,), "rung 1 scalar")
         diag = DiagonalMap(tuple((m1 // u) * w for u, w in zip(u1, alt_unit)))
         scalars.append(m1)
         diagonals.append(diag.entries)
     for t in range(2, depth + 1):
         s, diag = rescale_lemma(seq.map_at(t - 1), diag, strategy)
+        _refuse_unwritable((s,), f"rung {t} scalar")
         scalars.append(s)
         diagonals.append(diag.entries)
     scalars = tuple(scalars)

@@ -207,4 +207,7 @@ def _parse_nat(text: str, token: str) -> int:
     text = text.strip()
     if not _NATURAL.fullmatch(text):
         raise ValueError(f"bad supernatural token {token!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # past int()'s limit of sys.get_int_max_str_digits()
+        raise ValueError(f"a numeral of {len(text)} digits is too long") from None

@@ -27,6 +27,14 @@ def count_calls(monkeypatch):
     return patch
 
 
+@pytest.fixture
+def digit_limit():
+    """sys.set_int_max_str_digits, with the limit restored after the test."""
+    old = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(old)
+
+
 def _address_space(cap):
     # a child's address space: cap bytes, or less where this process has less
     def limit():

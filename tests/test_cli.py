@@ -27,7 +27,7 @@ from bratteli import (
     tensor_qn,
     tensor_seq,
 )
-from bratteli import certio, cli, diagram, unit_change
+from bratteli import certio, cli, diagram, intertwine, unit_change
 from bratteli.cli import run
 from genseq import long_chain, random_map, replace, scalar_chain, two_path
 
@@ -898,6 +898,17 @@ class TestHostileInput:
         err = self.check(argv, 64, capsys)
         assert err.startswith("usage error: --n:")
 
+    def test_supernatural_numeral_past_digit_limit(self, doc, tmp_path, capsys):
+        # refused in the diagram reader's words, not in int()'s
+        long = "1" * 5000
+        argv = ["tensorq", doc("d.brat", DYADIC), "--n", long, "--depth", "2"]
+        err = self.check(argv, 64, capsys)
+        assert err == "usage error: --n: a numeral of 5000 digits is too long\n"
+        argv = ["unit-change", doc("d.brat", DYADIC), "--unit", "3", "--depth", "3"]
+        cert = self.tampered(tmp_path, argv, capsys, lambda p: p.update(partial_n=long))
+        err = self.check(["verify", cert], 1, capsys)
+        assert err == "error: partial_n: a numeral of 5000 digits is too long\n"
+
     def paper_chain(self, doc):
         rng = random.Random(0)
         maps = [random_map(rng, 8, 8, max_mult=3, onto=True) for _ in range(7)]
@@ -915,13 +926,26 @@ class TestHostileInput:
         err = self.check(self.paper_ladder(doc, 6), 1, capsys)
         assert err.startswith("error: rung 6 scalar is too long")
 
-    def test_rung_scalar_past_bit_bound(self, doc, capsys):
+    def test_rung_scalar_past_bit_bound(self, doc, capsys, digit_limit):
         # rung 8's scalar has 2 250 984 bits; dividing it out and factoring
-        # the partial products would take about half a minute
+        # the partial products would take about half a minute.  With no
+        # digit limit every scalar can be written, so only the bit bound
+        # stops the ladder
+        digit_limit(0)
         start = time.perf_counter()
         err = self.check(self.paper_ladder(doc, 8), 1, capsys)
         assert err.startswith("error: rung scalar of 2250984 bits")
         assert time.perf_counter() - start < 10
+
+    def test_ladder_stops_at_the_first_unwritable_rung(self, doc, capsys, count_calls):
+        # rung 6's scalar is the first too long to write: no later rung,
+        # whose scalar would have millions of bits, is built
+        calls = count_calls(intertwine, "rescale_lemma")
+        err = self.check(self.paper_ladder(doc, 9), 1, capsys)
+        assert err == (
+            "error: rung 6 scalar is too long to write in decimal (more than 4300 digits)\n"
+        )
+        assert calls == [5]  # rungs 2..6
 
     @pytest.mark.parametrize("tampered", [(0,), (0, 2)])
     def test_long_rung_scalar_is_not_factored(self, tampered, doc, tmp_path, capsys):

@@ -41,14 +41,6 @@ def _limit_eq(seq, a, b):
     return limit_leq(seq, a, b) and limit_leq(seq, b, a)
 
 
-@pytest.fixture
-def digit_limit():
-    """sys.set_int_max_str_digits, with the limit restored after the test."""
-    old = sys.get_int_max_str_digits()
-    yield sys.set_int_max_str_digits
-    sys.set_int_max_str_digits(old)
-
-
 def _behind_a_chain(rng, kind):
     # a random sequence with a tail of that kind behind a rank-1 chain
     # of 300 to 600 levels, multiplicities up to 99 throughout
@@ -361,11 +353,12 @@ class TestTelescope:
                 assert [got[i] for i in written] == [unit[i] for i in written]
 
     def test_least_bound_refuses_as_composing_does(self, digit_limit):
-        # the bound telescope refuses a map on before composing it
-        # (_least) against the oracle: it is the product of each map's
-        # smallest multiplicity, cut at 10**640, so never more than the
-        # smallest composed one, and telescope refuses the same map that
-        # composing every map in full refuses first.  exact_image_runs,
+        # the bounds _bound takes against the oracle: the product of each
+        # map's smallest (largest) multiplicity, cut at 10**640, so never
+        # more (less) than the smallest (largest) composed one, cut alike.
+        # telescope refuses a map on the lower bound before composing it,
+        # and it refuses the same map that composing every map in full
+        # refuses first.  exact_image_runs,
         # which refuses on the same bound times the least unit entry,
         # refuses exactly when the uncapped unit reaches the cut at a
         # vertex the runs name, and otherwise returns those entries
@@ -394,16 +387,18 @@ class TestTelescope:
             spans = list(zip(keep, keep[1:]))
             maps = [_stepped(seq, a, b) for a, b in spans]
             for (a, b), (_, mult) in zip(spans, maps):
-                least = 1
+                least = most = 1
                 for t in range(a, b):
                     least = min(least * min(seq.map_at(t).mult), cut)
-                assert seq._least(a, b, cut) == least <= min(mult)
+                    most = min(most * max(seq.map_at(t).mult), cut)
+                assert seq._bound(a, b, cut, min) == least <= min(mult)
+                assert seq._bound(a, b, cut, max) == most >= min(max(mult), cut)
             bad = [i for i, (_, mult) in enumerate(maps, 1) if not _writable(mult)]
             if bad:
                 refused = f"^a multiplicity of map {bad[0]} is too long to write"
                 with pytest.raises(TooLarge, match=refused):
                     telescope(seq, keep)
-                if seq._least(*spans[bad[0] - 1], cut) == cut:
+                if seq._bound(*spans[bad[0] - 1], cut, min) == cut:
                     bounded += 1
                 else:
                     composed += 1
@@ -419,7 +414,7 @@ class TestTelescope:
             if any(unit[i] >= cut for i in named):
                 with pytest.raises(TooLarge, match="^state value is too long to write"):
                     exact_image_runs(seq, level, depth)
-                bound = min(seq.base_unit) * seq._least(1, level, cut)
+                bound = min(seq.base_unit) * seq._bound(1, level, cut, min)
                 states["bounded" if bound >= cut else "composed"] += 1
             else:
                 got, _ = exact_image_runs(seq, level, depth)
@@ -430,9 +425,10 @@ class TestTelescope:
 
     def test_unit_bound_reads_the_least_entry(self, digit_limit, monkeypatch):
         # exact_image_runs refuses on the least base unit entry times
-        # _least before composing anything under the cut: the largest
-        # entry would refuse a writable unit, and the bound alone would
-        # compose a unit that is refused
+        # _bound(..., min) before composing anything under the cut: the
+        # largest entry would refuse a writable unit, and the bound alone
+        # would compose a unit that is refused.  A unit composes under the
+        # cut only when its largest entry times _bound(..., max) may reach it
         digit_limit(640)
         cut, big = 10**640, 10**630
         caps = []
@@ -448,6 +444,12 @@ class TestTelescope:
         first = NonMixingMap(2, (0, 0), (2, 2))
         dropped = BratteliSequence((2, 2, 2), (first, NonMixingMap(2, (0, 1), (2, 2))), (1, big), 2)
         assert tuple(exact_image_runs(dropped, 40, 40)[0]) == (2**39, 2**39)
+        assert cut in caps
+        # every unit entry of this chain is 2**39, far below the cut
+        small = BratteliSequence((1, 1), (NonMixingMap(1, (0,), (2,)),), (1,), 1)
+        caps.clear()
+        assert tuple(exact_image_runs(small, 40, 40)[0]) == (2**39,)
+        assert set(caps) == {None}
         # every unit entry of this chain is at least 10**630 * 2**39
         chain = BratteliSequence((1, 1), (NonMixingMap(1, (0,), (2,)),), (big,), 1)
         caps.clear()
