@@ -175,13 +175,20 @@ def _cmd_unit_change(args):
 
 
 def _cmd_states(args):
+    from .diagram import _LIST_BUDGET
+    from .errors import TooLarge
     from .states import exact_image_runs, float_image_runs
 
     seq = _load(args.file)
     # floats never fail on size; an exact value too long to write is
-    # refused before anything is written
+    # refused before anything is written, and so are more values than
+    # the listing budget: one per --level coordinate on every line
     image_runs = float_image_runs if args.decimal else exact_image_runs
     unit, runs = image_runs(seq, args.level, args.depth)
+    count = len(unit) * sum(n for _, n in runs)
+    if count > _LIST_BUDGET:
+        where = f"level {args.level} at depth {args.depth}"
+        raise TooLarge(f"{where} writes {count} values, more than {_LIST_BUDGET}")
     # line i is zeros with the value 1/u_i at place i; it is formatted
     # when its run is written, so nothing is kept per vertex.  str(1 / u)
     # is str(float(Fraction(1, u))), and the Fraction reads "1/u" or "1"

@@ -641,17 +641,12 @@ class LimitElement(Frozen):
                 raise TypeError(f"entries must be ints, got {v!r}")
         self._freeze(level, vec)
 
-    @classmethod
-    def _of(cls, level: int, vec: tuple) -> "LimitElement":
-        """Unchecked: the caller has already made the checks of __init__."""
-        self = cls.__new__(cls)
-        self._freeze(level, vec)
-        return self
-
 
 def _check_elements(seq, a, b):
     for el in (a, b):
         seq._require_level(el.level)
+        # a level past the budget is refused before its rank is formed
+        _check_listing((seq,), (el.level,))
         want = seq.rank_at(el.level)
         if len(el.vec) != want:
             raise RankMismatch(

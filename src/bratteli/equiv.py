@@ -56,15 +56,6 @@ class IndexSystem(Frozen):
         parents = tuple(tuple(p) for p in parents)
         self._freeze(sizes, parents, periodic_tail, _ones(sizes, parents, periodic_tail))
 
-    @classmethod
-    def _of(cls, seq: BratteliSequence) -> "IndexSystem":
-        """The shape of seq, unchecked, since seq is; its sequence of
-        all-ones maps is built when proj first asks for it."""
-        self = cls.__new__(cls)
-        parents = tuple(a.parent for a in seq.maps)
-        self._freeze(seq.ranks, parents, seq.periodic_tail, None)
-        return self
-
     def proj(self, lo: int, hi: int) -> tuple:
         """Ancestor function from level hi coordinates down to level lo."""
         if self._seq is None:
@@ -91,7 +82,9 @@ def canonicalize_q(seq: BratteliSequence):
     equivalent_q and its verifiers read the shape off the sequence
     itself and build neither.
     """
-    shape = IndexSystem._of(seq)
+    # seq's shape, unchecked since seq is; proj builds its _seq when asked
+    parents = tuple(a.parent for a in seq.maps)
+    shape = IndexSystem._of(seq.ranks, parents, seq.periodic_tail, None)
     u = seq.base_unit
     units = [u]
     for a in seq.maps:
@@ -201,9 +194,6 @@ class Intertwining(Frozen):
 
     __slots__ = ("left_levels", "right_levels", "f_maps", "g_maps", "closure")
 
-    def __init__(self, left_levels, right_levels, f_maps, g_maps, closure: str):
-        self._freeze(left_levels, right_levels, f_maps, g_maps, closure)
-
 
 class EquivalenceCertificate(Frozen):
     """Everything needed to recheck an equivalence verdict from scratch:
@@ -214,29 +204,13 @@ class EquivalenceCertificate(Frozen):
 
     __slots__ = ("left", "right", "left_cardinality", "right_cardinality", "intertwining")
 
-    def __init__(
-        self,
-        left: BratteliSequence,
-        right: BratteliSequence,
-        left_cardinality: Cardinality,
-        right_cardinality: Cardinality,
-        intertwining: Intertwining,
-    ):
-        self._freeze(left, right, left_cardinality, right_cardinality, intertwining)
-
 
 class Equivalent(Frozen):
     __slots__ = ("certificate",)
 
-    def __init__(self, certificate: EquivalenceCertificate):
-        self._freeze(certificate)
-
 
 class NotEquivalent(Frozen):
     __slots__ = ("left_cardinality", "right_cardinality", "reason")
-
-    def __init__(self, left_cardinality, right_cardinality, reason: str):
-        self._freeze(left_cardinality, right_cardinality, reason)
 
 
 class Unknown(Frozen):
@@ -244,9 +218,6 @@ class Unknown(Frozen):
     the caller's, echoed and not used."""
 
     __slots__ = ("depth",)
-
-    def __init__(self, depth: int):
-        self._freeze(depth)
 
 
 def equivalent_q(left: BratteliSequence, right: BratteliSequence, depth: int = 5):

@@ -21,10 +21,14 @@ _set = object.__setattr__
 class Frozen:
     """An immutable value: equality, hash and repr over its public fields.
 
-    A subclass names its fields in __slots__, in its __init__'s order,
-    and stores them once with _freeze; a slot named "_..." is a memo and
-    counts for none of the three.  This is @dataclass(frozen=True) without
-    its import: dataclasses imports inspect, about 13 ms of every start.
+    A subclass names its fields in __slots__, in its constructor's order;
+    a slot named "_..." is a memo and counts for none of the three.  A
+    record is built by this __init__, its fields by position or by name;
+    a class that checks its input has its own __init__, which stores the
+    fields once with _freeze.  _of stores every slot, memos included,
+    without any subclass's checks: an unchecked copy of what is known
+    valid.  This is @dataclass(frozen=True) without its import:
+    dataclasses imports inspect, about 13 ms of every start.
     """
 
     __slots__ = ()
@@ -33,6 +37,19 @@ class Frozen:
         super().__init_subclass__()
         cls._fields = tuple(s for s in cls.__slots__ if not s.startswith("_"))
         cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        given = {**dict(zip(fields, values)), **named}
+        if len(given) != len(values) + len(named) or given.keys() != set(fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {fields} once each")
+        self._freeze(*map(given.get, fields))
+
+    @classmethod
+    def _of(cls, *values):
+        self = cls.__new__(cls)
+        self._freeze(*values)
+        return self
 
     def _freeze(self, *values):
         for name, value in zip(self.__slots__, values):

@@ -50,14 +50,15 @@ def in_child():
     """in_child(argv) runs `bratteli argv` in a child process under 1 GB
     of address space (or `address_space` bytes) and with a timeout, since
     building what a refusal stops would take seconds to minutes and
-    gigabytes, and returns (exit code, stdout, stderr, seconds)."""
+    gigabytes, and returns (exit code, stdout, stderr, seconds).  With
+    command=("-c", code) the child runs that Python code instead."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
 
-    def run(argv, address_space=2**30):
+    def run(argv, address_space=2**30, command=("-m", "bratteli.cli")):
         start = time.perf_counter()
         done = subprocess.run(
-            [sys.executable, "-m", "bratteli.cli", *argv],
+            [sys.executable, *command, *argv],
             env=env,
             capture_output=True,
             text=True,

@@ -3,8 +3,6 @@
 Everything takes an explicit random.Random so failures replay exactly.
 """
 
-import inspect
-
 from bratteli import BratteliSequence, LimitElement, NonMixingMap
 
 
@@ -12,7 +10,7 @@ def replace(obj, **changes):
     """A copy of a value object with some fields changed, built through
     its constructor, so the constructor's checks run on the result."""
     cls = type(obj)
-    fields = {name: getattr(obj, name) for name in inspect.signature(cls).parameters}
+    fields = {name: getattr(obj, name) for name in cls._fields}
     return cls(**{**fields, **changes})
 
 

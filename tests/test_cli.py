@@ -354,6 +354,17 @@ class TestStates:
             "error: level 22 has 2097152 coordinates, more than 1048576 to list\n",
         )
 
+    @pytest.mark.parametrize("decimal", [[], ["--decimal"]], ids=["exact", "decimal"])
+    def test_values_past_the_budget_refused(self, decimal, doc, in_child):
+        # 2**13 lines of 2**13 values, 128 MiB, and 2 GiB at level 16:
+        # the values are counted before the first line is written, while
+        # 2**11 lines of 2**11 values, the budget, still run
+        argv = ["states", doc("t.brat", BINARY_TREE), "--level", "14", "--depth", "14"]
+        code, out, err, secs = in_child([*argv, *decimal], address_space=1000000 * 1024)
+        assert secs < 5
+        assert (code, out) == (1, "")
+        assert err == "error: level 14 at depth 14 writes 67108864 values, more than 4194304\n"
+
 
 class TestCanon:
     def test_document_shape(self, doc, capsys):
@@ -484,6 +495,16 @@ class TestVerify:
         path.write_text('{"kind": "unit-change", "x": ' + "7" * 5000 + "}")
         assert run(["verify", str(path)]) == 1
         assert "too long to read" in capsys.readouterr().err
+
+    def test_more_rungs_than_levels(self, tmp_path, capsys):
+        # an untailed sequence of two levels has no level for rung 3
+        seq = parse_diagram("bratteli v1\nsizes: 1 1\nunit: 1\nmap 1: 1*2\n")
+        cert = unit_change(seq, (3,), 2)
+        path = tmp_path / "rungs.json"
+        doc = certio.unit_change_to_doc(replace(cert, rungs=(*cert.rungs, 1)))
+        path.write_text(certio.dumps(doc), encoding="utf-8")
+        assert run(["verify", str(path)]) == 1
+        assert capsys.readouterr() == ("fail: rung 3: level 3 not available\n", "")
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -659,8 +680,10 @@ class TestHostileInput:
         # and every unit entry there, passes the cut at 10**4300 already;
         # composing it to the end squared 65,536 numbers of up to 4,300
         # digits, 8.6-11.7 s for telescope and 10-11 s for states.  A span
-        # states cannot read is still reported first.  The address space
-        # is the CI step's, `ulimit -v 1000000`
+        # states cannot read is still reported first.  --decimal writes
+        # 2**16 values on each of 2**16 lines, 16 GiB in 15.5 s, unless
+        # refused by that count.  The address space is the CI step's,
+        # `ulimit -v 1000000`
         n = 2**16
         unit = " ".join(["1"] * n)
         cells = " ".join(f"{i}*3" for i in range(1, n + 1))
@@ -672,6 +695,10 @@ class TestHostileInput:
             (["telescope", path, "--keep", "1,12000"], f"a multiplicity of map 1 {too_long}"),
             (["states", path, "--level", "12000", "--depth", "12000"], f"state value {too_long}"),
             (["states", path, "--level", "12000", "--depth", "5"], "need lo <= hi, got 12000 > 5\n"),
+            (
+                ["states", path, "--level", "1", "--depth", "12000", "--decimal"],
+                "level 1 at depth 12000 writes 4294967296 values, more than 4194304\n",
+            ),
         ):
             code, out, err, secs = in_child(argv, address_space=1000000 * 1024)
             assert secs < 1, argv
@@ -719,8 +746,15 @@ class TestHostileInput:
                 "error: a multiplicity of map 1 is too long to write in decimal "
                 "(more than 4300 digits)\n",
             ),
+            # a 4300-digit multiplicity is written, its square is not
+            (
+                "bratteli v1\nsizes: 1 1\nunit: 1\nmap 1: 1*1" + "0" * 4299 + "\n",
+                ["tensor", "{path}", "{path}"],
+                "error: a multiplicity of map 1 is too long to write in decimal "
+                "(more than 4300 digits)\n",
+            ),
         ],
-        ids=["states", "telescope"],
+        ids=["states", "telescope", "tensor"],
     )
     def test_unwritable_bound_refused_at_once(self, text, argv, err, doc, in_child):
         path = doc("t.brat", text)

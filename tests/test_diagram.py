@@ -703,6 +703,28 @@ class TestLimitComparisons:
         a, b = LimitElement._of(3, (1, -2, 0)), LimitElement(3, (1, -2, 0))
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
 
+    @pytest.mark.parametrize("level", [10**8, 10**10])
+    @pytest.mark.parametrize("compare", ["limit_leq", "forall_n_leq_limit"])
+    def test_deep_element_refused_before_its_rank(self, compare, level, in_child):
+        # the binary tree's rank at level 10**8 has 30 million digits, too
+        # many to name in a message, and at 10**10 it outgrows 1 GB; both
+        # levels are refused at once, in a child under 1,000,000 KiB
+        code = (
+            "import time\n"
+            "from bratteli import *\n"
+            "tree = BratteliSequence((1, 2), (NonMixingMap(1, (0, 0), (1, 1)),), (1,), 1)\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            f"    {compare}(tree, LimitElement({level}, (0,)), LimitElement(1, (1,)))\n"
+            "except TooLarge as e:\n"
+            "    print(e, time.perf_counter() - start, sep='\\n')\n"
+        )
+        code, out, err, _ = in_child([], 1000000 * 1024, command=("-c", code))
+        assert (code, err) == (0, "")
+        message, secs = out.splitlines()
+        assert message == f"level {level} has more than 1048576 coordinates to list"
+        assert float(secs) < 1
+
     def test_same_level_distinct(self):
         seq = scalar_chain(2)
         assert not _limit_eq(seq, LimitElement(1, (1,)), LimitElement(1, (2,)))

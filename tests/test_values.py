@@ -8,6 +8,7 @@ none of this.
 
 import copy
 import pickle
+import re
 
 import pytest
 
@@ -19,9 +20,12 @@ from bratteli import (
     Equivalent,
     IndexSystem,
     Intertwining,
+    LevelOutOfRange,
     LimitElement,
     NonMixingMap,
     NotEquivalent,
+    NotPositive,
+    RankMismatch,
     SupernaturalNumber,
     UnitChangeCertificate,
     Unknown,
@@ -180,3 +184,66 @@ class TestConstruction:
         )
         by_name = EquivalenceCertificate(**kwargs)
         assert by_name == EquivalenceCertificate(*kwargs.values())
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: NonMixingMap(0, (0,), (1,)), NotPositive, "source rank must be >= 1, got 0"),
+            (
+                lambda: NonMixingMap(1, (0, 0), (1,)),
+                RankMismatch,
+                "parent has length 2, mult has length 1",
+            ),
+            (lambda: NonMixingMap(1, (), ()), NotPositive, "target rank must be >= 1"),
+            (lambda: BratteliSequence((), (), ()), RankMismatch, "need at least one level"),
+            (
+                lambda: BratteliSequence((1, 2), ((0, 0),), (1,)),
+                TypeError,
+                "map 1 is not a NonMixingMap",
+            ),
+            (lambda: _tree().map_at(0), LevelOutOfRange, "level 0 not available"),
+            (
+                lambda: LimitElement(0, (1,)),
+                LevelOutOfRange,
+                "level must be a positive int, got 0",
+            ),
+            (lambda: LimitElement(1, (1.0,)), TypeError, "entries must be ints, got 1.0"),
+            (
+                lambda: SupernaturalNumber.parse("2").associated_ratios(0),
+                ValueError,
+                "length must be >= 1",
+            ),
+            # a record takes each field once, by position or by name
+            (lambda: Unknown(), TypeError, "Unknown takes the fields ('depth',) once each"),
+            (lambda: Unknown(1, 2), TypeError, "Unknown takes the fields ('depth',) once each"),
+            (
+                lambda: Unknown(1, depth=1),
+                TypeError,
+                "Unknown takes the fields ('depth',) once each",
+            ),
+            (
+                lambda: NotEquivalent(INFINITE, INFINITE, reason="x", why="y"),
+                TypeError,
+                "NotEquivalent takes the fields "
+                "('left_cardinality', 'right_cardinality', 'reason') once each",
+            ),
+        ],
+        ids=[
+            "map-source-rank-0",
+            "map-lengths-differ",
+            "map-no-target",
+            "sequence-no-levels",
+            "sequence-map-type",
+            "map_at-0",
+            "element-level-0",
+            "element-float-entry",
+            "ratios-length-0",
+            "record-missing-field",
+            "record-extra-field",
+            "record-field-twice",
+            "record-unknown-field",
+        ],
+    )
+    def test_bad_input_refused(self, build, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build()
