@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING
 
 from .diagram import _refuse_unwritable
-from .fileformat import INTEGER, parse_diagram, serialize_diagram
+from .fileformat import INTEGER, _bulk, parse_diagram, serialize_diagram
 
 # Each codec imports the types it builds or tests when it runs, so
 # `canon`, which takes only dumps, loads none of equiv, intertwine or
@@ -33,8 +33,6 @@ from .fileformat import INTEGER, parse_diagram, serialize_diagram
 if TYPE_CHECKING:
     from .equiv import Cardinality, EquivalenceCertificate
     from .intertwine import UnitChangeCertificate
-
-_SIGNED = b"-0123456789"
 
 
 def dump(doc, write) -> None:
@@ -136,18 +134,14 @@ def _int(value, what: str) -> int:
 
 
 def _ints(values, what: str) -> tuple:
-    # the values joined by spaces: deleting their digits and signs must
-    # leave only the spaces between them, and then int() takes each
-    # exactly when it is -?[0-9]+, in one pass that keeps nothing per
-    # value.  The per-value loop runs only to name the first fault
+    # the values joined by spaces, read in one pass as the diagram parser
+    # reads its sizes.  The per-value loop reads a list that pass refuses
+    # (None: a sign, a 0, a leading zero, ...) and names its first fault
     values = _typed(values, list, what)
     try:
-        joined = " ".join(values)
-        if joined.encode("ascii").translate(None, _SIGNED) == b" " * (len(values) - 1):
-            return tuple(map(int, joined.split(" ")))
-    except (TypeError, ValueError):  # a value not a str, not ASCII, or not an integer
-        pass
-    return tuple(_int(v, what) for v in values)
+        return tuple(_bulk(" ".join(values), b" " * (len(values) - 1)))
+    except TypeError:  # a value not a str, or tuple(None)
+        return tuple(_int(v, what) for v in values)
 
 
 def _supernatural(value, what: str):
@@ -183,7 +177,10 @@ def unit_change_from_doc(doc: dict) -> UnitChangeCertificate:
     if _need(doc, "kind") != "unit-change":
         raise ValueError(f"not a unit-change document: kind {doc.get('kind')!r}")
     rungs = _need(doc, "rungs", list)
-    _refuse_rung_keys(rungs)
+    # a rung's level, direction and diagonal follow from the scalars
+    for t, r in enumerate(rungs, start=1):
+        why = f" in rung {t}: unit-change rungs carry only their scalar"
+        _refuse(r, ("level", "direction", "diag"), why)
     seq = parse_diagram(_need(doc, "sequence", str))
     strategy = _need(doc, "strategy")
     if strategy not in ("minimal", "paper"):
@@ -200,24 +197,24 @@ def unit_change_from_doc(doc: dict) -> UnitChangeCertificate:
     )
 
 
-def _refuse_rung_keys(rungs: list):
-    # a rung's level, direction and diagonal follow from the scalars; a
-    # rung that still carries them is refused rather than verified with
-    # them unread, where a tampered diagonal would pass as ok
-    for t, r in enumerate(rungs, start=1):
-        if isinstance(r, dict):
-            for key in ("level", "direction", "diag"):
-                if key in r:
-                    raise ValueError(
-                        f"{key} must not appear in rung {t}: "
-                        "unit-change rungs carry only their scalar"
-                    )
+def _refuse(doc, keys, why: str):
+    # a key that is no part of the document is refused rather than
+    # verified with it unread, where a tampered value (a diagonal entry
+    # "1/0") would pass as ok
+    for key in keys:
+        if isinstance(doc, dict) and key in doc:
+            raise ValueError(f"{key} must not appear{why}")
 
 
-def _cardinality_to_doc(card: Cardinality) -> dict:
+def _cardinalities_to_doc(v) -> dict:
+    # the left and right cardinalities of a verdict or certificate
+    cards = {"left": v.left_cardinality, "right": v.right_cardinality}
     return {
-        "kind": card.kind,
-        "count": None if card.count is None else str(card.count),
+        f"{side}_cardinality": {
+            "kind": c.kind,
+            "count": None if c.count is None else str(c.count),
+        }
+        for side, c in cards.items()
     }
 
 
@@ -246,14 +243,10 @@ def verdict_to_doc(verdict, left, right) -> dict:
 
     if isinstance(verdict, Equivalent):
         cert = verdict.certificate
-        tw = cert.intertwining
-        return {
-            "kind": "equivalence",
+        left, right, tw = cert.left, cert.right, cert.intertwining
+        own = {
             "verdict": "equivalent",
-            "left": serialize_diagram(cert.left),
-            "right": serialize_diagram(cert.right),
-            "left_cardinality": _cardinality_to_doc(cert.left_cardinality),
-            "right_cardinality": _cardinality_to_doc(cert.right_cardinality),
+            **_cardinalities_to_doc(cert),
             "intertwining": {
                 "left_levels": [str(v) for v in tw.left_levels],
                 "right_levels": [str(v) for v in tw.right_levels],
@@ -262,36 +255,24 @@ def verdict_to_doc(verdict, left, right) -> dict:
                 "closure": tw.closure,
             },
         }
-    if isinstance(verdict, NotEquivalent):
-        return {
-            "kind": "equivalence",
-            "verdict": "not-equivalent",
-            "reason": verdict.reason,
-            "left": serialize_diagram(left),
-            "right": serialize_diagram(right),
-            "left_cardinality": _cardinality_to_doc(verdict.left_cardinality),
-            "right_cardinality": _cardinality_to_doc(verdict.right_cardinality),
-        }
-    if isinstance(verdict, Unknown):
-        return {
-            "kind": "equivalence",
-            "verdict": "unknown",
-            "depth": str(verdict.depth),
-            "left": serialize_diagram(left),
-            "right": serialize_diagram(right),
-        }
-    raise ValueError(f"not a verdict: {verdict!r}")
+    elif isinstance(verdict, NotEquivalent):
+        cards = _cardinalities_to_doc(verdict)
+        own = {"verdict": "not-equivalent", "reason": verdict.reason, **cards}
+    elif isinstance(verdict, Unknown):
+        own = {"verdict": "unknown", "depth": str(verdict.depth)}
+    else:
+        raise ValueError(f"not a verdict: {verdict!r}")
+    return {
+        "kind": "equivalence",
+        "left": serialize_diagram(left),
+        "right": serialize_diagram(right),
+        **own,
+    }
 
 
-def _refuse_diagonals(doc: dict):
-    # the rescaling diagonals are no part of an equivalence document; one
-    # that carries them is refused rather than verified with them unread,
-    # where a tampered "1/0" entry would pass as ok
-    for key in ("left_diagonals", "right_diagonals"):
-        if key in doc:
-            raise ValueError(
-                f"{key} must not appear: equivalence documents carry no diagonals"
-            )
+# the rescaling diagonals are no part of an equivalence document
+_DIAGONALS = ("left_diagonals", "right_diagonals")
+_NO_DIAGONALS = ": equivalence documents carry no diagonals"
 
 
 def equivalence_certificate_from_doc(doc: dict) -> EquivalenceCertificate:
@@ -299,7 +280,7 @@ def equivalence_certificate_from_doc(doc: dict) -> EquivalenceCertificate:
 
     if _need(doc, "kind") != "equivalence" or _need(doc, "verdict") != "equivalent":
         raise ValueError("not an equivalent-verdict document")
-    _refuse_diagonals(doc)
+    _refuse(doc, _DIAGONALS, _NO_DIAGONALS)
     tw_doc = _need(doc, "intertwining")
     tw = Intertwining(
         _ints(_need(tw_doc, "left_levels"), "level"),
@@ -323,7 +304,7 @@ def not_equivalent_from_doc(doc: dict):
 
     if _need(doc, "kind") != "equivalence" or _need(doc, "verdict") != "not-equivalent":
         raise ValueError("not a not-equivalent-verdict document")
-    _refuse_diagonals(doc)
+    _refuse(doc, _DIAGONALS, _NO_DIAGONALS)
     verdict = NotEquivalent(
         _cardinality_from_doc(_need(doc, "left_cardinality")),
         _cardinality_from_doc(_need(doc, "right_cardinality")),

@@ -23,6 +23,9 @@ PARSE_EXIT = 65
 # characters `states` writes at a time
 _CHUNK = 1 << 16
 
+# the samples times (64 + the largest rank drawn) that `arch-check` takes
+_SAMPLE_BUDGET = 1 << 24
+
 
 class _UsageError(Exception):
     pass
@@ -263,6 +266,17 @@ def _cmd_arch_check(args):
     seq = _load(args.file)
     rng = random.Random(args.seed)
     ranks = _draw_ranks(seq)
+    # a sample costs about 0.3 us times 64 plus its rank (20 us at rank
+    # 8, 21 ms at rank 65,536), so more than _SAMPLE_BUDGET such steps,
+    # about 5 s, are refused before the first sample
+    count = args.samples * (64 + max(ranks))
+    if count > _SAMPLE_BUDGET:
+        from .errors import TooLarge
+
+        raise TooLarge(
+            f"{args.samples} samples at rank up to {max(ranks)} cost {count} "
+            f"steps, more than {_SAMPLE_BUDGET}"
+        )
     entries = range(-4, 5)
 
     # every level drawn is at least 1 and every entry an int of entries,
@@ -452,10 +466,7 @@ def run(argv) -> int:
         prefix = f"{where}: " if where else ""
         print(f"parse error: {prefix}{e}", file=sys.stderr)
         return PARSE_EXIT
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except BratteliError as e:
+    except (OSError, BratteliError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except MemoryError:

@@ -13,14 +13,14 @@ level, parents 1-based.  `#` starts a comment, full-line or trailing,
 and blank lines are ignored.  serialize_diagram writes the canonical
 form (this exact line order, single spaces, no comments, trailing
 newline), and parsing it back returns an equal sequence.  Numerals are
-ASCII digits only.  The sizes, and all map cells, are checked in one
-pass that deletes their digits and compares the separators left with
-the one sequence they may form, and read by one json.loads of the same
-text with every separator made a comma, which forms each int straight
-from the text, never a str per numeral.  A part that fails the check,
-holds a numeral that starts with 0 (a 0, or a leading zero JSON
-refuses) or one past int()'s digit limit, is scanned token by token
-instead: that scan reads "01" as 1 and names the first fault.
+ASCII digits only.  The sizes, the unit, and all map cells are checked
+in one pass that deletes their digits and compares the separators left
+with the one sequence they may form, and read by one json.loads of the
+same text with every separator made a comma, which forms each int
+straight from the text, never a str per numeral.  A part that fails
+the check, holds a numeral that starts with 0 (a 0, or a leading zero
+JSON refuses) or one past int()'s digit limit, is scanned token by
+token instead: that scan reads "01" as 1 and names the first fault.
 """
 
 from __future__ import annotations
@@ -93,6 +93,19 @@ def _bulk(joined: str, seps: bytes):
         return None
 
 
+def _numbers(body: str, lineno: int, directive: str, what: str) -> list:
+    # the numerals after the directive that starts the line, read in bulk;
+    # a line the bulk read refuses is scanned token by token to name its
+    # first fault
+    head, *nums = body.split()
+    if head != directive:
+        raise ParseError(f"expected {directive!r}, got {head!r}", lineno, _column(body, 0))
+    got = _bulk(" ".join(nums), b" " * (len(nums) - 1))
+    if got is None:
+        got = [_int(t, lineno, c, what) for c, t in _tokens(body)[1:]]
+    return got
+
+
 def _bulk_maps(block: list, sizes: list):
     # the maps of a well-formed map section, else None.  Each line's
     # cells are taken as one string, its whitespace made single spaces
@@ -143,23 +156,15 @@ def parse_diagram(text: str) -> BratteliSequence:
         raise ParseError("expected header 'bratteli v1'", lineno, toks[0][0])
 
     lineno, body = need_line("'sizes:' line")
-    head, *nums = body.split()
-    if head != "sizes:":
-        raise ParseError(f"expected 'sizes:', got {head!r}", lineno, _column(body, 0))
-    if not nums:
+    sizes = _numbers(body, lineno, "sizes:", "a size")
+    if not sizes:
         raise ParseError("need at least one size", lineno, _column(body, 0))
-    sizes = _bulk(" ".join(nums), b" " * (len(nums) - 1))
-    if sizes is None:  # scan the line to name its first fault
-        sizes = [_int(t, lineno, c, "a size") for c, t in _tokens(body)[1:]]
 
     lineno, body = need_line("'unit:' line")
-    toks = _tokens(body)
-    if toks[0][1] != "unit:":
-        raise ParseError(f"expected 'unit:', got {toks[0][1]!r}", lineno, toks[0][0])
-    unit = tuple(_int(t, lineno, c, "a unit entry") for c, t in toks[1:])
+    unit = tuple(_numbers(body, lineno, "unit:", "a unit entry"))
     if len(unit) != sizes[0]:
         raise ParseError(
-            f"unit needs {sizes[0]} entries, got {len(unit)}", lineno, toks[0][0]
+            f"unit needs {sizes[0]} entries, got {len(unit)}", lineno, _column(body, 0)
         )
 
     maps = _bulk_maps(lines[pos : pos + len(sizes) - 1], sizes)

@@ -139,8 +139,8 @@ def _product(scalars, parity: int, lo: int = 0, hi: int | None = None) -> int:
 def _exact(before: int, over: int) -> SupernaturalNumber:
     # the primes of before, times every prime of over to infinite exponent
     cycle = SupernaturalNumber.from_natural(over)
-    return SupernaturalNumber.from_natural(before) * SupernaturalNumber(
-        {p: INF for p in cycle.primes()}
+    return SupernaturalNumber.from_natural(before) * SupernaturalNumber._of(
+        tuple((p, INF) for p in cycle.primes())
     )
 
 

@@ -56,22 +56,24 @@ def _split_power(n: int, d: int):
     return e, n
 
 
+def _least_factor(n: int, d: int = 2) -> int:
+    # the least factor of n > 1 from d on, n having none below d; TooLarge
+    # when n has none up to the trial bound and is not below its square
+    if n % 2 == 0:
+        return 2
+    root = isqrt(n)
+    for k in range(d | 1, min(root, _TRIAL_BOUND) + 1, 2):
+        if n % k == 0:
+            return k
+    if root > _TRIAL_BOUND:
+        raise _too_large(n)
+    return n
+
+
 def is_prime(p: int) -> bool:
     """Primality by trial division; TooLarge when p has no divisor up to
     the trial bound and is not below its square."""
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    root = isqrt(p)
-    for d in range(3, min(root, _TRIAL_BOUND) + 1, 2):
-        if p % d == 0:
-            return False
-    if root > _TRIAL_BOUND:
-        raise _too_large(p)
-    return True
+    return p >= 2 and _least_factor(p) == p
 
 
 class SupernaturalNumber(Frozen):
@@ -107,17 +109,13 @@ class SupernaturalNumber(Frozen):
     def from_natural(cls, n: int) -> "SupernaturalNumber":
         if not isinstance(n, int) or n < 1:
             raise ValueError("from_natural needs a natural number >= 1")
-        fac = {}
-        d = 2
-        while d * d <= n:
-            if d > _TRIAL_BOUND:
-                raise _too_large(n)
-            if n % d == 0:
-                fac[d], n = _split_power(n, d)
-            d += 1 if d == 2 else 2
-        if n > 1:
-            fac[n] = 1
-        return cls(fac)
+        # each prime is found by trial division, so needs no check
+        factors, p = [], 2
+        while n > 1:
+            p = _least_factor(n, p)
+            e, n = _split_power(n, p)
+            factors.append((p, e))
+        return cls._of(tuple(factors))
 
     def matches(self, n: int, over: int = 1) -> bool:
         """Whether self == from_natural(n) * (every prime of over)^inf.
@@ -140,7 +138,7 @@ class SupernaturalNumber(Frozen):
         fac = dict(self.factors)
         for p, e in other.factors:
             fac[p] = fac.get(p, 0) + e
-        return SupernaturalNumber(fac)
+        return SupernaturalNumber._of(tuple(sorted(fac.items())))
 
     __mul__ = multiply
 

@@ -473,6 +473,30 @@ class TestArchCheck:
         assert run(["arch-check", path, "--samples", "100", "--seed", "1"]) == 0
         assert walks[0] == 1
 
+    def test_samples_past_the_budget_refused(self, doc, in_child):
+        # 10^8 samples of the binary tree, whose deepest drawn level has
+        # rank 8, ran until killed; the count is refused before a sample
+        argv = ["arch-check", doc("t.brat", BINARY_TREE), "--samples", "100000000"]
+        code, out, err, secs = in_child([*argv, "--seed", "0"], timeout=10)
+        assert secs < 10
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: 100000000 samples at rank up to 8 cost 7200000000 steps, "
+            "more than 16777216\n"
+        )
+
+    def test_samples_at_the_budget_run(self, doc, capsys, monkeypatch):
+        # 60 samples at rank up to 8 are 60 * (64 + 8) steps
+        monkeypatch.setattr(cli, "_SAMPLE_BUDGET", 60 * 72)
+        path = doc("t.brat", BINARY_TREE)
+        assert run(["arch-check", path, "--samples", "60", "--seed", "7"]) == 0
+        assert capsys.readouterr().out == "ok: 60 samples, property held\n"
+        assert run(["arch-check", path, "--samples", "61", "--seed", "7"]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "error: 61 samples at rank up to 8 cost 4392 steps, more than 4320\n",
+        )
+
 
 class TestVerify:
     def test_unsupported_kind(self, tmp_path, capsys):
@@ -1038,6 +1062,28 @@ class TestHostileInput:
         err = self.check(["verify", str(cert)], 1, capsys)
         assert err.startswith("error: level of 5000 digits is too long")
         assert time.perf_counter() - start < 10
+
+    @pytest.mark.parametrize(
+        "value, want",
+        [
+            ("007", (1, 7)),
+            ("-3", (1, -3)),
+            ("0", (1, 0)),
+            ("\u0663", "level must be a decimal string, got '\u0663'"),
+            (3, "level must be a decimal string, got 3"),
+            ("7" * 5000, "level of 5000 digits is too long"),
+        ],
+    )
+    def test_certificate_list_entries_read_one_by_one(self, value, want):
+        # a list the one-pass read refuses is read entry by entry, which
+        # takes a sign or a leading zero as int() does and names the
+        # first entry that is no decimal string
+        if isinstance(want, tuple):
+            assert certio._ints(["1", value], "level") == want
+            return
+        with pytest.raises(ValueError) as info:
+            certio._ints(["1", value, "x"], "level")
+        assert str(info.value) == want
 
     def tampered(self, tmp_path, argv, capsys, edit):
         assert run(argv) in (0, 1)

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from bratteli import INF, SupernaturalNumber, TooLarge, is_prime
+from bratteli import INF, SupernaturalNumber, TooLarge, is_prime, parse_diagram, supernat
+from bratteli import unit_change
 
 
 def sn(*pairs):
@@ -63,6 +64,26 @@ class TestTrialBound:
     def test_huge_smooth_numbers_factor_quickly(self):
         n = 2**40000 * 3**12345 * 5**3
         assert SupernaturalNumber.from_natural(n) == sn((2, 40000), (3, 12345), (5, 3))
+
+
+class TestKnownPrimes:
+    """Factoring finds its primes by trial division, and products and
+    ladders combine primes already found, so none proves a prime again."""
+
+    def test_no_primality_check(self, count_calls):
+        known = SupernaturalNumber.parse("2^inf*7")
+        calls = count_calls(supernat, "is_prime")
+        n = SupernaturalNumber.from_natural(2**5 * 1000003 * 1000033)
+        big = SupernaturalNumber.from_natural(549755813881)
+        products = (n * big, big * known, known * known)
+        # the two-path cycle 1*1 2*3 closes its ladder, so it names
+        # the primes of each cycle to infinite exponent
+        seq = parse_diagram("bratteli v1\nsizes: 2 2\nunit: 1 1\nmap 1: 1*1 2*3\nrepeat: 1\n")
+        cert = unit_change(seq, (6, 1), 3)
+        assert calls[0] == 0
+        assert None not in (cert.exact_n, cert.exact_m)
+        for got in (n, big, *products, cert.partial_n, cert.exact_n, cert.exact_m):
+            assert SupernaturalNumber(got.factors) == got
 
 
 class TestConstruction:
