@@ -23,7 +23,7 @@ PARSE_EXIT = 65
 # characters `states` writes at a time
 _CHUNK = 1 << 16
 
-# the samples times (64 + the largest rank drawn) that `arch-check` takes
+# the steps of about 0.3 us (_sample_steps) that `arch-check` takes
 _SAMPLE_BUDGET = 1 << 24
 
 
@@ -258,6 +258,24 @@ def _draw_ranks(seq):
     return seq.ranks + tuple(takewhile(lambda r: r <= 1000, past))
 
 
+def _sample_steps(seq, ranks):
+    # at most the steps of one arch-check sample, of about 0.3 us each.
+    # It draws two vectors and pushes one of them up along at most every
+    # drawn level: a level costs 8 steps, or 48 past L, where map_at
+    # unrolls the tail, and one per coordinate.  Reaching a level
+    # multiplies each entry, of up to `bits` bits, by a multiplicity up
+    # to k, one step more per 2^17 bit pairs; k adds at most
+    # (k - 1).bit_length() bits
+    steps, bits = 64 + ranks[0], 3
+    maps = seq._levels_to(len(ranks))[1]
+    for t, (r, a) in enumerate(zip(ranks[1:], maps), 2):
+        m = (max(a.mult) - 1).bit_length()
+        steps += 8 if t <= seq.length else 48
+        steps += r * (1 + ((bits + 30) * (m + 31) >> 17))
+        bits += m
+    return steps
+
+
 def _cmd_arch_check(args):
     import random
 
@@ -266,16 +284,13 @@ def _cmd_arch_check(args):
     seq = _load(args.file)
     rng = random.Random(args.seed)
     ranks = _draw_ranks(seq)
-    # a sample costs about 0.3 us times 64 plus its rank (20 us at rank
-    # 8, 21 ms at rank 65,536), so more than _SAMPLE_BUDGET such steps,
-    # about 5 s, are refused before the first sample
-    count = args.samples * (64 + max(ranks))
-    if count > _SAMPLE_BUDGET:
+    steps = _sample_steps(seq, ranks)
+    if args.samples * steps > _SAMPLE_BUDGET:
         from .errors import TooLarge
 
         raise TooLarge(
-            f"{args.samples} samples at rank up to {max(ranks)} cost {count} "
-            f"steps, more than {_SAMPLE_BUDGET}"
+            f"{args.samples} samples of up to {steps} steps are more than "
+            f"{_SAMPLE_BUDGET} steps"
         )
     entries = range(-4, 5)
 

@@ -48,22 +48,21 @@ def _address_space(cap):
 @pytest.fixture
 def in_child():
     """in_child(argv) runs `bratteli argv` in a child process under 1 GB
-    of address space (or `address_space` bytes) and with a timeout (60 s,
-    or `timeout` seconds), since building what a refusal stops would take
-    seconds to minutes and gigabytes, and returns (exit code, stdout,
-    stderr, seconds).  With command=("-c", code) the child runs that
-    Python code instead."""
+    of address space (or `address_space` bytes) and with a timeout, since
+    building what a refusal stops would take seconds to minutes and
+    gigabytes, and returns (exit code, stdout, stderr, seconds).  With
+    command=("-c", code) the child runs that Python code instead."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
 
-    def run(argv, address_space=2**30, command=("-m", "bratteli.cli"), timeout=60):
+    def run(argv, address_space=2**30, command=("-m", "bratteli.cli")):
         start = time.perf_counter()
         done = subprocess.run(
             [sys.executable, *command, *argv],
             env=env,
             capture_output=True,
             text=True,
-            timeout=timeout,
+            timeout=60,
             preexec_fn=_address_space(address_space),
         )
         return done.returncode, done.stdout, done.stderr, time.perf_counter() - start

@@ -67,6 +67,12 @@ def _rank_one_cycle(period):
     return f"bratteli v1\nsizes: {'1 ' * period}1\nunit: 1\n{maps}repeat: 1\n"
 
 
+def _chain(levels, mult):
+    # an untailed chain of rank-1 levels, each map of multiplicity mult
+    maps = "".join(f"map {t}: 1*{mult}\n" for t in range(1, levels))
+    return f"bratteli v1\nsizes: {' '.join(['1'] * levels)}\nunit: 1\n{maps}"
+
+
 def _retired(key):
     # what `verify` says of an equivalence document that carries `key`
     return f"error: {key} must not appear: equivalence documents carry no diagonals\n"
@@ -473,28 +479,40 @@ class TestArchCheck:
         assert run(["arch-check", path, "--samples", "100", "--seed", "1"]) == 0
         assert walks[0] == 1
 
-    def test_samples_past_the_budget_refused(self, doc, in_child):
-        # 10^8 samples of the binary tree, whose deepest drawn level has
-        # rank 8, ran until killed; the count is refused before a sample
-        argv = ["arch-check", doc("t.brat", BINARY_TREE), "--samples", "100000000"]
-        code, out, err, secs = in_child([*argv, "--seed", "0"], timeout=10)
+    @pytest.mark.parametrize(
+        "text, samples, steps",
+        [
+            # the deepest drawn level of the binary tree has rank 8; 10^8
+            # samples ran until killed
+            (BINARY_TREE, 100000000, 183),
+            # a sample may push along all 20,000 levels of rank 1
+            (_chain(20000, "1"), 10000, 180056),
+            # or multiply entries of up to 60,000 digits by 1,000-digit ones
+            (_chain(60, "9" * 1000), 10000, 146018),
+        ],
+        ids=["binary tree", "long chain", "long multiplicities"],
+    )
+    def test_samples_past_the_budget_refused(self, doc, in_child, text, samples, steps):
+        # the count is refused before the first sample
+        argv = ["arch-check", doc("t.brat", text), "--samples", str(samples)]
+        code, out, err, secs = in_child([*argv, "--seed", "0"])
         assert secs < 10
         assert (code, out) == (1, "")
         assert err == (
-            "error: 100000000 samples at rank up to 8 cost 7200000000 steps, "
-            "more than 16777216\n"
+            f"error: {samples} samples of up to {steps} steps are more than "
+            "16777216 steps\n"
         )
 
     def test_samples_at_the_budget_run(self, doc, capsys, monkeypatch):
-        # 60 samples at rank up to 8 are 60 * (64 + 8) steps
-        monkeypatch.setattr(cli, "_SAMPLE_BUDGET", 60 * 72)
+        # a binary tree sample takes up to 183 steps
+        monkeypatch.setattr(cli, "_SAMPLE_BUDGET", 60 * 183)
         path = doc("t.brat", BINARY_TREE)
         assert run(["arch-check", path, "--samples", "60", "--seed", "7"]) == 0
         assert capsys.readouterr().out == "ok: 60 samples, property held\n"
         assert run(["arch-check", path, "--samples", "61", "--seed", "7"]) == 1
         assert capsys.readouterr() == (
             "",
-            "error: 61 samples at rank up to 8 cost 4392 steps, more than 4320\n",
+            "error: 61 samples of up to 183 steps are more than 10980 steps\n",
         )
 
 
