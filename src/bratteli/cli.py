@@ -36,23 +36,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-class _Command:
-    # what argparse holds for a subcommand: argparse hands a subparser its
-    # words only through parse_known_args, and reads nothing else of it
-    # (help, the choices and "invalid choice" read the names and help
-    # texts add_parser keeps), so the real parser is built there, for the
-    # one subcommand a command line names.  TestUsage compares every
-    # subcommand's help with an eagerly built parser's
-    def __init__(self, func, arguments, **kwargs):
-        self.func, self.arguments, self.kwargs = func, arguments, kwargs
-
-    def parse_known_args(self, args=None, namespace=None):
-        parser = _Parser(**self.kwargs)
-        parser.set_defaults(func=self.func)
-        self.arguments(parser)
-        return parser.parse_known_args(args, namespace)
-
-
 def _integer(text):
     if not INTEGER.fullmatch(text):
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
@@ -458,20 +441,37 @@ _COMMANDS = (
     ),
     ("verify", "recheck a certificate document", _cmd_verify, _file),
 )
+_NAMED = {command[0]: command for command in _COMMANDS}
+
+
+def _command_parser(parser, func, arguments):
+    parser.set_defaults(func=func)
+    arguments(parser)
+    return parser
 
 
 def _build_parser():
     parser = _Parser(prog="bratteli", description="Exact Bratteli diagram toolkit.")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, text, func, arguments in _COMMANDS:
-        sub.add_parser(name, help=text, func=func, arguments=arguments)
+        _command_parser(sub.add_parser(name, help=text), func, arguments)
     return parser
 
 
+def _parse(argv):
+    # the full parser's top level has only -h and the subcommand, whose
+    # parser it hands every later word, and _Parser.error shows no prog:
+    # so that parser alone reads a line that starts with its name
+    if not argv or argv[0] not in _NAMED:
+        return _build_parser().parse_args(argv)
+    name, _, func, arguments = _NAMED[argv[0]]
+    parser = _Parser(prog=f"bratteli {name}")
+    return _command_parser(parser, func, arguments).parse_args(argv[1:])
+
+
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
         return args.func(args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -20,6 +20,7 @@ from bratteli import (
     BratteliSequence,
     SupernaturalNumber,
     canonicalize_q,
+    equivalent_q,
     injectivize,
     parse_diagram,
     serialize_diagram,
@@ -1328,6 +1329,7 @@ _DISPATCH = [
         | {("", "error: [Errno 2] No such file or directory: 'x'\n", 1)},
     ),
     (["validate", "x", "--bogus"], {("", _UNRECOGNIZED, 64)}),
+    (["validate", "x", "y"], {("", "usage error: unrecognized arguments: y\n", 64)}),
     (
         ["validate", "--", "-x"],
         {("", "error: [Errno 2] No such file or directory: '-x'\n", 1)},
@@ -1349,6 +1351,10 @@ _DISPATCH = [
     ),
     (
         ["states", "x", "--level", "0", "--depth", "1"],
+        {("", _NOT_POSITIVE.format("--level", 0), 64)},
+    ),
+    (
+        ["states", "x", "--level=0", "--depth", "1"],
         {("", _NOT_POSITIVE.format("--level", 0), 64)},
     ),
     (
@@ -1455,15 +1461,63 @@ class TestUsage:
         assert run(["validate", doc("d.brat", DYADIC)]) == 0
         assert capsys.readouterr().err == ""
         assert seen == [
-            ("bratteli", ("-h", "--help")),
             ("bratteli validate", ("-h", "--help")),
             ("bratteli validate", ("file",)),
         ]
 
 
+# the words after each subcommand's name in a full command line: its
+# positionals, then each option with its value (None for a flag)
+_FULL = {
+    "validate": (["d.brat"], {}),
+    "telescope": (["d.brat"], {"--keep": "1,2"}),
+    "injectivize": (["d.brat"], {}),
+    "tensor": (["d.brat", "d.brat"], {}),
+    "tensorq": (["d.brat"], {"--n": "2", "--depth": "2"}),
+    "unit-change": (["d.brat"], {"--unit": "1", "--depth": "2", "--strategy": "paper"}),
+    "states": (["d.brat"], {"--level": "1", "--depth": "2", "--decimal": None}),
+    "canon": (["d.brat"], {}),
+    "equiv": (["d.brat", "d.brat"], {"--depth": "3"}),
+    "arch-check": (["d.brat"], {"--samples": "5", "--seed": "1"}),
+    "verify": (["c.json"], {}),
+}
+
+
+def _words(options):
+    return [w for flag, value in options.items() for w in (flag, value) if w]
+
+
+def _lines():
+    # every subcommand bare, asking for help, in full, in full with one
+    # word too many, with "--" or an unknown flag first, and each option
+    # left out, with a bad or an "=" value, abbreviated to four
+    # characters, given twice and before the positionals
+    for name, (files, options) in _FULL.items():
+        full = [name, *files, *_words(options)]
+        yield [name]
+        for flag in ("-h", "--help", "--hel"):
+            yield [name, flag]
+        yield full
+        for extra in ("stray", "--bogus", "-h"):
+            yield [*full, extra]
+        for first in ("--", "--bogus"):
+            yield [name, first, *full[1:]]
+        for flag, value in options.items():
+            own = _words({flag: value})
+            others = {f: v for f, v in options.items() if f != flag}
+            rest = [name, *files, *_words(others)]
+            bad = [] if value is None else [[flag, v] for v in ("0", "-1", "abc")]
+            yield rest
+            for use in [*bad, [f"{flag}=7"], [flag[:4], *own[1:]]]:
+                yield rest + use
+            yield full + own
+            yield [name, *own, *rest[1:]]
+
+
 class TestParsers:
-    """Argparse holds a stand-in, cli._Command, for every subcommand, and
-    the real parser is built only for the one a command line names."""
+    """A command line that starts with a subcommand's name is parsed by
+    that subcommand's parser alone; any other line by the full parser,
+    built with every subcommand's parser, the one argparse documents."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -1479,41 +1533,54 @@ class TestParsers:
         return progs
 
     @pytest.mark.parametrize("name", [command[0] for command in cli._COMMANDS])
-    def test_two_parsers_a_call(self, name, built, capsys):
+    def test_one_parser_a_call(self, name, built, capsys):
         # every command has a required positional, so this is refused
-        # by the dispatched parser
+        # by the subcommand's parser
         assert run([name]) == 64
         assert capsys.readouterr().err.startswith("usage error: the following")
-        assert built == ["bratteli", f"bratteli {name}"]
+        assert built == [f"bratteli {name}"]
 
-    @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["frobnicate"], 64)])
-    def test_one_parser_without_a_command(self, argv, code, built, capsys):
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["--help"], 0), (["frobnicate"], 64), ([], 64), (["-h", "validate"], 0)],
+    )
+    def test_every_parser_without_a_command(self, argv, code, built, capsys):
         try:
             said = run(argv)
         except SystemExit as e:
             said = e.code
         capsys.readouterr()
         assert said == code
-        assert built == ["bratteli"]
+        assert built == ["bratteli"] + [f"bratteli {c[0]}" for c in cli._COMMANDS]
 
-    def test_no_state_between_calls(self, doc, built, monkeypatch, capsys):
-        commands = []
-        init = cli._Command.__init__
-
-        def record(command, *args, **kwargs):
-            init(command, *args, **kwargs)
-            commands.append(command)
-
+    def test_no_state_between_calls(self, doc, built, capsys):
         def holds_a_parser(value):
             if isinstance(value, dict):
                 return any(map(holds_a_parser, value.values()))
+            if isinstance(value, (tuple, list)):
+                return any(map(holds_a_parser, value))
             return isinstance(value, argparse.ArgumentParser)
 
-        monkeypatch.setattr(cli._Command, "__init__", record)
         path = doc("d.brat", DYADIC)
         assert run(["validate", path]) == 0
         assert run(["canon", path]) == 0
         assert capsys.readouterr().err == ""
-        assert built == ["bratteli", "bratteli validate", "bratteli", "bratteli canon"]
-        assert len(commands) == 2 * len(cli._COMMANDS)
-        assert not any(holds_a_parser(vars(command)) for command in commands)
+        assert built == ["bratteli validate", "bratteli canon"]
+        assert not holds_a_parser(vars(cli))
+
+    @pytest.mark.parametrize("argv", list(_lines()), ids=" ".join)
+    def test_same_as_the_full_parser(self, argv, doc, tmp_path, monkeypatch, capsys):
+        seq = parse_diagram(DYADIC)
+        verdict = equivalent_q(seq, seq)
+        doc("d.brat", DYADIC)
+        doc("c.json", certio.dumps(certio.verdict_to_doc(verdict, seq, seq)))
+        monkeypatch.chdir(tmp_path)
+        said = []
+        for named in (cli._NAMED, {}):
+            monkeypatch.setattr(cli, "_NAMED", named)
+            try:
+                code = run(argv)
+            except SystemExit as e:
+                code = e.code
+            said.append((*capsys.readouterr(), code))
+        assert said[0] == said[1]
