@@ -16,10 +16,10 @@ _EXPORTS = {
     "simplicial": "NonMixingMap forall_n_leq is_order_unit",
     "diagram": "BratteliSequence LimitElement forall_n_leq_limit injectivize "
     "keep_at limit_leq telescope",
-    "tensor": "tensor_map tensor_qn tensor_seq tensor_vec",
+    "tensor": "tensor_map tensor_qn tensor_seq tensor_vec verify_state_invariance",
     "intertwine": "DiagonalMap UnitChangeCertificate "
     "certificate_failures rescale_lemma unit_change",
-    "states": "depth_image_vertices verify_state_invariance",
+    "states": "depth_image_vertices",
     "equiv": "Cardinality EquivalenceCertificate Equivalent IndexSystem "
     "Intertwining NotEquivalent Unknown canonicalize_q "
     "equivalence_certificate_failures equivalent_q not_equivalent_failures",

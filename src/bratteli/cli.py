@@ -244,19 +244,12 @@ def _draw_ranks(seq):
 def _sample_steps(seq, ranks):
     # at most the steps of one arch-check sample, of about 0.3 us each.
     # It draws two vectors and pushes one of them up along at most every
-    # drawn level: a level costs 8 steps, or 48 past L, where map_at
-    # unrolls the tail, and one per coordinate.  Reaching a level
-    # multiplies each entry, of up to `bits` bits, by a multiplicity up
-    # to k, one step more per 2^17 bit pairs; k adds at most
-    # (k - 1).bit_length() bits
-    steps, bits = 64 + ranks[0], 3
-    maps = seq._levels_to(len(ranks))[1]
-    for t, (r, a) in enumerate(zip(ranks[1:], maps), 2):
-        m = (max(a.mult) - 1).bit_length()
-        steps += 8 if t <= seq.length else 48
-        steps += r * (1 + ((bits + 30) * (m + 31) >> 17))
-        bits += m
-    return steps
+    # drawn level: one step per coordinate, and 8 a level past the first,
+    # or 48 past L, where map_at unrolls the tail.  The push cuts every
+    # multiplicity at 5, one past the largest |entry| drawn, so no number
+    # it forms is much longer than the ones it reads (diagram._pushed_pair)
+    n, L = len(ranks), seq.length
+    return 64 + sum(ranks) + 8 * (min(n, L) - 1) + 48 * max(0, n - L)
 
 
 def _cmd_arch_check(args):
@@ -312,15 +305,11 @@ def _cmd_verify(args):
         err.path = args.file
         raise err
     except ValueError:  # a bare JSON integer past int()'s digit limit
-        print(
-            "error: a JSON number is too long to read; "
-            "certificate numbers are decimal strings",
-            file=sys.stderr,
-        )
-        return 1
+        raise BratteliError(
+            "a JSON number is too long to read; certificate numbers are decimal strings"
+        ) from None
     except RecursionError:
-        print("error: the JSON nests too deeply to read", file=sys.stderr)
-        return 1
+        raise BratteliError("the JSON nests too deeply to read") from None
     kind = doc.get("kind") if isinstance(doc, dict) else None
     try:
         if kind == "unit-change":
@@ -339,14 +328,11 @@ def _cmd_verify(args):
                     *certio.not_equivalent_from_doc(doc)
                 )
             else:
-                print(f"error: unsupported verdict {verdict!r}", file=sys.stderr)
-                return 1
+                raise BratteliError(f"unsupported verdict {verdict!r}")
         else:
-            print(f"error: unsupported certificate kind {kind!r}", file=sys.stderr)
-            return 1
+            raise BratteliError(f"unsupported certificate kind {kind!r}")
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        raise BratteliError(str(e)) from None
     if failures:
         for line in failures:
             print(f"fail: {line}")

@@ -41,17 +41,18 @@ together.  map_at(t) checks level t+1, which its parent tuple lists,
 keep_at(t) level t, _push and map_between the unrolled levels lo..hi,
 and ancestor_runs lo..hi-1: it streams level hi, unlisted.
 
-Every vector is pushed up by _push, which composes the maps onto it
-as above: the units u_t, both sides of a limit comparison, and the
-units `states` writes.  A number too long to write is refused by one
-rule, _refuse_unwritable: it reaches the least number str() refuses
-(_write_cut).  telescope and exact `states` compose through _written,
-every product cut there.  One bound pass, _bound, multiplies each map's
-smallest or largest multiplicity, whole periods in closed form: a span
-whose smallest ones multiply to the cut is refused before it is
-composed, and one whose largest ones stay below it is composed without
-the cut.  A product of positive integers never shrinks, so every number
-below the cut is exact.  `states --decimal` cuts at 2**1075 instead.
+The units u_t and the units `states` writes are pushed up by _push,
+which composes the maps onto them as above; a limit comparison cuts its
+composite at one past its largest |entry| (_pushed_pair).  A number too
+long to write is refused by one rule, _refuse_unwritable: it reaches
+the least number str() refuses (_write_cut).  telescope and exact
+`states` compose through _written, every product cut there.  One bound
+pass, _bound, multiplies each map's smallest or largest multiplicity,
+whole periods in closed form: a span whose smallest ones multiply to
+the cut is refused before it is composed, and one whose largest ones
+stay below it is composed without the cut.  A product of positive
+integers never shrinks, so every number below the cut is exact.
+`states --decimal` cuts at 2**1075 instead.
 
 keep_at lists the coordinates the limit sees.  Each coordinate has one
 parent, so they are found by one memoized walk of parents down to
@@ -655,9 +656,18 @@ def _check_elements(seq, a, b):
 
 
 def _pushed_pair(seq, a, b):
-    m = max(a.level, b.level)
-    x = seq._push(a.vec, a.level, m)
-    y = seq._push(b.vec, b.level, m)
+    # a and b at their common level, on the coordinates the limit sees.
+    # The lower one's entry u reaches it as u * M, M a composite
+    # multiplicity, and once M >= c, one past every |entry| of a and b,
+    # u * M and u * c have the same sign and lie on the same side of
+    # every entry of the other: so every product is cut at c
+    low, m = (a, b.level) if a.level <= b.level else (b, a.level)
+    seq._check_span(low.level, m)
+    one = (1,) * len(low.vec)
+    c = 1 + max(map(abs, a.vec + b.vec))
+    parent, mult = seq._steps((range(len(one)), one), low.level, m, c)
+    pushed = [low.vec[i] * k for i, k in zip(parent, mult)]
+    x, y = (pushed, b.vec) if low is a else (a.vec, pushed)
     kept = keep_at(seq, m)
     return tuple(x[j] for j in kept), tuple(y[j] for j in kept)
 

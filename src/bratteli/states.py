@@ -87,24 +87,3 @@ def depth_image_vertices(seq: BratteliSequence, level: int, depth: int) -> tuple
     runs = seq.ancestor_runs(level, depth)
     return tuple(chain.from_iterable(repeat(vertices[i], n) for i, n in runs))
 
-
-def verify_state_invariance(seq: BratteliSequence, n, depth: int) -> bool:
-    """Check that tensoring by Q_n only rescales the level maps.
-
-    Each tensored map must have the original parents and the original
-    multiplicities times n_{i+1}/n_i, exactly.  Since a state on the
-    tensored level i is n_i times a state on the original level i, this
-    is what makes the two limit simplices literally equal.
-    """
-    from .tensor import tensor_qn
-
-    scaled = tensor_qn(seq, n, depth)
-    ratios = n.associated_ratios(depth)
-    for i in range(1, depth):
-        plain = seq.map_at(i)
-        tensored = scaled.map_at(i)
-        if (tensored.source_rank, tensored.parent) != (plain.source_rank, plain.parent):
-            return False
-        if any(a != b * ratios[i] for a, b in zip(tensored.mult, plain.mult)):
-            return False
-    return True

@@ -7,6 +7,7 @@ of a kept cyclic tail.  Past the presented levels of a kept self-similar
 tail the result is isomorphic to the product of the unrollings, by a
 relabelling that fixes the presented levels: the unrolled coordinates
 follow the result's own block order, which can permute the pairs.
+verify_state_invariance rechecks the maps tensor_qn builds.
 """
 
 from __future__ import annotations
@@ -81,3 +82,23 @@ def tensor_qn(seq: BratteliSequence, n, depth: int) -> BratteliSequence:
     unit = tuple(ratios[0] * u for u in seq.base_unit)
     tail = _tail_start((seq,), range(1, depth + 1), ranks, n._steady_step())
     return BratteliSequence(ranks, tuple(maps), unit, tail)
+
+
+def verify_state_invariance(seq: BratteliSequence, n, depth: int) -> bool:
+    """Check that tensoring by Q_n only rescales the level maps.
+
+    Each tensored map must have the original parents and the original
+    multiplicities times n_{i+1}/n_i, exactly.  Since a state on the
+    tensored level i is n_i times a state on the original level i, this
+    is what makes the two limit simplices literally equal.
+    """
+    scaled = tensor_qn(seq, n, depth)
+    ratios = n.associated_ratios(depth)
+    for i in range(1, depth):
+        plain = seq.map_at(i)
+        tensored = scaled.map_at(i)
+        if (tensored.source_rank, tensored.parent) != (plain.source_rank, plain.parent):
+            return False
+        if any(a != b * ratios[i] for a, b in zip(tensored.mult, plain.mult)):
+            return False
+    return True

@@ -725,6 +725,27 @@ class TestLimitComparisons:
         assert message == f"level {level} has more than 1048576 coordinates to list"
         assert float(secs) < 1
 
+    @pytest.mark.parametrize("compare", ["limit_leq", "forall_n_leq_limit"])
+    def test_deep_cycle_compared_at_once(self, compare, in_child):
+        # every coordinate of the rank-4 cycle triples each level, so the
+        # composite to level 10**8 has multiplicities of 47 million digits;
+        # cut at one past the largest |entry|, it is formed in a moment
+        code = (
+            "import time\n"
+            "from bratteli import *\n"
+            "m = NonMixingMap(4, (0, 1, 2, 3), (3, 3, 3, 3))\n"
+            "seq = BratteliSequence((4, 4), (m,), (1, 1, 1, 1), 1)\n"
+            "start = time.perf_counter()\n"
+            f"got = {compare}(seq, LimitElement(1, (-1, 0, 0, 0)),\n"
+            "                LimitElement(10**8, (1, 0, 0, -1)))\n"
+            "print(got, time.perf_counter() - start, sep='\\n')\n"
+        )
+        code, out, err, _ = in_child([], 1000000 * 1024, command=("-c", code))
+        assert (code, err) == (0, "")
+        got, secs = out.splitlines()
+        assert got == "False"
+        assert float(secs) < 1
+
     def test_same_level_distinct(self):
         seq = scalar_chain(2)
         assert not _limit_eq(seq, LimitElement(1, (1,)), LimitElement(1, (2,)))

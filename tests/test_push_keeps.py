@@ -104,6 +104,20 @@ def _old_pushed_pair(seq, a, b):
     return tuple(x[j] for j in kept), tuple(y[j] for j in kept)
 
 
+def _cut_pushed_pair(seq, a, b):
+    # each element's entries times its composite multiplicities M, every
+    # M cut down to c, one past the largest |entry| of the two elements
+    m = max(a.level, b.level)
+    c = 1 + max(map(abs, a.vec + b.vec))
+    kept = _old_keep_at(seq, m)
+
+    def pushed(el):
+        f = seq.map_between(el.level, m)
+        return tuple(el.vec[f.parent[j]] * min(f.mult[j], c) for j in kept)
+
+    return pushed(a), pushed(b)
+
+
 def _sequences(seed, count=500):
     rng = random.Random(seed)
     for i in range(count):
@@ -163,14 +177,17 @@ def test_cut_push_is_the_cut_composite():
 
 
 def test_limit_order_matches_the_applied_composites():
+    # the pushed pair is the exact one with every composite multiplicity
+    # cut at one past the largest |entry|; entries up to 10**30 put that
+    # cut above the multiplicities, small ones below them
     verdicts = {True: 0, False: 0}
     for rng, seq in _sequences(1906):
         top = max_usable_level(seq, extra_periods=3)
-        for _ in range(4):
-            a = random_element(rng, seq, rng.randint(1, top), lo=-3, hi=1)
-            b = random_element(rng, seq, rng.randint(1, top), lo=-3, hi=3)
+        for span in (1,) * 4 + (10**30,) * 2:
+            a = random_element(rng, seq, rng.randint(1, top), lo=-3 * span, hi=span)
+            b = random_element(rng, seq, rng.randint(1, top), lo=-3 * span, hi=3 * span)
             x, y = _old_pushed_pair(seq, a, b)
-            assert diagram._pushed_pair(seq, a, b) == (x, y)
+            assert diagram._pushed_pair(seq, a, b) == _cut_pushed_pair(seq, a, b)
             leq = all(xi <= yi for xi, yi in zip(x, y))
             assert limit_leq(seq, a, b) == leq
             assert forall_n_leq_limit(seq, a, b) == forall_n_leq(x, y)
