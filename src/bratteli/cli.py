@@ -245,9 +245,9 @@ def _sample_steps(seq, ranks):
     # at most the steps of one arch-check sample, of about 0.3 us each.
     # It draws two vectors and pushes one of them up along at most every
     # drawn level: one step per coordinate, and 8 a level past the first,
-    # or 48 past L, where map_at unrolls the tail.  The push cuts every
-    # multiplicity at 5, one past the largest |entry| drawn, so no number
-    # it forms is much longer than the ones it reads (diagram._pushed_pair)
+    # or 48 past L, where _map repeats a block map on the span checked
+    # once.  Cut at 5, one past the largest |entry| drawn, the push forms
+    # no number much longer than those it reads (diagram._pushed_pair)
     n, L = len(ranks), seq.length
     return 64 + sum(ranks) + 8 * (min(n, L) - 1) + 48 * max(0, n - L)
 

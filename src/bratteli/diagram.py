@@ -35,11 +35,12 @@ before, so the ancestors of a deep level at a shallow one come in
 contiguous runs that ancestor_runs gives without listing level t.
 The listing budget is one check, _check_listing, run on the levels a
 caller will list before any is built.  It refuses a level of more than
-_COORD_BUDGET coordinates and, for a command, which passes every level
-it lists, more than _COORD_BUDGET levels or _LIST_BUDGET coordinates
-together.  map_at(t) checks level t+1, which its parent tuple lists,
-keep_at(t) level t, _push and map_between the unrolled levels lo..hi,
-and ancestor_runs lo..hi-1: it streams level hi, unlisted.
+_COORD_BUDGET coordinates and, for a command, more than _COORD_BUDGET
+levels or _LIST_BUDGET coordinates together.  Every other check, of one
+level (level t+1 for map_at(t)) or of a walk's span, is one rule,
+_check_span, run once on entry: it counts only the levels a self-similar
+tail unrolls past L, the only ones that outgrow a presented level.
+Walks then read each map by _map, unchecked.
 
 The units u_t and the units `states` writes are pushed up by _push,
 which composes the maps onto them as above; a limit comparison cuts its
@@ -225,8 +226,7 @@ class BratteliSequence(Frozen):
         self._require_level(hi)
         if lo > hi:
             raise LevelOutOfRange(f"need lo <= hi, got {lo} > {hi}")
-        # only the levels a self-similar tail unrolls past L can outgrow
-        # the presented ones
+        # only a self-similar tail's levels past L outgrow the presented ones
         if self.tail_kind == "substitution":
             _check_listing((self,), range(max(lo, self.length + 1), hi + listed))
 
@@ -253,26 +253,20 @@ class BratteliSequence(Frozen):
                 f = self._steps(f, lo, start, cap)
                 one = None if f[1] is None else (1,) * self.rank_at(start)
                 power = self._compose(one, start, start + period, cap)
-                while k:
-                    if k & 1:
-                        f = _then(f, power, cap)
-                    k >>= 1
-                    if k:
-                        power = _then(power, power, cap)
+                f = _repeated(f, power, k, lambda a, b: _then(a, b, cap))
                 lo = hi - (hi - start) % period
         for t in range(lo, hi):
-            a = self.map_at(t)
+            a = self._map(t)
             f = _then(f, (a.parent, a.mult), cap)
         return f
 
     def _bound(self, lo: int, hi: int, cap: int, end) -> int:
         # with end min (max), a lower (upper) bound on every multiplicity
         # of the composite from level lo to level hi: the product of each
-        # map's end multiplicity, cut down to cap.  map_at(t) is a
-        # presented or block map relabelled and repeated, so its end one
-        # is read once per presented map; from the tail start on they
-        # repeat every period, for either kind of tail, so the whole
-        # periods are one period's product raised to a power
+        # map's end multiplicity, cut down to cap, read once per presented
+        # map, since _map(t) relabels and repeats one.  They repeat every
+        # period from the tail start, of either kind, so whole periods
+        # are one period's product raised to a power (_repeated)
         bound, t = 1, lo
         if self.is_tailed:
             p, period = self.periodic_tail, self.length - self.periodic_tail
@@ -281,12 +275,7 @@ class BratteliSequence(Frozen):
             if k > 1:
                 bound = self._bound(lo, start, cap, end)
                 power = self._bound(start, start + period, cap, end)
-                while k:
-                    if k & 1:
-                        bound = min(bound * power, cap)
-                    k >>= 1
-                    if k:
-                        power = min(power * power, cap)
+                bound = _repeated(bound, power, k, lambda a, b: min(a * b, cap))
                 t = hi - (hi - start) % period
         for t in range(t, hi):
             if bound >= cap:
@@ -324,9 +313,13 @@ class BratteliSequence(Frozen):
         """The map from level t to level t+1."""
         if not isinstance(t, int) or t < 1:
             raise LevelOutOfRange(f"level {t!r} not available")
+        self._check_span(t + 1, t + 1)
+        return self._map(t)
+
+    def _map(self, t: int) -> NonMixingMap:
+        # map_at(t) past its check, for the walks whose span is checked
         if t < self.length:
             return self.maps[t - 1]
-        _check_listing((self,), (t + 1,))
         a = self._block()[1][self._block_position(t) - self.periodic_tail]
         parent = self._repeat(t, a.parent)
         copies = len(parent) // len(a.parent)
@@ -343,7 +336,7 @@ class BratteliSequence(Frozen):
             return self.ranks[:n], self.maps[: n - 1]
         if self.tail_kind != "cyclic":
             levels = range(1, n + 1)
-            return tuple(map(self.rank_at, levels)), tuple(map(self.map_at, levels[:-1]))
+            return tuple(map(self.rank_at, levels)), tuple(map(self._map, levels[:-1]))
         ranks = islice(cycle(self.ranks[p - 1 : -1]), n - p + 1)
         maps = islice(cycle(self.maps[p - 1 :]), n - p)
         return self.ranks[: p - 1] + tuple(ranks), self.maps[: p - 1] + tuple(maps)
@@ -419,6 +412,17 @@ class BratteliSequence(Frozen):
         and inherit injectivity from them.
         """
         return all(a.is_injective() for a in self.maps)
+
+
+def _repeated(x, power, k: int, then):
+    # x then k copies of power by repeated squaring: then(a, b) is a then b
+    while k:
+        if k & 1:
+            x = then(x, power)
+        k >>= 1
+        if k:
+            power = then(power, power)
+    return x
 
 
 def _then(f: tuple, g: tuple, cap: int | None = None) -> tuple:
@@ -517,10 +521,9 @@ def keep_at(seq: BratteliSequence, t: int) -> tuple:
     last presented level; with a tail, those with descendants at every
     depth.
     """
-    seq._require_level(t)
+    seq._check_span(t, t)
     if t <= seq.length:
         return _keeps(seq)[t - 1]
-    _check_listing((seq,), (t,))
     b = seq._block_position(t)
 
     def places():
@@ -645,9 +648,8 @@ class LimitElement(Frozen):
 
 def _check_elements(seq, a, b):
     for el in (a, b):
-        seq._require_level(el.level)
         # a level past the budget is refused before its rank is formed
-        _check_listing((seq,), (el.level,))
+        seq._check_span(el.level, el.level)
         want = seq.rank_at(el.level)
         if len(el.vec) != want:
             raise RankMismatch(

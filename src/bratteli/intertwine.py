@@ -173,7 +173,7 @@ def _diagonals(seq, alt_unit, scalars) -> tuple:
         if not seq.has_level(t):
             return diagonals, f"rung {t}: level {t} not available"
         s, prev, d = scalars[t - 1], diagonals[-1], []
-        for j, i in enumerate(seq.map_at(t - 1).parent, start=1):
+        for j, i in enumerate(seq._map(t - 1).parent, start=1):
             q, r = divmod(s, prev[i])
             if r:
                 return diagonals, (
@@ -249,7 +249,7 @@ def unit_change(
         scalars.append(m1)
         diagonals.append(diag.entries)
     for t in range(2, depth + 1):
-        s, diag = rescale_lemma(seq.map_at(t - 1), diag, strategy)
+        s, diag = rescale_lemma(seq._map(t - 1), diag, strategy)
         _refuse_unwritable((s,), f"rung {t} scalar")
         scalars.append(s)
         diagonals.append(diag.entries)

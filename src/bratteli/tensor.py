@@ -95,8 +95,8 @@ def verify_state_invariance(seq: BratteliSequence, n, depth: int) -> bool:
     scaled = tensor_qn(seq, n, depth)
     ratios = n.associated_ratios(depth)
     for i in range(1, depth):
-        plain = seq.map_at(i)
-        tensored = scaled.map_at(i)
+        plain = seq._map(i)
+        tensored = scaled._map(i)
         if (tensored.source_rank, tensored.parent) != (plain.source_rank, plain.parent):
             return False
         if any(a != b * ratios[i] for a, b in zip(tensored.mult, plain.mult)):

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from bratteli import diagram
+from bratteli.intertwine import unit_change
 from bratteli.states import exact_image_runs
 from bratteli import (
     BadRepeat,
@@ -166,7 +167,7 @@ class TestTails:
         # is refused before any map is composed; `states --level 22
         # --depth 22` built levels 1..21 first, 0.72 s and 106 MB
         tree = full_tree(2, 2)
-        maps = count_calls(BratteliSequence, "map_at")
+        maps = count_calls(BratteliSequence, "_map")
         too_many = "^level 22 has 2097152 coordinates, more than 1048576 to list$"
         with pytest.raises(TooLarge, match=too_many):
             exact_image_runs(tree, 22, 22)
@@ -196,6 +197,64 @@ class TestTails:
         check((chains,), range(1, 1025), "level", "all")
         with pytest.raises(TooLarge, match="^all lists more than 4194304 coordinates$"):
             check((chains,), range(1, 1026), "level", "all")
+
+    def test_walks_check_their_span_once(self, count_calls):
+        # a walk checks its span where it enters and reads each map by
+        # _map, so the listing check runs as often for 2,000 levels past
+        # L as for 20: a ladder up a cyclic chain, and a limit comparison
+        # up a self-similar tail of 400-level periods that doubles the
+        # copies each period
+        checks = count_calls(diagram, "_check_listing")
+        chain = scalar_chain(3, levels=5)
+        one, split = NonMixingMap(1, (0,), (1,)), NonMixingMap(1, (0, 0), (1, 1))
+        grows = BratteliSequence((1,) * 400 + (2,), (one,) * 399 + (split,), (1,), 1)
+        counts = []
+        for span in (20, 2000):
+            checks[0] = 0
+            unit_change(chain, (2,), 5 + span)
+            ladder = checks[0]
+            top = 401 + span
+            low = LimitElement(401, (1, 0))
+            high = LimitElement(top, (1,) * grows.rank_at(top))
+            assert limit_leq(grows, low, high) and not limit_leq(grows, high, low)
+            counts.append((ladder, checks[0] - ladder))
+        assert counts[0] == counts[1]
+        assert counts[0][1] <= 8  # four checks a comparison
+
+    def test_cyclic_tail_checked_as_its_presented_levels(self, monkeypatch):
+        # a cyclic tail lists no level larger than a presented one, so no
+        # level of it is counted: with a budget of 20 coordinates every
+        # level 1..13 of sizes 4 40 4 answers as under the real budget,
+        # though levels 2, 5, 8, ... have 40 coordinates
+        columns = range(40)
+        up = NonMixingMap(4, tuple(j % 4 for j in columns), tuple(1 + j % 3 for j in columns))
+        down = NonMixingMap(40, tuple(range(0, 40, 10)), (2, 1, 1, 3))
+        seq = BratteliSequence((4, 40, 4), (up, down), (1, 2, 1, 1), 1)
+
+        def answers():
+            out = []
+            for t in range(1, 14):
+                low = LimitElement(1, (1, 0, 0, -1))
+                high = LimitElement(t, tuple(range(-3, seq.rank_at(t) - 3)))
+                leq = limit_leq(seq, low, high), limit_leq(seq, high, low)
+                out.append((seq.unit_at(t), seq.map_at(t), keep_at(seq, t), leq))
+            return out
+
+        expected = answers()
+        monkeypatch.setattr(diagram, "_COORD_BUDGET", 20)
+        assert answers() == expected
+
+    def test_self_similar_single_levels_refused_as_before(self):
+        # past the budget, map_at, keep_at and a limit comparison's element
+        # are refused by the one rule with the listing check's whole message
+        tree = full_tree(2, 3)
+        too_many = "^level 22 has 2097152 coordinates, more than 1048576 to list$"
+        with pytest.raises(TooLarge, match=too_many):
+            tree.map_at(21)
+        with pytest.raises(TooLarge, match=too_many):
+            keep_at(tree, 22)
+        with pytest.raises(TooLarge, match=too_many):
+            limit_leq(tree, LimitElement(1, (1,)), LimitElement(22, (1,)))
 
     def test_range_past_maxsize_refused_by_its_count(self):
         # len() of such a range overflows; its count is refused

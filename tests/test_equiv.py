@@ -109,10 +109,10 @@ class TestCanonicalize:
 
     def test_linear_in_the_levels(self, count_calls):
         # rebuilding the level-1 composite for every level would take
-        # L * (L - 1) / 2 = 79 800 map_at calls here
+        # L * (L - 1) / 2 = 79 800 _map calls here
         L = 400
         seq = long_chain(random.Random(42), L)
-        calls = count_calls(BratteliSequence, "map_at")
+        calls = count_calls(BratteliSequence, "_map")
         canonicalize_q(seq)
         assert calls[0] <= 2 * L
 

@@ -207,10 +207,10 @@ class TestUnitChange:
 class TestVerifierWork:
     def test_linear_in_the_rungs(self, count_calls):
         # recomputing both unit images from level 1 for every rung would
-        # take about L * L = 160 000 map_at calls here
+        # take about L * L = 160 000 _map calls here
         L = 400
         cert = unit_change(long_chain(random.Random(44), L), (3,) * 8, L)
-        calls = count_calls(BratteliSequence, "map_at")
+        calls = count_calls(BratteliSequence, "_map")
         assert certificate_failures(cert) == []
         assert calls[0] <= 3 * L
 
