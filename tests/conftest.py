@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from rlimits import clamp
+
 
 @pytest.fixture
 def count_calls(monkeypatch):
@@ -35,16 +37,6 @@ def digit_limit():
     sys.set_int_max_str_digits(old)
 
 
-def _address_space(cap):
-    # a child's address space: cap bytes, or less where this process has less
-    def limit():
-        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-        soft = cap if hard == resource.RLIM_INFINITY else min(cap, hard)
-        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
-
-    return limit
-
-
 @pytest.fixture
 def in_child():
     """in_child(argv) runs `bratteli argv` in a child process under 1 GB
@@ -63,7 +55,7 @@ def in_child():
             capture_output=True,
             text=True,
             timeout=60,
-            preexec_fn=_address_space(address_space),
+            preexec_fn=lambda: clamp((resource.RLIMIT_AS, address_space)),
         )
         return done.returncode, done.stdout, done.stderr, time.perf_counter() - start
 

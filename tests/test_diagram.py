@@ -244,18 +244,6 @@ class TestTails:
         monkeypatch.setattr(diagram, "_COORD_BUDGET", 20)
         assert answers() == expected
 
-    def test_self_similar_single_levels_refused_as_before(self):
-        # past the budget, map_at, keep_at and a limit comparison's element
-        # are refused by the one rule with the listing check's whole message
-        tree = full_tree(2, 3)
-        too_many = "^level 22 has 2097152 coordinates, more than 1048576 to list$"
-        with pytest.raises(TooLarge, match=too_many):
-            tree.map_at(21)
-        with pytest.raises(TooLarge, match=too_many):
-            keep_at(tree, 22)
-        with pytest.raises(TooLarge, match=too_many):
-            limit_leq(tree, LimitElement(1, (1,)), LimitElement(22, (1,)))
-
     def test_range_past_maxsize_refused_by_its_count(self):
         # len() of such a range overflows; its count is refused
         too_many = "^depth 10\\*\\*30 is more than 1048576 levels to list$"
@@ -762,12 +750,13 @@ class TestLimitComparisons:
         a, b = LimitElement._of(3, (1, -2, 0)), LimitElement(3, (1, -2, 0))
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
 
-    @pytest.mark.parametrize("level", [10**8, 10**10])
+    @pytest.mark.parametrize("level", [22, 10**8, 10**10])
     @pytest.mark.parametrize("compare", ["limit_leq", "forall_n_leq_limit"])
     def test_deep_element_refused_before_its_rank(self, compare, level, in_child):
-        # the binary tree's rank at level 10**8 has 30 million digits, too
-        # many to name in a message, and at 10**10 it outgrows 1 GB; both
-        # levels are refused at once, in a child under 1,000,000 KiB
+        # the binary tree's level 22 is one past the listing budget; its
+        # rank at level 10**8 has 30 million digits, too many to name in a
+        # message, and at 10**10 it outgrows 1 GB; all are refused at once,
+        # in a child under 1,000,000 KiB
         code = (
             "import time\n"
             "from bratteli import *\n"
@@ -781,7 +770,10 @@ class TestLimitComparisons:
         code, out, err, _ = in_child([], 1000000 * 1024, command=("-c", code))
         assert (code, err) == (0, "")
         message, secs = out.splitlines()
-        assert message == f"level {level} has more than 1048576 coordinates to list"
+        if level == 22:
+            assert message == "level 22 has 2097152 coordinates, more than 1048576 to list"
+        else:
+            assert message == f"level {level} has more than 1048576 coordinates to list"
         assert float(secs) < 1
 
     @pytest.mark.parametrize("compare", ["limit_leq", "forall_n_leq_limit"])
