@@ -7,8 +7,8 @@ subgroups; the tensoring code consumes its ratios n_{i+1}/n_i, which
 have closed forms.
 
 An exponent is a positive int or INF, which is math.inf: it orders
-above every int and absorbs addition, so products add exponents and
-the associated sequence caps them with min, the infinite ones alike.
+above every int and absorbs addition, so a ladder's scalars sum their
+exponents and the associated sequence caps them, the infinite ones alike.
 """
 
 from __future__ import annotations
@@ -54,6 +54,16 @@ def _split_power(n: int, d: int):
             n //= powers[k]
             e += 1 << k
     return e, n
+
+
+def _weights(ns, over=()) -> dict:
+    # each distinct number of ns and over -> the factor on its primes'
+    # exponents: how often ns holds it, or INF if over holds it
+    weights = {}
+    for n in ns:
+        weights[n] = weights.get(n, 0) + 1
+    weights.update(dict.fromkeys(over, INF))
+    return weights
 
 
 def _least_factor(n: int, d: int = 2) -> int:
@@ -117,30 +127,26 @@ class SupernaturalNumber(Frozen):
             factors.append((p, e))
         return cls._of(tuple(factors))
 
-    def matches(self, n: int, over: int = 1) -> bool:
-        """Whether self == from_natural(n) * (every prime of over)^inf.
+    def matches(self, ns, over=()) -> bool:
+        """Whether self == from_natural(prod(ns)) * (every prime of prod(over))^inf.
 
-        Divides n and over by the primes listed here rather than
-        factoring either, so the cost does not grow with a listed
-        exponent, and no trial division runs.
+        Divides each distinct number of ns and over by the primes listed
+        here, so no product is formed, no trial division runs, and the
+        cost does not grow with a listed exponent.
         """
+        rest = list(_weights(ns, over).items())
         for p, e in self.factors:
-            got, n = _split_power(n, p)
-            k, over = _split_power(over, p)
-            if e != (INF if k else got):
+            got = 0
+            for i, (n, k) in enumerate(rest):
+                g, n = _split_power(n, p)
+                rest[i] = n, k
+                got += g and g * k  # not 0 * INF, which is nan
+            if got != e:
                 return False
-        return n == 1 and over == 1
+        return all(n == 1 for n, _ in rest)
 
     def primes(self) -> tuple:
         return tuple(p for p, _ in self.factors)
-
-    def multiply(self, other: "SupernaturalNumber") -> "SupernaturalNumber":
-        fac = dict(self.factors)
-        for p, e in other.factors:
-            fac[p] = fac.get(p, 0) + e
-        return SupernaturalNumber._of(tuple(sorted(fac.items())))
-
-    __mul__ = multiply
 
     def associated_ratios(self, length: int) -> tuple:
         """n_1, n_2 / n_1, ..., n_length / n_(length-1) of the associated

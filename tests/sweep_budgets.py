@@ -9,9 +9,11 @@ last kept level, tensorq's and unit-change's --depth (both strategies
 on the rank-8 chain), states' --level and --depth together, and
 arch-check's --samples; validate, injectivize, canon, tensor and equiv
 run once a shape, and every certificate a call writes is verified.  The
-tailed chain's ladder to depth 2^20 is left out: it is ROADMAP item 2's
-known O(depth) ladder, 9 to 11 s alone, not a hang to search for, and
-2^20 + 1 still tests its refusal.
+tailed chain's ladder to depth 2^20 is left out: it is ROADMAP item
+1(b)'s known O(depth) ladder, 9 to 11 s alone, not a hang to search
+for, and 2^20 + 1 still tests its refusal.  Its scalars are all 1, so
+its time is the O(depth) walk itself, which only stopping a ladder at
+its first repeated rung shortens.
 
 Each call runs `bratteli.cli.run` in a child process under 1.5 GB of
 address space, 64 MiB of written file and a 15 s timeout, limits the
@@ -47,7 +49,8 @@ FILE_SIZE = 64 * 2**20
 TIMEOUT = 15
 JOBS = 2
 VALUES = (1, 21, 22, 23, 1000, 2**20, 2**20 + 1, 2**22, 10**9, 10**31)
-# (shape, depth) of the known O(depth) ladders, left out
+# (shape, depth) of the known O(depth) ladders, left out until a ladder
+# stops at its first repeated rung (ROADMAP item 1(b))
 LINEAR_LADDERS = {("chain", 2**20)}
 
 # the child: its own limits, then the command line's entry point, fed

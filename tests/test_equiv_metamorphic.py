@@ -14,7 +14,9 @@ the diagram commands must keep whenever their output keeps a tail:
 
 * A is Equivalent to `tensorq A` and to `telescope A`;
 * if A ~ B then `tensor A C` ~ `tensor B C`;
-* the `unit:` line never changes a verdict.
+* the `unit:` line never changes a verdict;
+* a unit w whose ladder from A's unit closes gives an A with unit w
+  Equivalent to A.
 
 Each test counts the cases whose output keeps a tail, so none passes
 on outputs that all drop it.
@@ -27,7 +29,7 @@ import pytest
 
 from bratteli import BratteliSequence, NonMixingMap, serialize_diagram
 from bratteli.cli import run
-from genseq import max_usable_level, random_sequence
+from genseq import max_usable_level, random_sequence, random_unit
 from test_acceptance import SUPERNATURALS
 
 SEED = 16
@@ -206,3 +208,29 @@ def test_unit_never_changes_the_verdict(cli):
         assert cli(["equiv", "{a}", "{b}"], a=edited, b=b)[0] == code, (a, b, unit)
         codes.append(code)
     assert min(codes.count(0), codes.count(1)) >= COUNT // 2
+
+
+def test_closed_ladder_unit_is_equivalent(cli):
+    # a ladder whose rung data cycles knows exact_n and exact_m, the full
+    # supernatural scalings between the units; A written again with the
+    # other unit is then Equivalent to A, and both documents verify
+    rng = random.Random(SEED + 7)
+    closed = 0
+    for _ in range(COUNT):
+        seq = random_sequence(rng, tail="cyclic")
+        w = random_unit(rng, seq.ranks[0])
+        depth = str(max_usable_level(seq, extra_periods=4))
+        text = serialize_diagram(seq)
+        argv = ["unit-change", "{a}", "--unit", ",".join(map(str, w)), "--depth", depth]
+        code, out = cli(argv, a=text)
+        assert code == 0
+        ladder = json.loads(out)
+        if ladder["exact_n"] is None or ladder["exact_m"] is None:
+            continue
+        rebased = BratteliSequence(seq.ranks, seq.maps, w, seq.periodic_tail)
+        code, out = cli(["equiv", "{a}", "{b}"], a=text, b=serialize_diagram(rebased))
+        assert code == 0, (text, w)
+        for doc in (ladder, json.loads(out)):
+            assert _verify(cli, doc) == (0, "ok: certificate verified\n")
+        closed += 1
+    assert closed >= COUNT * 2 // 3

@@ -4,6 +4,7 @@ from math import prod
 import pytest
 
 from bratteli import (
+    INF,
     BratteliSequence,
     DiagonalMap,
     NonMixingMap,
@@ -11,12 +12,14 @@ from bratteli import (
     NotPositive,
     RankMismatch,
     SupernaturalNumber,
+    TooLarge,
     certificate_failures,
     is_order_unit,
     rescale_lemma,
     unit_change,
 )
 from bratteli.intertwine import _diagonals
+from bratteli.supernat import _split_power
 
 from genseq import (
     full_tree,
@@ -223,7 +226,7 @@ class TestMutationRejected:
         bad = replace(cert, rungs=(cert.rungs[0], 5) + cert.rungs[2:])
         assert certificate_failures(bad) == [
             "rung 2: the scalar is not a multiple of rung 1's entry at coordinate 1",
-            "partial_n is 3, scalars give 5",
+            "partial_n is 3, not the product of its scalars",
             "exact_n is 3, rung data does not cycle",
             "exact_m is 1, rung data does not cycle",
         ]
@@ -236,7 +239,7 @@ class TestMutationRejected:
         bad = replace(cert, rungs=(1, 2, 4, 2))
         assert certificate_failures(bad) == [
             "rung 4: the scalar is not a multiple of rung 3's entry at coordinate 1",
-            "partial_m is 2, scalars give 4",
+            "partial_m is 2, not the product of its scalars",
             "exact_n is 2^inf, rung data does not cycle",
             "exact_m is 2^inf, rung data does not cycle",
         ]
@@ -388,11 +391,13 @@ def _old_failures(cert, rungs):
                         break
     claims = (("partial_n", cert.partial_n), ("partial_m", cert.partial_m))
     for (name, claim), d in zip(claims, ("up", "down")):
-        if claim is None or not claim.matches(_old_scalars(rungs, d)):
+        if claim is None or not claim.matches((_old_scalars(rungs, d),)):
             failures.append(f"{name} does not match")
     claims = (("exact_n", cert.exact_n), ("exact_m", cert.exact_m))
     for (name, claim), cycle in zip(claims, _old_detect_cycle(seq, rungs)):
-        if claim is not None and (cycle is None or not claim.matches(*cycle)):
+        if claim is not None and (
+            cycle is None or not claim.matches((cycle[0],), (cycle[1],))
+        ):
             failures.append(f"{name} does not match")
     return failures
 
@@ -437,3 +442,139 @@ class TestAgainstTheOldVerifier:
                 bad_old[k] = OldRung(k + 1, old[k].direction, s, old[k].diag)
                 assert certificate_failures(replace(cert, rungs=rungs)), (cert, k, s)
                 assert _old_failures(cert, bad_old), (cert, k, s)
+
+
+def _old_exact(before, over):
+    # the exact scaling from the cycle's products: the primes of before,
+    # and every prime of over to infinite exponent
+    fac = dict(SupernaturalNumber.from_natural(before).factors)
+    fac.update(dict.fromkeys(SupernaturalNumber.from_natural(over).primes(), INF))
+    return SupernaturalNumber(fac)
+
+
+def _old_matches(claim, n, over=1):
+    # the claim check on one product n and one cycle product over
+    for p, e in claim.factors:
+        got, n = _split_power(n, p)
+        k, over = _split_power(over, p)
+        if e != (INF if k else got):
+            return False
+    return n == 1 and over == 1
+
+
+def _old_verdict(cert, rungs):
+    # whether the verifier that matched each claim against the product of
+    # its scalars accepted cert, whose rungs are those given
+    if _diagonals(cert.seq, cert.alt_unit, cert.rungs)[1] is not None:
+        return False
+    partials = (
+        (cert.partial_n, _old_scalars(rungs, "up")),
+        (cert.partial_m, _old_scalars(rungs, "down")),
+    )
+    if any(claim is None or not _old_matches(claim, n) for claim, n in partials):
+        return False
+    cycles = _old_detect_cycle(cert.seq, rungs)
+    return all(
+        claim is None or (cycle is not None and _old_matches(claim, *cycle))
+        for claim, cycle in zip((cert.exact_n, cert.exact_m), cycles)
+    )
+
+
+class TestAgainstTheRungProducts:
+    """The claims summed from the distinct rung scalars against those
+    factored from the product of all up and of all down scalars, and
+    the verifier that divides each scalar against the one that divided
+    those products."""
+
+    CLAIMS = ("partial_n", "partial_m", "exact_n", "exact_m")
+
+    @staticmethod
+    def _mutated(rng, claim):
+        fac = dict(() if claim is None else claim.factors)
+        p = rng.choice((2, 3, 5, 7))
+        kind = rng.choice(("raise", "inf", "drop"))
+        if kind == "drop" and fac:
+            del fac[rng.choice(list(fac))]
+        else:
+            fac[p] = INF if kind == "inf" else fac.get(p, 0) + 1
+        return SupernaturalNumber(fac)
+
+    @pytest.mark.parametrize("seed, tail", [(62, "none"), (63, "cyclic"), (64, "sub")])
+    def test_same_claims_and_verdicts(self, seed, tail, digit_limit):
+        # checked and never written, so no scalar is refused as too long
+        digit_limit(0)
+        rng = random.Random(seed)
+        counts = {"exact": 0, "rejected": 0}
+        for _ in range(600):
+            seq = random_sequence(rng, tail=tail)
+            strategy = rng.choice(("minimal", "paper"))
+            # the paper strategy's scalars grow doubly exponentially
+            reach = 20 if strategy == "minimal" else 6
+            depth = min(rng.randint(1, reach), max_usable_level(seq, 12, size_cap=50))
+            alt = random_unit(rng, seq.ranks[0])
+            cert = unit_change(seq, alt, depth, strategy)
+            old = _old_rungs(seq, alt, depth, strategy)
+            assert cert.rungs == tuple(r.scalar for r in old)
+            want = (
+                SupernaturalNumber.from_natural(_old_scalars(old, "up")),
+                SupernaturalNumber.from_natural(_old_scalars(old, "down")),
+                *(None if c is None else _old_exact(*c) for c in _old_detect_cycle(seq, old)),
+            )
+            assert tuple(getattr(cert, name) for name in self.CLAIMS) == want, cert
+            counts["exact"] += cert.exact_n is not None
+            assert certificate_failures(cert) == [] and _old_verdict(cert, old)
+            name = rng.choice(self.CLAIMS)
+            bad = replace(cert, **{name: self._mutated(rng, getattr(cert, name))})
+            rejected = certificate_failures(bad) != []
+            assert rejected == (not _old_verdict(bad, old)), (bad, name)
+            counts["rejected"] += rejected
+        # a substitution tail whose copies have rank 1 is cyclic too
+        assert (counts["exact"] > 50) == (tail != "none"), counts
+        assert counts["rejected"] > 550, counts
+
+
+class TestNoRungProduct:
+    """Claims come from the distinct rung scalars: no product of them is
+    factored, by the builder or by the verifier."""
+
+    @pytest.fixture
+    def factored(self, monkeypatch):
+        # the bit length of every number given to from_natural, and a
+        # 4096-rung ladder on the rank-4 tripling cycle: every rung after
+        # the first has scalar 12, and the product of the 2048 up scalars
+        # has about 7300 bits
+        bits = []
+        factor = SupernaturalNumber.from_natural.__func__
+
+        def recorded(cls, n):
+            bits.append(n.bit_length())
+            return factor(cls, n)
+
+        monkeypatch.setattr(SupernaturalNumber, "from_natural", classmethod(recorded))
+        tripling = NonMixingMap(4, (0, 1, 2, 3), (3, 3, 3, 3))
+        seq = BratteliSequence((4, 4), (tripling,), (1, 1, 1, 1), 1)
+        return bits, unit_change(seq, (1, 2, 3, 4), 4096)
+
+    def test_builder_factors_no_number_longer_than_a_scalar(self, factored):
+        bits, cert = factored
+        assert cert.exact_n is not None and cert.exact_m is not None
+        assert bits and max(bits) <= max(s.bit_length() for s in cert.rungs)
+
+    def test_verifier_never_factors(self, factored):
+        bits, cert = factored
+        bits.clear()
+        assert certificate_failures(cert) == []
+        assert bits == []
+
+    def test_scalar_settled_where_the_product_is_too_large(self):
+        # 2097169 is a prime past the trial bound 2**20, below its square,
+        # so trial division settles it; the product of two down scalars,
+        # its square, is refused as too large to call prime
+        seq = BratteliSequence((2, 2), (NonMixingMap(2, (0, 1), (1, 1)),), (1, 1), 1)
+        cert = unit_change(seq, (1, 2097169), 5)
+        assert cert.rungs == (1,) + (2097169,) * 4
+        assert str(cert.partial_m) == "2097169^2"
+        assert str(cert.exact_m) == "2097169^inf"
+        assert certificate_failures(cert) == []
+        with pytest.raises(TooLarge):
+            SupernaturalNumber.from_natural(2097169**2)

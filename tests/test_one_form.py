@@ -167,14 +167,6 @@ def _old_matches(factors, n, over):
     return n == 1 and over == 1
 
 
-def _old_multiply(a, b):
-    fac = dict(a)
-    for p, e in b:
-        old = fac.get(p, 0)
-        fac[p] = _OLD_INF if (e is _OLD_INF or old is _OLD_INF) else old + e
-    return tuple(sorted(fac.items(), key=lambda pe: pe[0]))
-
-
 def _old_ratios(factors, length):
     out = []
     for i in range(length):
@@ -233,15 +225,14 @@ def test_exponent_arithmetic_matches_the_token():
     rng = random.Random(2005)
     matched = {True: 0, False: 0}
     for _ in range(500):
-        a, b = _random_supernatural(rng), _random_supernatural(rng)
-        assert _old(a * b) == _old_multiply(_old(a), _old(b)), (a, b)
+        a = _random_supernatural(rng)
         length = rng.randint(1, 8)
         assert a.associated_ratios(length) == _old_ratios(_old(a), length), a
         assert str(a) == _old_str(_old(a))
         assert repr(a) == f"SupernaturalNumber(factors={_old(a)!r})"
         assert SupernaturalNumber.parse(str(a)) == a
         n, over = _claim(rng, a)
-        got = a.matches(n, over)
+        got = a.matches((n,), (over,))
         assert got == _old_matches(_old(a), n, over), (a, n, over)
         matched[got] += 1
     assert min(matched.values()) > 100
