@@ -327,19 +327,15 @@ class BratteliSequence(Frozen):
             return a
         return NonMixingMap._of(copies * a.source_rank, parent, a.mult * copies)
 
-    def _levels_to(self, n: int) -> tuple:
-        # (ranks, maps): rank_at(t) for t in 1..n and map_at(t) for t in
-        # 1..n-1.  A cyclic tail's block repeats as it stands, so past L
-        # they are the block's ranks and maps, cycled
+    def _maps_to(self, n: int) -> tuple:
+        # map_at(t) for t in 1..n-1.  A cyclic tail's block repeats as it
+        # stands, so past L they are the block's maps, cycled
         p = self.periodic_tail
         if n <= self.length:
-            return self.ranks[:n], self.maps[: n - 1]
+            return self.maps[: n - 1]
         if self.tail_kind != "cyclic":
-            levels = range(1, n + 1)
-            return tuple(map(self.rank_at, levels)), tuple(map(self._map, levels[:-1]))
-        ranks = islice(cycle(self.ranks[p - 1 : -1]), n - p + 1)
-        maps = islice(cycle(self.maps[p - 1 :]), n - p)
-        return self.ranks[: p - 1] + tuple(ranks), self.maps[: p - 1] + tuple(maps)
+            return tuple(map(self._map, range(1, n)))
+        return self.maps[: p - 1] + tuple(islice(cycle(self.maps[p - 1 :]), n - p))
 
     def map_between(self, lo: int, hi: int) -> NonMixingMap:
         """Composite map from level lo to level hi (identity when equal)."""
@@ -463,17 +459,17 @@ def _refuse_unwritable(values, what: str):
 
 
 def _check_listing(seqs, levels, what: str = "level", listing: str | None = None):
-    # raise TooLarge when the levels of the levelwise product of seqs are
-    # too many to list: one has more than _COORD_BUDGET coordinates, or,
-    # when a command names its listing, there are more than _COORD_BUDGET
-    # levels or _LIST_BUDGET coordinates.  A self-similar level past L
-    # with copy exponent k has at least 2**k coordinates, so a level
-    # whose exponent is past the budget is refused before the power is
-    # formed
+    # the ranks of the levelwise product of seqs at levels, or TooLarge
+    # when they are too many to list: one has more than _COORD_BUDGET
+    # coordinates, or, when a command names its listing, there are more
+    # than _COORD_BUDGET levels or _LIST_BUDGET coordinates.  A
+    # self-similar level past L with copy exponent k has at least 2**k
+    # coordinates, so a level whose exponent is past the budget is
+    # refused before the power is formed
     if listing is not None and levels[_COORD_BUDGET:]:  # len() overflows past maxsize
         raise TooLarge(f"{listing} is more than {_COORD_BUDGET} levels to list")
     grows = [s for s in seqs if s.tail_kind == "substitution"]
-    total = 0
+    total, ranks = 0, []
     for t in levels:
         for s in grows:
             p = s.periodic_tail
@@ -491,6 +487,8 @@ def _check_listing(seqs, levels, what: str = "level", listing: str | None = None
         total += rank
         if listing is not None and total > _LIST_BUDGET:
             raise TooLarge(f"{listing} lists more than {_LIST_BUDGET} coordinates")
+        ranks.append(rank)
+    return ranks
 
 
 def _tail_start(seqs, keep, ranks, lo: int = 1) -> int | None:
@@ -616,18 +614,16 @@ def telescope(seq: BratteliSequence, keep) -> BratteliSequence:
     for a, b in zip(keep, keep[1:]):
         if b <= a:
             raise NonAscending(f"kept levels not ascending at {a}, {b}")
-    _check_listing((seq,), keep, "kept level", f"keeping {len(keep)} levels")
+    ranks = _check_listing((seq,), keep, "kept level", f"keeping {len(keep)} levels")
     if keep == tuple(range(1, seq.length + 1)):
         return seq
     maps = []
-    for i, (a, b) in enumerate(zip(keep, keep[1:]), start=1):
+    for i, (a, b, rank) in enumerate(zip(keep, keep[1:], ranks), start=1):
         what = f"a multiplicity of map {i}"
-        rank = seq.rank_at(a)
         parent, mult = seq._written((1,) * rank, a, b, what)
         _refuse_unwritable(mult, what)
         # a composite of valid maps is valid: no entry needs checking again
         maps.append(NonMixingMap._of(rank, tuple(parent), tuple(mult)))
-    ranks = tuple(seq.rank_at(t) for t in keep)
     return BratteliSequence(ranks, maps, seq.base_unit, _tail_start((seq,), keep, ranks))
 
 

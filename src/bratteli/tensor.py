@@ -13,7 +13,6 @@ verify_state_invariance rechecks the maps tensor_qn builds.
 from __future__ import annotations
 
 from math import lcm
-from operator import mul
 
 from .diagram import BratteliSequence, _check_listing, _tail_start
 from .simplicial import NonMixingMap
@@ -48,12 +47,10 @@ def tensor_seq(A: BratteliSequence, B: BratteliSequence) -> BratteliSequence:
         length = P + lcm(A.length - A.periodic_tail, B.length - B.periodic_tail)
     else:
         length = min(s.length for s in (A, B) if not s.is_tailed)
-    _check_listing(
+    ranks = _check_listing(
         (A, B), range(1, length + 1), "product level", f"a product of length {length}"
     )
-    (ranks_a, maps_a), (ranks_b, maps_b) = A._levels_to(length), B._levels_to(length)
-    ranks = tuple(map(mul, ranks_a, ranks_b))
-    maps = tuple(map(tensor_map, maps_a, maps_b))
+    maps = tuple(map(tensor_map, A._maps_to(length), B._maps_to(length)))
     unit = tensor_vec(A.base_unit, B.base_unit)
     tail = _tail_start((A, B), range(1, length + 1), ranks)
     return BratteliSequence(ranks, maps, unit, tail)
@@ -72,11 +69,10 @@ def tensor_qn(seq: BratteliSequence, n, depth: int) -> BratteliSequence:
     listing budget (diagram._check_listing) raise TooLarge up front.
     """
     seq._require_level(depth)
-    _check_listing((seq,), range(1, depth + 1), listing=f"depth {depth}")
+    ranks = _check_listing((seq,), range(1, depth + 1), listing=f"depth {depth}")
     ratios = n.associated_ratios(depth)
-    ranks, plain = seq._levels_to(depth)
     maps = []
-    for a, k in zip(plain, ratios[1:]):
+    for a, k in zip(seq._maps_to(depth), ratios[1:]):
         mult = tuple([m * k for m in a.mult])
         maps.append(NonMixingMap._of(a.source_rank, a.parent, mult))
     unit = tuple(ratios[0] * u for u in seq.base_unit)

@@ -1,13 +1,8 @@
-import os
-import resource
-import subprocess
 import sys
-import time
-from pathlib import Path
 
 import pytest
 
-from rlimits import clamp
+import child
 
 
 @pytest.fixture
@@ -39,24 +34,9 @@ def digit_limit():
 
 @pytest.fixture
 def in_child():
-    """in_child(argv) runs `bratteli argv` in a child process under 1 GB
-    of address space (or `address_space` bytes) and with a timeout, since
-    building what a refusal stops would take seconds to minutes and
-    gigabytes, and returns (exit code, stdout, stderr, seconds).  With
-    command=("-c", code) the child runs that Python code instead."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-
-    def run(argv, address_space=2**30, command=("-m", "bratteli.cli")):
-        start = time.perf_counter()
-        done = subprocess.run(
-            [sys.executable, *command, *argv],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-            preexec_fn=lambda: clamp((resource.RLIMIT_AS, address_space)),
-        )
-        return done.returncode, done.stdout, done.stderr, time.perf_counter() - start
-
-    return run
+    """in_child(argv) is child.run: `bratteli argv`, or `code=...`, in a
+    child process under 1 GB of address space (or `address_space` bytes)
+    and a timeout, since building what a refusal stops would take seconds
+    to minutes and gigabytes; it returns (exit code, stdout, stderr,
+    seconds)."""
+    return child.run

@@ -15,11 +15,9 @@ for, and 2^20 + 1 still tests its refusal.  Its scalars are all 1, so
 its time is the O(depth) walk itself, which only stopping a ladder at
 its first repeated rung shortens.
 
-Each call runs `bratteli.cli.run` in a child process under 1.5 GB of
-address space, 64 MiB of written file and a 15 s timeout, limits the
-child sets on itself with tests/rlimits.py.  The child reads its
-argument list from stdin, since Linux refuses a single argument past
-128 KiB and the cycle's unit has 65,536 entries.  A call fails the
+Each call runs the command line in a child process under 1.5 GB of
+address space, 64 MiB of written file and a 15 s timeout, through
+tests/child.py, the runner the tier-1 tests use.  A call fails the
 sweep on an exit code outside {0, 1, 2, 64, 65}, a traceback on stderr,
 or a timeout.
 
@@ -34,15 +32,14 @@ from __future__ import annotations
 
 import os
 import random
-import subprocess
 import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-PYTHONPATH = os.pathsep.join(str(ROOT / d) for d in ("src", "tests"))
+import child
+
 EXITS = {0, 1, 2, 64, 65}
 ADDRESS_SPACE = 3 * 2**29
 FILE_SIZE = 64 * 2**20
@@ -52,17 +49,6 @@ VALUES = (1, 21, 22, 23, 1000, 2**20, 2**20 + 1, 2**22, 10**9, 10**31)
 # (shape, depth) of the known O(depth) ladders, left out until a ladder
 # stops at its first repeated rung (ROADMAP item 1(b))
 LINEAR_LADDERS = {("chain", 2**20)}
-
-# the child: its own limits, then the command line's entry point, fed
-# argv on stdin.  The child sets them itself, since a preexec_fn is not
-# safe in this process's threads
-CHILD = f"""
-import resource, sys
-from rlimits import clamp
-clamp((resource.RLIMIT_AS, {ADDRESS_SPACE}), (resource.RLIMIT_FSIZE, {FILE_SIZE}))
-from bratteli.cli import run
-sys.exit(run(sys.stdin.read().split("\\0")))
-"""
 
 
 def _diagram(sizes, unit, maps, repeat=None) -> str:
@@ -131,23 +117,10 @@ def calls(name, path, rank, strategies):
 def run_one(argv, out: Path) -> dict:
     """One child call with its stdout in out: its exit code, the last
     line of its stderr, its seconds, and what fails the sweep, if any."""
-    start = time.perf_counter()
     with open(out, "wb") as stdout:
-        try:
-            done = subprocess.run(
-                [sys.executable, "-S", "-c", CHILD],
-                input="\0".join(argv).encode(),
-                stdout=stdout,
-                stderr=subprocess.PIPE,
-                timeout=TIMEOUT,
-                env=dict(os.environ, PYTHONPATH=PYTHONPATH),
-            )
-        except subprocess.TimeoutExpired:
-            code, err = None, b""
-        else:
-            code, err = done.returncode, done.stderr
-    seconds = time.perf_counter() - start
-    err = err.decode(errors="replace")
+        code, _, err, seconds = child.run(
+            argv, ADDRESS_SPACE, file_size=FILE_SIZE, timeout=TIMEOUT, stdout=stdout
+        )
     problem = None
     if code is None:
         problem = f"timed out after {TIMEOUT} s"

@@ -3,9 +3,10 @@
 The parser reads a document's numerals with one json.loads, where it
 read them through one str per numeral and one int() each; tensor_map
 forms a Kronecker product with two comprehensions, where it ran a
-nested index loop; tensor_seq and tensor_qn read a factor's levels off
-its cyclic block (BratteliSequence._levels_to), where they called
-rank_at and map_at once per level; arch-check reads the ranks it draws
+nested index loop; tensor_seq and tensor_qn read a factor's maps off
+its cyclic block (BratteliSequence._maps_to), where they called map_at
+once per level, and take the ranks the listing check formed
+(diagram._check_listing); arch-check reads the ranks it draws
 from off the tail's block, where it called rank_at once per level past
 L; and keep_at memoizes the kept places of each block level.  Local
 copies of the old code are kept here, the way test_one_form.py keeps
@@ -279,14 +280,14 @@ class TestDerivedMaps:
             g = random_map(rng, rng.randint(1, 6), rng.randint(1, 6))
             assert tensor_map(f, g) == _old_tensor_map(f, g)
 
-    def test_levels_to_reads_each_level(self):
+    def test_maps_to_reads_each_level(self):
         for seq in _sequences(42, 300):
             for n in range(1, 3 * seq.length + 1):
                 if not seq.has_level(n):
                     break
-                ranks, maps = seq._levels_to(n)
-                assert ranks == tuple(seq.rank_at(t) for t in range(1, n + 1)), seq
-                assert maps == tuple(seq.map_at(t) for t in range(1, n)), seq
+                ranks = diagram._check_listing((seq,), range(1, n + 1))
+                assert ranks == [seq.rank_at(t) for t in range(1, n + 1)], seq
+                assert seq._maps_to(n) == tuple(seq.map_at(t) for t in range(1, n)), seq
 
     def test_unchecked_maps_pass_the_checks(self):
         n = SupernaturalNumber.parse("2^inf*3")

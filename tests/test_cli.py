@@ -9,10 +9,8 @@ import argparse
 import json
 import os
 import random
-import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -59,6 +57,18 @@ RANK_4096 = (
     + "\nmap 1: "
     + " ".join(f"{i}*1" for i in range(1, 4097))
     + "\nrepeat: 1\n"
+)
+
+
+# run in a child: `python -m bratteli.cli argv` in a grandchild, whose
+# stdout is the child's, then the grandchild's peak RSS in KiB on
+# stderr.  A process's own peak counts the pages of the process that
+# started it, and the child is started from pytest
+PEAK_RSS = (
+    "import resource, subprocess, sys\n"
+    "code = subprocess.run([sys.executable, '-m', 'bratteli.cli', *sys.argv[1:]]).returncode\n"
+    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)\n"
+    "sys.exit(code)\n"
 )
 
 
@@ -293,50 +303,27 @@ class TestStates:
         ) == 1
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_deep_level_in_bounded_memory(self, doc, tmp_path):
+    def test_deep_level_in_bounded_memory(self, doc, tmp_path, in_child):
         # level 22 of the binary tree has 2^21 coordinates, each pulling
         # back to the vertex of its level-2 ancestor; one child process
         # writes them to a file and reports its own peak RSS
-        path = doc("t.brat", TREE)
+        argv = ["states", doc("t.brat", TREE), "--level", "2", "--depth", "22"]
         out = tmp_path / "out.txt"
-        argv = [sys.executable, "-m", "bratteli.cli", "states", path]
-        argv += ["--level", "2", "--depth", "22"]
-        probe = (
-            "import resource, subprocess, sys\n"
-            f"with open({str(out)!r}, 'wb') as fh:\n"
-            f"    code = subprocess.run({argv!r}, stdout=fh).returncode\n"
-            "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
-        )
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        done = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True
-        )
-        code, peak_kb = map(int, done.stdout.split())
+        with open(out, "wb") as fh:
+            code, _, peak_kb, _ = in_child(argv, code=PEAK_RSS, stdout=fh)
         assert code == 0
-        assert peak_kb < 64 * 1024
+        assert int(peak_kb) < 64 * 1024
         assert out.read_text() == "1 0\n" * 2**20 + "0 1\n" * 2**20
 
-    def test_deep_level_lines_in_linear_memory(self, doc):
+    def test_deep_level_lines_in_linear_memory(self, doc, in_child):
         # level 12 of the binary tree has 2048 vertices, each a line of
         # 2048 values; one child process writes them all, and keeping a
         # formatted line, or a vertex tuple, per vertex peaked at 56 MB
-        path = doc("t.brat", BINARY_TREE)
-        argv = [sys.executable, "-m", "bratteli.cli", "states", path]
-        argv += ["--level", "12", "--depth", "12"]
-        probe = (
-            "import resource, subprocess, sys\n"
-            f"code = subprocess.run({argv!r}, stdout=subprocess.DEVNULL).returncode\n"
-            "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
-        )
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        done = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True
-        )
-        code, peak_kb = map(int, done.stdout.split())
+        argv = ["states", doc("t.brat", BINARY_TREE), "--level", "12", "--depth", "12"]
+        with open(os.devnull, "wb") as fh:
+            code, _, peak_kb, _ = in_child(argv, code=PEAK_RSS, stdout=fh)
         assert code == 0
-        assert peak_kb < 32 * 1024
+        assert int(peak_kb) < 32 * 1024
 
     def test_level_past_the_budget_refused_at_once(self, doc, capsys):
         start = time.perf_counter()
@@ -1012,6 +999,14 @@ class TestHostileInput:
         err = self.check(self.paper_ladder(doc, 6), 1, capsys)
         assert err.startswith("error: rung 6 scalar is too long")
 
+    def test_paper_ladder_refused_in_a_child(self, doc, in_child):
+        # at depth 9 rungs 7-9 would have millions of bits: rung 6 is
+        # refused before they are built, under 1,000,000 KiB
+        code, out, err, secs = in_child(self.paper_ladder(doc, 9), 1000000 * 1024)
+        assert secs < 10
+        assert (code, out) == (1, "")
+        assert err.startswith("error: rung 6 scalar is too long to write")
+
     def test_rung_scalar_past_bit_bound(self, doc, capsys, digit_limit):
         # rung 8's scalar has 2 250 984 bits; dividing it out and factoring
         # the partial products would take about half a minute.  With no
@@ -1298,6 +1293,7 @@ _UNKNOWN = {
     + ")\n"
     for quoted in ([f"'{c}'" for c in _NAMES], _NAMES)
 }
+_REQUIRED = "usage error: the following arguments are required: "
 # what each subcommand says when given nothing, and when given its
 # positionals but none of its required flags
 _MISSING = [
@@ -1409,6 +1405,27 @@ class TestUsage:
         assert info.value.code == 0
         out, err = capsys.readouterr()
         assert out in _HELP and err == ""
+
+    @pytest.mark.parametrize(
+        "argv, code, outs, errs",
+        [
+            ([], 64, {""}, {f"{_REQUIRED}command\n"}),
+            (["validate"], 64, {""}, {f"{_REQUIRED}file\n"}),
+            (["validate", "x", "extra"], 64, {""}, {"usage error: unrecognized arguments: extra\n"}),
+            (["frobnicate"], 64, {""}, _UNKNOWN),
+            (["--help"], 0, _HELP, {""}),
+            (["validate", "--help"], 0, {_SUBCOMMAND_HELP["validate"]}, {""}),
+        ],
+        ids=["none", "missing", "extra", "unknown", "help", "validate-help"],
+    )
+    def test_usage_through_a_process(
+        self, argv, code, outs, errs, tmp_path, monkeypatch, in_child
+    ):
+        # `python -m bratteli.cli` exits and writes as cli.run does, in a
+        # directory where no file x exists
+        monkeypatch.chdir(tmp_path)
+        got, out, err, _ = in_child(argv)
+        assert got == code and out in outs and err in errs, (got, out, err)
 
     def test_every_subcommand_has_help(self):
         assert sorted(_SUBCOMMAND_HELP) == sorted(_NAMES)

@@ -767,7 +767,7 @@ class TestLimitComparisons:
             "except TooLarge as e:\n"
             "    print(e, time.perf_counter() - start, sep='\\n')\n"
         )
-        code, out, err, _ = in_child([], 1000000 * 1024, command=("-c", code))
+        code, out, err, _ = in_child([], 1000000 * 1024, code=code)
         assert (code, err) == (0, "")
         message, secs = out.splitlines()
         if level == 22:
@@ -791,7 +791,7 @@ class TestLimitComparisons:
             "                LimitElement(10**8, (1, 0, 0, -1)))\n"
             "print(got, time.perf_counter() - start, sep='\\n')\n"
         )
-        code, out, err, _ = in_child([], 1000000 * 1024, command=("-c", code))
+        code, out, err, _ = in_child([], 1000000 * 1024, code=code)
         assert (code, err) == (0, "")
         got, secs = out.splitlines()
         assert got == "False"

@@ -155,6 +155,10 @@ def test_tensorq_is_equivalent_to_its_input(cli):
         assert code == 0
         kept += _equivalent_if_tailed(cli, text, out)
     assert kept >= COUNT * 2 // 3
+    # and a two-path cycle, whose output keeps the tail
+    text = "bratteli v1\nsizes: 2 2\nunit: 1 1\nmap 1: 1*1 2*3\nrepeat: 1\n"
+    code, out = cli(["tensorq", "{a}", "--n", "2^inf*3", "--depth", "6"], a=text)
+    assert code == 0 and _equivalent_if_tailed(cli, text, out)
 
 
 def test_telescope_is_equivalent_to_its_input(cli):
@@ -171,6 +175,10 @@ def test_telescope_is_equivalent_to_its_input(cli):
         assert code == 0
         kept += _equivalent_if_tailed(cli, text, out)
     assert kept >= COUNT // 2
+    # and the binary tree, whose output keeps the tail
+    text = "bratteli v1\nsizes: 1 2\nunit: 1\nmap 1: 1*1 1*1\nrepeat: 1\n"
+    code, out = cli(["telescope", "{a}", "--keep", "1,3,5"], a=text)
+    assert code == 0 and _equivalent_if_tailed(cli, text, out)
 
 
 def test_tensor_keeps_equivalence(cli):

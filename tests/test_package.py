@@ -4,25 +4,20 @@
 access, so these pin what that must not change: the names, the objects
 they resolve to, that a `validate` process loads none of the heavy
 modules, and that no command loads `dataclasses` or `inspect`.  The
-subprocess tests run `python -m bratteli.cli` the way a user does,
-against the source tree.
+child-process tests run `python -m bratteli.cli` the way a user does,
+against the source tree, through tests/child.py.
 """
 
 import argparse
 import importlib
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import bratteli
+import child
 from bratteli import cli, parse_diagram
 from corpus import valid_documents
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 # every public name, by the module it lives in
 EXPORTS = {
@@ -66,19 +61,11 @@ COMMANDS = [
 SEEDED = ("two-path-2-7", "binary-tree", "cyclic-late", "dead-branch", "wide-units")
 
 
-def _python(*args, **env):
-    env = dict(os.environ, PYTHONPATH=str(SRC), **env)
-    return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
-    )
-
-
 def _loaded_by(argv):
     # the modules a fresh process holds after running one command as
     # `python -m bratteli.cli` does
     code = (
         "import contextlib, io, json, runpy, sys\n"
-        f"sys.argv = ['bratteli', *{argv!r}]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    try:\n"
         "        runpy.run_module('bratteli.cli', run_name='__main__')\n"
@@ -86,9 +73,9 @@ def _loaded_by(argv):
         "        assert done.code == 0, done.code\n"
         "print(json.dumps(sorted(sys.modules)))\n"
     )
-    done = _python("-c", code)
-    assert done.returncode == 0, done.stderr
-    return set(json.loads(done.stdout.splitlines()[-1]))
+    code, out, err, _ = child.run(argv, code=code)
+    assert code == 0, err
+    return set(json.loads(out.splitlines()[-1]))
 
 
 class TestPublicSurface:
@@ -123,17 +110,17 @@ class TestPublicSurface:
             "assert bratteli.equiv is sys.modules['bratteli.equiv']\n"
             "assert getattr(bratteli, 'tensor') is sys.modules['bratteli.tensor']\n"
         )
-        done = _python("-c", code)
-        assert done.returncode == 0, done.stderr
+        code, _, err, _ = child.run([], code=code)
+        assert code == 0, err
 
 
 class TestEntryPoint:
     def test_validate(self, tmp_path):
         path = tmp_path / "tiny.brat"
         path.write_text("bratteli v1\nsizes: 1\nunit: 1\n", encoding="utf-8")
-        done = _python("-m", "bratteli.cli", "validate", str(path))
-        assert (done.returncode, done.stderr) == (0, "")
-        assert done.stdout.splitlines() == [
+        code, out, err, _ = child.run(["validate", str(path)])
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
             "levels: 1",
             "ranks: 1",
             "tail: none",
@@ -183,7 +170,7 @@ class TestEntryPoint:
         assert "bratteli.fileformat" in loaded
         assert loaded.isdisjoint({"dataclasses", "inspect"})
 
-    def test_output_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
+    def test_output_bytes_do_not_depend_on_the_hash_seed(self, tmp_path, monkeypatch):
         # the certificate contract relies on deterministic stdout: one
         # child per PYTHONHASHSEED runs every writing command on a few
         # corpus documents through cli.run, and both print the same bytes
@@ -220,9 +207,10 @@ class TestEntryPoint:
         )
         outputs = []
         for seed in ("0", "1"):
-            child = _python("-c", code, PYTHONHASHSEED=seed)
-            assert child.returncode == 0, child.stderr
-            outputs.append(json.loads(child.stdout))
+            monkeypatch.setenv("PYTHONHASHSEED", seed)
+            done, out, err, _ = child.run([], code=code)
+            assert done == 0, err
+            outputs.append(json.loads(out))
         assert len(outputs[0]) == len(runs)
         # the verdicts of unequal and untailed pairs exit 1 and 2
         assert {code for code, _, _ in outputs[0]} == {0, 1, 2}
