@@ -10,11 +10,12 @@ dump writes those bytes itself, piece by piece through a write
 function, because with an indent json.dumps runs its encoder in pure
 Python and returns the whole document as one string.  Each string is
 quoted by json's C quoting function, and each list of strings, the
-bulk of every document, is put together by one join and written as
-one piece.  Any list of a document may be a lazy iterable instead,
-such as a generator of rows: it is written row by row as it is drawn,
-so a command that streams its rows never holds them all, nor the
-document's text.  dumps is dump into one string.
+bulk of every document, and each dict of strings, such as a rung, is
+put together by one join and written as one piece.  Any list of a
+document may be a lazy iterable instead, such as a generator of rows:
+it is written row by row as it is drawn, so a command that streams its
+rows never holds them all, nor the document's text.  dumps is dump
+into one string.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from json import dumps as _json_dumps
 from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING
 
-from .diagram import _refuse_unwritable
+from .diagram import _refuse_unwritable, _write_cut
 from .fileformat import INTEGER, _bulk, parse_diagram, serialize_diagram
 
 # Each codec imports the types it builds or tests when it runs, so
@@ -57,6 +58,10 @@ def _dump(value, newline: str, write):
     # JSON has no form for
     if isinstance(value, str):
         write(_quote(value))
+        return
+    text = _flat(value, newline)
+    if text is not None:
+        write(text)
     elif isinstance(value, dict):
         inner = newline + "  "
         sep = "{" + inner
@@ -64,18 +69,14 @@ def _dump(value, newline: str, write):
             write(sep + _key(k) + ": ")
             _dump(value[k], inner, write)
             sep = "," + inner
-        write("{}" if sep[0] == "{" else newline + "}")
+        write(newline + "}")
     elif value is None:
         write("null")
     elif isinstance(value, (list, tuple, Iterator)):
-        text = _strings(value, newline)
-        if text is not None:
-            write(text)
-            return
         inner = newline + "  "
         sep = "[" + inner
         for v in value:
-            text = _quote(v) if isinstance(v, str) else _strings(v, inner)
+            text = _quote(v) if isinstance(v, str) else _flat(v, inner)
             if text is None:
                 write(sep)
                 _dump(v, inner, write)
@@ -87,14 +88,20 @@ def _dump(value, newline: str, write):
         write(_json_dumps(value))
 
 
-def _strings(value, newline: str) -> str | None:
-    # a list or tuple of strings as one piece, by one join; None for
-    # anything else
+def _flat(value, newline: str) -> str | None:
+    # a list or tuple of strings, or a dict of strings, as one piece, by
+    # one join; None for anything else
+    inner = newline + "  "
+    if isinstance(value, dict):
+        try:
+            items = [_key(k) + ": " + _quote(value[k]) for k in sorted(value)]
+        except TypeError:  # not only strings, or keys json.dumps refuses
+            return None
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
     if not isinstance(value, (list, tuple)):
         return None
     if not value:
         return "[]"
-    inner = newline + "  "
     try:
         return "[" + inner + ("," + inner).join(map(_quote, value)) + newline + "]"
     except TypeError:  # not only strings
@@ -156,14 +163,18 @@ def _supernatural(value, what: str):
 
 
 def unit_change_to_doc(cert: UnitChangeCertificate) -> dict:
-    for t, s in enumerate(cert.rungs, start=1):
-        _refuse_unwritable((s,), f"rung {t} scalar")
+    # one pass finds whether a scalar is too long to write; the first
+    # such rung is then named
+    cut = _write_cut()
+    if cut is not None and max(cert.rungs, default=0) >= cut:
+        t = next(t for t, s in enumerate(cert.rungs, start=1) if s >= cut)
+        _refuse_unwritable((cert.rungs[t - 1],), f"rung {t} scalar")
     return {
         "kind": "unit-change",
         "sequence": serialize_diagram(cert.seq),
         "alt_unit": [str(v) for v in cert.alt_unit],
         "strategy": cert.strategy,
-        "rungs": [{"scalar": str(s)} for s in cert.rungs],
+        "rungs": ({"scalar": str(s)} for s in cert.rungs),
         "partial_n": str(cert.partial_n),
         "partial_m": str(cert.partial_m),
         "exact_n": None if cert.exact_n is None else str(cert.exact_n),
@@ -177,19 +188,26 @@ def unit_change_from_doc(doc: dict) -> UnitChangeCertificate:
     if _need(doc, "kind") != "unit-change":
         raise ValueError(f"not a unit-change document: kind {doc.get('kind')!r}")
     rungs = _need(doc, "rungs", list)
-    # a rung's level, direction and diagonal follow from the scalars
+    # a rung's level, direction and diagonal follow from the scalars, so
+    # the first rung that holds one of them is refused
+    retired = ("level", "direction", "diag")
     for t, r in enumerate(rungs, start=1):
-        why = f" in rung {t}: unit-change rungs carry only their scalar"
-        _refuse(r, ("level", "direction", "diag"), why)
+        if isinstance(r, dict) and not r.keys().isdisjoint(retired):
+            _refuse(r, retired, f" in rung {t}: unit-change rungs carry only their scalar")
     seq = parse_diagram(_need(doc, "sequence", str))
     strategy = _need(doc, "strategy")
     if strategy not in ("minimal", "paper"):
         raise ValueError(f"strategy must be 'minimal' or 'paper', got {strategy!r}")
+    alt_unit = _ints(_need(doc, "alt_unit"), "unit entry")
+    try:  # _need names the first rung that is not a dict with a scalar
+        scalars = [r["scalar"] for r in rungs]
+    except (KeyError, TypeError):
+        scalars = [_need(r, "scalar") for r in rungs]
     return UnitChangeCertificate(
         seq,
-        _ints(_need(doc, "alt_unit"), "unit entry"),
+        alt_unit,
         strategy,
-        _ints([_need(r, "scalar") for r in rungs], "rung scalar"),
+        _ints(scalars, "rung scalar"),
         _supernatural(_need(doc, "partial_n"), "partial_n"),
         _supernatural(_need(doc, "partial_m"), "partial_m"),
         _supernatural(doc.get("exact_n"), "exact_n"),

@@ -252,6 +252,20 @@ def _sample_steps(seq, ranks):
     return 64 + sum(ranks) + 8 * (min(n, L) - 1) + 48 * max(0, n - L)
 
 
+# bytes 0..251 hold each residue mod 9 28 times: byte b is the entry
+# b % 9 - 4 as a signed byte, and 252..255 are drawn again
+_ENTRY_OF_BYTE = bytes((b % 9 - 4) % 256 for b in range(256))
+_REDRAWN = bytes(range(252, 256))
+
+
+def _draw_entries(rng, k: int) -> tuple:
+    # k entries of -4..4, each equally likely, drawn as bytes in one C pass
+    drawn = rng.randbytes(k).translate(_ENTRY_OF_BYTE, _REDRAWN)
+    while len(drawn) < k:
+        drawn += rng.randbytes(k - len(drawn)).translate(_ENTRY_OF_BYTE, _REDRAWN)
+    return tuple(memoryview(drawn).cast("b"))
+
+
 def _cmd_arch_check(args):
     import random
 
@@ -268,13 +282,12 @@ def _cmd_arch_check(args):
             f"{args.samples} samples of up to {steps} steps are more than "
             f"{_SAMPLE_BUDGET} steps"
         )
-    entries = range(-4, 5)
 
-    # every level drawn is at least 1 and every entry an int of entries,
-    # so the elements are built without LimitElement's checks
+    # every level drawn is at least 1 and every entry an int, so the
+    # elements are built without LimitElement's checks
     def draw():
         t = rng.randint(1, len(ranks))
-        return LimitElement._of(t, tuple(rng.choices(entries, k=ranks[t - 1])))
+        return LimitElement._of(t, _draw_entries(rng, ranks[t - 1]))
 
     for _ in range(args.samples):
         x = draw()

@@ -68,8 +68,8 @@ from __future__ import annotations
 
 import sys
 from functools import lru_cache
-from itertools import cycle, islice
-from math import lcm
+from itertools import chain, cycle, islice
+from math import lcm, prod
 
 from .errors import (
     BadRepeat,
@@ -327,15 +327,16 @@ class BratteliSequence(Frozen):
             return a
         return NonMixingMap._of(copies * a.source_rank, parent, a.mult * copies)
 
-    def _maps_to(self, n: int) -> tuple:
-        # map_at(t) for t in 1..n-1.  A cyclic tail's block repeats as it
-        # stands, so past L they are the block's maps, cycled
+    def _maps_to(self, n: int):
+        # an iterator of map_at(t) for t in 1..n-1, n >= 1, drawn as it is
+        # read.  A cyclic tail's block repeats as it stands, so past L they
+        # are the block's maps, cycled
         p = self.periodic_tail
         if n <= self.length:
-            return self.maps[: n - 1]
+            return iter(self.maps[: n - 1])
         if self.tail_kind != "cyclic":
-            return tuple(map(self._map, range(1, n)))
-        return self.maps[: p - 1] + tuple(islice(cycle(self.maps[p - 1 :]), n - p))
+            return chain(self.maps, map(self._map, range(self.length, n)))
+        return chain(self.maps[: p - 1], islice(cycle(self.maps[p - 1 :]), n - p))
 
     def map_between(self, lo: int, hi: int) -> NonMixingMap:
         """Composite map from level lo to level hi (identity when equal)."""
@@ -465,10 +466,17 @@ def _check_listing(seqs, levels, what: str = "level", listing: str | None = None
     # than _COORD_BUDGET levels or _LIST_BUDGET coordinates.  A
     # self-similar level past L with copy exponent k has at least 2**k
     # coordinates, so a level whose exponent is past the budget is
-    # refused before the power is formed
+    # refused before the power is formed.  Without such a tail a range of
+    # levels is read off the presented ranks and the block's, cycled
+    # (_cycled_ranks), and the level-by-level loop runs only to name the
+    # level a refusal stops at
     if listing is not None and levels[_COORD_BUDGET:]:  # len() overflows past maxsize
         raise TooLarge(f"{listing} is more than {_COORD_BUDGET} levels to list")
     grows = [s for s in seqs if s.tail_kind == "substitution"]
+    ranks = None if grows else _cycled_ranks(seqs, levels)
+    if ranks is not None and max(ranks, default=0) <= _COORD_BUDGET:
+        if listing is None or sum(ranks) <= _LIST_BUDGET:
+            return ranks
     total, ranks = 0, []
     for t in levels:
         for s in grows:
@@ -489,6 +497,30 @@ def _check_listing(seqs, levels, what: str = "level", listing: str | None = None
             raise TooLarge(f"{listing} lists more than {_LIST_BUDGET} coordinates")
         ranks.append(rank)
     return ranks
+
+
+def _cycled_ranks(seqs, levels) -> list | None:
+    # [rank_at(t) of the levelwise product of seqs for t in levels], for a
+    # range of levels that every seq has, none with a self-similar tail;
+    # None for any other levels.  Each seq's ranks are its presented ones,
+    # then past L its cyclic block's (levels p..L-1), cycled
+    if not isinstance(levels, range) or levels.step != 1 or levels.start < 1:
+        return None
+    lo, hi = levels.start, levels.stop
+    if hi <= lo:
+        return []
+    columns = []
+    for s in seqs:
+        if not s.has_level(hi - 1):
+            return None
+        p, L = s.periodic_tail, s.length
+        column = list(s.ranks[lo - 1 : hi - 1])
+        if hi - 1 > L:
+            start = max(lo, L + 1)
+            skip = (start - p) % (L - p)
+            column.extend(islice(cycle(s.ranks[p - 1 : L - 1]), skip, skip + hi - start))
+        columns.append(column)
+    return columns[0] if len(columns) == 1 else list(map(prod, zip(*columns)))
 
 
 def _tail_start(seqs, keep, ranks, lo: int = 1) -> int | None:

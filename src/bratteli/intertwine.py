@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from math import lcm, prod
 
-from .diagram import BratteliSequence, _check_listing, _refuse_unwritable
-from .errors import Frozen, NotOrderUnit, NotPositive, RankMismatch, TooLarge
+from .diagram import BratteliSequence, _check_listing, _refuse_unwritable, _write_cut
+from .errors import Frozen, NotOrderUnit, NotPositive, RankMismatch, TooLarge, _set
 from .simplicial import NonMixingMap, is_order_unit
 from .supernat import SupernaturalNumber, _weights
 
@@ -41,6 +41,13 @@ class DiagonalMap(Frozen):
             if not isinstance(v, int) or v < 1:
                 raise NotPositive(f"diagonal entry {v!r} must be a positive integer")
         self._freeze(entries)
+
+    @classmethod
+    def _of(cls, entries: tuple) -> "DiagonalMap":
+        # Frozen._of in one store, for the diagonal of every rung
+        self = cls.__new__(cls)
+        _set(self, "entries", entries)
+        return self
 
     @property
     def rank(self) -> int:
@@ -65,11 +72,12 @@ def rescale_lemma(alpha: NonMixingMap, gamma: DiagonalMap, strategy: str = "mini
     same rescaling up to a redundant common factor.  A scalar of more
     than 2**20 bits raises TooLarge.
     """
-    if gamma.rank != alpha.source_rank:
+    entries = gamma.entries
+    if len(entries) != alpha.source_rank:
         raise RankMismatch(
             f"diagonal rank {gamma.rank} != map source rank {alpha.source_rank}"
         )
-    used = [gamma.entries[i] for i in alpha.parent]
+    used = [entries[i] for i in alpha.parent]
     if strategy == "minimal":
         n = lcm(*used)
     elif strategy == "paper":
@@ -78,8 +86,8 @@ def rescale_lemma(alpha: NonMixingMap, gamma: DiagonalMap, strategy: str = "mini
         raise ValueError(f"unknown strategy {strategy!r}")
     if n.bit_length() > _SCALAR_BITS:
         raise TooLarge(f"rung scalar of {n.bit_length()} bits exceeds {_SCALAR_BITS} bits")
-    eta = DiagonalMap(tuple(n // l for l in used))
-    return n, eta
+    # n is a multiple of every l, so every entry is at least 1
+    return n, DiagonalMap._of(tuple([n // l for l in used]))
 
 
 class UnitChangeCertificate(Frozen):
@@ -119,9 +127,11 @@ class UnitChangeCertificate(Frozen):
         exact_m: SupernaturalNumber | None = None,
     ):
         rungs = tuple(rungs)
-        for t, s in enumerate(rungs, start=1):
-            if not isinstance(s, int) or s < 1:
-                raise NotPositive(f"rung {t} scalar {s!r} must be a positive integer")
+        # one pass over the types and one min; the loop names a bad rung
+        if not {int}.issuperset(map(type, rungs)) or min(rungs, default=1) < 1:
+            for t, s in enumerate(rungs, start=1):
+                if not isinstance(s, int) or s < 1:
+                    raise NotPositive(f"rung {t} scalar {s!r} must be a positive integer")
         self._freeze(
             seq, alt_unit, strategy, rungs, partial_n, partial_m, exact_n, exact_m
         )
@@ -173,20 +183,23 @@ def _diagonals(seq, alt_unit, scalars) -> tuple:
                 f"multiple of the unit entry at coordinate {i}"
             )
         d.append(q)
-    diagonals.append(tuple(d))
-    for t in range(2, len(scalars) + 1):
-        if not seq.has_level(t):
-            return diagonals, f"rung {t}: level {t} not available"
-        s, prev, d = scalars[t - 1], diagonals[-1], []
-        for j, i in enumerate(seq._map(t - 1).parent, start=1):
-            q, r = divmod(s, prev[i])
-            if r:
-                return diagonals, (
-                    f"rung {t}: the scalar is not a multiple of rung {t - 1}'s "
-                    f"entry at coordinate {j}"
-                )
-            d.append(q)
-        diagonals.append(tuple(d))
+    prev = tuple(d)
+    diagonals.append(prev)
+    # a rung past the last level fails, once every rung below it divides
+    top = len(scalars) if seq.has_level(len(scalars)) else seq.length
+    for t, s, a in zip(range(2, top + 1), scalars[1:], seq._maps_to(top)):
+        used = [prev[i] for i in a.parent]
+        rests = [s % l for l in used]
+        if any(rests):
+            j = next(j for j, r in enumerate(rests, start=1) if r)
+            return diagonals, (
+                f"rung {t}: the scalar is not a multiple of rung {t - 1}'s "
+                f"entry at coordinate {j}"
+            )
+        prev = tuple([s // l for l in used])
+        diagonals.append(prev)
+    if top < len(scalars):
+        return diagonals, f"rung {top + 1}: level {top + 1} not available"
     return diagonals, None
 
 
@@ -245,11 +258,14 @@ def unit_change(
         diag = DiagonalMap(tuple((m1 // u) * w for u, w in zip(u1, alt_unit)))
         scalars.append(m1)
         diagonals.append(diag.entries)
-    for t in range(2, depth + 1):
-        s, diag = rescale_lemma(seq._map(t - 1), diag, strategy)
-        _refuse_unwritable((s,), f"rung {t} scalar")
-        scalars.append(s)
-        diagonals.append(diag.entries)
+        # rung t reads the map out of level t - 1, in order
+        cut = _write_cut()
+        for t, a in enumerate(seq._maps_to(depth), start=2):
+            s, diag = rescale_lemma(a, diag, strategy)
+            if cut is not None and s >= cut:
+                _refuse_unwritable((s,), f"rung {t} scalar")
+            scalars.append(s)
+            diagonals.append(diag.entries)
     scalars = tuple(scalars)
 
     memo = {}

@@ -8,12 +8,7 @@ ladder is refused on.  Each option value of VALUES goes to telescope's
 last kept level, tensorq's and unit-change's --depth (both strategies
 on the rank-8 chain), states' --level and --depth together, and
 arch-check's --samples; validate, injectivize, canon, tensor and equiv
-run once a shape, and every certificate a call writes is verified.  The
-tailed chain's ladder to depth 2^20 is left out: it is ROADMAP item
-1(b)'s known O(depth) ladder, 9 to 11 s alone, not a hang to search
-for, and 2^20 + 1 still tests its refusal.  Its scalars are all 1, so
-its time is the O(depth) walk itself, which only stopping a ladder at
-its first repeated rung shortens.
+run once a shape, and every certificate a call writes is verified.
 
 Each call runs the command line in a child process under 1.5 GB of
 address space, 64 MiB of written file and a 15 s timeout, through
@@ -46,9 +41,6 @@ FILE_SIZE = 64 * 2**20
 TIMEOUT = 15
 JOBS = 2
 VALUES = (1, 21, 22, 23, 1000, 2**20, 2**20 + 1, 2**22, 10**9, 10**31)
-# (shape, depth) of the known O(depth) ladders, left out until a ladder
-# stops at its first repeated rung (ROADMAP item 1(b))
-LINEAR_LADDERS = {("chain", 2**20)}
 
 
 def _diagram(sizes, unit, maps, repeat=None) -> str:
@@ -95,7 +87,7 @@ def shapes() -> dict:
     }
 
 
-def calls(name, path, rank, strategies):
+def calls(path, rank, strategies):
     """(argv, writes a certificate) for every call on one shape."""
     unit = ",".join(str(1 + i % 3) for i in range(rank))
     yield ["validate", path], False
@@ -106,8 +98,7 @@ def calls(name, path, rank, strategies):
     for v in VALUES:
         yield ["telescope", path, "--keep", f"1,{v}"], False
         yield ["tensorq", path, "--n", "2^inf*3", "--depth", str(v)], False
-        ladders = () if (name, v) in LINEAR_LADDERS else strategies
-        for strategy in ladders:
+        for strategy in strategies:
             argv = ["unit-change", path, "--unit", unit, "--depth", str(v)]
             yield argv + ["--strategy", strategy], True
         yield ["states", path, "--level", str(v), "--depth", str(v)], False
@@ -150,7 +141,7 @@ def main() -> int:
         for name, (text, rank, strategies) in shapes().items():
             path = os.path.join(tmp, f"{name}.brat")
             Path(path).write_text(text)
-            for argv, certificate in calls(name, path, rank, strategies):
+            for argv, certificate in calls(path, rank, strategies):
                 work.append((argv, certificate, Path(tmp, f"out{len(work)}")))
         with ThreadPoolExecutor(JOBS) as pool:
             done = pool.map(lambda w: run_with_verify(*w), work)

@@ -14,6 +14,7 @@ the old readings, and compared with the package on seeded inputs.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -287,7 +288,7 @@ class TestDerivedMaps:
                     break
                 ranks = diagram._check_listing((seq,), range(1, n + 1))
                 assert ranks == [seq.rank_at(t) for t in range(1, n + 1)], seq
-                assert seq._maps_to(n) == tuple(seq.map_at(t) for t in range(1, n)), seq
+                assert tuple(seq._maps_to(n)) == tuple(seq.map_at(t) for t in range(1, n)), seq
 
     def test_unchecked_maps_pass_the_checks(self):
         n = SupernaturalNumber.parse("2^inf*3")
@@ -338,6 +339,18 @@ class TestArchCheckHorizon:
                 seen.add((seq.tail_kind, cut))
         kinds = {"cyclic", "substitution"}
         assert seen == {(k, cut) for k in kinds for cut in ("none", "at once", "later")}
+
+    def test_drawn_entries_are_each_of_minus_4_to_4_alike(self):
+        # each byte drawn again past 251 keeps the nine values alike: a
+        # plain b % 9 would make -4..-1 about 3.5% likelier than the rest
+        rng = random.Random(47)
+        counts = Counter()
+        for k in (*range(1, 40), *[1000] * 900):
+            drawn = cli._draw_entries(rng, k)
+            assert len(drawn) == k and all(type(v) is int for v in drawn)
+            counts.update(drawn)
+        assert set(counts) == set(range(-4, 5))
+        assert max(counts.values()) < 1.015 * min(counts.values())
 
     @pytest.mark.parametrize(
         "text",
