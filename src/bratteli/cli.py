@@ -231,13 +231,19 @@ def _cmd_equiv(args):
 def _draw_ranks(seq):
     # the ranks of the levels arch-check draws from: 1..L untailed, else
     # on to the last of L+1..L+2*period before the first one past rank
-    # 1000
+    # 1000, read off the cycled block on a cyclic tail
     from itertools import takewhile
+
+    from .diagram import _cycled_ranks
 
     L, p = seq.length, seq.periodic_tail
     if p is None:
         return seq.ranks
-    past = map(seq.rank_at, range(L + 1, 3 * L - 2 * p + 1))
+    past = range(L + 1, 3 * L - 2 * p + 1)
+    if seq.tail_kind == "cyclic":
+        past = _cycled_ranks((seq,), past)
+    else:
+        past = map(seq.rank_at, past)
     return seq.ranks + tuple(takewhile(lambda r: r <= 1000, past))
 
 
@@ -269,7 +275,7 @@ def _draw_entries(rng, k: int) -> tuple:
 def _cmd_arch_check(args):
     import random
 
-    from .diagram import LimitElement, forall_n_leq_limit, limit_leq
+    from .diagram import _forall_n_leq_limit, _limit_leq, keep_at
 
     seq = _load(args.file)
     rng = random.Random(args.seed)
@@ -282,22 +288,33 @@ def _cmd_arch_check(args):
             f"{args.samples} samples of up to {steps} steps are more than "
             f"{_SAMPLE_BUDGET} steps"
         )
+    # every span a sample pushes along lies in the drawn levels, checked
+    # here once, so the order tests run past their checks; a level's kept
+    # coordinates are formed the first time it is drawn
+    seq._check_span(1, len(ranks))
+    keeps = [None] * (len(ranks) + 1)
 
-    # every level drawn is at least 1 and every entry an int, so the
-    # elements are built without LimitElement's checks
+    def kept(lo, t):
+        keep = keeps[t]
+        if keep is None:
+            keep = keeps[t] = keep_at(seq, t)
+        return keep
+
+    # a (level, vector) pair of ints, an element the order tests read
+    # without LimitElement's checks
     def draw():
         t = rng.randint(1, len(ranks))
-        return LimitElement._of(t, _draw_entries(rng, ranks[t - 1]))
+        return t, _draw_entries(rng, ranks[t - 1])
 
     for _ in range(args.samples):
         x = draw()
         y = draw()
-        if forall_n_leq_limit(seq, x, y):
-            zero = LimitElement._of(x.level, (0,) * len(x.vec))
-            if not limit_leq(seq, x, zero):
+        if _forall_n_leq_limit(seq, x, y, kept):
+            level, vec = x
+            if not _limit_leq(seq, x, (level, (0,) * len(vec)), kept):
                 print(
-                    f"counterexample: x at level {x.level} = {x.vec}, "
-                    f"y at level {y.level} = {y.vec}"
+                    f"counterexample: x at level {level} = {vec}, "
+                    f"y at level {y[0]} = {y[1]}"
                 )
                 return 1
     print(f"ok: {args.samples} samples, property held")

@@ -67,7 +67,7 @@ single root always survives), and then goes on down from p.
 from __future__ import annotations
 
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, cycle, islice
 from math import lcm, prod
 
@@ -674,6 +674,10 @@ class LimitElement(Frozen):
         self._freeze(level, vec)
 
 
+# (level, vec) of a LimitElement, the pair the order tests below read
+_pair = LimitElement._key
+
+
 def _check_elements(seq, a, b):
     for el in (a, b):
         # a level past the budget is refused before its rank is formed
@@ -685,21 +689,31 @@ def _check_elements(seq, a, b):
             )
 
 
-def _pushed_pair(seq, a, b):
-    # a and b at their common level, on the coordinates the limit sees.
-    # The lower one's entry u reaches it as u * M, M a composite
-    # multiplicity, and once M >= c, one past every |entry| of a and b,
-    # u * M and u * c have the same sign and lie on the same side of
-    # every entry of the other: so every product is cut at c
-    low, m = (a, b.level) if a.level <= b.level else (b, a.level)
-    seq._check_span(low.level, m)
-    one = (1,) * len(low.vec)
-    c = 1 + max(map(abs, a.vec + b.vec))
-    parent, mult = seq._steps((range(len(one)), one), low.level, m, c)
-    pushed = [low.vec[i] * k for i, k in zip(parent, mult)]
-    x, y = (pushed, b.vec) if low is a else (a.vec, pushed)
-    kept = keep_at(seq, m)
-    return tuple(x[j] for j in kept), tuple(y[j] for j in kept)
+def _checked_keep(seq, lo: int, t: int) -> tuple:
+    # the kept hook of the order tests below for elements that passed
+    # _check_elements: keep_at(seq, t), once the span lo..t is checked
+    seq._check_span(lo, t)
+    return keep_at(seq, t)
+
+
+def _pushed_pair(seq, a, b, kept):
+    # a and b, (level, vector) pairs, at their common level m, on the
+    # coordinates the limit sees there, kept(lo, m), where lo is the
+    # lower level: kept checks the span the push walks, or answers for a
+    # span its caller has checked.  The lower one's entry u reaches m as
+    # u * M, M a composite multiplicity, and once M >= c, one past every
+    # |entry| of a and b, u * M and u * c have the same sign and lie on
+    # the same side of every entry of the other: so every product is cut
+    # at c
+    (s, x), (t, y) = a, b
+    lo, m, low = (s, t, x) if s <= t else (t, s, y)
+    keep = kept(lo, m)
+    if lo < m:
+        c = 1 + max(map(abs, x + y))
+        parent, mult = seq._steps((range(len(low)), (1,) * len(low)), lo, m, c)
+        pushed = [low[i] * k for i, k in zip(parent, mult)]
+        x, y = (pushed, y) if s <= t else (x, pushed)
+    return tuple([x[j] for j in keep]), tuple([y[j] for j in keep])
 
 
 def limit_leq(seq, a: LimitElement, b: LimitElement) -> bool:
@@ -711,7 +725,13 @@ def limit_leq(seq, a: LimitElement, b: LimitElement) -> bool:
     approximation.
     """
     _check_elements(seq, a, b)
-    x, y = _pushed_pair(seq, a, b)
+    return _limit_leq(seq, _pair(a), _pair(b), partial(_checked_keep, seq))
+
+
+def _limit_leq(seq, a, b, kept) -> bool:
+    # limit_leq past its checks, on (level, vector) pairs, with kept as
+    # in _pushed_pair
+    x, y = _pushed_pair(seq, a, b, kept)
     return all(xi <= yi for xi, yi in zip(x, y))
 
 
@@ -725,7 +745,14 @@ def forall_n_leq_limit(seq, a, b) -> bool:
     entry there already answers False, before anything is pushed.
     """
     _check_elements(seq, a, b)
-    if any(a.vec[c] > 0 for c in keep_at(seq, a.level)):
+    return _forall_n_leq_limit(seq, _pair(a), _pair(b), partial(_checked_keep, seq))
+
+
+def _forall_n_leq_limit(seq, a, b, kept) -> bool:
+    # forall_n_leq_limit past its checks, on (level, vector) pairs, with
+    # kept as in _pushed_pair
+    t, x = a
+    if any(x[c] > 0 for c in kept(t, t)):
         return False
-    x, y = _pushed_pair(seq, a, b)
+    x, y = _pushed_pair(seq, a, b, kept)
     return forall_n_leq(x, y)

@@ -14,7 +14,9 @@ exponents and the associated sequence caps them, the infinite ones alike.
 from __future__ import annotations
 
 import re
-from math import inf, isqrt
+from functools import lru_cache
+from itertools import compress
+from math import gcd, inf, isqrt, prod
 from operator import itemgetter
 
 from .errors import DIGITS, Frozen, TooLarge
@@ -30,6 +32,13 @@ INF = inf
 # no divisor up to the bound is prime, and anything larger is TooLarge
 # rather than a search of up to sqrt(n) steps.
 _TRIAL_BOUND = 1 << 20
+
+# Odd numbers up to this bound are tried one division at a time; the
+# primes past it, up to _TRIAL_BOUND, a chunk of _CHUNK at a time, by
+# one gcd with their product, so a number of thousands of digits with
+# no small factor costs about 300 gcds, not 500,000 divisions.
+_SHORT_BOUND = 1 << 12
+_CHUNK = 256
 
 
 def _too_large(n: int) -> TooLarge:
@@ -68,16 +77,43 @@ def _weights(ns, over=()) -> dict:
 
 def _least_factor(n: int, d: int = 2) -> int:
     # the least factor of n > 1 from d on, n having none below d; TooLarge
-    # when n has none up to the trial bound and is not below its square
+    # when n has none up to the trial bound and is not below its square.
+    # A prime below d divides no chunk's gcd with n, so the first chunk
+    # whose gcd is past 1 holds the least factor: the least number of the
+    # chunk's range that divides the gcd, a product of distinct primes of
+    # the chunk.  One past the square root divides only a prime n
     if n % 2 == 0:
         return 2
     root = isqrt(n)
-    for k in range(d | 1, min(root, _TRIAL_BOUND) + 1, 2):
+    top = min(root, _TRIAL_BOUND)
+    for k in range(d | 1, min(top, _SHORT_BOUND) + 1, 2):
         if n % k == 0:
             return k
+    if top > _SHORT_BOUND:
+        for first, last, product in _prime_chunks():
+            if first > top:
+                break
+            if last < d:
+                continue
+            g = gcd(n, product)
+            if g > 1:
+                return next(k for k in range(first, last + 1, 2) if g % k == 0)
     if root > _TRIAL_BOUND:
         raise _too_large(n)
     return n
+
+
+@lru_cache(maxsize=1)
+def _prime_chunks() -> tuple:
+    # (first, last, product) for each run of _CHUNK primes past
+    # _SHORT_BOUND up to _TRIAL_BOUND, ascending, by one sieve
+    sieve = bytearray([1]) * (_TRIAL_BOUND + 1)
+    for i in range(2, isqrt(_TRIAL_BOUND) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, _TRIAL_BOUND + 1, i)))
+    primes = list(compress(range(_SHORT_BOUND + 1, _TRIAL_BOUND + 1), sieve[_SHORT_BOUND + 1 :]))
+    chunks = (primes[i : i + _CHUNK] for i in range(0, len(primes), _CHUNK))
+    return tuple((chunk[0], chunk[-1], prod(chunk)) for chunk in chunks)
 
 
 def is_prime(p: int) -> bool:

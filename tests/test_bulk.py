@@ -8,7 +8,9 @@ its cyclic block (BratteliSequence._maps_to), where they called map_at
 once per level, and take the ranks the listing check formed
 (diagram._check_listing); arch-check reads the ranks it draws
 from off the tail's block, where it called rank_at once per level past
-L; and keep_at memoizes the kept places of each block level.  Local
+L, and checks the levels it draws once a command, where each sample
+went through the checked limit_leq and forall_n_leq_limit; and keep_at
+memoizes the kept places of each block level.  Local
 copies of the old code are kept here, the way test_one_form.py keeps
 the old readings, and compared with the package on seeded inputs.
 """
@@ -20,11 +22,14 @@ import pytest
 
 from bratteli import (
     BratteliSequence,
+    LimitElement,
     NonMixingMap,
     ParseError,
     SupernaturalNumber,
+    forall_n_leq_limit,
     injectivize,
     keep_at,
+    limit_leq,
     parse_diagram,
     serialize_diagram,
     telescope,
@@ -99,6 +104,32 @@ def _old_horizon(seq):
         while max_level < horizon and seq.rank_at(max_level + 1) <= 1000:
             max_level += 1
     return max_level
+
+
+def _old_arch_samples(seq, samples, seed):
+    # arch-check's sample loop when every sample went through the checked
+    # order tests: (x, y, forall_n_leq_limit(x, y), limit_leq(x, 0) or
+    # None when not asked) per sample, and the line the command printed
+    rng = random.Random(seed)
+    top = _old_horizon(seq)
+    out = []
+
+    def draw():
+        t = rng.randint(1, top)
+        return LimitElement(t, cli._draw_entries(rng, seq.rank_at(t)))
+
+    for _ in range(samples):
+        x = draw()
+        y = draw()
+        forall = forall_n_leq_limit(seq, x, y)
+        leq = limit_leq(seq, x, LimitElement(x.level, (0,) * len(x.vec))) if forall else None
+        out.append(((x.level, x.vec), (y.level, y.vec), forall, leq))
+        if leq is False:
+            return out, (
+                f"counterexample: x at level {x.level} = {x.vec}, "
+                f"y at level {y.level} = {y.vec}\n"
+            )
+    return out, f"ok: {samples} samples, property held\n"
 
 
 def _old_keep_at(seq, t):
@@ -364,6 +395,61 @@ class TestArchCheckHorizon:
         path.write_text(text, encoding="utf-8")
         assert run(["arch-check", str(path), "--samples", "60", "--seed", "7"]) == 0
         assert capsys.readouterr() == ("ok: 60 samples, property held\n", "")
+
+    def test_samples_are_the_old_loop(self, tmp_path, capsys, monkeypatch):
+        # sample by sample the same draws and the same verdicts of both
+        # order tests as the loop that checked every sample, and the same
+        # line written; some samples of every tail kind reach the push
+        # (no positive kept entry of x) and the test of x <= 0
+        asked = []
+        for name in ("_forall_n_leq_limit", "_limit_leq"):
+
+            def recorded(seq, a, b, kept, original=getattr(diagram, name), name=name):
+                verdict = original(seq, a, b, kept)
+                asked.append((name, a, b, verdict))
+                return verdict
+
+            monkeypatch.setattr(diagram, name, recorded)
+        seqs = [*_sequences(48, 150), *_wide_blocks(), full_tree(2, 6), full_tree(3, 5)]
+        reached = Counter()
+        path = tmp_path / "d.brat"
+        for seed, seq in enumerate(seqs):
+            text = serialize_diagram(seq)
+            path.write_text(text, encoding="utf-8")
+            want, line = _old_arch_samples(parse_diagram(text), 100, seed)
+            asked.clear()
+            code = run(["arch-check", str(path), "--samples", "100", "--seed", str(seed)])
+            assert (code, capsys.readouterr()) == (1 - line.startswith("ok"), (line, ""))
+            got = []
+            for name, a, b, verdict in asked:
+                if name == "_forall_n_leq_limit":
+                    got.append((a, b, verdict, None))
+                else:
+                    x, y, forall, _ = got.pop()
+                    assert (a, b, forall) == (x, (x[0], (0,) * len(x[1])), True)
+                    got.append((x, y, forall, verdict))
+            assert got == want, seq
+            for (t, vec), _, forall, _ in want:
+                if not any(vec[c] > 0 for c in keep_at(seq, t)):
+                    reached[seq.tail_kind, "push"] += 1
+                reached[seq.tail_kind, "x <= 0"] += forall
+        kinds = (None, "cyclic", "substitution")
+        assert min(reached[k, on] for k in kinds for on in ("push", "x <= 0")) > 50
+
+    def test_one_span_check_a_command(self, tmp_path, capsys, count_calls):
+        # the drawn levels are checked once, then each one's kept
+        # coordinates once, the first time it is drawn, whatever the
+        # number of samples
+        path = tmp_path / "tree.brat"
+        path.write_text(serialize_diagram(full_tree(2, 6)), encoding="utf-8")
+        checks = count_calls(BratteliSequence, "_check_span")
+        counts = []
+        for samples in ("200", "2000"):
+            checks[0] = 0
+            assert run(["arch-check", str(path), "--samples", samples, "--seed", "3"]) == 0
+            assert capsys.readouterr() == (f"ok: {samples} samples, property held\n", "")
+            counts.append(checks[0])
+        assert counts[0] == counts[1] <= 1 + _old_horizon(full_tree(2, 6))
 
 
 class TestKeepAt:

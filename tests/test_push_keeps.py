@@ -11,6 +11,7 @@ sequences of every tail kind, three periods past the presented levels.
 """
 
 import random
+from functools import partial
 
 from bratteli import (
     BratteliSequence,
@@ -187,7 +188,9 @@ def test_limit_order_matches_the_applied_composites():
             a = random_element(rng, seq, rng.randint(1, top), lo=-3 * span, hi=span)
             b = random_element(rng, seq, rng.randint(1, top), lo=-3 * span, hi=3 * span)
             x, y = _old_pushed_pair(seq, a, b)
-            assert diagram._pushed_pair(seq, a, b) == _cut_pushed_pair(seq, a, b)
+            kept = partial(diagram._checked_keep, seq)
+            pair = (a.level, a.vec), (b.level, b.vec)
+            assert diagram._pushed_pair(seq, *pair, kept) == _cut_pushed_pair(seq, a, b)
             leq = all(xi <= yi for xi, yi in zip(x, y))
             assert limit_leq(seq, a, b) == leq
             assert forall_n_leq_limit(seq, a, b) == forall_n_leq(x, y)

@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 
 import pytest
 
@@ -58,6 +59,71 @@ class TestTrialBound:
     def test_huge_smooth_numbers_factor_quickly(self):
         n = 2**40000 * 3**12345 * 5**3
         assert SupernaturalNumber.from_natural(n) == sn((2, 40000), (3, 12345), (5, 3))
+
+
+def _old_least_factor(n, d=2):
+    # the least factor by trial division alone, every odd number from d
+    # up to the square root or the trial bound, kept as the oracle
+    if n % 2 == 0:
+        return 2
+    root = isqrt(n)
+    for k in range(d | 1, min(root, supernat._TRIAL_BOUND) + 1, 2):
+        if n % k == 0:
+            return k
+    if root > supernat._TRIAL_BOUND:
+        raise supernat._too_large(n)
+    return n
+
+
+def _least(f, n, d=2):
+    try:
+        return f(n, d)
+    except TooLarge as e:
+        return str(e)
+
+
+class TestChunkedGcds:
+    """Past the short trial division the least factor is the least prime
+    of the first chunk whose product shares a factor with n; the plain
+    loop above is the oracle."""
+
+    def test_least_factor_is_the_old_loop(self):
+        chunks = supernat._prime_chunks()
+        assert (chunks[0][0], chunks[-1][1]) == (4099, 1048573)
+        assert all(a[1] < b[0] for a, b in zip(chunks, chunks[1:]))
+        rng = random.Random(61)
+        edges = [p for first, last, _ in chunks for p in (first, last)]
+        # least factors at chunk edges, on both sides of the short bound,
+        # just below 2**20 and past it, with cofactors of no smaller factor
+        targets = [*rng.sample(edges, 10), 4093, 4099, 1048573, 1048583]
+        for q in targets:
+            bigger = [p for p in edges if p >= q] or [q]
+            cofactors = [q, rng.choice(bigger)]
+            if q < 1 << 15:
+                cofactors.append(rng.choice(bigger) ** 200)  # thousands of bits
+            for n in (q * r for r in cofactors):
+                for d in (2, q):
+                    assert _least(supernat._least_factor, n, d) == _least(_old_least_factor, n, d)
+
+    def test_no_factor_up_to_the_bound(self):
+        for n in (1048583 * 1048589, 1048583**2, 2**31 - 1, 1048573 * 1048583, 2**89 - 1):
+            assert _least(supernat._least_factor, n) == _least(_old_least_factor, n), n
+
+    def test_unfactorable_scalar_refused_at_once(self, in_child, tmp_path):
+        # a 4,000-digit unit with no factor up to 2**20: the ladder's
+        # scalar is refused without half a million trial divisions
+        n = 10**3999 + 3
+        assert _least(supernat._least_factor, n).startswith("a 13285-bit number has no divisor")
+        path = tmp_path / "d.brat"
+        path.write_text(f"bratteli v1\nsizes: 1 1\nunit: {n}\nmap 1: 1*1\nrepeat: 1\n")
+        argv = ["unit-change", str(path), "--unit", "1", "--depth", "1"]
+        code, out, err, secs = in_child(argv)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: a 13285-bit number has no divisor up to 1048576 and is too "
+            "large to call prime\n"
+        )
+        assert secs < 1
 
 
 class TestKnownPrimes:
