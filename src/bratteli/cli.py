@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .errors import BratteliError, ParseError
-from .fileformat import INTEGER, parse_diagram
+from .fileformat import INTEGER, _one_based, parse_diagram
 
 # Each command imports what it calls when it runs, so a process loads
 # only the modules of its own command (`validate` loads none of them).
@@ -72,7 +72,8 @@ def _read(path):
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as e:
-        head = data[: e.start].decode("utf-8")
+        # lines end where the parser's do: "\n", "\r\n" or a lone "\r"
+        head = data[: e.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         err = ParseError(
             f"byte 0x{data[e.start]:02x} is not UTF-8",
             head.count("\n") + 1,
@@ -197,15 +198,15 @@ def _cmd_canon(args):
     from . import certio
     from .equiv import canonicalize_q
 
-    seq = _load(args.file)
     # a diagonal entry too long to write is refused as its level is
-    # formed, before the first row is written
-    system, units = canonicalize_q(seq)
+    # formed, before the first row is written; the sequence itself is
+    # not held while the rows are
+    system, units = canonicalize_q(_load(args.file))
     # the diagonal entry 1/u is written as str(Fraction(1, u)) reads
     doc = {
         "kind": "canonical-form",
         "sizes": [str(v) for v in system.sizes],
-        "parents": ([str(p + 1) for p in ps] for ps in system.parents),
+        "parents": map(_one_based, system.parents),
         "repeat": None if system.periodic_tail is None else str(system.periodic_tail),
         "diagonals": (["1" if v == 1 else f"1/{v}" for v in u] for u in units),
     }

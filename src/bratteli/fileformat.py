@@ -10,22 +10,35 @@
 One directive per line, in that order; `repeat` is optional.  A map
 line carries one `parent*mult` token per coordinate of its target
 level, parents 1-based.  `#` starts a comment, full-line or trailing,
-and blank lines are ignored.  serialize_diagram writes the canonical
-form (this exact line order, single spaces, no comments, trailing
-newline), and parsing it back returns an equal sequence.  Numerals are
-ASCII digits only.  The sizes, the unit, and all map cells are checked
-in one pass that deletes their digits and compares the separators left
-with the one sequence they may form, and read by one json.loads of the
-same text with every separator made a comma, which forms each int
-straight from the text, never a str per numeral.  A part that fails
-the check, holds a numeral that starts with 0 (a 0, or a leading zero
-JSON refuses) or one past int()'s digit limit, is scanned token by
-token instead: that scan reads "01" as 1 and names the first fault.
+and blank lines are ignored.  A line ends at "\n", "\r\n" or a lone
+"\r", and nowhere else: a form feed, "\x85" or "\u2028", where
+str.splitlines() would also end one, is whitespace inside its line.
+serialize_diagram writes the canonical form (this exact line order,
+single spaces, no comments, trailing newline), and parsing it back
+returns an equal sequence.
+
+Numerals are ASCII digits only.  The sizes, the unit, and all map
+cells are checked in one pass that deletes their digits and compares
+the separators left with the one sequence they may form.  A section
+that passes is split into its numerals, and each is one lookup in a
+table of the canonical numerals "1".."1023" (a parent reads straight
+as its 0-based index).  A section with a numeral the table lacks, or
+one longer than 1 MiB, so that no document forms millions of token
+strings, is read by one json.loads of the same text with every
+separator made a comma, which forms each int straight from the text.
+A section that fails the check, holds a numeral that starts with 0 (a
+0, or a leading zero JSON refuses) or one past int()'s digit limit, is
+scanned token by token instead: that scan reads "01" as 1 and names
+the first fault.  certio reads its lists of decimal strings through
+the same reader.  serialize_diagram writes a cell whose parent and
+multiplicity are below 64 as one entry of a table of cells, and a line
+that holds a larger one by one % over its numbers.
 """
 
 from __future__ import annotations
 
 import re
+from operator import getitem
 
 from .diagram import BratteliSequence, _refuse_unwritable
 from .errors import DIGITS, BratteliError, ParseError
@@ -35,14 +48,55 @@ INTEGER = re.compile(f"-?{DIGITS}")
 _TOKEN = re.compile(r"\S+")
 _DIGITS = b"0123456789"
 
+# The canonical numerals below _BOUND: str(n) is _NUMERALS[n], and a
+# numeral of the table reads as its int (_VALUES) or, for a parent, as
+# its 0-based index (_PARENTS).  A section longer than _CAP is not split
+# into token strings; it goes to json.loads, as one that misses does.
+# The writer's cells take parents and multiplicities below _CELL_BOUND.
+_BOUND = 1024
+_CAP = 1 << 20
+_CELL_BOUND = 64
+_NUMERALS = [*map(str, range(_BOUND))]
+_VALUES = dict(zip(_NUMERALS[1:], range(1, _BOUND)))
+_PARENTS = dict(zip(_NUMERALS[1:], range(_BOUND - 1)))
+_ONE_BASED = _NUMERALS[1:]
+
+
+class _Cells(dict):
+    # _CELLS[p][m] is the cell "p+1*m" of parent index p and
+    # multiplicity m, both below _CELL_BOUND; a row is formed when a
+    # parent first asks for it, and a parent past the bound, or a
+    # multiplicity past its row, is a LookupError
+    def __missing__(self, p):
+        if not 0 <= p < _CELL_BOUND:
+            raise KeyError(p)
+        head = _NUMERALS[p + 1] + "*"
+        row = self[p] = [head + m for m in _NUMERALS[:_CELL_BOUND]]
+        return row
+
+
+_CELLS = _Cells()
+
+
+def _one_based(indexes) -> list:
+    # str(p + 1) for each index p >= 0, by table while p + 1 < _BOUND
+    try:
+        return [*map(_ONE_BASED.__getitem__, indexes)]
+    except IndexError:
+        return [str(p + 1) for p in indexes]
+
 
 def _logical_lines(text: str):
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        if body.strip():
-            out.append((lineno, body))
-    return out
+    # lines end at "\n", "\r\n" or "\r" alone: str.splitlines() also
+    # ends one at "\v", "\f", "\x1c".."\x1e", "\x85", "\u2028" and
+    # "\u2029", which a comment may hold.  The comment split runs only
+    # on a text that holds a "#"
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    raws = text.split("\n")
+    if "#" in text:
+        raws = [raw.split("#", 1)[0] for raw in raws]
+    return [(lineno, body) for lineno, body in enumerate(raws, start=1) if body.strip()]
 
 
 def _tokens(body: str):
@@ -72,25 +126,57 @@ def _int(tok: str, lineno: int, col: int, what: str, minimum: int = 1) -> int:
     return value
 
 
-def _bulk(joined: str, seps: bytes):
-    # the numerals of joined, when deleting its digits leaves exactly
-    # seps, the separators in the one order they may come in, and no
-    # numeral starts with 0 (so is 0 or has a leading zero); else None.
-    # Nothing is kept per numeral but its int, where a pattern with a
-    # repeated group keeps backtracking state per repeat
+def _separated(joined: str, seps: bytes) -> bool:
+    # deleting joined's digits leaves exactly seps, the separators in the
+    # one order they may come in
+    try:
+        return joined.encode("ascii").translate(None, _DIGITS) == seps
+    except ValueError:  # not ASCII
+        return False
+
+
+def _loaded(joined: str):
+    # the numerals of a separated section by one json.loads, or None when
+    # one starts with 0 (so is 0 or has a leading zero), is empty or is
+    # past int()'s digit limit.  Nothing is kept per numeral but its int,
+    # where a pattern with a repeated group keeps backtracking state per
+    # repeat
     import json
 
-    try:
-        if joined.encode("ascii").translate(None, _DIGITS) != seps:
-            return None
-    except ValueError:  # not ASCII
-        return None
     if joined.startswith("0") or " 0" in joined or "*0" in joined:
         return None
     try:
         return json.loads("[" + joined.replace("*", ",").replace(" ", ",") + "]") or None
-    except ValueError:  # an empty numeral, or one past int()'s digit limit
+    except ValueError:
         return None
+
+
+def _bulk(joined: str, seps: bytes):
+    # the numerals of joined, when it is separated by seps and no numeral
+    # starts with 0; else None.  Each numeral of the table is one lookup
+    if not _separated(joined, seps):
+        return None
+    if len(joined) <= _CAP:
+        try:
+            return [*map(_VALUES.__getitem__, joined.split(" "))]
+        except KeyError:  # past the table, or not canonical
+            pass
+    return _loaded(joined)
+
+
+def _cells(joined: str):
+    # the 0-based parents and the multiplicities of a separated map
+    # section, each a lookup, or None past the cap or off the table
+    if len(joined) <= _CAP:
+        toks = joined.replace("*", " ").split(" ")
+        try:
+            return (
+                tuple(map(_PARENTS.__getitem__, toks[0::2])),
+                tuple(map(_VALUES.__getitem__, toks[1::2])),
+            )
+        except KeyError:  # past the table, or not canonical
+            pass
+    return None
 
 
 def _numbers(body: str, lineno: int, directive: str, what: str) -> list:
@@ -106,30 +192,50 @@ def _numbers(body: str, lineno: int, directive: str, what: str) -> list:
     return got
 
 
-def _bulk_maps(block: list, sizes: list):
-    # the maps of a well-formed map section, else None.  Each line's
-    # cells are taken as one string, its whitespace made single spaces
-    # only when the count of spaces is off, so no token is formed
-    if len(block) < len(sizes) - 1:
-        return None
+def _cell_text(block: list, sizes: list):
+    # a map section's cells as one string, single spaces between them (a
+    # line's whitespace is remade only when its count of spaces is off),
+    # or None when a line is not the map line it should be
     rows = []
     for i, (_, body) in enumerate(block, start=1):
-        head = body.split(None, 2)
-        if head[:2] != ["map", f"{i}:"] or len(head) < 3:
-            return None
-        row = head[2].rstrip()
+        prefix = f"map {i}: "
+        if body.startswith(prefix):  # as serialize_diagram writes it
+            row = body[len(prefix) :].rstrip()
+        else:
+            head = body.split(None, 2)
+            if head[:2] != ["map", f"{i}:"] or len(head) < 3:
+                return None
+            row = head[2].rstrip()
         if row.count(" ") != sizes[i] - 1:
             row = " ".join(row.split())
             if row.count(" ") != sizes[i] - 1:
                 return None
         rows.append(row)
-    nums = _bulk(" ".join(rows), (b"* " * sum(sizes[1:]))[:-1])
-    if not nums:
+    return " ".join(rows)
+
+
+def _bulk_maps(block: list, sizes: list):
+    # the maps of a well-formed map section, else None.  Its cells are
+    # read as _bulk reads numerals, each parent by the 0-based table
+    if len(block) < len(sizes) - 1:
         return None
-    maps, at, parent, mult = [], 0, tuple([p - 1 for p in nums[0::2]]), tuple(nums[1::2])
+    joined = _cell_text(block, sizes)
+    if joined is None or not _separated(joined, (b"* " * sum(sizes[1:]))[:-1]):
+        return None
+    cells = _cells(joined)
+    if cells is None:
+        nums = _loaded(joined)
+        if nums is None:
+            return None
+        cells = tuple([p - 1 for p in nums[0::2]]), tuple(nums[1::2])
+    parent, mult = cells
+    # one max settles every map when no parent reaches the least source
+    # rank; else each map's parents are checked against its own
+    checked = max(parent) < min(sizes[:-1])
+    maps, at = [], 0
     for src, n in zip(sizes, sizes[1:]):
         row = parent[at : at + n]
-        if max(row) >= src:
+        if not checked and max(row) >= src:
             return None
         maps.append(NonMixingMap._of(src, row, mult[at : at + n]))
         at += n
@@ -234,19 +340,23 @@ def serialize_diagram(seq: BratteliSequence) -> str:
     """Canonical text form; parsing it back gives an equal sequence.
     TooLarge when a unit entry or multiplicity is too long to write."""
     out = ["bratteli v1"]
-    out.append("sizes: " + " ".join(str(r) for r in seq.ranks))
+    out.append("sizes: " + " ".join(map(str, seq.ranks)))
     try:
-        out.append("unit: " + " ".join(str(v) for v in seq.base_unit))
+        out.append("unit: " + " ".join(map(str, seq.base_unit)))
     except ValueError:  # str() refuses what _refuse_unwritable refuses
         _refuse_unwritable(seq.base_unit, "a unit entry")
     for i, a in enumerate(seq.maps, start=1):
-        # each line's cells are formatted by one % over its numbers
-        nums = [*a.parent, *a.mult]
-        nums[0::2], nums[1::2] = [p + 1 for p in a.parent], a.mult
+        # each cell is one lookup in the cell table; a line that leaves
+        # it is formatted by one % over its numbers
         try:
-            cells = " ".join(["%d*%d"] * len(a.parent)) % tuple(nums)
-        except ValueError:
-            _refuse_unwritable(a.mult, f"a multiplicity of map {i}")
+            cells = " ".join(map(getitem, map(_CELLS.__getitem__, a.parent), a.mult))
+        except LookupError:
+            nums = [*a.parent, *a.mult]
+            nums[0::2], nums[1::2] = [p + 1 for p in a.parent], a.mult
+            try:
+                cells = " ".join(["%d*%d"] * len(a.parent)) % tuple(nums)
+            except ValueError:
+                _refuse_unwritable(a.mult, f"a multiplicity of map {i}")
         out.append(f"map {i}: {cells}")
     if seq.periodic_tail is not None:
         out.append(f"repeat: {seq.periodic_tail}")

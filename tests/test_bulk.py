@@ -1,7 +1,9 @@
 """The bulk paths of the surgery commands, against the code they replaced.
 
-The parser reads a document's numerals with one json.loads, where it
-read them through one str per numeral and one int() each; tensor_map
+The parser reads a document's short numerals by table lookup and the
+rest with one json.loads, where it read them through one str per
+numeral and one int() each, and serialize_diagram writes short cells
+from a table, where it formatted every line with one %; tensor_map
 forms a Kronecker product with two comprehensions, where it ran a
 nested index loop; tensor_seq and tensor_qn read a factor's maps off
 its cyclic block (BratteliSequence._maps_to), where they called map_at
@@ -26,6 +28,7 @@ from bratteli import (
     NonMixingMap,
     ParseError,
     SupernaturalNumber,
+    TooLarge,
     forall_n_leq_limit,
     injectivize,
     keep_at,
@@ -85,6 +88,26 @@ def _old_bulk_maps(block, sizes):
         maps.append(NonMixingMap._of(src, row, mult[at : at + n]))
         at += n
     return maps
+
+
+def _old_serialize(seq):
+    # serialize_diagram when every map line was formatted by one %
+    out = ["bratteli v1", "sizes: " + " ".join(str(r) for r in seq.ranks)]
+    try:
+        out.append("unit: " + " ".join(str(v) for v in seq.base_unit))
+    except ValueError:
+        diagram._refuse_unwritable(seq.base_unit, "a unit entry")
+    for i, a in enumerate(seq.maps, start=1):
+        nums = [*a.parent, *a.mult]
+        nums[0::2], nums[1::2] = [p + 1 for p in a.parent], a.mult
+        try:
+            cells = " ".join(["%d*%d"] * len(a.parent)) % tuple(nums)
+        except ValueError:
+            diagram._refuse_unwritable(a.mult, f"a multiplicity of map {i}")
+        out.append(f"map {i}: {cells}")
+    if seq.periodic_tail is not None:
+        out.append(f"repeat: {seq.periodic_tail}")
+    return "\n".join(out) + "\n"
 
 
 def _old_tensor_map(f, g):
@@ -179,6 +202,61 @@ def _documents():
     return docs + edits
 
 
+# numerals on both sides of the reader's table bound (1023 is its last
+# entry), and what the table never holds: 0, leading zeros, digits that
+# are not ASCII, and a numeral past int()'s 4300-digit limit
+_NEAR = (1, 2, 3, 1022, 1023, 1024, 1025)
+_OFF_TABLE = ("0", "00", "01", "0999", "01024", "\u00b2", "\u0663", "1\u0663", LONG)
+
+
+def _edge_documents(seed, count):
+    """Seeded documents of ranks, unit entries, parents and
+    multiplicities drawn from _NEAR (and 10**30), most with one numeral
+    then swapped for one of _OFF_TABLE or _NEAR."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        ranks = [rng.choice(_NEAR) for _ in range(rng.randint(1, 3))]
+        lines = [
+            "bratteli v1",
+            "sizes: " + " ".join(map(str, ranks)),
+            "unit: " + " ".join(str(rng.choice((*_NEAR, 10**30))) for _ in range(ranks[0])),
+        ]
+        for i, (src, n) in enumerate(zip(ranks, ranks[1:]), start=1):
+            parents = [p for p in _NEAR if p <= src]
+            cells = (f"{rng.choice(parents)}*{rng.choice((*_NEAR, 10**30))}" for _ in range(n))
+            lines.append(f"map {i}: " + " ".join(cells))
+        if len(ranks) > 1 and ranks[0] == ranks[-1]:
+            lines.append("repeat: 1")
+        if rng.random() < 0.7:
+            i = rng.randrange(1, len(lines))
+            toks = lines[i].split(" ")
+            j = rng.randrange(2 if lines[i].startswith("map") else 1, len(toks))
+            piece = rng.choice((*_OFF_TABLE, *map(str, _NEAR)))
+            a, star, b = toks[j].partition("*")
+            if not star:
+                toks[j] = piece
+            elif rng.random() < 0.5:
+                toks[j] = piece + "*" + b
+            else:
+                toks[j] = a + "*" + piece
+            lines[i] = " ".join(toks)
+        yield "\n".join(lines) + "\n"
+
+
+def _capped_documents():
+    """Map sections just under and just past the reader's cap, both
+    all table numerals, the one past it straddling the bound."""
+    under = (fileformat._CAP + 1) // 4 - 1  # cells of "1*1" and a space
+    past = fileformat._CAP // 7 + 1  # cells of "1*1023"/"1*1024"
+    mults = ("1023", "1024") * (past // 2 + 1)
+    return [
+        f"bratteli v1\nsizes: 1 {under}\nunit: 1\nmap 1: " + " ".join(["1*1"] * under) + "\n",
+        f"bratteli v1\nsizes: 1 {past}\nunit: 1\nmap 1: "
+        + " ".join("1*" + m for m in mults[:past])
+        + "\n",
+    ]
+
+
 def _bulk_inputs(text):
     """What parse_diagram hands _bulk for the sizes line, and the block
     and sizes it hands _bulk_maps, or None where it never gets there."""
@@ -243,8 +321,86 @@ class TestBulkAgainstOldReader:
         docs = _documents()[::3]
         new = [outcome(text) for text in docs]
         monkeypatch.setattr(fileformat, "_bulk", _old_bulk)
+        monkeypatch.setattr(fileformat, "_bulk_maps", _old_bulk_maps)
         for text, got in zip(docs, new):
             assert outcome(text) == got, text
+
+    @staticmethod
+    def _three_routes(texts, monkeypatch):
+        # each text through the table, through json.loads alone (a cap
+        # no section is under) and through the old reader: the same
+        # sequence, or the same error, line and column, all three ways
+        def outcome(text):
+            try:
+                return parse_diagram(text)
+            except ParseError as e:
+                return e.line, e.column, e.message
+
+        routes = [[outcome(text) for text in texts]]
+        with monkeypatch.context() as m:
+            m.setattr(fileformat, "_CAP", -1)
+            routes.append([outcome(text) for text in texts])
+        with monkeypatch.context() as m:
+            m.setattr(fileformat, "_bulk", _old_bulk)
+            m.setattr(fileformat, "_bulk_maps", _old_bulk_maps)
+            routes.append([outcome(text) for text in texts])
+        for text, table, loaded, old in zip(texts, *routes):
+            assert table == loaded == old, text[:300]
+        return routes[0]
+
+    def test_sections_at_the_table_edges(self, monkeypatch):
+        texts = list(_edge_documents(33, 600))
+        got = self._three_routes(texts, monkeypatch)
+        parsed = [g for g in got if isinstance(g, BratteliSequence)]
+        errors = Counter(g[2].split(" ")[0] for g in got if not isinstance(g, BratteliSequence))
+        assert len(parsed) > 100 and len(errors) >= 4, (len(parsed), errors)
+        # the bound itself: 1023 is read by the table, 1024 by json.loads
+        assert fileformat._bulk("1 1023", b" ") == [1, 1023]
+        assert "1023" in fileformat._VALUES and "1024" not in fileformat._VALUES
+        assert fileformat._bulk("1 1024", b" ") == [1, 1024]
+
+    def test_sections_at_the_cap(self, monkeypatch):
+        under, past = _capped_documents()
+        for text, routed in ((under, True), (past, False)):
+            (_, body), = fileformat._logical_lines(text)[3:]
+            joined = body.split(None, 2)[2]
+            assert (fileformat._cells(joined) is not None) is routed
+        got = self._three_routes([under, past], monkeypatch)
+        assert [len(seq.maps[0].parent) for seq in got] == [
+            (fileformat._CAP + 1) // 4 - 1,
+            fileformat._CAP // 7 + 1,
+        ]
+        assert set(got[1].maps[0].mult) == {1023, 1024}
+
+    def test_writer_table_edges(self):
+        # serialize_diagram against the % writer on maps whose parents
+        # and multiplicities straddle the cell table's bound of 64
+        rng = random.Random(34)
+        bound = fileformat._CELL_BOUND
+        near = (1, 2, bound - 1, bound, bound + 1, bound + 2)
+        for _ in range(400):
+            ranks = [rng.choice(near) for _ in range(rng.randint(2, 4))]
+            maps = tuple(
+                NonMixingMap(
+                    src,
+                    [rng.choice([p for p in near if p <= src]) - 1 for _ in range(n)],
+                    [rng.choice((*near, 10**30)) for _ in range(n)],
+                )
+                for src, n in zip(ranks, ranks[1:])
+            )
+            seq = BratteliSequence(ranks, maps, (1,) * ranks[0])
+            assert serialize_diagram(seq) == _old_serialize(seq)
+        # a multiplicity too long to write is refused with the same message
+        seq = BratteliSequence((2, 2), (NonMixingMap(2, (0, 1), (1, 10**5000)),), (1, 1))
+        refused = []
+        for write in (serialize_diagram, _old_serialize):
+            with pytest.raises(TooLarge) as info:
+                write(seq)
+            refused.append(str(info.value))
+        assert refused[0] == refused[1]
+        # and canon's 1-based parent rows, across the numeral table's bound
+        for ps in ([0, 1021, 1022], [1022, 1023], [5, 10**6, 0]):
+            assert fileformat._one_based(ps) == [str(p + 1) for p in ps]
 
 
 class TestParseEdges:

@@ -13,6 +13,7 @@ from bratteli import (
     parse_diagram,
     serialize_diagram,
 )
+from bratteli.cli import run
 from corpus import error_documents, valid_documents
 from genseq import full_tree, long_chain, random_map, scalar_chain, two_path
 
@@ -69,6 +70,53 @@ class TestParse:
         with pytest.raises(ParseError) as info:
             parse_diagram(doc[1])
         assert "tail from level" in info.value.message
+
+
+class TestLineBreaks:
+    """A line ends at "\\n", "\\r\\n" or a lone "\\r" only; the other
+    characters str.splitlines() breaks at stay inside their line."""
+
+    DOC = "bratteli v1\nsizes: 1 1\nunit: 1\nmap 1: 1*2\nrepeat: 1\n"
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_crlf_and_cr(self, end):
+        assert parse_diagram(self.DOC.replace("\n", end)) == scalar_chain(2)
+        bad = self.DOC.replace("1*2", "1*0").replace("\n", end)
+        with pytest.raises(ParseError) as info:
+            parse_diagram(bad)
+        assert (info.value.line, info.value.column) == (4, 8)
+
+    @pytest.mark.parametrize(
+        "mark", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_comment_holds_a_splitlines_break(self, mark):
+        # before, the text after the mark was a line of its own:
+        # "line 5, column 2: expected 'map 1:'" for U+2028
+        text = self.DOC.replace("unit: 1\n", f"unit: 1\n# a note{mark} x\n")
+        assert parse_diagram(text) == scalar_chain(2)
+
+    def test_form_feed_inside_a_line(self):
+        # whitespace between tokens, and no line number after it moves
+        assert parse_diagram(self.DOC.replace("sizes: 1 1", "sizes:\f1 1")) == scalar_chain(2)
+        bad = self.DOC.replace("sizes: 1 1", "sizes: 1\f1").replace("1*2", "1*0")
+        with pytest.raises(ParseError) as info:
+            parse_diagram(bad)
+        got = (info.value.line, info.value.column, info.value.message)
+        assert got == (4, 8, "multiplicity must be >= 1, got 0")
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_undecodable_byte_location(self, end, tmp_path, capsys):
+        # the byte's line and column count line ends as the parser does
+        path = tmp_path / "bad.brat"
+        path.write_bytes(end.join(["bratteli v1", "sizes: 1", "unit: 1", "# "]).encode() + b"\xff")
+        assert run(["validate", str(path)]) == 65
+        assert "line 4, column 3: byte 0xff is not UTF-8" in capsys.readouterr().err
+
+    def test_through_the_cli(self, tmp_path, capsys):
+        path = tmp_path / "note.brat"
+        path.write_text(self.DOC.replace("unit: 1\n", "unit: 1\n# a\u2028 x\n"), encoding="utf-8")
+        assert run(["validate", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("levels: 2\n")
 
 
 class TestCellLocations:
@@ -174,8 +222,9 @@ _OLD_TOKEN = re.compile(r"\S+")
 
 
 def _old_logical_lines(text: str):
+    # lines end at "\n", "\r\n" or a lone "\r", as parse_diagram's do
     out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(re.split("\r\n|\r|\n", text), start=1):
         body = raw.split("#", 1)[0]
         if body.strip():
             out.append((lineno, body))
